@@ -178,8 +178,8 @@ def test_traced_overhead_guard(tmp_path):
     Two paired min-of-N measurements on csa32.2, alternating untraced
     and traced rounds so clock drift hits both sides equally:
 
-    * interpreted — cold two-step hierarchical analysis,
-    * compiled    — demand-driven refinement on the compiled timing
+    * hierarchical — cold two-step hierarchical analysis,
+    * compiled     — demand-driven refinement on the compiled timing
       graph (kernel-compile / kernel-propagate / kernel-reflow spans).
 
     Both are guarded at <5% plus an absolute noise floor (the compiled
@@ -204,7 +204,7 @@ def test_traced_overhead_guard(tmp_path):
     def run_compiled(tracer):
         t0 = time.perf_counter()
         analyzer = DemandDrivenAnalyzer(design, tracer=tracer)
-        analyzer.analyze(exec_engine="compiled")
+        analyzer.analyze()
         return time.perf_counter() - t0
 
     def measure(run):

@@ -57,10 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Tautology engines accepted by every analyzer.
 ENGINES = ("sat", "bdd", "brute")
 
-#: Propagation execution engines: ``auto`` picks the interpreter for
-#: single-scenario calls and the compiled kernel for batches.
-EXEC_ENGINES = ("auto", "interpreted", "compiled")
-
 #: Stability-check SAT strategies (persistent session vs per-check).
 SAT_MODES = ("incremental", "oneshot")
 
@@ -107,13 +103,6 @@ class AnalysisOptions:
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` arming the
         deterministic fault-injection points (tests and drills only).
-    exec_engine:
-        Propagation execution engine: ``interpreted`` (per-node python
-        walk), ``compiled`` (the :mod:`repro.kernel` plan/execute
-        split), or ``auto`` (interpreted for single scenarios, compiled
-        for batches).  Both engines produce bit-identical results; this
-        selector exists because ``engine`` already names the tautology
-        engine.
     batch_size:
         Scenario chunk size for compiled batch evaluation (bounds the
         working-set matrix to ``batch_size × nets`` floats).
@@ -150,7 +139,6 @@ class AnalysisOptions:
     retries: int = 2
     refine_budget: int | None = None
     fault_plan: object | None = field(default=None, repr=False)
-    exec_engine: str = "auto"
     batch_size: int = 256
     sat_mode: str = "incremental"
     refine_order: str = "scan"
@@ -161,11 +149,6 @@ class AnalysisOptions:
         if self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
-        if self.exec_engine not in EXEC_ENGINES:
-            raise ValueError(
-                f"unknown exec_engine {self.exec_engine!r}; "
-                f"expected one of {EXEC_ENGINES}"
             )
         if int(self.batch_size) < 1:
             raise ValueError(
@@ -222,17 +205,6 @@ class AnalysisOptions:
     def with_changes(self, **changes) -> "AnalysisOptions":
         """A copy with the given fields replaced (re-validated)."""
         return replace(self, **changes)
-
-    def resolve_exec_engine(self, batch: int = 1) -> str:
-        """The concrete engine for a ``batch``-scenario call.
-
-        ``auto`` resolves to ``interpreted`` for a single scenario and
-        ``compiled`` for batches (where the plan amortizes); explicit
-        settings pass through unchanged.
-        """
-        if self.exec_engine != "auto":
-            return self.exec_engine
-        return "compiled" if batch > 1 else "interpreted"
 
     @property
     def effective_tracer(self) -> Tracer:
@@ -492,9 +464,7 @@ class AnalysisSession:
         The design is compiled once (:meth:`compile` — cached), every
         member streams through the kernel's delay-override hooks in
         ``options.batch_size`` chunks, and the aggregated
-        :class:`~repro.scenarios.FamilyResult` comes back.  Families
-        always run on the compiled kernel; ``exec_engine`` does not
-        apply.
+        :class:`~repro.scenarios.FamilyResult` comes back.
         """
         from repro.scenarios import analyze_family, family_from_json
         from repro.scenarios.families import ScenarioFamily
@@ -526,11 +496,9 @@ class AnalysisSession:
         raw lists via :func:`coerce_scenarios`).
         ``method`` selects the analysis: ``"hierarchical"`` (Section 3
         two-step) or ``"demand"`` (Section 5 demand-driven, refinements
-        shared across the batch).  The execution engine follows
-        ``options.exec_engine`` (``auto`` uses the compiled kernel for
-        batches).  Returns a :class:`~repro.core.batch.BatchResult`
-        with per-scenario arrivals/slacks and the shared degradation
-        log — except for family specs, which route through
+        shared across the batch).  Returns a
+        :class:`~repro.core.batch.BatchResult` with per-scenario
+        arrivals/slacks and the shared degradation log — except for family specs, which route through
         :meth:`analyze_family` and return a
         :class:`~repro.scenarios.FamilyResult`.
         """
@@ -597,10 +565,7 @@ class AnalysisSession:
         return analyzer.analyze(arrival)
 
     def forensics(
-        self,
-        arrival: Mapping[str, float] | None = None,
-        *,
-        exec_engine: str | None = None,
+        self, arrival: Mapping[str, float] | None = None
     ) -> "ForensicsReport":
         """Conservatism audit of a demand-driven run (Section 5).
 
@@ -614,7 +579,7 @@ class AnalysisSession:
         from repro.core.demand import DemandDrivenAnalyzer
 
         analyzer = DemandDrivenAnalyzer(self.design, options=self.options)
-        analyzer.analyze(arrival, exec_engine=exec_engine)
+        analyzer.analyze(arrival)
         return analyzer.forensics_report()
 
     def explain_pin(

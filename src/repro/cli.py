@@ -12,12 +12,11 @@ Usage (also exposed as ``python -m repro.cli``)::
 ``report`` prints a classic STA report plus the functional comparison;
 ``delay`` prints per-output XBD0 stable times; ``hier-report`` and
 ``demand`` analyze hierarchical Verilog designs (optionally over a JSON
-batch of arrival scenarios via ``--scenarios`` and the compiled kernel
-via ``--exec-engine``); ``forensics`` prints the conservatism audit
-(topological vs refined arrival per output and the refinements that
-closed the gap); ``characterize`` writes a black-box timing library
-(see :mod:`repro.core.ipblock`); ``serve`` runs the long-lived
-analysis server (:mod:`repro.server`); the last three regenerate the
+batch of arrival scenarios via ``--scenarios``); ``forensics`` prints
+the conservatism audit (topological vs refined arrival per output and
+the refinements that closed the gap); ``characterize`` writes a
+black-box timing library (see :mod:`repro.core.ipblock`); ``serve``
+runs the long-lived analysis server (:mod:`repro.server`); the last three regenerate the
 paper's tables and figures.  Every analysis command takes the observability
 flags ``--trace/--profile/--trace-file`` plus the standard-format
 exporters ``--export-trace FILE.json`` (Chrome trace-event / Perfetto)
@@ -121,17 +120,20 @@ def load_circuit(path: str) -> Network:
 
 
 def parse_arrivals(pairs: list[str]) -> dict[str, float]:
-    """Parse repeated ``--arrival name=time`` options."""
-    out: dict[str, float] = {}
+    """Parse repeated ``--arrival name=time`` options.
+
+    Times must be finite numbers (``nan``/``inf``/``1e400`` are
+    refused with the same check as scenario files).
+    """
+    from repro.scenarios.spec import clean_arrival
+
+    out: dict[str, str] = {}
     for pair in pairs:
         name, _, value = pair.partition("=")
         if not name or not value:
             raise ReproError(f"bad --arrival {pair!r}; expected name=time")
-        try:
-            out[name] = float(value)
-        except ValueError:
-            raise ReproError(f"bad arrival time in {pair!r}") from None
-    return out
+        out[name] = value
+    return clean_arrival(out, "--arrival")
 
 
 def _load_json(path: str):
@@ -289,7 +291,6 @@ def make_options(args: argparse.Namespace, tracer=None):
     try:
         return AnalysisOptions(
             engine=args.engine,
-            exec_engine=getattr(args, "exec_engine", "auto"),
             batch_size=getattr(args, "batch_size", 256),
             jobs=getattr(args, "jobs", 1),
             cache_dir=getattr(args, "cache_dir", None),
@@ -845,17 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
             "solver per check (reference path)",
         )
 
-    def add_exec_opts(
-        p: argparse.ArgumentParser, scenarios: bool = True
-    ) -> None:
-        p.add_argument(
-            "--exec-engine",
-            choices=("auto", "interpreted", "compiled"),
-            default="auto",
-            help="graph-propagation engine: the per-net interpreted "
-            "walker, the compiled array kernel, or auto (compiled for "
-            "batches, interpreted for single scenarios)",
-        )
+    def add_batch_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument(
             "--batch-size",
             type=int,
@@ -864,27 +855,26 @@ def build_parser() -> argparse.ArgumentParser:
             help="scenario chunk size for the compiled kernel "
             "(default 256)",
         )
-        if scenarios:
-            p.add_argument(
-                "--scenarios",
-                default=None,
-                metavar="FILE",
-                help="batch mode: JSON list of arrival scenarios, each "
-                "an object keyed by input name or a list aligned with "
-                "the design's input order (--arrival entries become "
-                "per-scenario defaults); scenario-spec objects (see "
-                "docs/SCENARIOS.md) are also accepted",
-            )
-            p.add_argument(
-                "--family",
-                default=None,
-                metavar="FILE",
-                help="family mode: JSON scenario-family spec (corner "
-                "sweep, parametric sweep, or monte-carlo; see "
-                "docs/SCENARIOS.md) evaluated through the compiled "
-                "kernel's delay-override hooks (--arrival entries "
-                "become arrival defaults)",
-            )
+        p.add_argument(
+            "--scenarios",
+            default=None,
+            metavar="FILE",
+            help="batch mode: JSON list of arrival scenarios, each "
+            "an object keyed by input name or a list aligned with "
+            "the design's input order (--arrival entries become "
+            "per-scenario defaults); scenario-spec objects (see "
+            "docs/SCENARIOS.md) are also accepted",
+        )
+        p.add_argument(
+            "--family",
+            default=None,
+            metavar="FILE",
+            help="family mode: JSON scenario-family spec (corner "
+            "sweep, parametric sweep, or monte-carlo; see "
+            "docs/SCENARIOS.md) evaluated through the compiled "
+            "kernel's delay-override hooks (--arrival entries "
+            "become arrival defaults)",
+        )
 
     def add_obs_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -942,7 +932,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_analysis_opts(hier)
     add_resilience_opts(hier)
-    add_exec_opts(hier)
+    add_batch_opts(hier)
     hier.add_argument(
         "--nets", action="store_true", help="include the per-net table"
     )
@@ -951,19 +941,15 @@ def build_parser() -> argparse.ArgumentParser:
     demand = sub.add_parser(
         "demand",
         help="demand-driven (Section 5) report for a hierarchical "
-        "Verilog design, with batched multi-scenario analysis "
-        "(compiled kernel by default)",
+        "Verilog design, with batched multi-scenario analysis",
     )
     add_analysis_opts(demand)
     add_resilience_opts(demand)
-    add_exec_opts(demand)
+    add_batch_opts(demand)
     demand.add_argument(
         "--nets", action="store_true", help="include the per-net table"
     )
-    # Results are bit-identical either way; the compiled graph with
-    # incremental reflow is the fast path, so make it the default here
-    # (--exec-engine interpreted restores the literal Section-5 loop).
-    demand.set_defaults(func=cmd_demand, exec_engine="compiled")
+    demand.set_defaults(func=cmd_demand)
 
     forensics = sub.add_parser(
         "forensics",
@@ -973,7 +959,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_analysis_opts(forensics)
     add_resilience_opts(forensics)
-    add_exec_opts(forensics, scenarios=False)
     forensics.add_argument(
         "--json",
         action="store_true",

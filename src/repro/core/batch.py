@@ -51,8 +51,7 @@ class BatchResult:
     """Outcome of analyzing a batch of arrival scenarios.
 
     Per-scenario numbers live in :attr:`scenarios`; everything shared
-    across the batch (degradations, the engine actually used, aggregate
-    counters) lives here once.
+    across the batch (degradations, aggregate counters) lives here once.
     """
 
     #: One result per input scenario, in input order.
@@ -61,8 +60,6 @@ class BatchResult:
     delay: float
     #: Analysis method (``"hierarchical"`` or ``"demand"``).
     method: str = ""
-    #: Execution engine actually used (``"interpreted"`` or ``"compiled"``).
-    exec_engine: str = ""
     #: Conservative fallbacks shared by every scenario (characterized
     #: models and refined weights are batch-wide state).
     degradations: tuple[Degradation, ...] = ()
@@ -105,7 +102,6 @@ class BatchResult:
         return {
             "kind": type(self).__name__,
             "method": self.method,
-            "exec_engine": self.exec_engine,
             "delay": self.delay,
             "worst_scenario": self.worst_scenario(),
             "elapsed_seconds": self.elapsed_seconds,

@@ -33,6 +33,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.xbd0 import Engine, StabilityAnalyzer, StabilityContext
 from repro.errors import AnalysisError
+from repro.kernel.graph import CompiledTimingGraph, GraphState
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.obs.forensics import (
@@ -51,7 +52,6 @@ from repro.sta.topological import pin_to_pin_delay
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import AnalysisOptions
     from repro.core.batch import BatchResult
-    from repro.kernel.graph import CompiledTimingGraph
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -212,71 +212,6 @@ class DemandDrivenResult(AnalysisResultMixin):
         }
 
 
-class _InterpretedSta:
-    """Driver adapter: full dict-based re-propagation after each step.
-
-    The Section-5 literal loop — every refresh re-runs
-    :meth:`DemandDrivenAnalyzer._graph_sta` over the whole graph.
-    """
-
-    engine = "interpreted"
-
-    def __init__(self, analyzer: "DemandDrivenAnalyzer", arrival):
-        self._analyzer = analyzer
-        self._arrival = arrival
-        self.at, self.rt = analyzer._graph_sta(arrival)
-        self.passes = 1
-
-    def refresh(self, key: PinPair) -> None:
-        """Re-propagate after the weight of ``key`` improved."""
-        self.at, self.rt = self._analyzer._graph_sta(self._arrival)
-        self.passes += 1
-
-
-class _CompiledSta:
-    """Driver adapter: compiled graph with incremental re-propagation.
-
-    The first pass is a full :meth:`~repro.kernel.graph.GraphState.run_full`;
-    each refresh lowers the refined key's edges and reflows only the
-    affected cone.  Values are bit-identical to :class:`_InterpretedSta`
-    (same float operations per touched node, untouched nodes unchanged
-    by construction).
-    """
-
-    engine = "compiled"
-
-    def __init__(
-        self,
-        analyzer: "DemandDrivenAnalyzer",
-        arrival,
-        graph: "CompiledTimingGraph | None" = None,
-    ):
-        from repro.kernel.graph import GraphState
-
-        self._analyzer = analyzer
-        self.graph = graph if graph is not None else analyzer._compiled_graph()
-        self.state = GraphState(self.graph, arrival, tracer=analyzer.tracer)
-        t0 = time.perf_counter() if analyzer.tracer.enabled else 0.0
-        self.state.run_full()
-        analyzer._note_sta_pass(t0, incremental=False)
-        self.at = self.state.at_dict()
-        self.rt = self.state.rt_dict()
-        self.passes = 1
-
-    def refresh(self, key: PinPair) -> None:
-        """Lower ``key``'s edges to the refined weight and reflow."""
-        analyzer = self._analyzer
-        t0 = time.perf_counter() if analyzer.tracer.enabled else 0.0
-        dirty = self.graph.set_key_weight(
-            key, analyzer._states[key].weight
-        )
-        self.state.reflow(dirty)
-        analyzer._note_sta_pass(t0, incremental=True)
-        self.at = self.state.at_dict()
-        self.rt = self.state.rt_dict()
-        self.passes += 1
-
-
 class DemandDrivenAnalyzer:
     """Timing-graph based analyzer with lazy critical-edge refinement.
 
@@ -379,62 +314,9 @@ class DemandDrivenAnalyzer:
         return lengths
 
     # -------------------------------------------------------------------- STA
-    def _graph_sta(
-        self, arrival: Mapping[str, float]
-    ) -> tuple[dict[str, float], dict[str, float]]:
-        """Forward arrivals and backward requireds on the timing graph."""
-        t0 = time.perf_counter() if self.tracer.enabled else 0.0
-        design = self.design
-        at: dict[str, float] = {
-            x: float(arrival.get(x, 0.0)) for x in design.inputs
-        }
-        incoming: dict[str, list[tuple[str, PinPair]]] = {}
-        outgoing: dict[str, list[tuple[str, PinPair]]] = {}
-        for src, dst, key in self.edges:
-            incoming.setdefault(dst, []).append((src, key))
-            outgoing.setdefault(src, []).append((dst, key))
-        # Nets are appended in instance topological order during
-        # construction, so self.nets is already a valid evaluation order.
-        for net in self.nets:
-            if net in at:
-                continue
-            terms = []
-            for src, key in incoming.get(net, ()):
-                w = self._states[key].weight
-                if w == NEG_INF or at.get(src, NEG_INF) == NEG_INF:
-                    continue
-                terms.append(at[src] + w)
-            at[net] = max(terms) if terms else NEG_INF
-        deadline = max(
-            (at[o] for o in design.outputs), default=NEG_INF
-        )
-        rt: dict[str, float] = {net: POS_INF for net in self.nets}
-        for o in design.outputs:
-            rt[o] = min(rt[o], deadline)
-        for net in reversed(self.nets):
-            for src, key in incoming.get(net, ()):
-                w = self._states[key].weight
-                if w == NEG_INF:
-                    continue
-                budget = rt[net] - w
-                if budget < rt[src]:
-                    rt[src] = budget
-        if self.tracer.enabled:
-            self.tracer.count("demand.sta_passes")
-            self.tracer.event(
-                "sta-pass",
-                phase="propagation",
-                seconds=time.perf_counter() - t0,
-                nets=len(self.nets),
-                edges=len(self.edges),
-            )
-        return at, rt
-
-    def _compiled_graph(self) -> "CompiledTimingGraph":
+    def _compiled_graph(self) -> CompiledTimingGraph:
         """The timing graph lowered to index arrays, seeded with the
         current (possibly already refined) pin-pair weights."""
-        from repro.kernel.graph import CompiledTimingGraph
-
         t0 = time.perf_counter() if self.tracer.enabled else 0.0
         graph = CompiledTimingGraph(
             self.nets,
@@ -458,7 +340,7 @@ class DemandDrivenAnalyzer:
         return graph
 
     def _note_sta_pass(self, t0: float, incremental: bool) -> None:
-        """Trace one compiled STA pass (mirrors ``_graph_sta``'s events)."""
+        """Trace one graph STA pass (full or incremental)."""
         if not self.tracer.enabled:
             return
         self.tracer.count("demand.sta_passes")
@@ -468,43 +350,21 @@ class DemandDrivenAnalyzer:
             seconds=time.perf_counter() - t0,
             nets=len(self.nets),
             edges=len(self.edges),
-            engine="compiled",
             incremental=incremental,
         )
 
-    def _resolve_exec(
-        self, exec_engine: str | None, batch: int = 1
-    ) -> str:
-        """A concrete engine from an override or the options default."""
-        if exec_engine is None:
-            return self.options.resolve_exec_engine(batch)
-        if exec_engine == "auto":
-            return "compiled" if batch > 1 else "interpreted"
-        if exec_engine not in ("interpreted", "compiled"):
-            raise AnalysisError(
-                f"unknown exec engine {exec_engine!r}; "
-                "expected 'auto', 'interpreted', or 'compiled'"
-            )
-        return exec_engine
-
     # ------------------------------------------------------------- refinement
     def _critical_edges(
-        self, at: dict[str, float], rt: dict[str, float]
+        self, state: GraphState
     ) -> list[tuple[str, str, PinPair]]:
+        """Critical edges whose pin pair is not yet proven exact, in
+        scan order (the compiled graph numbers edges like
+        :attr:`edges`)."""
         critical = []
-        for src, dst, key in self.edges:
-            state = self._states[key]
-            if state.exact:
-                continue
-            w = state.weight
-            if w == NEG_INF:
-                continue
-            if (
-                abs(rt[src] - at[src]) < 1e-9
-                and abs(rt[dst] - at[dst]) < 1e-9
-                and abs(at[src] + w - at[dst]) < 1e-9
-            ):
-                critical.append((src, dst, key))
+        for eid in state.critical_edge_ids():
+            edge = self.edges[eid]
+            if not self._states[edge[2]].exact:
+                critical.append(edge)
         return critical
 
     def _order_candidates(
@@ -829,47 +689,44 @@ class DemandDrivenAnalyzer:
 
     # ------------------------------------------------------------------ drive
     def analyze(
-        self,
-        arrival: Mapping[str, float] | None = None,
-        *,
-        exec_engine: str | None = None,
+        self, arrival: Mapping[str, float] | None = None
     ) -> DemandDrivenResult:
         """Run the full Section-5 loop under the given arrival times.
 
-        ``exec_engine`` overrides ``options.exec_engine`` for this call:
-        ``interpreted`` re-runs the full graph STA after each accepted
-        refinement; ``compiled`` uses the :mod:`repro.kernel` graph with
-        incremental (dirty-cone) re-propagation.  Both drive the same
-        refinement loop over the same critical-edge candidates and
-        produce bit-identical results.
+        The timing graph is compiled once per run (seeded with the
+        current, possibly already refined, weights); one full STA pass
+        follows, and each accepted refinement lowers its pin pair's
+        edges and reflows only the affected cone.
         """
         arrival = arrival or {}
-        engine = self._resolve_exec(exec_engine)
         start = time.perf_counter()
         mark = len(self.dlog)
         deadline = self.policy.start()
         budget = self.policy.refine_budget
         self._checks = 0
         self._refinements = 0
-        sta = (
-            _CompiledSta(self, arrival)
-            if engine == "compiled"
-            else _InterpretedSta(self, arrival)
-        )
-        topo_delay = max(
-            (sta.at[o] for o in self.design.outputs), default=NEG_INF
-        )
+        graph = self._compiled_graph()
+        state = GraphState(graph, arrival, tracer=self.tracer)
+        t0 = time.perf_counter() if self.tracer.enabled else 0.0
+        state.run_full()
+        self._note_sta_pass(t0, incremental=False)
+        passes = 1
         outputs = tuple(self.design.outputs)
+        output_idx = [graph.net_index[o] for o in outputs]
+
+        def output_at() -> dict[str, float]:
+            return {o: state.at[i] for o, i in zip(outputs, output_idx)}
+
         # Forensics: arrivals under the run's starting weights (the
         # Theorem-1 topological bound on a fresh analyzer) plus every
         # accepted refinement's exact per-output arrival movement.
         # Recorded unconditionally — pure observation, one snapshot per
         # accepted refinement.
-        topo_at = {o: sta.at[o] for o in outputs}
+        topo_at = output_at()
         events: list[RefinementEvent] = []
         exhausted = None
         while exhausted is None:
-            critical = self._critical_edges(sta.at, sta.rt)
+            critical = self._critical_edges(state)
             if not critical:
                 break
             if self.tracer.enabled:
@@ -917,13 +774,16 @@ class DemandDrivenAnalyzer:
                 break
             if improved_key is None:
                 break
-            before_at = {o: sta.at[o] for o in outputs}
+            before_at = output_at()
             delay_before = max(before_at.values(), default=NEG_INF)
-            sta.refresh(improved_key)
-            after_at = {o: sta.at[o] for o in outputs}
+            t0 = time.perf_counter() if self.tracer.enabled else 0.0
+            weight_after = self._states[improved_key].weight
+            state.reflow(graph.set_key_weight(improved_key, weight_after))
+            self._note_sta_pass(t0, incremental=True)
+            passes += 1
+            after_at = output_at()
             delay_after = max(after_at.values(), default=NEG_INF)
             module_name, inp, out = improved_key
-            weight_after = self._states[improved_key].weight
             event = RefinementEvent(
                 seq=len(events) + 1,
                 module=module_name,
@@ -963,24 +823,24 @@ class DemandDrivenAnalyzer:
                     self.tracer.observe(
                         "demand.refinement_slack_movement", movement
                     )
-        output_times = {o: sta.at[o] for o in self.design.outputs}
+        output_times = output_at()
+        required = {o: state.rt[i] for o, i in zip(outputs, output_idx)}
         refined: dict[PinPair, float] = {}
-        for key, state in self._states.items():
-            if state.index > 0 or state.exact and not state.lengths:
-                refined[key] = state.weight
+        for key, pair in self._states.items():
+            if pair.index > 0 or pair.exact and not pair.lengths:
+                refined[key] = pair.weight
         if self.tracer.enabled:
             self.tracer.gauge("demand.edges_total", len(self.edges))
             self.tracer.gauge("demand.edges_refined_final", len(refined))
         self._forensics = ForensicsReport(
             design=self.design.name,
-            exec_engine=engine,
             arrival=dict(arrival),
             outputs=tuple(
                 OutputForensics(
                     output=o,
                     topological_arrival=topo_at[o],
-                    refined_arrival=sta.at[o],
-                    required_time=sta.rt[o],
+                    refined_arrival=output_times[o],
+                    required_time=required[o],
                     refinements=tuple(
                         e for e in events if o in e.output_moves
                     ),
@@ -993,16 +853,16 @@ class DemandDrivenAnalyzer:
             pin_pairs_total=len(self._states),
         )
         return DemandDrivenResult(
-            net_times=sta.at,
+            net_times=state.at_dict(),
             output_times=output_times,
             delay=max(output_times.values()) if output_times else NEG_INF,
-            topological_delay=topo_delay,
+            topological_delay=max(topo_at.values(), default=NEG_INF),
             refinement_checks=self._checks,
             refinements=self._refinements,
-            sta_passes=sta.passes,
+            sta_passes=passes,
             elapsed_seconds=time.perf_counter() - start,
             refined_weights=refined,
-            required_times={o: sta.rt[o] for o in self.design.outputs},
+            required_times=required,
             degradations=self.dlog.snapshot()[mark:],
         )
 
@@ -1026,17 +886,11 @@ class DemandDrivenAnalyzer:
             )
         return self._forensics
 
-    def analyze_batch(
-        self,
-        scenarios,
-        *,
-        exec_engine: str | None = None,
-    ) -> "BatchResult":
+    def analyze_batch(self, scenarios) -> "BatchResult":
         """Analyze many arrival scenarios, sharing refinements.
 
-        Scenarios run through :meth:`analyze` in order under one
-        resolved engine; because refinement state is memoized per pin
-        pair, edges proven (or refuted) under an earlier scenario are
+        Scenarios run through :meth:`analyze` in order; because
+        refinement state is memoized per pin pair, edges proven (or refuted) under an earlier scenario are
         never re-checked for later ones — the batch pays for each pin
         pair once, like the paper's regular-design argument.  Slack per
         output is ``required − arrival`` under each scenario's own
@@ -1045,15 +899,12 @@ class DemandDrivenAnalyzer:
         from repro.core.batch import BatchResult, ScenarioResult
 
         scenarios = [dict(s or {}) for s in scenarios]
-        engine = self._resolve_exec(
-            exec_engine, batch=max(1, len(scenarios))
-        )
         t0 = time.perf_counter()
         mark = len(self.dlog)
         results = []
         checks = refinements = passes = 0
         for scenario in scenarios:
-            r = self.analyze(scenario, exec_engine=engine)
+            r = self.analyze(scenario)
             checks += r.refinement_checks
             refinements += r.refinements
             passes += r.sta_passes
@@ -1077,7 +928,6 @@ class DemandDrivenAnalyzer:
             scenarios=tuple(results),
             delay=max((r.delay for r in results), default=NEG_INF),
             method="demand",
-            exec_engine=engine,
             degradations=self.dlog.snapshot()[mark:],
             elapsed_seconds=time.perf_counter() - t0,
             stats={

@@ -133,8 +133,7 @@ def render_batch_report(
         f"{len(design.outputs)} outputs",
         "",
         f"  scenarios       : {len(batch)}",
-        f"  method          : {batch.method or 'hierarchical'} "
-        f"(exec engine {batch.exec_engine or 'auto'})",
+        f"  method          : {batch.method or 'hierarchical'}",
         f"  envelope delay  : {_fmt(batch.delay)}",
         "",
         f"  {'scenario':<10} {'delay':>8} {'min slack':>10}",

@@ -550,36 +550,11 @@ class HierarchicalAnalyzer:
         """Hook: the timing models one instance propagates through.
 
         The base analyzer shares one model set per module; subclasses
-        may return instance-specific models.  Both the interpreted walk
-        and :meth:`compile` consume this, so the two engines always see
-        the same models.
+        may return instance-specific models; :meth:`compile` bakes
+        whatever this returns into the plan.
         """
         inst = self.design.instances[inst_name]
         return self.models_for(inst.module_name)
-
-    def _propagate_interpreted(
-        self, arrival: Mapping[str, float]
-    ) -> dict[str, float]:
-        """One interpreted Step-2 walk: stable time per top-level net."""
-        design = self.design
-        net_times: dict[str, float] = {
-            x: float(arrival.get(x, 0.0)) for x in design.inputs
-        }
-        for inst_name in design.instance_order():
-            inst = design.instances[inst_name]
-            module = design.module_of(inst)
-            models = self._models_of_instance(inst_name)
-            local_arrival = {
-                port: net_times[inst.net_of(port)]
-                for port in module.inputs
-            }
-            for port in module.outputs:
-                stable = models[port].stable_time(local_arrival)
-                net_times[inst.net_of(port)] = stable
-        missing = [o for o in design.outputs if o not in net_times]
-        if missing:
-            raise AnalysisError(f"undriven outputs {missing!r}")
-        return net_times
 
     def compile(self, force: bool = False) -> "CompiledDesign":
         """Compile Step-2 propagation into a reusable handle.
@@ -618,33 +593,21 @@ class HierarchicalAnalyzer:
     def analyze(self, arrival: Mapping[str, float] | None = None) -> HierResult:
         """Propagate arrivals through the instance DAG (Section 3.2).
 
-        The propagation engine follows ``options.exec_engine``
-        (``auto`` = interpreted for this single-scenario entry point);
-        both engines produce bit-identical results.
+        One scenario through the compiled plan of :meth:`compile`
+        (built on first use and cached on the analyzer).
         """
         design = self.design
-        arrival = arrival or {}
-        engine = self.options.resolve_exec_engine(1)
         t0 = time.perf_counter()
         mark = len(self.dlog)
         fresh = self._ensure_models()
         t1 = time.perf_counter()
-        if engine == "compiled":
-            compiled = self.compile()
-            with self.tracer.span(
-                "propagate",
-                phase="propagation",
-                design=design.name,
-                engine="compiled",
-            ):
-                net_times = compiled.propagate(
-                    [arrival], tracer=self.tracer
-                )[0]
-        else:
-            with self.tracer.span(
-                "propagate", phase="propagation", design=design.name
-            ):
-                net_times = self._propagate_interpreted(arrival)
+        compiled = self.compile()
+        with self.tracer.span(
+            "propagate", phase="propagation", design=design.name
+        ):
+            net_times = compiled.propagate(
+                [arrival or {}], tracer=self.tracer
+            )[0]
         output_times = {o: net_times[o] for o in design.outputs}
         t2 = time.perf_counter()
         return HierResult(
@@ -664,30 +627,27 @@ class HierarchicalAnalyzer:
     ) -> "BatchResult":
         """Analyze many arrival scenarios in one call (Section 3.2 × N).
 
-        Characterization happens once; propagation follows
-        ``options.exec_engine`` (``auto`` = the compiled kernel for
-        batches).  ``backend`` optionally forces the kernel backend
-        (``"numpy"``/``"python"``).  Per-scenario slack is
-        ``deadline − arrival`` under each scenario's own deadline (its
-        latest primary-output arrival), the Section-5 convention.
+        Characterization and compilation happen once; every scenario
+        runs through the compiled kernel.  ``backend`` optionally forces
+        the kernel backend (``"numpy"``/``"python"``).  Per-scenario
+        slack is ``deadline − arrival`` under each scenario's own
+        deadline (its latest primary-output arrival), the Section-5
+        convention.
         """
         from repro.core.batch import BatchResult, ScenarioResult
 
         design = self.design
         scenarios = [dict(s or {}) for s in scenarios]
-        engine = self.options.resolve_exec_engine(len(scenarios))
         t0 = time.perf_counter()
         mark = len(self.dlog)
         fresh = self._ensure_models()
-        if not scenarios:
-            rows: list[dict[str, float]] = []
-        elif engine == "compiled":
+        rows: list[dict[str, float]] = []
+        if scenarios:
             compiled = self.compile()
             with self.tracer.span(
                 "propagate-batch",
                 phase="propagation",
                 design=design.name,
-                engine="compiled",
                 scenarios=len(scenarios),
             ):
                 rows = compiled.propagate(
@@ -696,15 +656,6 @@ class HierarchicalAnalyzer:
                     batch_size=self.options.batch_size,
                     tracer=self.tracer,
                 )
-        else:
-            with self.tracer.span(
-                "propagate-batch",
-                phase="propagation",
-                design=design.name,
-                engine="interpreted",
-                scenarios=len(scenarios),
-            ):
-                rows = [self._propagate_interpreted(s) for s in scenarios]
         results = []
         for scenario, net_times in zip(scenarios, rows):
             output_times = {o: net_times[o] for o in design.outputs}
@@ -728,7 +679,6 @@ class HierarchicalAnalyzer:
             scenarios=tuple(results),
             delay=max((r.delay for r in results), default=NEG_INF),
             method="hierarchical",
-            exec_engine=engine,
             degradations=self.dlog.snapshot()[mark:],
             elapsed_seconds=time.perf_counter() - t0,
             stats={"characterized_modules": list(fresh)},

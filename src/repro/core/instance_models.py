@@ -170,8 +170,7 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
     def _models_of_instance(self, inst_name):
         """Hook override: per-instance SDC-aware models.
 
-        Shared by the interpreted walk and the compiled kernel, so a
-        compiled per-instance analysis bakes each instance's customized
-        model into its plan.
+        :meth:`compile` bakes each instance's customized model into
+        the plan.
         """
         return self.models_for_instance(inst_name)

@@ -15,9 +15,11 @@ the demand-driven timing graph):
 * :mod:`~repro.kernel.design` wraps a plan in the reusable
   :class:`CompiledDesign` handle the batch API hands out.
 
-Every kernel result is bit-identical to the corresponding interpreted
-analyzer — the compiled paths perform the same float64 additions,
-maxima, and minima on the same values.
+Every analysis propagates through this kernel.  Its results are
+bit-identical to the plain per-node walks they replace (Step-2 min-max
+over :meth:`~repro.core.timing_model.TimingModel.stable_time`, and
+forward/backward graph STA) — the compiled paths perform the same
+float64 additions, maxima, and minima on the same values.
 """
 
 from repro.kernel.backend import (

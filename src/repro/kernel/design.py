@@ -62,7 +62,8 @@ class CompiledDesign:
         self, scenarios: Sequence[Mapping[str, float]]
     ) -> list[list[float]]:
         """Arrival rows (aligned with :attr:`inputs`) from scenario
-        mappings; missing inputs default to 0.0 like the interpreter.
+        mappings; missing inputs default to 0.0 and names that are not
+        primary inputs are ignored.
 
         Scattered into a zero row rather than built by scanning every
         input: scenarios are usually sparse (a handful of constrained

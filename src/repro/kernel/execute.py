@@ -10,8 +10,9 @@ arrival-time scenarios at once.  Two executors share the plan:
   used when numpy is absent or the batch is too small to amortize
   per-node numpy call overhead.
 
-Both are bit-identical to the interpreted analyzers: identical float64
-additions, maxima, and minima over identical values (addition and
+Both are bit-identical to a per-node
+:meth:`~repro.core.timing_model.TimingModel.stable_time` walk: identical
+float64 additions, maxima, and minima over identical values (addition and
 max/min are order-insensitive for non-NaN floats, and the compiler
 rejects NaN/``+inf`` delays).
 """

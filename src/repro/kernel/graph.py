@@ -1,19 +1,19 @@
 """Compiled demand-driven timing graph with incremental re-propagation.
 
-:mod:`repro.core.demand` re-runs a full forward/backward STA pass after
-every accepted refinement.  This module compiles the same timing graph
-(vertices = top-level nets, edges = module pin pairs with mutable
-weights) into index-based adjacency arrays, and keeps per-scenario
-arrival/required state that can *reflow* incrementally: when a
-refinement lowers the weight of some edges, only the affected cone is
-re-evaluated — a worklist ordered by topological node index walks
-forward from the dirty edges' heads, and (unless the deadline moved)
-a reverse worklist walks backward from their tails.
+The Section-5 loop of :mod:`repro.core.demand` needs a forward/backward
+STA pass after every accepted refinement.  This module compiles its
+timing graph (vertices = top-level nets, edges = module pin pairs with
+mutable weights) into index-based adjacency arrays, and keeps
+per-scenario arrival/required state that can *reflow* incrementally:
+when a refinement lowers the weight of some edges, only the affected
+cone is re-evaluated — a worklist ordered by topological node index
+walks forward from the dirty edges' heads, and (unless the deadline
+moved) a reverse worklist walks backward from their tails.
 
-Incremental results are bit-identical to a full re-propagation: each
-touched node is recomputed from scratch with the exact float operations
-of :meth:`~repro.core.demand.DemandDrivenAnalyzer._graph_sta`, and an
-untouched node's inputs are unchanged by construction.
+Incremental results are bit-identical to a full re-propagation
+(:meth:`GraphState.run_full`): each touched node is recomputed from
+scratch with the same float operations, and an untouched node's inputs
+are unchanged by construction.
 """
 
 from __future__ import annotations
@@ -169,7 +169,7 @@ class GraphState:
 
     # ------------------------------------------------------------------- full
     def run_full(self) -> None:
-        """Full forward + backward propagation (matches ``_graph_sta``)."""
+        """Full forward + backward propagation."""
         g = self.graph
         tracer = self.tracer
         start = time.perf_counter() if tracer.enabled else 0.0
@@ -300,8 +300,8 @@ class GraphState:
         """Edges with both endpoints at zero slack and the edge tight.
 
         Edge order matches construction order, so a driver iterating the
-        result visits candidates exactly like the interpreted
-        ``_critical_edges`` walk (exactness filtering is the caller's).
+        result visits candidates in the paper's scan order (exactness
+        filtering is the caller's).
         """
         g = self.graph
         at, rt = self.at, self.rt

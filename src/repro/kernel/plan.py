@@ -18,8 +18,9 @@ Two compilers produce the same plan shape:
 * :func:`compile_network` — a flat gate network whose nodes are single
   max-plus tuples (topological STA).
 
-Results are bit-identical to the interpreted walks: the same float
-additions, maxima, and minima are performed on the same values.
+Results are bit-identical to per-node walks over the same models: the
+same float additions, maxima, and minima are performed on the same
+values.
 """
 
 from __future__ import annotations
@@ -277,8 +278,7 @@ def compile_design(
     that instance's output ports — the shared per-module models of the
     two-step analyzer, or the SDC-aware per-instance models of
     :class:`~repro.core.instance_models.PerInstanceAnalyzer`.  Node order
-    follows ``design.instance_order()``, matching the interpreted walk
-    exactly.
+    follows ``design.instance_order()``.
     """
     start = time.perf_counter() if tracer.enabled else 0.0
     design.validate()

@@ -272,7 +272,6 @@ class ForensicsReport:
     """Per-output conservatism audit of one demand-driven run."""
 
     design: str
-    exec_engine: str
     #: The arrival scenario the run analyzed (primary-input times).
     arrival: Mapping[str, float]
     outputs: tuple[OutputForensics, ...]
@@ -318,7 +317,6 @@ class ForensicsReport:
         """JSON-ready form of the full audit (outputs and events)."""
         return {
             "design": self.design,
-            "exec_engine": self.exec_engine,
             "arrival": dict(self.arrival),
             "delay": self.delay,
             "topological_delay": self.topological_delay,
@@ -350,8 +348,7 @@ class ForensicsReport:
     def render(self, indent: str = "  ") -> str:
         """Human-readable audit: the per-output table, then the events."""
         lines = [
-            f"Conservatism audit for {self.design} "
-            f"(exec engine {self.exec_engine})",
+            f"Conservatism audit for {self.design}",
             f"{indent}refined delay        : {_fmt(self.delay)}",
             f"{indent}topological estimate : {_fmt(self.topological_delay)}",
             f"{indent}pessimism removed    : {_fmt(self.gap_closed)} over "

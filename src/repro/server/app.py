@@ -71,6 +71,7 @@ from repro.obs.flight import FlightRecord, FlightRecorder, RequestContext
 from repro.obs.sinks import RingBufferSink
 from repro.obs.slo import SloObjective, SloTracker
 from repro.obs.trace import Tracer
+from repro.scenarios.spec import clean_arrival
 from repro.server.coalescer import CoalesceConfig, Outcome
 from repro.server.registry import (
     DegradedRow,
@@ -1003,23 +1004,13 @@ class TimingServerApp:
 
     @staticmethod
     def _arrival_of(payload, entry: RegisteredDesign) -> dict[str, float]:
-        arrival = payload.get("arrival", {})
-        if not isinstance(arrival, dict):
-            raise RequestError(
-                "'arrival' must be an object mapping input names to times"
-            )
-        known = set(entry.handle.inputs)
-        unknown = sorted(set(arrival) - known)
+        arrival = clean_arrival(payload.get("arrival", {}), "request")
+        unknown = sorted(set(arrival) - set(entry.handle.inputs))
         if unknown:
             raise RequestError(
                 f"arrival names unknown input {unknown[0]!r}"
             )
-        try:
-            return {name: float(v) for name, v in arrival.items()}
-        except (TypeError, ValueError):
-            raise RequestError(
-                "'arrival' times must be numbers"
-            ) from None
+        return arrival
 
     @staticmethod
     def _include_of(payload) -> tuple[str, ...]:

@@ -1,0 +1,124 @@
+"""Reference oracles for the compiled propagation engines.
+
+Plain dict walks written for reading, not speed.  The property tests
+hold :mod:`repro.kernel` bit-identical to them: the kernel performs the
+same float64 additions, maxima, and minima on the same values, so every
+comparison is exact.
+"""
+
+from __future__ import annotations
+
+NEG_INF = float("-inf")
+POS_INF = float("inf")
+
+
+def hier_net_times(design, models_of_instance, arrival):
+    """Step 2 (Section 3.2): min-max propagation over the instance DAG.
+
+    ``models_of_instance(name)`` gives one instance's per-output timing
+    models (e.g. ``HierarchicalAnalyzer._models_of_instance``).
+    """
+    net_times = {x: float(arrival.get(x, 0.0)) for x in design.inputs}
+    for inst_name in design.instance_order():
+        inst = design.instances[inst_name]
+        module = design.module_of(inst)
+        models = models_of_instance(inst_name)
+        local = {port: net_times[inst.net_of(port)] for port in module.inputs}
+        for port in module.outputs:
+            net_times[inst.net_of(port)] = models[port].stable_time(local)
+    return net_times
+
+
+def graph_sta(nets, edges, inputs, outputs, arrival):
+    """Forward arrivals and backward required times on a timing graph.
+
+    ``nets`` is a topological order starting with ``inputs``; ``edges``
+    holds ``(src, dst, weight)`` triples, where a ``-inf`` weight marks
+    a pin pair proven false.  The required time at every primary
+    output is the latest primary-output arrival.
+    """
+    incoming: dict[str, list[tuple[str, float]]] = {}
+    for src, dst, weight in edges:
+        if weight != NEG_INF:
+            incoming.setdefault(dst, []).append((src, weight))
+    at = {x: float(arrival.get(x, 0.0)) for x in inputs}
+    for net in nets:
+        if net not in at:
+            terms = [
+                at[src] + w
+                for src, w in incoming.get(net, ())
+                if at[src] != NEG_INF
+            ]
+            at[net] = max(terms) if terms else NEG_INF
+    deadline = max((at[o] for o in outputs), default=NEG_INF)
+    rt = {net: POS_INF for net in nets}
+    for o in outputs:
+        rt[o] = deadline
+    for net in reversed(nets):
+        for src, w in incoming.get(net, ()):
+            rt[src] = min(rt[src], rt[net] - w)
+    return at, rt
+
+
+def reference_demand(analyzer, arrival):
+    """The Section-5 loop with a full :func:`graph_sta` after each step.
+
+    Drives ``analyzer`` (a fresh
+    :class:`~repro.core.demand.DemandDrivenAnalyzer` with default
+    options) with a dict-based critical-edge scan, calling its own
+    refinement check for each candidate, so only the propagation and
+    the scan differ from ``analyzer.analyze``.  Returns the first
+    pass's arrivals, the final arrivals and required times, the STA
+    pass count, the refined pin-pair weights and the check count.
+    """
+    design = analyzer.design
+
+    def sta():
+        edges = [
+            (src, dst, analyzer._states[key].weight)
+            for src, dst, key in analyzer.edges
+        ]
+        return graph_sta(
+            analyzer.nets, edges, design.inputs, design.outputs, arrival
+        )
+
+    def critical(at, rt):
+        """Pin pairs of edges with zero slack at both ends and no slack
+        along the edge, in scan order."""
+        keys = []
+        for src, dst, key in analyzer.edges:
+            w = analyzer._states[key].weight
+            if (
+                w != NEG_INF
+                and abs(rt[src] - at[src]) < 1e-9
+                and abs(rt[dst] - at[dst]) < 1e-9
+                and abs(at[src] + w - at[dst]) < 1e-9
+            ):
+                keys.append(key)
+        return keys
+
+    analyzer._checks = analyzer._refinements = 0
+    at, rt = sta()
+    first = at
+    passes = 1
+    while True:
+        for key in critical(at, rt):
+            if not analyzer._states[key].exact and analyzer._try_refine(key):
+                break
+        else:
+            break
+        at, rt = sta()
+        passes += 1
+    refined = {
+        key: state.weight
+        for key, state in analyzer._states.items()
+        if state.index > 0 or (state.exact and not state.lengths)
+    }
+    return {
+        "topological_at": first,
+        "net_times": at,
+        "required_times": {o: rt[o] for o in design.outputs},
+        "sta_passes": passes,
+        "refined_weights": refined,
+        "refinement_checks": analyzer._checks,
+    }

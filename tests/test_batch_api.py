@@ -1,14 +1,16 @@
 """Tests for the batch analysis API surface and the CLI batch mode.
 
-Covers :class:`~repro.api.AnalysisOptions` validation of the new
-``exec_engine``/``batch_size`` keywords, the session-level
+Covers :class:`~repro.api.AnalysisOptions` validation of the
+``batch_size`` keyword, the session-level
 ``compile()``/``analyze_batch()`` methods, :class:`BatchResult`
 ergonomics, the normalized legacy entry points, and the ``demand`` /
 ``hier-report --scenarios`` command-line paths including the one-line
 ``error:`` + exit-2 convention for malformed scenario files.
 """
 
+import dataclasses
 import json
+import re
 
 import pytest
 
@@ -37,31 +39,17 @@ def design():
 class TestOptions:
     def test_defaults(self):
         opts = AnalysisOptions()
-        assert opts.exec_engine == "auto"
         assert opts.batch_size == 256
 
-    def test_unknown_exec_engine_rejected(self):
-        with pytest.raises(ValueError, match="unknown exec_engine"):
-            AnalysisOptions(exec_engine="vectorized")
+    def test_one_engine_option(self):
+        # Propagation always runs on the compiled kernel; the only
+        # engine option selects the tautology engine.
+        names = [f.name for f in dataclasses.fields(AnalysisOptions)]
+        assert [n for n in names if "engine" in n] == ["engine"]
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
             AnalysisOptions(batch_size=0)
-
-    def test_auto_resolution(self):
-        opts = AnalysisOptions()
-        assert opts.resolve_exec_engine(1) == "interpreted"
-        assert opts.resolve_exec_engine(2) == "compiled"
-
-    def test_explicit_engine_wins(self):
-        assert (
-            AnalysisOptions(exec_engine="compiled").resolve_exec_engine(1)
-            == "compiled"
-        )
-        assert (
-            AnalysisOptions(exec_engine="interpreted").resolve_exec_engine(9)
-            == "interpreted"
-        )
 
 
 class TestSession:
@@ -86,7 +74,6 @@ class TestSession:
         assert isinstance(batch, BatchResult)
         assert len(batch) == 2
         assert batch.method == "hierarchical"
-        assert batch.exec_engine == "compiled"
         assert batch.delay == max(batch.delays)
         assert batch.worst_scenario() == 1
         singles = [session.hierarchical(s) for s in scenarios]
@@ -125,13 +112,6 @@ class TestSession:
             session.analyze_batch([])
         with pytest.raises(AnalysisError, match="ScenarioSet.of"):
             session.analyze_batch([{}, {"c_in": 1.0}])
-
-    def test_interpreted_engine_forced(self, design):
-        session = AnalysisSession(
-            design, options=AnalysisOptions(exec_engine="interpreted")
-        )
-        batch = session.analyze_batch(ScenarioSet.of({}, {"c_in": 1.0}))
-        assert batch.exec_engine == "interpreted"
 
 
 class TestNormalizedLegacyAnalyzers:
@@ -205,16 +185,6 @@ class TestCLI:
         assert "Hierarchical timing report" in out
         assert "false-path facts" in out
 
-    def test_demand_engines_agree_on_stdout(self, verilog_file, capsys):
-        assert main(
-            ["demand", verilog_file, "--exec-engine", "interpreted"]
-        ) == 0
-        interp = capsys.readouterr().out
-        assert main(
-            ["demand", verilog_file, "--exec-engine", "compiled"]
-        ) == 0
-        assert capsys.readouterr().out == interp
-
     def test_demand_batch(self, verilog_file, scenario_file, capsys):
         assert main(
             ["demand", verilog_file, "--scenarios", scenario_file]
@@ -222,7 +192,7 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "Batched timing report" in out
         assert "scenarios       : 3" in out
-        assert "demand (exec engine compiled)" in out
+        assert "method          : demand" in out
 
     def test_hier_report_batch(self, verilog_file, scenario_file, capsys):
         assert main(
@@ -231,7 +201,7 @@ class TestCLI:
         ) == 0
         out = capsys.readouterr().out
         assert "Batched timing report" in out
-        assert "hierarchical (exec engine compiled)" in out
+        assert "method          : hierarchical" in out
         assert "net" in out
 
     def test_arrival_is_batch_default(self, verilog_file, tmp_path, capsys):
@@ -272,6 +242,19 @@ class TestCLI:
         assert main(["demand", str(f)]) == 2
         assert "flat module" in capsys.readouterr().err
 
-    def test_bad_exec_engine_rejected(self, verilog_file):
-        with pytest.raises(SystemExit):
-            main(["demand", verilog_file, "--exec-engine", "turbo"])
+    def test_no_propagation_engine_flag(self, verilog_file, capsys):
+        # One propagation engine: --engine (the tautology engine) is the
+        # only engine flag, and any other flag is a one-line usage
+        # error with exit 2.
+        for command in ("demand", "hier-report", "forensics"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            help_text = capsys.readouterr().out
+            assert set(re.findall(r"--[\w-]*engine\b", help_text)) == {
+                "--engine"
+            }
+            with pytest.raises(SystemExit) as exc:
+                main([command, verilog_file, "--turbo-engine", "on"])
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and err.count("\n") == 1

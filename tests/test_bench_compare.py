@@ -25,8 +25,8 @@ def bc():
 
 
 @pytest.fixture()
-def kernel_baseline():
-    return BASELINES / "kernel_speedup.json"
+def family_baseline():
+    return BASELINES / "family_throughput.json"
 
 
 class TestFlatten:
@@ -99,23 +99,23 @@ class TestCompare:
 
 
 class TestCliExitCodes:
-    def test_zero_on_committed_baseline(self, bc, kernel_baseline, capsys):
-        assert kernel_baseline.exists(), "committed baseline missing"
+    def test_zero_on_committed_baseline(self, bc, family_baseline, capsys):
+        assert family_baseline.exists(), "committed baseline missing"
         rc = bc.main(
-            ["--baseline", str(kernel_baseline), str(kernel_baseline)]
+            ["--baseline", str(family_baseline), str(family_baseline)]
         )
         assert rc == 0
         assert "OK" in capsys.readouterr().out
 
     def test_nonzero_on_synthetic_regression(
-        self, bc, kernel_baseline, tmp_path, capsys
+        self, bc, family_baseline, tmp_path, capsys
     ):
-        payload = json.loads(kernel_baseline.read_text())
-        payload["results"][-1]["propagate"]["speedup"] *= 0.5
-        regressed = tmp_path / "kernel_speedup.json"
+        payload = json.loads(family_baseline.read_text())
+        payload["results"][-1]["speedup"] *= 0.5
+        regressed = tmp_path / "family_throughput.json"
         regressed.write_text(json.dumps(payload))
         rc = bc.main(
-            ["--baseline", str(kernel_baseline), str(regressed)]
+            ["--baseline", str(family_baseline), str(regressed)]
         )
         assert rc == 1
         out = capsys.readouterr().out
@@ -129,7 +129,7 @@ class TestCliExitCodes:
         assert "OK" in capsys.readouterr().out
 
     def test_usage_error_on_garbage(self, bc, tmp_path, capsys):
-        bad = tmp_path / "kernel_speedup.json"
+        bad = tmp_path / "family_throughput.json"
         bad.write_text("{not json")
         rc = bc.main(
             ["--baseline", str(bad), str(bad)]

@@ -22,15 +22,13 @@ from repro.obs import (
 REQUIRED_KEYS = {"name", "ph", "ts", "pid", "tid"}
 
 
-def traced_run(exec_engine="interpreted"):
+def traced_run():
     """A demand-driven analysis of the paper's carry-skip cascade,
     traced into a ring buffer."""
     tracer = Tracer()
     sink = RingBufferSink()
     tracer.add_sink(sink)
-    DemandDrivenAnalyzer(cascade_adder(8, 2), tracer=tracer).analyze(
-        exec_engine=exec_engine
-    )
+    DemandDrivenAnalyzer(cascade_adder(8, 2), tracer=tracer).analyze()
     return tracer, sink
 
 
@@ -63,7 +61,7 @@ class TestChromeTrace:
         assert "counters" in payload["metrics"]
 
     def test_compiled_run_exports_kernel_spans(self):
-        _, sink = traced_run(exec_engine="compiled")
+        _, sink = traced_run()
         names = {e["name"] for e in chrome_trace_events(sink)}
         assert {
             "kernel-compile",
@@ -128,7 +126,7 @@ class TestPrometheus:
         assert prometheus_name("") == "_"
 
     def test_every_family_has_a_type_header(self):
-        tracer, _ = traced_run(exec_engine="compiled")
+        tracer, _ = traced_run()
         text = render_prometheus(tracer.metrics)
         types: dict[str, str] = {}
         for line in text.splitlines():

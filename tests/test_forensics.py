@@ -17,6 +17,7 @@ from repro.circuits.adders import cascade_adder
 from repro.cli import main
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.errors import AnalysisError
+from tests.reference import reference_demand
 
 EXAMPLE = Path(__file__).resolve().parent.parent / "examples" / "csa8_2.v"
 
@@ -86,17 +87,18 @@ class TestCarrySkipAudit:
 
 class TestEnginesAndSession:
     def test_engines_agree_exactly(self):
-        reports = {}
-        for engine in ("interpreted", "compiled"):
-            analyzer = DemandDrivenAnalyzer(cascade_adder(8, 2))
-            analyzer.analyze(exec_engine=engine)
-            reports[engine] = analyzer.forensics_report()
-            assert reports[engine].exec_engine == engine
-        interp = reports["interpreted"].as_dict()
-        comp = reports["compiled"].as_dict()
-        interp.pop("exec_engine")
-        comp.pop("exec_engine")
-        assert interp == comp
+        design = cascade_adder(8, 2)
+        analyzer = DemandDrivenAnalyzer(design)
+        analyzer.analyze()
+        report = analyzer.forensics_report()
+        oracle = reference_demand(DemandDrivenAnalyzer(design), {})
+        for row in report.outputs:
+            assert row.topological_arrival == oracle["topological_at"][row.output]
+            assert row.refined_arrival == oracle["net_times"][row.output]
+            assert row.required_time == oracle["required_times"][row.output]
+        assert len(report.events) == oracle["sta_passes"] - 1
+        assert report.refinement_checks == oracle["refinement_checks"]
+        assert report.fully_attributed
 
     def test_report_before_analyze_raises(self):
         analyzer = DemandDrivenAnalyzer(cascade_adder(8, 2))

@@ -3,14 +3,14 @@
 Covers the plan half (CSR layout, collapse rule, finite-delay
 enforcement), the execute half (both backends, chunking, validation),
 the incremental demand-driven graph, and golden equivalences between
-the compiled and interpreted engines on the benchmark designs.
+the compiled engines and the reference walks of ``tests/reference.py``
+on the benchmark designs.
 """
 
 import random
 
 import pytest
 
-from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.hier import HierarchicalAnalyzer
@@ -32,6 +32,7 @@ from repro.kernel import (
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
 from repro.sta.topological import arrival_times, arrival_times_batch
+from tests.reference import hier_net_times, reference_demand
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -270,21 +271,20 @@ class TestTimingGraph:
 
 
 class TestGoldenEquivalence:
-    """Compiled engine is bit-identical to the interpreter."""
+    """Compiled engines are bit-identical to the reference walks."""
 
     @pytest.fixture(scope="class")
     def design(self):
         return cascade_adder(8, 2)
 
     def test_hier_single_scenario(self, design):
-        interp = HierarchicalAnalyzer(
-            design, options=AnalysisOptions(exec_engine="interpreted")
-        ).analyze({"c_in": 2.0})
-        comp = HierarchicalAnalyzer(
-            design, options=AnalysisOptions(exec_engine="compiled")
-        ).analyze({"c_in": 2.0})
-        assert comp.net_times == interp.net_times
-        assert comp.delay == interp.delay
+        analyzer = HierarchicalAnalyzer(design)
+        result = analyzer.analyze({"c_in": 2.0})
+        oracle = hier_net_times(
+            design, analyzer._models_of_instance, {"c_in": 2.0}
+        )
+        assert result.net_times == oracle
+        assert result.delay == max(oracle[o] for o in design.outputs)
 
     def test_hier_batch(self, design):
         rng = random.Random(3)
@@ -293,31 +293,28 @@ class TestGoldenEquivalence:
             for _ in range(12)
         ]
         analyzer = HierarchicalAnalyzer(design)
-        interp = analyzer.analyze_batch(scenarios, backend="python")
-        comp = analyzer.analyze_batch(scenarios)
-        for a, b in zip(interp, comp):
-            assert a.net_times == b.net_times
+        python = analyzer.analyze_batch(scenarios, backend="python")
+        auto = analyzer.analyze_batch(scenarios)
+        for a, b, s in zip(python, auto, scenarios):
+            oracle = hier_net_times(design, analyzer._models_of_instance, s)
+            assert a.net_times == b.net_times == oracle
             assert a.slacks == b.slacks
-        assert interp.delay == comp.delay
+        assert python.delay == auto.delay
 
     def test_demand_engines(self, design):
-        interp = DemandDrivenAnalyzer(design).analyze(
-            {"c_in": 1.0}, exec_engine="interpreted"
-        )
-        comp = DemandDrivenAnalyzer(design).analyze(
-            {"c_in": 1.0}, exec_engine="compiled"
-        )
-        assert comp.net_times == interp.net_times
-        assert comp.delay == interp.delay
-        assert comp.sta_passes == interp.sta_passes
-        assert comp.refined_weights == interp.refined_weights
-        assert comp.required_times == interp.required_times
+        result = DemandDrivenAnalyzer(design).analyze({"c_in": 1.0})
+        oracle = reference_demand(DemandDrivenAnalyzer(design), {"c_in": 1.0})
+        assert result.net_times == oracle["net_times"]
+        assert result.sta_passes == oracle["sta_passes"] > 1
+        assert result.refined_weights == oracle["refined_weights"]
+        assert result.required_times == oracle["required_times"]
 
     def test_per_instance_compile(self, design):
         analyzer = PerInstanceAnalyzer(design)
-        interp = analyzer.analyze()
-        comp = analyzer.compile().propagate([{}])[0]
-        assert comp == interp.net_times
+        result = analyzer.analyze()
+        oracle = hier_net_times(design, analyzer._models_of_instance, {})
+        assert result.net_times == oracle
+        assert analyzer.compile().propagate([{}])[0] == oracle
 
     def test_sta_batch(self):
         net = carry_skip_block(3)

@@ -1,10 +1,12 @@
-"""Property tests: the compiled kernel is bit-identical to the interpreter.
+"""Property tests: the compiled kernel is bit-identical to the oracles.
 
 Random reconvergent networks are bipartitioned into random hierarchies;
-every engine pairing (interpreted vs compiled, python vs numpy backend,
-full vs incremental re-propagation) must agree *exactly* — the kernel
-performs the same float64 additions, maxima, and minima as the
-interpreted walks, so no tolerance is needed or used.
+the compiled engines (both kernel backends, full and incremental
+re-propagation) must agree *exactly* with the plain dict walks of
+``tests/reference.py`` — the kernel performs the same float64
+additions, maxima, and minima, so no tolerance is needed or used.  The
+same hierarchies check Theorem 1 on the one remaining path:
+``flat XBD0 <= hierarchical`` and ``flat <= demand <= topological``.
 """
 
 import random
@@ -13,10 +15,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import AnalysisOptions
 from repro.circuits.partition import cascade_bipartition
 from repro.circuits.random_logic import random_network
-from repro.core.demand import DemandDrivenAnalyzer
+from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
 from repro.core.hier import HierarchicalAnalyzer
 from repro.kernel import (
     HAVE_NUMPY,
@@ -26,10 +27,13 @@ from repro.kernel import (
     PythonExecutor,
     compile_network,
 )
+from tests.reference import graph_sta, hier_net_times, reference_demand
 
 NEG_INF = float("-inf")
+POS_INF = float("inf")
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
+BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
 
 
 def random_hierarchy(seed):
@@ -41,15 +45,21 @@ def random_hierarchy(seed):
         return None
 
 
-def random_scenarios(design, seed, count):
+def random_scenarios(design, seed, count, grid=None):
+    """Random arrivals; ``grid`` snaps them to multiples of itself.
+
+    Gate delays are small integers, so arrivals on a power-of-two grid
+    keep every path sum exact — the Theorem-1 orderings then compare
+    flat and hierarchical sums without rounding in between.
+    """
     rng = random.Random(seed)
     out = []
     for _ in range(count):
-        scenario = {
-            x: rng.uniform(-4.0, 10.0)
-            for x in design.inputs
-            if rng.random() < 0.8
-        }
+        scenario = {}
+        for x in design.inputs:
+            if rng.random() < 0.8:
+                t = rng.uniform(-4.0, 10.0)
+                scenario[x] = round(t / grid) * grid if grid else t
         out.append(scenario)
     return out
 
@@ -61,15 +71,14 @@ class TestHierEquivalence:
         design = random_hierarchy(seed)
         if design is None:
             return
-        arrival = random_scenarios(design, seed + 1, 1)[0]
-        interp = HierarchicalAnalyzer(
-            design, options=AnalysisOptions(exec_engine="interpreted")
-        ).analyze(arrival)
-        comp = HierarchicalAnalyzer(
-            design, options=AnalysisOptions(exec_engine="compiled")
-        ).analyze(arrival)
-        assert comp.net_times == interp.net_times
-        assert comp.delay == interp.delay
+        arrival = random_scenarios(design, seed + 1, 1, grid=0.25)[0]
+        analyzer = HierarchicalAnalyzer(design)
+        result = analyzer.analyze(arrival)
+        oracle = hier_net_times(design, analyzer._models_of_instance, arrival)
+        assert result.net_times == oracle
+        assert result.delay == max(oracle[o] for o in design.outputs)
+        flat, _times, _seconds = flat_functional_delay(design, arrival)
+        assert flat <= result.delay
 
     @settings(max_examples=8, deadline=None)
     @given(st.integers(0, 10_000), st.integers(1, 20))
@@ -79,13 +88,24 @@ class TestHierEquivalence:
             return
         scenarios = random_scenarios(design, seed + 2, count)
         analyzer = HierarchicalAnalyzer(design)
-        interp = analyzer.analyze_batch(scenarios, backend="python")
-        comp = analyzer.analyze_batch(scenarios)
-        assert interp.delay == comp.delay
-        for a, b in zip(interp, comp):
-            assert a.net_times == b.net_times
-            assert a.output_times == b.output_times
-            assert a.slacks == b.slacks
+        oracles = [
+            hier_net_times(design, analyzer._models_of_instance, s)
+            for s in scenarios
+        ]
+        for backend in BACKENDS:
+            batch = analyzer.analyze_batch(scenarios, backend=backend)
+            for result, oracle in zip(batch, oracles):
+                outputs = {o: oracle[o] for o in design.outputs}
+                delay = max(outputs.values())
+                assert result.net_times == oracle
+                assert result.output_times == outputs
+                assert result.slacks == {
+                    o: POS_INF if NEG_INF in (delay, t) else delay - t
+                    for o, t in outputs.items()
+                }
+            assert batch.delay == max(
+                max(o[x] for x in design.outputs) for o in oracles
+            )
 
 
 class TestDemandEquivalence:
@@ -95,21 +115,22 @@ class TestDemandEquivalence:
         design = random_hierarchy(seed)
         if design is None:
             return
-        arrival = random_scenarios(design, seed + 3, 1)[0]
-        interp = DemandDrivenAnalyzer(design).analyze(
-            arrival, exec_engine="interpreted"
+        arrival = random_scenarios(design, seed + 3, 1, grid=0.25)[0]
+        result = DemandDrivenAnalyzer(design).analyze(arrival)
+        oracle = reference_demand(DemandDrivenAnalyzer(design), arrival)
+        # The compiled STA with incremental reflow must replay the
+        # reference loop decision-for-decision, not merely land on the
+        # same delay.
+        assert result.net_times == oracle["net_times"]
+        assert result.required_times == oracle["required_times"]
+        assert result.refined_weights == oracle["refined_weights"]
+        assert result.refinement_checks == oracle["refinement_checks"]
+        assert result.sta_passes == oracle["sta_passes"]
+        assert result.topological_delay == max(
+            oracle["topological_at"][o] for o in design.outputs
         )
-        comp = DemandDrivenAnalyzer(design).analyze(
-            arrival, exec_engine="compiled"
-        )
-        # The compiled STA must replay the interpreted refinement loop
-        # decision-for-decision, not merely land on the same delay.
-        assert comp.net_times == interp.net_times
-        assert comp.delay == interp.delay
-        assert comp.refined_weights == interp.refined_weights
-        assert comp.refinement_checks == interp.refinement_checks
-        assert comp.sta_passes == interp.sta_passes
-        assert comp.required_times == interp.required_times
+        flat, _times, _seconds = flat_functional_delay(design, arrival)
+        assert flat <= result.delay <= result.topological_delay
 
     @settings(max_examples=6, deadline=None)
     @given(st.integers(0, 10_000))
@@ -118,17 +139,25 @@ class TestDemandEquivalence:
         if design is None:
             return
         scenarios = random_scenarios(design, seed + 4, 4)
-        interp = DemandDrivenAnalyzer(design).analyze_batch(
-            scenarios, exec_engine="interpreted"
+        batch = DemandDrivenAnalyzer(design).analyze_batch(scenarios)
+        # One reference analyzer for the whole batch: refinements are
+        # shared across scenarios, exactly like analyze_batch.
+        shared = DemandDrivenAnalyzer(design)
+        oracles = [reference_demand(shared, s) for s in scenarios]
+        assert batch.stats["sta_passes"] == sum(
+            o["sta_passes"] for o in oracles
         )
-        comp = DemandDrivenAnalyzer(design).analyze_batch(
-            scenarios, exec_engine="compiled"
+        assert batch.stats["refinement_checks"] == sum(
+            o["refinement_checks"] for o in oracles
         )
-        assert interp.delay == comp.delay
-        assert interp.stats == comp.stats
-        for a, b in zip(interp, comp):
-            assert a.net_times == b.net_times
-            assert a.slacks == b.slacks
+        for result, oracle in zip(batch, oracles):
+            at, rt = oracle["net_times"], oracle["required_times"]
+            assert result.net_times == at
+            assert result.slacks == {
+                o: POS_INF if at[o] == NEG_INF or rt[o] == POS_INF
+                else rt[o] - at[o]
+                for o in design.outputs
+            }
 
 
 class TestExecutorEquivalence:
@@ -168,6 +197,17 @@ def random_dag(rng):
     return CompiledTimingGraph(nets, edges, nets[:n_in], outputs)
 
 
+def oracle_graph(graph):
+    """``graph`` in :func:`tests.reference.graph_sta`'s argument form."""
+    nets = graph.nets
+    edges = [
+        (nets[s], nets[d], w)
+        for s, d, w in zip(graph.edge_src, graph.edge_dst, graph.edge_weight)
+    ]
+    outputs = [nets[i] for i in graph.output_idx]
+    return nets, edges, nets[: graph.n_inputs], outputs
+
+
 class TestIncrementalReflow:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(0, 100_000))
@@ -180,6 +220,9 @@ class TestIncrementalReflow:
         }
         state = GraphState(graph, arrival)
         state.run_full()
+        at, rt = graph_sta(*oracle_graph(graph), arrival)
+        assert state.at_dict() == at
+        assert state.rt_dict() == rt
         for _ in range(8):
             eid = rng.randrange(graph.n_edges)
             key = graph.edge_key[eid]
@@ -196,6 +239,9 @@ class TestIncrementalReflow:
             assert state.at == fresh.at
             assert state.rt == fresh.rt
             assert state.deadline == fresh.deadline
+            at, rt = graph_sta(*oracle_graph(graph), arrival)
+            assert state.at_dict() == at
+            assert state.rt_dict() == rt
 
     @settings(max_examples=10, deadline=None)
     @given(st.integers(0, 100_000))

@@ -2,13 +2,14 @@
 
 import pytest
 
-from repro.circuits.adders import carry_skip_block
+from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.circuits.iscaslike import c17
 from repro.cli import load_circuit, main, parse_arrivals
 from repro.errors import AnalysisError, ReproError
 from repro.netlist.network import Network
 from repro.parsers.bench import dumps_bench
 from repro.parsers.blif import dumps_blif
+from repro.parsers.verilog import dumps_verilog
 from repro.sta.paths import k_worst_paths
 from repro.sta.report import functional_timing_report, timing_report
 from repro.sta.topological import arrival_times, pin_to_pin_delay
@@ -115,6 +116,26 @@ class TestCLI:
             parse_arrivals(["oops"])
         with pytest.raises(ReproError):
             parse_arrivals(["a=zebra"])
+        for value in ("nan", "inf", "-inf", "1e400"):
+            with pytest.raises(ReproError, match="must be finite"):
+                parse_arrivals([f"a={value}"])
+
+    def test_non_finite_arrival_exit_2(self, bench_file, tmp_path, capsys):
+        design = cascade_adder(8, 2)
+        design.name = "csa8_2"
+        verilog = tmp_path / "csa8.v"
+        verilog.write_text(dumps_verilog(design))
+        runs = [["report", bench_file, "--arrival", "G1={}"]] + [
+            [command, str(verilog), "--arrival", "c_in={}"]
+            for command in ("demand", "hier-report", "forensics")
+        ]
+        for argv in runs:
+            for value in ("nan", "inf", "-inf", "1e400"):
+                args = argv[:-1] + [argv[-1].format(value)]
+                assert main(args) == 2, args
+                err = capsys.readouterr().err
+                assert err.startswith("error:") and err.count("\n") == 1
+                assert "must be finite" in err
 
     def test_report_command(self, bench_file, capsys):
         assert main(["report", bench_file]) == 0

@@ -361,7 +361,7 @@ class TestAppRoutes:
             ({}, "missing 'design'"),
             ({"design": "csa4_2", "arrival": ["x"]}, "'arrival'"),
             ({"design": "csa4_2", "arrival": {"zz": 1}}, "unknown input"),
-            ({"design": "csa4_2", "arrival": {"a0": "x"}}, "numbers"),
+            ({"design": "csa4_2", "arrival": {"a0": "x"}}, "not a number"),
             ({"design": "csa4_2", "include": ["magic"]}, "include"),
             ({"design": "csa4_2", "deadline": 0}, "deadline"),
             ({"design": "csa4_2", "deadline": "soon"}, "deadline"),
@@ -433,6 +433,23 @@ class TestAppRoutes:
         assert status == 200
         assert doc["design"] == app.registry.get("csa4_2").design_id
         assert doc["trace_id"].startswith("req-")
+
+    def test_non_finite_arrival_is_400(self, app):
+        for route in ("/analyze", "/forensics"):
+            for value in (float("nan"), float("inf"), float("-inf")):
+                status, doc = call(
+                    app, "POST", route,
+                    {"design": "csa4_2", "arrival": {"c_in": value}},
+                )
+                assert status == 400, (route, value)
+                assert doc["error"]["code"] == "bad-request"
+                assert "must be finite" in doc["error"]["message"]
+        status, doc = call(
+            app, "POST", "/analyze",
+            {"design": "csa4_2", "arrival": {"nope": 1.0}},
+        )
+        assert status == 400
+        assert "unknown input 'nope'" in doc["error"]["message"]
 
     def test_metrics_exposition(self, app):
         call(app, "GET", "/healthz")

@@ -25,8 +25,8 @@ masquerade as a pass.
 Usage::
 
     python tools/bench_compare.py \
-        --baseline benchmarks/baselines/kernel_speedup.json \
-        benchmarks/results/kernel_speedup.json
+        --baseline benchmarks/baselines/family_throughput.json \
+        benchmarks/results/family_throughput.json
 
     python tools/bench_compare.py \
         --baseline benchmarks/baselines benchmarks/results
