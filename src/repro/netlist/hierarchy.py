@@ -64,6 +64,7 @@ class HierDesign:
         self._modules: dict[str, Module] = {}
         self._instances: dict[str, Instance] = {}
         self._inputs: list[str] = []
+        self._input_set: set[str] = set()
         self._outputs: list[str] = []
         self._order_cache: list[str] | None = None
 
@@ -78,9 +79,10 @@ class HierDesign:
 
     def add_input(self, net: str) -> str:
         """Declare a top-level primary input net."""
-        if net in self._inputs:
+        if net in self._input_set:
             raise NetlistError(f"duplicate top-level input {net!r}")
         self._inputs.append(net)
+        self._input_set.add(net)
         self._order_cache = None
         return net
 
@@ -169,7 +171,7 @@ class HierDesign:
             module = self.module_of(inst)
             for port in module.outputs:
                 net = inst.net_of(port)
-                if net in drivers or net in self._inputs:
+                if net in drivers or net in self._input_set:
                     raise NetlistError(f"net {net!r} has multiple drivers")
                 drivers[net] = (inst.name, port)
         return drivers
@@ -181,13 +183,13 @@ class HierDesign:
             module = self.module_of(inst)
             for port in module.inputs:
                 net = inst.net_of(port)
-                if net not in drivers and net not in self._inputs:
+                if net not in drivers and net not in self._input_set:
                     raise NetlistError(
                         f"instance {inst.name!r}: input net {net!r} "
                         "is undriven"
                     )
         for net in self._outputs:
-            if net not in drivers and net not in self._inputs:
+            if net not in drivers and net not in self._input_set:
                 raise NetlistError(f"output net {net!r} is undriven")
         self.instance_order()  # raises on cycles
 

@@ -61,7 +61,9 @@ class Solver:
         # Internal literal -> clause indices; var v maps to lits 2v / 2v+1,
         # so slots 0 and 1 are permanently unused.
         self._watches: list[list[int]] = [[], []]
-        self._assign: list[int] = [0]  # var -> 0/1/_UNASSIGNED (index 0 unused)
+        # Internal literal -> 1 true / 0 false / _UNASSIGNED; both literals
+        # of a variable are always written together.
+        self._lval: list[int] = [_UNASSIGNED, _UNASSIGNED]
         self._level: list[int] = [0]
         self._reason: list[int] = [-1]
         self._phase: list[int] = [0]
@@ -74,7 +76,10 @@ class Solver:
         self._empty_clause = False
         # Lazy max-activity heap of (-activity, var); entries are stale
         # once the variable is assigned or its activity moved on.
+        # _in_heap[var] is set while the heap holds an entry at var's
+        # current activity, so no variable is pushed twice at one activity.
         self._heap: list[tuple[float, int]] = []
+        self._in_heap: list[bool] = [False]
         # Learned-clause bookkeeping for DB reduction.
         self._learned_idxs: list[int] = []
         self._reductions = 0
@@ -108,12 +113,14 @@ class Solver:
     def _ensure_vars(self, nvars: int) -> None:
         while self._nvars < nvars:
             self._nvars += 1
-            self._assign.append(_UNASSIGNED)
+            self._lval.append(_UNASSIGNED)
+            self._lval.append(_UNASSIGNED)
             self._level.append(0)
             self._reason.append(-1)
             self._phase.append(0)
             self._activity.append(0.0)
             heapq.heappush(self._heap, (0.0, self._nvars))
+            self._in_heap.append(True)
             self._watches.append([])  # positive literal of the new var
             self._watches.append([])  # negative literal
 
@@ -124,34 +131,51 @@ class Solver:
             self.add_clause(clause)
 
     def add_clause(self, literals: Iterable[int]) -> None:
-        """Add a clause of DIMACS literals (only at decision level 0)."""
+        """Add a clause of DIMACS literals (only at decision level 0).
+
+        Every variable the clause names is allocated, even when the
+        clause is then dropped as a tautology or as satisfied at level 0.
+        """
         if self._trail_lim:
             raise SolverError("cannot add clauses mid-search")
         lits: list[int] = []
-        seen: set[int] = set()
+        top = 0
         for ext in literals:
-            if ext == 0:
+            if ext > 0:
+                lits.append(ext << 1)
+                if ext > top:
+                    top = ext
+            elif ext:
+                lits.append((-ext << 1) | 1)
+                if -ext > top:
+                    top = -ext
+            else:
                 raise SolverError("literal 0 is not allowed")
-            self._ensure_vars(abs(ext))
-            lit = self._to_internal(ext)
-            if lit in seen:
+        if top > self._nvars:
+            self._ensure_vars(top)
+        # One pass: drop duplicates and level-0 false literals, give up on
+        # tautologies and on clauses already true at level 0.  Clauses
+        # are short (Tseitin gates), so scanning the list beats a set.
+        lval = self._lval
+        clause: list[int] = []
+        for lit in lits:
+            val = lval[lit]
+            if val == 1:
+                return
+            if val == 0 or lit in clause:
                 continue
-            if lit ^ 1 in seen:
-                return  # tautological clause
-            seen.add(lit)
-            lits.append(lit)
-        # Simplify against the level-0 assignment.
-        if any(self._value(l) == 1 for l in lits):
-            return
-        lits = [l for l in lits if self._value(l) != 0]
-        if not lits:
+            if lit ^ 1 in clause:
+                return
+            clause.append(lit)
+        if not clause:
             self._empty_clause = True
             return
-        if len(lits) == 1:
-            if not self._enqueue(lits[0], -1) or self._propagate() != -1:
+        if len(clause) == 1:
+            self._enqueue(clause[0], -1)
+            if self._propagate() != -1:
                 self._empty_clause = True
             return
-        self._attach(lits)
+        self._attach(clause)
 
     def _attach(self, lits: list[int]) -> int:
         idx = len(self._clauses)
@@ -181,7 +205,7 @@ class Solver:
         if self._trail_lim:
             raise SolverError("cannot purge clauses mid-search")
         lit = self._to_internal(ext)
-        if self._value(lit) != 1:
+        if self._lval[lit] != 1:
             raise SolverError("purge literal must be true at level 0")
         purged: set[int] = set()
         for idx, clause in enumerate(self._clauses):
@@ -215,21 +239,14 @@ class Solver:
         var = lit >> 1
         return -var if lit & 1 else var
 
-    def _value(self, lit: int) -> int:
-        """1 true, 0 false, _UNASSIGNED."""
-        v = self._assign[lit >> 1]
-        if v == _UNASSIGNED:
-            return _UNASSIGNED
-        return v ^ (lit & 1)
-
     def _enqueue(self, lit: int, reason: int) -> bool:
-        val = self._value(lit)
-        if val == 1:
-            return True
-        if val == 0:
-            return False
+        lval = self._lval
+        val = lval[lit]
+        if val != _UNASSIGNED:
+            return val == 1
+        lval[lit] = 1
+        lval[lit ^ 1] = 0
         var = lit >> 1
-        self._assign[var] = 1 ^ (lit & 1)
         self._level[var] = len(self._trail_lim)
         self._reason[var] = reason
         self._trail.append(lit)
@@ -238,65 +255,78 @@ class Solver:
     # ------------------------------------------------------------ propagation
     def _propagate(self) -> int:
         """Unit propagation; returns a conflicting clause index or -1."""
-        while self._qhead < len(self._trail):
-            lit = self._trail[self._qhead]
-            self._qhead += 1
-            self.stats["propagations"] += 1
-            falsified = lit ^ 1
-            watchers = self._watches[falsified]
-            i = 0
-            j = 0
+        trail = self._trail
+        qhead = start = self._qhead
+        lval = self._lval
+        clauses = self._clauses
+        watches = self._watches
+        level = self._level
+        reason = self._reason
+        dlevel = len(self._trail_lim)
+        conflict = -1
+        while qhead < len(trail) and conflict == -1:
+            falsified = trail[qhead] ^ 1
+            qhead += 1
+            watchers = watches[falsified]
+            i = j = 0
             n = len(watchers)
-            conflict = -1
             while i < n:
                 cidx = watchers[i]
                 i += 1
-                clause = self._clauses[cidx]
-                if clause[0] == falsified:
-                    clause[0], clause[1] = clause[1], clause[0]
+                clause = clauses[cidx]
                 first = clause[0]
-                if self._value(first) == 1:
+                if first == falsified:
+                    first = clause[0] = clause[1]
+                    clause[1] = falsified
+                if lval[first] == 1:
                     watchers[j] = cidx
                     j += 1
                     continue
-                moved = False
                 for k in range(2, len(clause)):
-                    if self._value(clause[k]) != 0:
-                        clause[1], clause[k] = clause[k], clause[1]
-                        self._watches[clause[1]].append(cidx)
-                        moved = True
+                    lit = clause[k]
+                    if lval[lit] != 0:
+                        clause[1] = lit
+                        clause[k] = falsified
+                        watches[lit].append(cidx)
                         break
-                if moved:
-                    continue
-                watchers[j] = cidx
-                j += 1
-                if not self._enqueue(first, cidx):
-                    while i < n:
-                        watchers[j] = watchers[i]
-                        j += 1
-                        i += 1
-                    conflict = cidx
-                    break
-            del watchers[j:]
-            if conflict != -1:
-                self._qhead = len(self._trail)
-                return conflict
-        return -1
+                else:
+                    watchers[j] = cidx
+                    j += 1
+                    if lval[first] == 0:
+                        conflict = cidx
+                        break
+                    lval[first] = 1
+                    lval[first ^ 1] = 0
+                    var = first >> 1
+                    level[var] = dlevel
+                    reason[var] = cidx
+                    trail.append(first)
+            # Watchers [j, i) moved to another literal; on a conflict the
+            # unvisited tail [i, n) is kept as is.
+            del watchers[j:i]
+        self.stats["propagations"] += qhead - start
+        self._qhead = len(trail)
+        return conflict
 
     # --------------------------------------------------------------- analysis
     def _bump_var(self, var: int) -> None:
-        self._activity[var] += self._var_inc
-        if self._activity[var] > 1e100:
+        activity = self._activity
+        in_heap = self._in_heap
+        activity[var] += self._var_inc
+        if activity[var] > 1e100:
+            lval = self._lval
             for v in range(1, self._nvars + 1):
-                self._activity[v] *= 1e-100
+                activity[v] *= 1e-100
+                in_heap[v] = lval[v << 1] == _UNASSIGNED
             self._var_inc *= 1e-100
             self._heap = [
-                (-self._activity[v], v)
+                (-activity[v], v)
                 for v in range(1, self._nvars + 1)
-                if self._assign[v] == _UNASSIGNED
+                if in_heap[v]
             ]
             heapq.heapify(self._heap)
-        heapq.heappush(self._heap, (-self._activity[var], var))
+        heapq.heappush(self._heap, (-activity[var], var))
+        in_heap[var] = True
 
     def _analyze(self, conflict: int) -> tuple[list[int], int]:
         """First-UIP learning.  Returns (learned clause, backjump level)."""
@@ -348,12 +378,20 @@ class Solver:
         if len(self._trail_lim) <= level:
             return
         limit = self._trail_lim[level]
+        lval = self._lval
+        reason = self._reason
+        phase = self._phase
+        activity = self._activity
+        heap = self._heap
+        in_heap = self._in_heap
         for lit in reversed(self._trail[limit:]):
             var = lit >> 1
-            self._assign[var] = _UNASSIGNED
-            self._reason[var] = -1
-            self._phase[var] = 1 ^ (lit & 1)
-            heapq.heappush(self._heap, (-self._activity[var], var))
+            lval[lit] = lval[lit ^ 1] = _UNASSIGNED
+            reason[var] = -1
+            phase[var] = 1 ^ (lit & 1)
+            if not in_heap[var]:
+                heapq.heappush(heap, (-activity[var], var))
+                in_heap[var] = True
         del self._trail[limit:]
         del self._trail_lim[level:]
         self._qhead = len(self._trail)
@@ -362,18 +400,19 @@ class Solver:
     def _decide(self) -> int:
         """Pick an unassigned variable by VSIDS activity; 0 if none left."""
         heap = self._heap
-        assign = self._assign
+        lval = self._lval
         activity = self._activity
+        in_heap = self._in_heap
         while heap:
             negact, var = heapq.heappop(heap)
-            if assign[var] != _UNASSIGNED:
-                continue
             if -negact != activity[var]:
                 continue  # stale entry; a fresher one exists
-            return (var << 1) | (1 if self._phase[var] == 0 else 0)
+            in_heap[var] = False
+            if lval[var << 1] == _UNASSIGNED:
+                return (var << 1) | (1 if self._phase[var] == 0 else 0)
         # Heap exhausted: verify nothing was missed (cheap fallback scan).
         for var in range(1, self._nvars + 1):
-            if assign[var] == _UNASSIGNED:
+            if lval[var << 1] == _UNASSIGNED:
                 return (var << 1) | (1 if self._phase[var] == 0 else 0)
         return 0
 
@@ -439,7 +478,7 @@ class Solver:
             pending = 0
             failed = False
             for a in assume:
-                val = self._value(a)
+                val = self._lval[a]
                 if val == 0:
                     failed = True
                     break
@@ -497,9 +536,8 @@ class Solver:
     # ------------------------------------------------------------------ model
     def model(self) -> dict[int, bool]:
         """Assignment after a SAT answer (var → bool; unassigned vars False)."""
-        return {
-            var: self._assign[var] == 1 for var in range(1, self._nvars + 1)
-        }
+        lval = self._lval
+        return {var: lval[var << 1] == 1 for var in range(1, self._nvars + 1)}
 
 
 def solve_cnf(

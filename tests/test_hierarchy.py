@@ -66,6 +66,22 @@ class TestConstruction:
         with pytest.raises(NetlistError):
             design.validate()
 
+    def test_duplicate_input_rejected(self):
+        design = HierDesign()
+        design.add_input("x")
+        with pytest.raises(NetlistError, match="duplicate top-level input"):
+            design.add_input("x")
+
+    def test_instance_driving_primary_input_rejected(self):
+        design = HierDesign()
+        design.add_module(inverter_module())
+        design.add_input("x")
+        design.add_input("y")
+        design.add_instance("u", "inv", {"i": "x", "o": "y"})
+        design.set_outputs(["y"])
+        with pytest.raises(NetlistError, match="multiple drivers"):
+            design.validate()
+
     def test_undriven_input_rejected(self):
         design = HierDesign()
         design.add_module(inverter_module())

@@ -1,11 +1,15 @@
 """Unit and property tests for the CNF container and CDCL solver."""
 
+import collections
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.circuits.adders import cascade_adder
+from repro.core.xbd0 import StabilityAnalyzer, StabilityContext
 from repro.errors import SolverError
 from repro.sat.cnf import CNF
 from repro.sat.dimacs import dumps_dimacs, loads_dimacs
@@ -77,6 +81,21 @@ class TestLuby:
             luby(0)
 
 
+def _pigeonhole(pigeons: int, holes: int) -> CNF:
+    cnf = CNF(pigeons * holes)
+
+    def var(i, j):
+        return 1 + i * holes + j
+
+    for i in range(pigeons):
+        cnf.add_clause(tuple(var(i, j) for j in range(holes)))
+    for j in range(holes):
+        for i1 in range(pigeons):
+            for i2 in range(i1 + 1, pigeons):
+                cnf.add_clause((-var(i1, j), -var(i2, j)))
+    return cnf
+
+
 class TestSolverBasics:
     def test_empty_formula_sat(self):
         assert Solver(CNF()).solve() is SolveResult.SAT
@@ -101,6 +120,19 @@ class TestSolverBasics:
         solver.add_clause((1, -1))
         assert solver.solve() is SolveResult.SAT
 
+    def test_add_clause_simplifies_at_level_zero(self):
+        solver = Solver()
+        with pytest.raises(SolverError):
+            solver.add_clause((1, 0))
+        solver.add_clause((1,))
+        solver.add_clause((-1, 2, 2, -1))  # -1 is false at level 0: unit 2
+        assert solver.model() == {1: True, 2: True}
+        solver.add_clause((3, 1, -3))  # satisfied and tautological
+        assert solver.num_vars == 3 and solver.ok
+        solver.add_clause((-2, -1))  # every literal false at level 0
+        assert not solver.ok
+        assert solver.solve() is SolveResult.UNSAT
+
     def test_propagation_chain(self):
         # implications 1 -> 2 -> 3 -> -1 force 1 false
         cnf = CNF(3)
@@ -123,33 +155,10 @@ class TestSolverBasics:
         assert cnf.evaluate(model)
 
     def test_pigeonhole_3_into_2_unsat(self):
-        # var p{i}{j}: pigeon i in hole j (i in 0..2, j in 0..1)
-        cnf = CNF(6)
-
-        def var(i, j):
-            return 1 + i * 2 + j
-
-        for i in range(3):
-            cnf.add_clause((var(i, 0), var(i, 1)))
-        for j in range(2):
-            for i1 in range(3):
-                for i2 in range(i1 + 1, 3):
-                    cnf.add_clause((-var(i1, j), -var(i2, j)))
-        assert Solver(cnf).solve() is SolveResult.UNSAT
+        assert Solver(_pigeonhole(3, 2)).solve() is SolveResult.UNSAT
 
     def test_pigeonhole_4_into_3_unsat(self):
-        cnf = CNF(12)
-
-        def var(i, j):
-            return 1 + i * 3 + j
-
-        for i in range(4):
-            cnf.add_clause(tuple(var(i, j) for j in range(3)))
-        for j in range(3):
-            for i1 in range(4):
-                for i2 in range(i1 + 1, 4):
-                    cnf.add_clause((-var(i1, j), -var(i2, j)))
-        assert Solver(cnf).solve() is SolveResult.UNSAT
+        assert Solver(_pigeonhole(4, 3)).solve() is SolveResult.UNSAT
 
     def test_add_clause_mid_search_rejected(self):
         cnf = CNF(2)
@@ -162,19 +171,8 @@ class TestSolverBasics:
                 solver.add_clause((1,))
 
     def test_conflict_limit(self):
-        cnf = CNF(12)
-
-        def var(i, j):
-            return 1 + i * 3 + j
-
-        for i in range(4):
-            cnf.add_clause(tuple(var(i, j) for j in range(3)))
-        for j in range(3):
-            for i1 in range(4):
-                for i2 in range(i1 + 1, 4):
-                    cnf.add_clause((-var(i1, j), -var(i2, j)))
         with pytest.raises(SolverError):
-            Solver(cnf).solve(conflict_limit=1)
+            Solver(_pigeonhole(4, 3)).solve(conflict_limit=1)
 
 
 class TestAssumptions:
@@ -207,6 +205,63 @@ class TestAssumptions:
         assert solver.model()[2] is True
         assert solver.solve(assumptions=[-1, -2, -3]) is SolveResult.UNSAT
         assert solver.solve(assumptions=[]) is SolveResult.SAT
+
+
+def _random_3sat(seed: int, num_vars: int, num_clauses: int) -> CNF:
+    rng = random.Random(seed)
+    cnf = CNF(num_vars)
+    for _ in range(num_clauses):
+        vs = rng.sample(range(1, num_vars + 1), 3)
+        cnf.add_clause(tuple(v if rng.random() < 0.5 else -v for v in vs))
+    return cnf
+
+
+def _cnf_solver(cnf: CNF) -> Solver:
+    solver = Solver(cnf)
+    assert solver.solve() is SolveResult.UNSAT
+    return solver
+
+
+def _csa16_4_session_solver() -> Solver:
+    ctx = StabilityContext()
+    analyzer = StabilityAnalyzer(cascade_adder(16, 4).flatten(), context=ctx)
+    for out in analyzer.network.outputs:
+        analyzer.functional_delay(out)
+    return ctx.session._solver
+
+
+_SEARCH_KEYS = ("decisions", "conflicts", "propagations", "learned", "restarts")
+
+
+class TestSearchPinned:
+    """Counts recorded before the solver's hot loops moved to flat arrays.
+
+    A change to the solver's mechanics must reproduce them exactly: the
+    same decisions, conflicts, propagations and learned clauses.
+    """
+
+    @pytest.mark.parametrize(
+        ("make", "expected"),
+        [
+            (lambda: _cnf_solver(_pigeonhole(6, 5)), (200, 159, 1827, 154, 3)),
+            (
+                lambda: _cnf_solver(_random_3sat(1, 80, 340)),
+                (184, 140, 2443, 135, 3),
+            ),
+            (_csa16_4_session_solver, (1578, 414, 39321, 373, 0)),
+        ],
+        ids=["php6_5", "random_3sat", "csa16_4_session"],
+    )
+    def test_same_search(self, make, expected):
+        solver = make()
+        assert tuple(solver.stats[k] for k in _SEARCH_KEYS) == expected
+        # No variable is pushed twice at one activity.
+        current = collections.Counter(
+            var
+            for negact, var in solver._heap
+            if -negact == solver._activity[var]
+        )
+        assert [v for v, n in current.items() if n > 1] == []
 
 
 def _brute_force_sat(num_vars: int, clauses: list[tuple[int, ...]]) -> bool:

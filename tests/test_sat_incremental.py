@@ -212,3 +212,33 @@ class TestPortfolioDeterminism:
         assert parallel.output_times == base.output_times
         assert parallel.refined_weights == base.refined_weights
         assert parallel.refinement_checks == base.refinement_checks
+
+
+class TestSatModesAgree:
+    def test_incremental_matches_oneshot(self):
+        """Per-cone sessions refine exactly what per-check re-encoding does."""
+        from repro.api import AnalysisOptions
+        from repro.circuits.adders import cascade_adder
+        from repro.core.demand import DemandDrivenAnalyzer
+        from repro.core.hier import HierarchicalAnalyzer
+
+        design = cascade_adder(64, 16)
+        runs = {}
+        for mode in ("incremental", "oneshot"):
+            analyzer = DemandDrivenAnalyzer(
+                design, options=AnalysisOptions(sat_mode=mode)
+            )
+            runs[mode] = analyzer, analyzer.analyze()
+        inc_analyzer, inc = runs["incremental"]
+        _, one = runs["oneshot"]
+        assert inc.refinement_checks > 0 and inc.refined_weights
+        assert inc.output_times == one.output_times
+        assert inc.refined_weights == one.refined_weights
+        assert inc.refinement_checks == one.refinement_checks
+        topological = HierarchicalAnalyzer(
+            design, options=AnalysisOptions(functional=False)
+        ).analyze()
+        for out, t in inc.output_times.items():
+            assert t <= topological.output_times[out] + 1e-12
+        contexts = inc_analyzer._contexts.values()
+        assert sum(c.nodes_reused for c in contexts) > 0
