@@ -57,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Tautology engines accepted by every analyzer.
 ENGINES = ("sat", "bdd", "brute")
 
-#: Stability-check SAT strategies (persistent session vs per-check).
-SAT_MODES = ("incremental", "oneshot")
-
 #: Candidate orders of the demand-driven refinement loop.
 REFINE_ORDERS = ("scan", "movement")
 
@@ -106,11 +103,6 @@ class AnalysisOptions:
     batch_size:
         Scenario chunk size for compiled batch evaluation (bounds the
         working-set matrix to ``batch_size × nets`` floats).
-    sat_mode:
-        Stability-check SAT strategy: ``incremental`` (default) keeps a
-        persistent solver session per cone with cached sub-encodings;
-        ``oneshot`` re-encodes and builds a fresh solver per check (the
-        reference path).  Both decide every check identically.
     refine_order:
         Candidate order of the demand-driven refinement loop: ``scan``
         (the paper's literal edge order) or ``movement`` (pin pairs by
@@ -140,7 +132,6 @@ class AnalysisOptions:
     refine_budget: int | None = None
     fault_plan: object | None = field(default=None, repr=False)
     batch_size: int = 256
-    sat_mode: str = "incremental"
     refine_order: str = "scan"
     portfolio_jobs: int = 1
     check_timeout: float | None = None
@@ -181,11 +172,6 @@ class AnalysisOptions:
                     f"refine_budget must be >= 0, got {budget}"
                 )
             object.__setattr__(self, "refine_budget", budget)
-        if self.sat_mode not in SAT_MODES:
-            raise ValueError(
-                f"unknown sat_mode {self.sat_mode!r}; "
-                f"expected one of {SAT_MODES}"
-            )
         if self.refine_order not in REFINE_ORDERS:
             raise ValueError(
                 f"unknown refine_order {self.refine_order!r}; "

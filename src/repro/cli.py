@@ -30,7 +30,6 @@ import re
 import sys
 from pathlib import Path
 
-from repro.core.required import characterize_network
 from repro.core.ipblock import export_timing_library
 from repro.core.xbd0 import functional_delays
 from repro.errors import ParseError, ReproError
@@ -300,7 +299,6 @@ def make_options(args: argparse.Namespace, tracer=None):
             retries=getattr(args, "retries", 2),
             refine_budget=getattr(args, "refine_budget", None),
             fault_plan=plan,
-            sat_mode=getattr(args, "sat_mode", "incremental"),
             refine_order=getattr(args, "refine_order", "scan"),
             portfolio_jobs=getattr(args, "portfolio_jobs", 1),
             check_timeout=getattr(args, "check_timeout", None),
@@ -393,10 +391,7 @@ def _check_scenario_flags(args: argparse.Namespace) -> None:
 
 
 def cmd_hier_report(args: argparse.Namespace) -> int:
-    from repro.core.design_report import (
-        design_timing_report,
-        library_timing_report,
-    )
+    from repro.api import AnalysisSession
 
     circuit = load_design(args.circuit)
     arrival = parse_arrivals(args.arrival)
@@ -407,24 +402,9 @@ def cmd_hier_report(args: argparse.Namespace) -> int:
         run_family(args, circuit, options)
     elif args.scenarios:
         run_batch(args, circuit, options, method="hierarchical")
-    elif options.cache_dir is not None or options.jobs > 1:
-        print(
-            library_timing_report(
-                circuit,
-                arrival,
-                show_nets=args.nets,
-                options=options,
-            )
-        )
     else:
-        print(
-            design_timing_report(
-                circuit,
-                arrival,
-                show_nets=args.nets,
-                options=options,
-            )
-        )
+        session = AnalysisSession(circuit, options=options)
+        print(session.hier_report(arrival, show_nets=args.nets))
     finish_tracer(args, tracer)
     return 0
 
@@ -504,34 +484,19 @@ def cmd_sdc(args: argparse.Namespace) -> int:
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
+    from repro.api import AnalysisSession
+
     net = load_circuit(args.circuit)
     tracer = make_tracer(args)
-    options = make_options(args, tracer)
-    if options.cache_dir is not None or options.jobs > 1:
-        from repro.library.scheduler import characterize_network_parallel
-        from repro.library.store import ModelLibrary
-
-        library = (
-            ModelLibrary(
-                options.cache_dir,
-                tracer=tracer,
-                fault_plan=options.fault_plan,
-            )
-            if options.cache_dir is not None
-            else None
+    session = AnalysisSession(net, options=make_options(args, tracer))
+    models = session.characterize()
+    library = session.library
+    if library is not None:
+        print(
+            f"model library: {library.stats.hits} hits, "
+            f"{library.stats.characterizations} characterizations",
+            file=sys.stderr,
         )
-        models = characterize_network_parallel(
-            net, jobs=options.jobs, engine=options.engine, library=library,
-            tracer=tracer, policy=options.resilience_policy(),
-        )
-        if library is not None:
-            print(
-                f"model library: {library.stats.hits} hits, "
-                f"{library.stats.characterizations} characterizations",
-                file=sys.stderr,
-            )
-    else:
-        models = characterize_network(net, engine=args.engine, tracer=tracer)
     target = Path(args.output) if args.output else None
     if target is None:
         export_timing_library(
@@ -836,14 +801,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="per-check deadline for portfolio workers; a check "
             "past it is skipped soundly (the pin pair keeps its "
             "conservative weight)",
-        )
-        p.add_argument(
-            "--sat-mode",
-            choices=("incremental", "oneshot"),
-            default="incremental",
-            help="stability-check SAT strategy: persistent per-cone "
-            "solver sessions with cached encodings, or a fresh "
-            "solver per check (reference path)",
         )
 
     def add_batch_opts(p: argparse.ArgumentParser) -> None:

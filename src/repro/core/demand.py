@@ -101,10 +101,10 @@ def _portfolio_check(payload, directive=None, tracer=None):
     the parent's sequential loop, which is what makes portfolio results
     independent of the worker count.
     """
-    (module_name, out, arrival_items, cone, engine, sat_mode) = payload
+    (module_name, out, arrival_items, cone, engine) = payload
     execute_directive(directive)
     context = None
-    if engine == "sat" and sat_mode == "incremental":
+    if engine == "sat":
         ckey = (module_name, out)
         context = _WORKER_CONTEXTS.get(ckey)
         if context is None:
@@ -114,7 +114,6 @@ def _portfolio_check(payload, directive=None, tracer=None):
         dict(arrival_items),
         engine,
         tracer=tracer,
-        sat_mode=sat_mode,
         context=context,
     )
     return analyzer.stable_at(out, 0.0)
@@ -425,7 +424,6 @@ class DemandDrivenAnalyzer:
                     tuple(sorted(arrival.items())),
                     self._cone(module_name, out),
                     self.engine,
-                    self.options.sat_mode,
                 )
             )
             keys.append((key, cache_key))
@@ -510,7 +508,7 @@ class DemandDrivenAnalyzer:
 
     def _context_for(self, key: PinPair) -> StabilityContext | None:
         """The shared per-cone SAT context (``None`` off the sat path)."""
-        if self.engine != "sat" or self.options.sat_mode != "incremental":
+        if self.engine != "sat":
             return None
         module_name, _inp, out = key
         ckey = (module_name, out)
@@ -541,7 +539,6 @@ class DemandDrivenAnalyzer:
             arrival,
             self.engine,
             tracer=self.tracer,
-            sat_mode=self.options.sat_mode,
             context=self._context_for(key),
         )
         improved = analyzer.stable_at(out, 0.0)

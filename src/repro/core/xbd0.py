@@ -36,9 +36,8 @@ from repro.errors import AnalysisError
 from repro.netlist.gates import gate_primes
 from repro.netlist.network import Network
 from repro.obs.trace import Tracer, ensure_tracer
-from repro.sat.cnf import CNF
 from repro.sat.incremental import IncrementalSolver
-from repro.sat.solver import Solver, SolveResult
+from repro.sat.solver import SolveResult
 from repro.sta.paths import event_time_candidates
 from repro.sta.topological import arrival_times
 
@@ -216,16 +215,13 @@ class StabilityAnalyzer:
         Optional :class:`~repro.obs.trace.Tracer`; every SAT call and
         stability check is counted (and timed, for SAT) against it.
         ``None`` (the default) disables instrumentation entirely.
-    sat_mode:
-        ``"incremental"`` (default) answers tautology queries through a
-        persistent session with cached sub-encodings; ``"oneshot"``
-        re-encodes the cone and builds a fresh solver per check — kept
-        as the reference path for benchmarking and bisection.
     context:
         Optional :class:`StabilityContext` to share expression manager,
         session, and encodings with other analyzers over the *same*
         network structure (e.g. refinement checks under different
-        arrival conditions).  Implies the incremental path.
+        arrival conditions).  Without one, every analyzer that asks SAT
+        (the ``"sat"`` engine, or witnesses under a ``care`` network)
+        builds a private context.
     """
 
     def __init__(
@@ -235,17 +231,10 @@ class StabilityAnalyzer:
         engine: Engine = "sat",
         care: Network | None = None,
         tracer: Tracer | None = None,
-        sat_mode: str = "incremental",
         context: StabilityContext | None = None,
     ):
         if engine not in ("sat", "bdd", "brute"):
             raise AnalysisError(f"unknown engine {engine!r}")
-        if sat_mode not in ("incremental", "oneshot"):
-            raise AnalysisError(f"unknown sat_mode {sat_mode!r}")
-        if context is not None and sat_mode != "incremental":
-            raise AnalysisError(
-                "a shared StabilityContext requires sat_mode='incremental'"
-            )
         if care is not None and engine == "bdd":
             raise AnalysisError(
                 "care-set constraints are supported by the sat and brute "
@@ -271,9 +260,8 @@ class StabilityAnalyzer:
                 raise AnalysisError(
                     f"care outputs {missing!r} are not PIs of the network"
                 )
-        self.sat_mode = sat_mode
         self._context = context
-        if context is None and engine == "sat" and sat_mode == "incremental":
+        if context is None and (engine == "sat" or care is not None):
             self._context = StabilityContext()
         self._exprs = (
             self._context.exprs if self._context is not None
@@ -445,7 +433,7 @@ class StabilityAnalyzer:
             encode_equal(session, var, care_map[out])
         ctx._care_for = id(self.care)
 
-    def _tautology_sat_incremental(self, node: int) -> bool:
+    def _tautology_sat(self, node: int) -> bool:
         """Tautology via the persistent session: UNSAT under ``¬node``.
 
         No clause asserts the query — the negated node literal rides in
@@ -468,78 +456,6 @@ class StabilityAnalyzer:
             "sat-call",
             seconds=time.perf_counter() - t0,
             variables=session.num_vars,
-            unsat=unsat,
-            incremental=True,
-        )
-        return unsat
-
-    def _tautology_sat(self, node: int) -> bool:
-        if self._context is not None:
-            return self._tautology_sat_incremental(node)
-        return self._tautology_sat_oneshot(node)
-
-    def _tautology_sat_oneshot(self, node: int) -> bool:
-        exprs = self._exprs
-        cnf = CNF()
-        pi_vars: dict[str, int] = {}
-        node_lits: dict[int, int] = {}
-        seen: set[int] = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            if exprs.kind[n] in ("and", "or"):
-                stack.extend(exprs.data[n])  # type: ignore[arg-type]
-        # Manager node ids are topological (children are interned before
-        # parents), so ascending id order processes children first.
-        for n in sorted(seen):
-            kind = exprs.kind[n]
-            if kind == "const":
-                continue
-            if kind == "lit":
-                pi, pos = exprs.data[n]  # type: ignore[misc]
-                if pi not in pi_vars:
-                    pi_vars[pi] = cnf.new_var()
-                node_lits[n] = pi_vars[pi] if pos else -pi_vars[pi]
-            else:
-                children = [node_lits[c] for c in exprs.data[n]]  # type: ignore[union-attr]
-                v = cnf.new_var()
-                if kind == "and":
-                    for lit in children:
-                        cnf.add_clause((-v, lit))
-                    cnf.add_clause((v, *(-l for l in children)))
-                else:
-                    for lit in children:
-                        cnf.add_clause((v, -lit))
-                    cnf.add_clause((-v, *children))
-                node_lits[n] = v
-        cnf.add_clause((-node_lits[node],))
-        if self.care is not None:
-            # Restrict counterexamples to the image of the care network:
-            # its outputs are tied to the same-named PI variables.
-            from repro.sat.tseitin import NetworkEncoder, encode_equal
-
-            encoder = NetworkEncoder(cnf)
-            care_map = encoder.encode(self.care)
-            for out in self.care.outputs:
-                if out not in pi_vars:
-                    pi_vars[out] = cnf.new_var()
-                encode_equal(cnf, pi_vars[out], care_map[out])
-        self.stats["sat_calls"] += 1
-        tracer = self.tracer
-        if not tracer.enabled:
-            return Solver(cnf).solve() is SolveResult.UNSAT
-        t0 = time.perf_counter()
-        unsat = Solver(cnf).solve() is SolveResult.UNSAT
-        tracer.count("xbd0.sat_calls")
-        tracer.gauge("xbd0.expr_nodes", len(self._exprs.kind))
-        tracer.event(
-            "sat-call",
-            seconds=time.perf_counter() - t0,
-            variables=cnf.num_vars,
-            clauses=len(cnf.clauses),
             unsat=unsat,
         )
         return unsat
@@ -703,11 +619,6 @@ class StabilityAnalyzer:
 
     def _sat_witness(self, node: int) -> dict[str, bool] | None:
         """SAT model of ¬(S0+S1) (∧ care), mapped back to PI names."""
-        if self._context is not None:
-            return self._sat_witness_incremental(node)
-        return self._sat_witness_oneshot(node)
-
-    def _sat_witness_incremental(self, node: int) -> dict[str, bool] | None:
         ctx = self._context
         assert ctx is not None
         exprs = self._exprs
@@ -728,60 +639,6 @@ class StabilityAnalyzer:
             return None
         model = ctx.session.model()
         return {pi: model[var] for pi, var in ctx.pi_vars.items()}
-
-    def _sat_witness_oneshot(self, node: int) -> dict[str, bool] | None:
-        exprs = self._exprs
-        cnf = CNF()
-        pi_vars: dict[str, int] = {}
-        node_lits: dict[int, int] = {}
-        seen: set[int] = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            if exprs.kind[n] in ("and", "or"):
-                stack.extend(exprs.data[n])  # type: ignore[arg-type]
-        for n in sorted(seen):
-            kind = exprs.kind[n]
-            if kind == "const":
-                continue
-            if kind == "lit":
-                pi, pos = exprs.data[n]  # type: ignore[misc]
-                if pi not in pi_vars:
-                    pi_vars[pi] = cnf.new_var()
-                node_lits[n] = pi_vars[pi] if pos else -pi_vars[pi]
-            else:
-                children = [node_lits[c] for c in exprs.data[n]]  # type: ignore[union-attr]
-                v = cnf.new_var()
-                if kind == "and":
-                    for lit in children:
-                        cnf.add_clause((-v, lit))
-                    cnf.add_clause((v, *(-l for l in children)))
-                else:
-                    for lit in children:
-                        cnf.add_clause((v, -lit))
-                    cnf.add_clause((-v, *children))
-                node_lits[n] = v
-        if node in node_lits:
-            cnf.add_clause((-node_lits[node],))
-        elif exprs.kind[node] == "const" and exprs.data[node]:
-            return None
-        if self.care is not None:
-            from repro.sat.tseitin import NetworkEncoder, encode_equal
-
-            encoder = NetworkEncoder(cnf)
-            care_map = encoder.encode(self.care)
-            for out in self.care.outputs:
-                if out not in pi_vars:
-                    pi_vars[out] = cnf.new_var()
-                encode_equal(cnf, pi_vars[out], care_map[out])
-        solver = Solver(cnf)
-        if solver.solve() is SolveResult.UNSAT:
-            return None
-        model = solver.model()
-        return {pi: model[var] for pi, var in pi_vars.items()}
 
     def functional_delay(self, output: str) -> float:
         """Exact XBD0 stable time of ``output`` under this arrival condition.

@@ -14,7 +14,8 @@ handle.  :class:`DesignRegistry` owns that cache:
   :class:`~repro.resilience.breaker.CircuitBreaker` guarding the
   kernel evaluation path;
 * every entry can also answer from the **topological-bound path**: a
-  second compiled plan built from purely topological module models.
+  second compiled handle built from purely topological module models
+  (:func:`topological_handle`).
   Theorem 1 makes that answer conservative (never optimistic), so a
   crashing kernel call — or an open breaker — degrades to a sound 200
   with :class:`~repro.resilience.degradation.Degradation` records
@@ -34,7 +35,7 @@ import hashlib
 import io
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, Sequence
 
@@ -48,7 +49,6 @@ from repro.server.coalescer import CoalesceConfig, RequestCoalescer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.design import CompiledDesign
-    from repro.kernel.plan import CompiledGraph
     from repro.resilience.faultinject import FaultPlan
 
 
@@ -82,6 +82,22 @@ def content_id(source: str) -> str:
     return hashlib.sha256(source.encode()).hexdigest()[:12]
 
 
+def topological_handle(
+    design: HierDesign, tracer: Tracer | None = None
+) -> "CompiledDesign":
+    """``design`` compiled with purely topological module models.
+
+    The baseline the paper refines
+    (:func:`~repro.core.hier.topological_models`), and the sound answer
+    of last resort: Theorem 1 makes every time it yields an upper bound
+    on the functional one.
+    """
+    from repro.core.hier import HierarchicalAnalyzer
+
+    options = AnalysisOptions(functional=False, tracer=tracer)
+    return HierarchicalAnalyzer(design, options=options).compile()
+
+
 @dataclass
 class RegisteredDesign:
     """One compiled design held hot by the server."""
@@ -110,13 +126,10 @@ class RegisteredDesign:
     requests: int = 0
     #: Requests answered from the topological-bound path.
     degraded_requests: int = 0
-    #: Lazily compiled topological-bound plan (+ output indices).
-    _topo: "tuple[CompiledGraph, list[int]] | None" = field(
+    #: Topological-bound handle of :meth:`degraded_rows`, compiled on
+    #: first use (races are benign: concurrent builds are identical).
+    _topo: "CompiledDesign | None" = field(
         default=None, repr=False, compare=False
-    )
-    #: Executor cache of the topological plan (mirrors the handle's).
-    _topo_executors: dict = field(
-        default_factory=dict, repr=False, compare=False
     )
 
     @property
@@ -203,26 +216,14 @@ class RegisteredDesign:
         kind: str = "breaker-open",
         detail: str = "",
     ) -> list[DegradedRow]:
-        """Conservative output rows from the topological-bound plan."""
-        plan, out_idx = self._topo_plan()
-        from repro.kernel.execute import propagate_batch
-
-        inputs = plan.nets[: plan.n_inputs]
-        index = {name: i for i, name in enumerate(inputs)}
-        rows_in = []
-        for scenario in scenarios:
-            row = [0.0] * len(inputs)
-            for name, value in scenario.items():
-                i = index.get(name)
-                if i is not None:
-                    row[i] = float(value)
-            rows_in.append(row)
-        values = propagate_batch(
-            plan,
-            rows_in,
+        """Conservative output rows from the topological-bound handle."""
+        if self._topo is None:
+            self._topo = topological_handle(self.design)
+        values = self._topo.propagate_rows(
+            scenarios,
             batch_size=batch_size,
-            cache=self._topo_executors,
             tracer=tracer,
+            nets=self.handle.outputs,
         )
         log = DegradationLog(tracer)
         log.record(
@@ -238,38 +239,7 @@ class RegisteredDesign:
         self.degraded_requests += len(values)
         if tracer.enabled:
             tracer.count("server.degraded_scenarios", len(values))
-        return [
-            DegradedRow([row[i] for i in out_idx], degradations)
-            for row in values
-        ]
-
-    def _topo_plan(self) -> "tuple[CompiledGraph, list[int]]":
-        """The topological-bound plan, compiled on first use.
-
-        Built from purely topological module models
-        (:func:`~repro.core.hier.topological_models`) — the baseline
-        the paper refines, and the sound answer of last resort.  Races
-        are benign: concurrent builders produce identical plans.
-        """
-        topo = self._topo
-        if topo is None:
-            from repro.core.hier import topological_models
-            from repro.kernel.plan import compile_design
-
-            design = self.design
-            models = {
-                name: topological_models(module.network)
-                for name, module in design.modules.items()
-            }
-            plan = compile_design(
-                design,
-                lambda inst: models[design.instances[inst].module_name],
-            )
-            net_index = {n: i for i, n in enumerate(plan.nets)}
-            out_idx = [net_index[o] for o in self.handle.outputs]
-            topo = (plan, out_idx)
-            self._topo = topo
-        return topo
+        return [DegradedRow(row, degradations) for row in values]
 
 
 class DesignRegistry:
@@ -467,19 +437,7 @@ class DesignRegistry:
         ``server.compile`` chaos point — so registration sheds model
         precision rather than availability.
         """
-        from repro.core.hier import topological_models
-        from repro.kernel.design import CompiledDesign
-        from repro.kernel.plan import compile_design
-
-        models = {
-            name: topological_models(module.network)
-            for name, module in circuit.modules.items()
-        }
-        plan = compile_design(
-            circuit,
-            lambda inst: models[circuit.instances[inst].module_name],
-            tracer=self.tracer,
-        )
+        handle = topological_handle(circuit, self.tracer)
         log = DegradationLog(self.tracer)
         log.record(
             kind="compile-error",
@@ -490,9 +448,8 @@ class DesignRegistry:
                 "(conservative by Theorem 1)"
             ),
         )
-        return CompiledDesign(
-            plan=plan,
-            outputs=tuple(circuit.outputs),
+        return replace(
+            handle,
             degradations=log.snapshot(),
             compile_seconds=time.perf_counter() - t0,
         )
@@ -596,4 +553,5 @@ __all__ = [
     "RegisteredDesign",
     "UnknownDesign",
     "content_id",
+    "topological_handle",
 ]

@@ -1,12 +1,20 @@
-"""Reference oracles for the compiled propagation engines.
+"""Reference oracles for the compiled propagation engines and the
+incremental stability checks.
 
 Plain dict walks written for reading, not speed.  The property tests
 hold :mod:`repro.kernel` bit-identical to them: the kernel performs the
 same float64 additions, maxima, and minima on the same values, so every
-comparison is exact.
+comparison is exact.  :class:`OneShotStabilityAnalyzer` decides each
+XBD0 stability check on a fresh CNF and a fresh solver, the reference
+for the per-cone incremental SAT sessions.
 """
 
 from __future__ import annotations
+
+from repro.core.xbd0 import StabilityAnalyzer
+from repro.sat.cnf import CNF
+from repro.sat.solver import Solver, SolveResult
+from repro.sat.tseitin import NetworkEncoder, encode_equal
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -122,3 +130,59 @@ def reference_demand(analyzer, arrival):
         "refined_weights": refined,
         "refinement_checks": analyzer._checks,
     }
+
+
+class OneShotStabilityAnalyzer(StabilityAnalyzer):
+    """A :class:`~repro.core.xbd0.StabilityAnalyzer` whose SAT checks
+    re-encode from scratch.
+
+    Every tautology query Tseitin-encodes the stability DAG below the
+    queried node, asserts its negation and (with a care network) ties
+    the care outputs to the same-named PI variables, all in a fresh
+    :class:`~repro.sat.cnf.CNF`, then runs a fresh
+    :class:`~repro.sat.solver.Solver` on it.  No clause, encoding or
+    learned clause outlives the check, so a shared session that
+    decides differently is at fault.
+    """
+
+    def _tautology_sat(self, node: int) -> bool:
+        exprs = self._exprs
+        cnf = CNF()
+        pi_vars: dict[str, int] = {}
+        lits: dict[int, int] = {}
+        seen: set[int] = set()
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            if n not in seen:
+                seen.add(n)
+                if exprs.kind[n] in ("and", "or"):
+                    stack.extend(exprs.data[n])
+        # Children are interned before parents: ascending ids are a
+        # topological order.
+        for n in sorted(seen):
+            kind = exprs.kind[n]
+            if kind == "lit":
+                pi, pos = exprs.data[n]
+                if pi not in pi_vars:
+                    pi_vars[pi] = cnf.new_var()
+                lits[n] = pi_vars[pi] if pos else -pi_vars[pi]
+            elif kind in ("and", "or"):
+                children = [lits[c] for c in exprs.data[n]]
+                v = lits[n] = cnf.new_var()
+                if kind == "and":
+                    for lit in children:
+                        cnf.add_clause((-v, lit))
+                    cnf.add_clause((v, *(-lit for lit in children)))
+                else:
+                    for lit in children:
+                        cnf.add_clause((v, -lit))
+                    cnf.add_clause((-v, *children))
+        cnf.add_clause((-lits[node],))
+        if self.care is not None:
+            care_map = NetworkEncoder(cnf).encode(self.care)
+            for out in self.care.outputs:
+                if out not in pi_vars:
+                    pi_vars[out] = cnf.new_var()
+                encode_equal(cnf, pi_vars[out], care_map[out])
+        return Solver(cnf).solve() is SolveResult.UNSAT

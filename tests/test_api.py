@@ -65,6 +65,13 @@ class TestAnalysisOptions:
         assert opts.jobs == 1
         assert isinstance(opts.cache_dir, Path)
 
+    def test_sat_mode_removed(self):
+        """One SAT strategy: the option is an unknown keyword."""
+        names = {f.name for f in dataclasses.fields(AnalysisOptions)}
+        assert "sat_mode" not in names
+        with pytest.raises(TypeError):
+            AnalysisOptions(sat_mode="oneshot")
+
     def test_with_changes_revalidates(self):
         opts = AnalysisOptions(engine="bdd")
         changed = opts.with_changes(max_orders=2)

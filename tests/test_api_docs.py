@@ -36,6 +36,13 @@ def test_every_public_item_has_a_docstring():
     assert "(no docstring)" not in text
 
 
+def test_output_is_deterministic():
+    """Default values print without memory addresses, so regenerating
+    the committed file rewrites nothing."""
+    gen = _load_generator()
+    assert " at 0x" not in gen.generate()
+
+
 def test_committed_file_loadable():
     api = ROOT / "docs" / "API.md"
     assert api.exists()

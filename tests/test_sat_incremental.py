@@ -7,8 +7,10 @@ assumptions, and regardless of how aggressively the learned-clause
 database is reduced.  Models are checked semantically (they must satisfy
 the live clauses) since the search order legitimately differs.
 
-The portfolio test at the bottom pins the demand-driven refinement
-contract: results are bit-identical for any worker count.
+The tests at the bottom pin the demand-driven refinement contract:
+results are bit-identical for any portfolio worker count, and the
+per-cone sessions decide every check as the one-shot oracle of
+``tests/reference.py`` does.
 """
 
 from __future__ import annotations
@@ -190,8 +192,7 @@ class TestSessionSurface:
 
 
 class TestPortfolioDeterminism:
-    @pytest.mark.parametrize("sat_mode", ["incremental", "oneshot"])
-    def test_results_independent_of_worker_count(self, sat_mode):
+    def test_results_independent_of_worker_count(self):
         """Same refinement set and delays for any portfolio_jobs value."""
         from repro.api import AnalysisOptions
         from repro.circuits.adders import cascade_adder
@@ -201,9 +202,7 @@ class TestPortfolioDeterminism:
         results = []
         for jobs in (1, 3):
             options = AnalysisOptions(
-                sat_mode=sat_mode,
-                portfolio_jobs=jobs,
-                refine_order="movement",
+                portfolio_jobs=jobs, refine_order="movement"
             )
             results.append(
                 DemandDrivenAnalyzer(design, options=options).analyze()
@@ -214,31 +213,93 @@ class TestPortfolioDeterminism:
         assert parallel.refinement_checks == base.refinement_checks
 
 
-class TestSatModesAgree:
-    def test_incremental_matches_oneshot(self):
-        """Per-cone sessions refine exactly what per-check re-encoding does."""
-        from repro.api import AnalysisOptions
-        from repro.circuits.adders import cascade_adder
-        from repro.core.demand import DemandDrivenAnalyzer
-        from repro.core.hier import HierarchicalAnalyzer
+def _assert_session_matches_oracle(design, monkeypatch):
+    """Run the demand loop on the shipped per-cone sessions and on the
+    one-shot oracle; both must refine the same weights with the same
+    checks.  Returns the session run's analyzer and result."""
+    import repro.core.demand as demand
+    from repro.api import AnalysisOptions
+    from repro.core.hier import HierarchicalAnalyzer
+    from tests.reference import OneShotStabilityAnalyzer
 
-        design = cascade_adder(64, 16)
-        runs = {}
-        for mode in ("incremental", "oneshot"):
-            analyzer = DemandDrivenAnalyzer(
-                design, options=AnalysisOptions(sat_mode=mode)
-            )
-            runs[mode] = analyzer, analyzer.analyze()
-        inc_analyzer, inc = runs["incremental"]
-        _, one = runs["oneshot"]
-        assert inc.refinement_checks > 0 and inc.refined_weights
-        assert inc.output_times == one.output_times
-        assert inc.refined_weights == one.refined_weights
-        assert inc.refinement_checks == one.refinement_checks
-        topological = HierarchicalAnalyzer(
-            design, options=AnalysisOptions(functional=False)
-        ).analyze()
-        for out, t in inc.output_times.items():
-            assert t <= topological.output_times[out] + 1e-12
-        contexts = inc_analyzer._contexts.values()
+    analyzer = demand.DemandDrivenAnalyzer(design)
+    inc = analyzer.analyze()
+    with monkeypatch.context() as patch:
+        patch.setattr(demand, "StabilityAnalyzer", OneShotStabilityAnalyzer)
+        one = demand.DemandDrivenAnalyzer(design).analyze()
+    assert inc.refinement_checks > 0 and inc.refined_weights
+    assert inc.output_times == one.output_times
+    assert inc.refined_weights == one.refined_weights
+    assert inc.refinement_checks == one.refinement_checks
+    topological = HierarchicalAnalyzer(
+        design, options=AnalysisOptions(functional=False)
+    ).analyze()
+    for out, t in inc.output_times.items():
+        assert t <= topological.output_times[out] + 1e-12
+    return analyzer, inc
+
+
+class TestSatModesAgree:
+    """The per-cone sessions decide every refinement check exactly as
+    the one-shot oracle of ``tests/reference.py`` does."""
+
+    def test_incremental_matches_oneshot(self, monkeypatch):
+        """Per-cone sessions refine exactly what per-check re-encoding does."""
+        from repro.circuits.adders import cascade_adder
+
+        analyzer, _ = _assert_session_matches_oracle(
+            cascade_adder(64, 16), monkeypatch
+        )
+        contexts = analyzer._contexts.values()
         assert sum(c.nodes_reused for c in contexts) > 0
+
+    @pytest.mark.parametrize(
+        "num_inputs,num_gates,seed", [(12, 80, 1), (16, 120, 1), (16, 120, 3)]
+    )
+    def test_random_cascade_matches_oneshot(
+        self, num_inputs, num_gates, seed, monkeypatch
+    ):
+        """Random reconvergent bipartitions make 8-19 checks each, against
+        5 on csa64.16."""
+        from repro.circuits.partition import cascade_bipartition
+        from repro.circuits.random_logic import random_network
+
+        design = cascade_bipartition(
+            random_network(num_inputs, num_gates, seed=seed), 0.5
+        )
+        _, result = _assert_session_matches_oracle(design, monkeypatch)
+        assert result.refinement_checks >= 8
+
+    def test_care_checks_match_oneshot(self):
+        """Under per-instance care networks (paper footnote 6) the
+        session and the oracle agree on every candidate stable time,
+        including the ones the care set changes."""
+        from repro.circuits.partition import cascade_bipartition
+        from repro.circuits.random_logic import random_network
+        from repro.core.instance_models import instance_care_network
+        from repro.core.xbd0 import StabilityAnalyzer
+        from repro.sta.paths import event_time_candidates
+        from tests.reference import OneShotStabilityAnalyzer
+        from tests.test_instance_models import sdc_design
+
+        designs = [
+            sdc_design(),
+            cascade_bipartition(random_network(10, 60, seed=1), 0.5),
+        ]
+        care_changed = 0
+        for design in designs:
+            for name, inst in design.instances.items():
+                module = design.module_of(inst).network
+                care = instance_care_network(design, name)
+                session = StabilityAnalyzer(module, care=care)
+                oracle = OneShotStabilityAnalyzer(module, care=care)
+                free = StabilityAnalyzer(module)
+                candidates = event_time_candidates(module)
+                for out in module.outputs:
+                    for t in candidates[out]:
+                        stable = session.stable_at(out, t)
+                        assert stable == oracle.stable_at(out, t), (
+                            design.name, name, out, t
+                        )
+                        care_changed += stable != free.stable_at(out, t)
+        assert care_changed > 0

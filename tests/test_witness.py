@@ -34,21 +34,22 @@ class TestWitness:
         ) > 7.5
         assert analyzer.unstable_witness("c_out", 8.0) is None
 
-    def test_witness_respects_care_set(self):
+    @pytest.mark.parametrize("engine", ["sat", "brute"])
+    def test_witness_respects_care_set(self, engine):
         """With the shared-select care network, only image vectors may be
-        blamed."""
+        blamed (the brute engine also draws care witnesses from SAT)."""
         from tests.test_instance_models import sdc_design
 
         design = sdc_design()
         module = design.modules["mux_mod"].network
         care = instance_care_network(design, "u_mux")
         # without care: a's chain makes z unstable at 3 under defaults
-        free = StabilityAnalyzer(module)
+        free = StabilityAnalyzer(module, engine=engine)
         w1 = free.unstable_witness("z", 3.0)
         assert w1 is not None
         # with care (s always 1): z depends on s and b only; at 3.0 it
         # is already stable, so no witness exists inside the image
-        constrained = StabilityAnalyzer(module, care=care)
+        constrained = StabilityAnalyzer(module, engine=engine, care=care)
         assert constrained.unstable_witness("z", 3.0) is None
         w2 = constrained.unstable_witness("z", 0.5)
         assert w2 is not None
