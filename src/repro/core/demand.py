@@ -47,7 +47,7 @@ from repro.resilience.executor import run_resilient
 from repro.resilience.faultinject import execute_directive
 from repro.resilience.policy import ResiliencePolicy
 from repro.sta.paths import distinct_path_lengths
-from repro.sta.topological import pin_to_pin_delay
+from repro.sta.topological import pin_to_pin_delays
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import AnalysisOptions
@@ -262,10 +262,14 @@ class DemandDrivenAnalyzer:
         seen_nets = set(self.nets)
         module_pairs: dict[str, list[tuple[str, str, float]]] = {}
         for name, module in design.modules.items():
+            delays = {
+                inp: pin_to_pin_delays(module.network, inp)
+                for inp in module.inputs
+            }
             pairs: list[tuple[str, str, float]] = []
             for out in module.outputs:
                 for inp in module.inputs:
-                    w = pin_to_pin_delay(module.network, inp, out)
+                    w = delays[inp].get(out, NEG_INF)
                     if w != NEG_INF:
                         pairs.append((inp, out, w))
             module_pairs[name] = pairs

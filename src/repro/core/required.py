@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.timing_model import TimingModel, prune_dominated
-from repro.core.xbd0 import Engine, StabilityAnalyzer
+from repro.core.xbd0 import Engine, StabilityAnalyzer, StabilityContext
 from repro.errors import AnalysisError
 from repro.netlist.gates import satisfied_primes
 from repro.netlist.network import Network
@@ -128,13 +128,17 @@ def approx_required_tuples(
         for x in inputs
     }
     checks = 0
+    # Every check asks about the same cone under a new arrival vector:
+    # one context carries encodings, learned clauses and gate expansions
+    # from each check to the next.
+    context = StabilityContext()
 
     def stable_with(tuple_values: Sequence[float]) -> bool:
         nonlocal checks
         checks += 1
         arrival = dict(zip(inputs, tuple_values))
         analyzer = StabilityAnalyzer(
-            cone, arrival, engine, care=care, tracer=tracer
+            cone, arrival, engine, care=care, tracer=tracer, context=context
         )
         return analyzer.stable_at(output, required)
 

@@ -33,7 +33,7 @@ from typing import Literal, Mapping
 
 from repro.bdd.manager import BDDManager
 from repro.errors import AnalysisError
-from repro.netlist.gates import gate_primes
+from repro.netlist.gates import GateType, gate_primes
 from repro.netlist.network import Network
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.sat.incremental import IncrementalSolver
@@ -49,6 +49,14 @@ Engine = Literal["sat", "bdd", "brute"]
 #: Tolerance for time comparisons (all benchmark delays are small integers
 #: or simple decimals; 1e-9 is far below any meaningful delay difference).
 _EPS = 1e-9
+
+
+def _require_time(t: float) -> None:
+    """Reject a NaN query time: the ``(signal, t)`` memo of
+    :meth:`StabilityAnalyzer.stability_pair` never matches NaN, so the
+    walk would re-push the same children forever."""
+    if t != t:
+        raise AnalysisError("stability query time must not be NaN")
 
 
 class _ExprManager:
@@ -67,6 +75,8 @@ class _ExprManager:
         self.data: list[object] = [False, True]
         self._lit_cache: dict[tuple[str, bool], int] = {}
         self._op_cache: dict[tuple[str, tuple[int, ...]], int] = {}
+        #: (gate type, *fanin (S0, S1) pairs) → the gate's (S0, S1).
+        self.gate_memo: dict[tuple, tuple[int, int]] = {}
 
     def lit(self, pi: str, positive: bool) -> int:
         key = (pi, positive)
@@ -117,6 +127,40 @@ class _ExprManager:
 
     def disj(self, children: list[int]) -> int:
         return self._gate("or", children)
+
+    def expand_gate(
+        self, gtype: GateType, child_pairs: list[tuple[int, int]]
+    ) -> tuple[int, int]:
+        """``(S0, S1)`` of a gate whose fanins have ``child_pairs``.
+
+        Sums the gate's primes over the fanin pairs (the XBD0 gate rule).
+        Memoized in :attr:`gate_memo`: the expansion is a pure function
+        of hash-consed nodes, so a repeat returns the nodes the first
+        call built and creates none.
+        """
+        key = (gtype, *child_pairs)
+        pair = self.gate_memo.get(key)
+        if pair is not None:
+            return pair
+        on_primes, off_primes = gate_primes(gtype, len(child_pairs))
+        s1 = self.disj(
+            [
+                self.conj(
+                    [child_pairs[idx][1 if val else 0] for idx, val in prime]
+                )
+                for prime in on_primes
+            ]
+        )
+        s0 = self.disj(
+            [
+                self.conj(
+                    [child_pairs[idx][1 if val else 0] for idx, val in prime]
+                )
+                for prime in off_primes
+            ]
+        )
+        pair = self.gate_memo[key] = (s0, s1)
+        return pair
 
     def support(self, node: int) -> set[str]:
         """PIs the expression depends on."""
@@ -176,8 +220,11 @@ class StabilityContext:
     learned clauses stay valid across every query the context serves.
 
     The demand-driven analyzer keeps one context per (module, output)
-    cone so successive refinement checks reuse sub-encodings instead of
-    re-Tseitin-encoding the cone from scratch.
+    cone, and characterization one per characterized output, so
+    successive checks reuse sub-encodings and learned clauses instead of
+    re-Tseitin-encoding the cone from scratch.  The expression manager
+    memoizes gate expansions, so a later check's stability DAG reuses
+    the gates an earlier check already expanded.
     """
 
     def __init__(self) -> None:
@@ -209,6 +256,7 @@ class StabilityAnalyzer:
     arrival:
         PI → arrival time; missing PIs default to 0.0 and ``-inf`` means
         "available from the beginning of time" (an unconstrained input).
+        A NaN arrival raises :class:`~repro.errors.AnalysisError`.
     engine:
         Tautology engine: ``"sat"`` (default), ``"bdd"`` or ``"brute"``.
     tracer:
@@ -244,6 +292,9 @@ class StabilityAnalyzer:
         self.arrival = {
             x: float((arrival or {}).get(x, 0.0)) for x in network.inputs
         }
+        for x, at in self.arrival.items():
+            if at != at:
+                raise AnalysisError(f"arrival time for {x!r} is NaN")
         self.engine: Engine = engine
         #: Optional satisfiability-don't-care constraint: a network whose
         #: outputs are named after PIs of ``network``; only PI vectors in
@@ -268,6 +319,7 @@ class StabilityAnalyzer:
             else _ExprManager()
         )
         self._memo: dict[tuple[str, float], tuple[int, int]] = {}
+        self._event_times: dict[str, tuple[float, ...]] | None = None
         self._stable_memo: dict[tuple[str, float], bool] = {}
         self._bdd: BDDManager | None = None
         self._bdd_memo: dict[int, int] = {}
@@ -289,59 +341,59 @@ class StabilityAnalyzer:
         """Expression nodes ``(S0, S1)`` of ``signal`` at time ``t``.
 
         Built iteratively (circuits can be deeper than the Python recursion
-        limit) with memoization on ``(signal, t)``.
+        limit) with memoization on ``(signal, t)``.  The walk order fixes
+        the ids of new expression nodes, so it never changes: children
+        are pushed in fanin order and a node is finalized once all of
+        them are known.
         """
-        net = self.network
+        _require_time(t)
+        memo = self._memo
+        root = (signal, self._tkey(t))
+        pair = memo.get(root)
+        if pair is not None:
+            return pair
+        gates = self.network.gates
+        arrival = self.arrival
+        if signal not in gates and signal not in arrival:
+            self.network.gate(signal)  # raises: not a signal
         exprs = self._exprs
-        root_key = (signal, self._tkey(t))
-        if root_key in self._memo:
-            return self._memo[root_key]
-        stack: list[tuple[str, float]] = [(signal, self._tkey(t))]
+        gate_memo = exprs.gate_memo
+        stack = [root]
         while stack:
-            sig, tk = stack[-1]
-            key = (sig, tk)
-            if key in self._memo:
+            key = stack[-1]
+            if key in memo:
                 stack.pop()
                 continue
-            if net.is_input(sig):
-                if tk >= self.arrival[sig] - _EPS:
-                    pair = (exprs.lit(sig, False), exprs.lit(sig, True))
+            sig, tk = key
+            gate = gates.get(sig)
+            if gate is None:  # a primary input
+                if tk >= arrival[sig] - _EPS:
+                    memo[key] = (exprs.lit(sig, False), exprs.lit(sig, True))
                 else:
-                    pair = (exprs.FALSE, exprs.FALSE)
-                self._memo[key] = pair
+                    memo[key] = (exprs.FALSE, exprs.FALSE)
                 stack.pop()
                 continue
-            gate = net.gate(sig)
-            child_t = self._tkey(tk - gate.delay)
-            missing = [
-                (f, child_t)
-                for f in gate.fanins
-                if (f, child_t) not in self._memo
-            ]
+            child_t = tk - gate.delay
+            if NEG_INF < child_t < POS_INF:
+                child_t = round(child_t, 9)
+            child_pairs = []
+            missing = []
+            for f in gate.fanins:
+                child = (f, child_t)
+                p = memo.get(child)
+                if p is None:
+                    missing.append(child)
+                else:
+                    child_pairs.append(p)
             if missing:
                 stack.extend(missing)
                 continue
-            child_pairs = [self._memo[(f, child_t)] for f in gate.fanins]
-            on_primes, off_primes = gate_primes(gate.gtype, len(gate.fanins))
-            s1 = exprs.disj(
-                [
-                    exprs.conj(
-                        [child_pairs[idx][1 if val else 0] for idx, val in prime]
-                    )
-                    for prime in on_primes
-                ]
-            )
-            s0 = exprs.disj(
-                [
-                    exprs.conj(
-                        [child_pairs[idx][1 if val else 0] for idx, val in prime]
-                    )
-                    for prime in off_primes
-                ]
-            )
-            self._memo[key] = (s0, s1)
+            pair = gate_memo.get((gate.gtype, *child_pairs))
+            if pair is None:
+                pair = exprs.expand_gate(gate.gtype, child_pairs)
+            memo[key] = pair
             stack.pop()
-        return self._memo[root_key]
+        return memo[root]
 
     # ------------------------------------------------------ tautology engines
     def _encode_node(self, node: int) -> int:
@@ -555,6 +607,7 @@ class StabilityAnalyzer:
         ``sat_calls`` only the checks that actually reached a solver —
         the three stay consistent (`sat_calls <= checks - cached`).
         """
+        _require_time(t)
         key = (output, self._tkey(t))
         self.stats["stability_checks"] += 1
         tracer = self.tracer
@@ -649,9 +702,11 @@ class StabilityAnalyzer:
         """
         if not self.network.has_signal(output):
             raise AnalysisError(f"unknown signal {output!r}")
-        cands = event_time_candidates(self.network, self.arrival).get(
-            output, ()
-        )
+        if self._event_times is None:
+            self._event_times = event_time_candidates(
+                self.network, self.arrival
+            )
+        cands = self._event_times.get(output, ())
         finite = [c for c in cands if c != NEG_INF]
         if not finite:
             return NEG_INF if self.stable_at(output, NEG_INF) else POS_INF

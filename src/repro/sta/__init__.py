@@ -23,6 +23,7 @@ from repro.sta.topological import (
     arrival_times_batch,
     critical_path,
     pin_to_pin_delay,
+    pin_to_pin_delays,
     required_times,
     slacks,
     topological_delay,
@@ -44,6 +45,7 @@ __all__ = [
     "mapped_delays",
     "paper_example_delays",
     "pin_to_pin_delay",
+    "pin_to_pin_delays",
     "required_times",
     "slacks",
     "timing_report",

@@ -22,7 +22,7 @@ from typing import Mapping
 from repro.core.timing_model import TimingModel
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign
-from repro.sta.topological import pin_to_pin_delay
+from repro.sta.topological import pin_to_pin_delays
 
 NEG_INF = float("-inf")
 
@@ -54,9 +54,13 @@ class KnownFalseAnalyzer:
         self.design = design
         self._defaults: dict[tuple[str, str, str], float] = {}
         for name, module in design.modules.items():
+            delays = {
+                inp: pin_to_pin_delays(module.network, inp)
+                for inp in module.inputs
+            }
             for out in module.outputs:
                 for inp in module.inputs:
-                    w = pin_to_pin_delay(module.network, inp, out)
+                    w = delays[inp].get(out, NEG_INF)
                     if w != NEG_INF:
                         self._defaults[(name, inp, out)] = w
 

@@ -162,13 +162,14 @@ def critical_path(
     return CriticalPath(tuple(path), at[output])
 
 
-def pin_to_pin_delay(network: Network, source: str, sink: str) -> float:
-    """Longest topological path delay from signal ``source`` to ``sink``.
+def pin_to_pin_delays(network: Network, source: str) -> dict[str, float]:
+    """Longest topological path delay from ``source`` to every signal.
 
-    Returns ``-inf`` if no path exists.
+    One forward pass; signals with no path from ``source`` are absent
+    (``source`` itself maps to 0.0).
     """
-    if not network.has_signal(source) or not network.has_signal(sink):
-        raise AnalysisError("unknown signal in pin_to_pin_delay")
+    if not network.has_signal(source):
+        raise AnalysisError("unknown signal in pin_to_pin_delays")
     dist: dict[str, float] = {source: 0.0}
     for s in network.topological_order():
         if s == source or network.is_input(s):
@@ -177,4 +178,15 @@ def pin_to_pin_delay(network: Network, source: str, sink: str) -> float:
         reachable = [dist[f] for f in g.fanins if f in dist]
         if reachable:
             dist[s] = max(reachable) + g.delay
-    return dist.get(sink, NEG_INF)
+    return dist
+
+
+def pin_to_pin_delay(network: Network, source: str, sink: str) -> float:
+    """Longest topological path delay from signal ``source`` to ``sink``.
+
+    Returns ``-inf`` if no path exists.  To read many sinks of one
+    source, call :func:`pin_to_pin_delays` once instead.
+    """
+    if not network.has_signal(source) or not network.has_signal(sink):
+        raise AnalysisError("unknown signal in pin_to_pin_delay")
+    return pin_to_pin_delays(network, source).get(sink, NEG_INF)

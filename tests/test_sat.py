@@ -9,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.circuits.adders import cascade_adder
+from repro.circuits.partition import cascade_bipartition
+from repro.circuits.random_logic import random_network
+from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.xbd0 import StabilityAnalyzer, StabilityContext
 from repro.errors import SolverError
 from repro.sat.cnf import CNF
@@ -262,6 +265,24 @@ class TestSearchPinned:
             if -negact == solver._activity[var]
         )
         assert [v for v, n in current.items() if n > 1] == []
+
+    @pytest.mark.parametrize(
+        ("num_inputs", "num_gates", "expected"),
+        [(16, 120, (37, 22, 1042, 15, 0)), (12, 80, (52, 42, 2851, 30, 0))],
+    )
+    def test_same_search_on_demand_loop(self, num_inputs, num_gates, expected):
+        """Counts recorded before the stability walk memoized gate
+        expansions, summed over the per-cone sessions of one Section-5
+        run on a random reconvergent bipartition."""
+        design = cascade_bipartition(
+            random_network(num_inputs, num_gates, seed=1), 0.5
+        )
+        analyzer = DemandDrivenAnalyzer(design)
+        analyzer.analyze()
+        solvers = [c.session._solver for c in analyzer._contexts.values()]
+        assert tuple(
+            sum(solver.stats[k] for solver in solvers) for k in _SEARCH_KEYS
+        ) == expected
 
 
 def _brute_force_sat(num_vars: int, clauses: list[tuple[int, ...]]) -> bool:

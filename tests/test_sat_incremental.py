@@ -270,6 +270,43 @@ class TestSatModesAgree:
         _, result = _assert_session_matches_oracle(design, monkeypatch)
         assert result.refinement_checks >= 8
 
+    def test_characterization_matches_oneshot(self, monkeypatch):
+        """Characterization runs every check of one output on one shared
+        context; the one-shot oracle finds the same tuples with the same
+        checks, under per-instance care networks too."""
+        import repro.core.required as required
+        from repro.circuits.adders import carry_skip_block
+        from repro.circuits.random_logic import random_network
+        from repro.core.instance_models import instance_care_network
+        from tests.reference import OneShotStabilityAnalyzer
+        from tests.test_instance_models import sdc_design
+
+        runs = [
+            (network, out, None)
+            for network in (
+                carry_skip_block(8), random_network(12, 80, seed=1)
+            )
+            for out in network.outputs
+        ]
+        design = sdc_design()
+        for name, inst in design.instances.items():
+            module = design.module_of(inst).network
+            care = instance_care_network(design, name)
+            runs += [(module, out, care) for out in module.outputs]
+        for network, out, care in runs:
+            shipped = required.approx_required_tuples(network, out, care=care)
+            with monkeypatch.context() as patch:
+                patch.setattr(
+                    required, "StabilityAnalyzer", OneShotStabilityAnalyzer
+                )
+                oracle = required.approx_required_tuples(
+                    network, out, care=care
+                )
+            assert shipped.checks > 0
+            assert (shipped.tuples, shipped.topological, shipped.checks) == (
+                oracle.tuples, oracle.topological, oracle.checks
+            ), (network.name, out)
+
     def test_care_checks_match_oneshot(self):
         """Under per-instance care networks (paper footnote 6) the
         session and the oracle agree on every candidate stable time,

@@ -1,8 +1,13 @@
 """Tests for topological STA and path-length machinery."""
 
+import random
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.circuits.adders import carry_skip_block
+from repro.circuits.random_logic import random_network
 from repro.errors import AnalysisError
 from repro.netlist.network import Network
 from repro.sta.delays import (
@@ -22,6 +27,7 @@ from repro.sta.topological import (
     arrival_times,
     critical_path,
     pin_to_pin_delay,
+    pin_to_pin_delays,
     required_times,
     slacks,
     topological_delay,
@@ -125,6 +131,35 @@ class TestPinToPin:
     def test_unknown_signal_raises(self, csa_block2):
         with pytest.raises(AnalysisError):
             pin_to_pin_delay(csa_block2, "ghost", "c_out")
+        with pytest.raises(AnalysisError):
+            pin_to_pin_delays(csa_block2, "ghost")
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 10_000),
+        num_inputs=st.integers(3, 8),
+        num_gates=st.integers(1, 50),
+    )
+    def test_one_pass_matches_every_pair(self, seed, num_inputs, num_gates):
+        """One forward pass per source gives each pair's longest path bit
+        for bit, on fractional delays whose sums round, and reaches
+        exactly the source's transitive fanout."""
+        rng = random.Random(seed)
+        net = random_network(num_inputs, num_gates, seed=seed).with_delays(
+            lambda g: rng.choice((0.1, 0.2, 0.3, 0.7, 1.1))
+        )
+        signals = list(net.signals())
+        for x in net.inputs:
+            delays = pin_to_pin_delays(net, x)
+            reached, frontier = {x}, [x]
+            while frontier:
+                for f in net.fanouts(frontier.pop()):
+                    if f not in reached:
+                        reached.add(f)
+                        frontier.append(f)
+            assert set(delays) == reached
+            for y in signals:
+                assert delays.get(y, NEG_INF) == pin_to_pin_delay(net, x, y)
 
 
 class TestDistinctPathLengths:

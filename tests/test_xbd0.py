@@ -180,3 +180,29 @@ class TestStats:
     def test_unknown_engine_rejected(self, csa_block2):
         with pytest.raises(AnalysisError):
             StabilityAnalyzer(csa_block2, engine="magic")
+
+
+class TestNaNRejected:
+    """NaN never equals itself, so a NaN time would defeat the
+    ``(signal, t)`` memo of the stability walk and make it re-push the
+    same children forever; it is rejected up front instead."""
+
+    def test_nan_arrival_rejected(self):
+        with pytest.raises(AnalysisError, match="c_in"):
+            functional_delays(carry_skip_block(2), {"c_in": float("nan")})
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_nan_query_time_rejected(self, csa_block2, engine):
+        analyzer = StabilityAnalyzer(csa_block2, engine=engine)
+        with pytest.raises(AnalysisError, match="NaN"):
+            analyzer.stable_at("c_out", float("nan"))
+        with pytest.raises(AnalysisError, match="NaN"):
+            analyzer.unstable_witness("c_out", float("nan"))
+        assert analyzer.stats["stability_checks"] == 0
+
+    def test_infinite_arrivals_keep_their_meaning(self, csa_block2):
+        """``-inf`` is "always there", ``+inf`` "never arrives"."""
+        never = functional_delays(csa_block2, {"c_in": float("inf")})
+        always = functional_delays(csa_block2, {"c_in": float("-inf")})
+        default = functional_delays(csa_block2)["c_out"]
+        assert always["c_out"] <= default < never["c_out"] == float("inf")
