@@ -57,9 +57,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 #: Tautology engines accepted by every analyzer.
 ENGINES = ("sat", "bdd", "brute")
 
-#: Candidate orders of the demand-driven refinement loop.
-REFINE_ORDERS = ("scan", "movement")
-
 
 @dataclass(frozen=True, kw_only=True)
 class AnalysisOptions:
@@ -103,20 +100,6 @@ class AnalysisOptions:
     batch_size:
         Scenario chunk size for compiled batch evaluation (bounds the
         working-set matrix to ``batch_size × nets`` floats).
-    refine_order:
-        Candidate order of the demand-driven refinement loop: ``scan``
-        (the paper's literal edge order) or ``movement`` (pin pairs by
-        descending cumulative slack movement their past refinements
-        produced, scan order breaking ties).
-    portfolio_jobs:
-        Worker processes for the speculative refinement-check portfolio
-        (1 = fully serial, the default).  Results are bit-identical for
-        any value on timeout-free runs; checks that blow
-        ``check_timeout`` are skipped soundly.
-    check_timeout:
-        Per-check deadline (seconds) for portfolio workers; a check
-        that exceeds it is abandoned and its pin pair keeps the current
-        conservative weight (``None`` = no per-check limit).
     """
 
     engine: str = "sat"
@@ -132,9 +115,6 @@ class AnalysisOptions:
     refine_budget: int | None = None
     fault_plan: object | None = field(default=None, repr=False)
     batch_size: int = 256
-    refine_order: str = "scan"
-    portfolio_jobs: int = 1
-    check_timeout: float | None = None
 
     def __post_init__(self) -> None:
         if self.engine not in ENGINES:
@@ -172,21 +152,6 @@ class AnalysisOptions:
                     f"refine_budget must be >= 0, got {budget}"
                 )
             object.__setattr__(self, "refine_budget", budget)
-        if self.refine_order not in REFINE_ORDERS:
-            raise ValueError(
-                f"unknown refine_order {self.refine_order!r}; "
-                f"expected one of {REFINE_ORDERS}"
-            )
-        object.__setattr__(
-            self, "portfolio_jobs", max(1, int(self.portfolio_jobs))
-        )
-        if self.check_timeout is not None:
-            timeout = float(self.check_timeout)
-            if timeout <= 0:
-                raise ValueError(
-                    f"check_timeout must be > 0, got {timeout}"
-                )
-            object.__setattr__(self, "check_timeout", timeout)
 
     def with_changes(self, **changes) -> "AnalysisOptions":
         """A copy with the given fields replaced (re-validated)."""

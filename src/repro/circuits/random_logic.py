@@ -53,6 +53,11 @@ def random_network(
 
     for idx in range(num_gates):
         gtype = rng.choice(_GATE_POOL)
+        # pick() draws distinct fanins, so it must never be asked for
+        # more than there are signals (only two, before the first gate
+        # of a two-input network).
+        if gtype == "MUX" and len(signals) < 3:
+            gtype = "XOR"
         if gtype == "NOT":
             fanins = pick(1)
         elif gtype == "MUX":
@@ -60,7 +65,7 @@ def random_network(
         elif gtype == "XOR":
             fanins = pick(2)
         else:
-            fanins = pick(rng.randint(2, 3))
+            fanins = pick(min(rng.randint(2, 3), len(signals)))
         delay = 2.0 if gtype in ("XOR", "MUX") else 1.0
         signals.append(net.add_gate(f"n{idx}", gtype, fanins, delay))
 

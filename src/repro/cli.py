@@ -299,9 +299,6 @@ def make_options(args: argparse.Namespace, tracer=None):
             retries=getattr(args, "retries", 2),
             refine_budget=getattr(args, "refine_budget", None),
             fault_plan=plan,
-            refine_order=getattr(args, "refine_order", "scan"),
-            portfolio_jobs=getattr(args, "portfolio_jobs", 1),
-            check_timeout=getattr(args, "check_timeout", None),
         )
     except ValueError as exc:
         raise ReproError(str(exc)) from None
@@ -775,32 +772,6 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="arm a deterministic fault POINT:KIND[:TIMES[:K=V,...]] "
             "(robustness drills; repeatable)",
-        )
-        p.add_argument(
-            "--refine-order",
-            choices=("scan", "movement"),
-            default="scan",
-            help="candidate order of the refinement loop: the paper's "
-            "literal edge scan, or pin pairs by descending cumulative "
-            "slack movement of their past refinements",
-        )
-        p.add_argument(
-            "--portfolio-jobs",
-            type=int,
-            default=1,
-            metavar="N",
-            help="worker processes for the speculative refinement-check "
-            "portfolio (default 1 = serial; results are identical for "
-            "any value on timeout-free runs)",
-        )
-        p.add_argument(
-            "--check-timeout",
-            type=float,
-            default=None,
-            metavar="SECONDS",
-            help="per-check deadline for portfolio workers; a check "
-            "past it is skipped soundly (the pin pair keeps its "
-            "conservative weight)",
         )
 
     def add_batch_opts(p: argparse.ArgumentParser) -> None:

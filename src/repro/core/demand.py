@@ -31,7 +31,12 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
-from repro.core.xbd0 import Engine, StabilityAnalyzer, StabilityContext
+from repro.core.xbd0 import (
+    Engine,
+    StabilityAnalyzer,
+    StabilityContext,
+    reject_nan_arrivals,
+)
 from repro.errors import AnalysisError
 from repro.kernel.graph import CompiledTimingGraph, GraphState
 from repro.netlist.hierarchy import HierDesign
@@ -43,9 +48,6 @@ from repro.obs.forensics import (
 )
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
-from repro.resilience.executor import run_resilient
-from repro.resilience.faultinject import execute_directive
-from repro.resilience.policy import ResiliencePolicy
 from repro.sta.paths import distinct_path_lengths
 from repro.sta.topological import pin_to_pin_delays
 
@@ -84,39 +86,6 @@ class _PinPairState:
         if self.index + 1 < len(self.lengths):
             return self.lengths[self.index + 1]
         return NEG_INF
-
-
-#: Worker-side stability contexts, keyed per cone so checks on the same
-#: cone within one portfolio batch (and pool lifetime) reuse encodings.
-_WORKER_CONTEXTS: dict[tuple[str, str], StabilityContext] = {}
-
-
-def _portfolio_check(payload, directive=None, tracer=None):
-    """One speculative refinement check (runs in a worker process).
-
-    The check is a pure function of ``(cone, arrival vector)``: it
-    answers whether the cone output is XBD0-stable at t = 0 under the
-    candidate arrival condition.  The parent only uses the answer to
-    warm its check cache — commit order and all state mutation stay in
-    the parent's sequential loop, which is what makes portfolio results
-    independent of the worker count.
-    """
-    (module_name, out, arrival_items, cone, engine) = payload
-    execute_directive(directive)
-    context = None
-    if engine == "sat":
-        ckey = (module_name, out)
-        context = _WORKER_CONTEXTS.get(ckey)
-        if context is None:
-            context = _WORKER_CONTEXTS[ckey] = StabilityContext()
-    analyzer = StabilityAnalyzer(
-        cone,
-        dict(arrival_items),
-        engine,
-        tracer=tracer,
-        context=context,
-    )
-    return analyzer.stable_at(out, 0.0)
 
 
 @dataclass(frozen=True)
@@ -242,14 +211,6 @@ class DemandDrivenAnalyzer:
         #: Shared incremental-SAT state per (module, output) cone, so
         #: successive checks on one cone reuse encodings and learnings.
         self._contexts: dict[tuple[str, str], StabilityContext] = {}
-        #: Memoized check results keyed (pin pair, candidate, arrival
-        #: vector) — the join point between speculative portfolio checks
-        #: and the sequential commit loop.
-        self._check_cache: dict[tuple, bool] = {}
-        #: Cumulative top-level slack movement credited to each pin pair
-        #: (from the telemetry the refinement loop records); drives the
-        #: "movement" candidate ordering.
-        self._movement: dict[PinPair, float] = {}
         self._forensics: ForensicsReport | None = None
         self._build_graph()
 
@@ -370,116 +331,6 @@ class DemandDrivenAnalyzer:
                 critical.append(edge)
         return critical
 
-    def _order_candidates(
-        self, critical: list[tuple[str, str, PinPair]]
-    ) -> list[tuple[str, str, PinPair]]:
-        """Candidate order for the refinement loop.
-
-        ``refine_order="movement"`` sorts by the cumulative top-level
-        slack movement past refinements of the pin pair produced (the
-        ``demand.refinement_slack_movement`` telemetry), largest first —
-        pairs that moved the answer before are tried first.  The sort is
-        stable with scan order breaking ties, and movement totals only
-        change when the sequential loop commits a refinement, so the
-        order is deterministic and identical for any worker count.
-        ``refine_order="scan"`` keeps the paper's literal edge order.
-        """
-        if self.options.refine_order != "movement":
-            return critical
-        movement = self._movement
-        return sorted(
-            critical, key=lambda edge: -movement.get(edge[2], 0.0)
-        )
-
-    def _portfolio_prefetch(
-        self, critical: list[tuple[str, str, PinPair]], deadline
-    ) -> None:
-        """Speculatively run independent critical-edge checks in parallel.
-
-        Dispatches the checks the sequential loop is about to consider
-        through :func:`run_resilient` (one process per check, per-check
-        deadline ``options.check_timeout``) and stores the answers in
-        the check cache.  Soundness of degradation: a check that times
-        out or crashes is *skipped* — its pin pair is marked exact, the
-        current conservative weight stays, and a degradation record
-        names it (Theorem 1).  Because results only enter the loop
-        through the arrival-keyed cache and commits stay sequential,
-        the refinement outcome is bit-identical for any worker count on
-        timeout-free runs.
-        """
-        jobs = self.options.portfolio_jobs
-        payloads = []
-        keys: list[tuple[PinPair, tuple]] = []
-        for _src, _dst, key in critical:
-            state = self._states[key]
-            if state.exact:
-                continue
-            self._ensure_lengths(key)
-            candidate = state.next_candidate()
-            arrival = self._check_arrival(key, candidate)
-            cache_key = self._check_cache_key(key, candidate, arrival)
-            if cache_key in self._check_cache:
-                continue
-            module_name, _inp, out = key
-            payloads.append(
-                (
-                    module_name,
-                    out,
-                    tuple(sorted(arrival.items())),
-                    self._cone(module_name, out),
-                    self.engine,
-                )
-            )
-            keys.append((key, cache_key))
-            if len(payloads) >= jobs:
-                break
-        if len(payloads) < 2:
-            return  # nothing worth a pool; the serial loop handles it
-        portfolio_policy = ResiliencePolicy(
-            module_timeout=self.options.check_timeout,
-            max_retries=0,
-            quarantine_after=1,
-            fault_plan=self.policy.fault_plan,
-        )
-        if self.tracer.enabled:
-            self.tracer.count("demand.portfolio_dispatched", len(payloads))
-            self.tracer.observe(
-                "demand.portfolio_occupancy", len(payloads) / jobs
-            )
-        outcomes = run_resilient(
-            _portfolio_check,
-            payloads,
-            jobs=jobs,
-            policy=portfolio_policy,
-            deadline=deadline,
-            dlog=self.dlog,
-            subject_of=lambda p: {"check": f"{p[0]}->{p[1]}"},
-            tracer=self.tracer,
-            point="demand.portfolio",
-            serial_point="demand.portfolio.serial",
-            serial_fallback=False,
-        )
-        for (key, cache_key), outcome in zip(keys, outcomes):
-            if outcome.ok:
-                self._check_cache[cache_key] = bool(outcome.result)
-            elif outcome.failures:
-                # Timed out or crashed under its per-check deadline:
-                # skip the check soundly — keep the current conservative
-                # weight and stop re-attempting the pair.
-                module_name, inp, out = key
-                self._states[key].exact = True
-                self.dlog.record(
-                    "portfolio-skip",
-                    f"{module_name}:{inp}->{out}",
-                    f"speculative check abandoned after "
-                    f"{outcome.failures} worker failure(s)",
-                    "keep-current-weight",
-                )
-                if self.tracer.enabled:
-                    self.tracer.count("demand.portfolio_skips")
-            # failures == 0 and not ok: never attempted (pool refused or
-            # run deadline hit) — leave uncached for the serial loop.
-
     def _ensure_lengths(self, key: PinPair) -> None:
         """Lazily expand the seed into the full distinct-length list."""
         state = self._states[key]
@@ -505,11 +356,6 @@ class DemandDrivenAnalyzer:
                 arrival[x] = POS_INF if w == NEG_INF else -w
         return arrival
 
-    def _check_cache_key(
-        self, key: PinPair, candidate: float, arrival: Mapping[str, float]
-    ) -> tuple:
-        return (key, candidate, tuple(sorted(arrival.items())))
-
     def _context_for(self, key: PinPair) -> StabilityContext | None:
         """The shared per-cone SAT context (``None`` off the sat path)."""
         if self.engine != "sat":
@@ -522,32 +368,16 @@ class DemandDrivenAnalyzer:
         return context
 
     def _run_check(self, key: PinPair, candidate: float) -> bool:
-        """Decide one refinement check, via cache or a fresh analyzer.
-
-        The cache is keyed by the full arrival vector, so an entry a
-        speculative portfolio worker produced is only ever consumed by
-        the *same* logical check the sequential loop would have run —
-        stale speculation (weights moved since dispatch) simply misses.
-        """
+        """Decide one refinement check on the cone's shared context."""
         module_name, _inp, out = key
-        arrival = self._check_arrival(key, candidate)
-        cache_key = self._check_cache_key(key, candidate, arrival)
-        cached = self._check_cache.get(cache_key)
-        if cached is not None:
-            if self.tracer.enabled:
-                self.tracer.count("demand.portfolio_cache_hits")
-            return cached
-        cone = self._cone(module_name, out)
         analyzer = StabilityAnalyzer(
-            cone,
-            arrival,
+            self._cone(module_name, out),
+            self._check_arrival(key, candidate),
             self.engine,
             tracer=self.tracer,
             context=self._context_for(key),
         )
-        improved = analyzer.stable_at(out, 0.0)
-        self._check_cache[cache_key] = improved
-        return improved
+        return analyzer.stable_at(out, 0.0)
 
     def _try_refine(self, key: PinPair) -> bool:
         """One Section-5 refinement step; True if the weight improved.
@@ -653,16 +483,7 @@ class DemandDrivenAnalyzer:
             # Reproduce the rejected check and extract its witness.
             next_candidate = state.next_candidate()
             cone = self._cone(module_name, out)
-            arrival = {}
-            for x in cone.inputs:
-                if x == inp:
-                    arrival[x] = (
-                        POS_INF if next_candidate == NEG_INF
-                        else -next_candidate
-                    )
-                else:
-                    w = self._states[(module_name, x, out)].weight
-                    arrival[x] = POS_INF if w == NEG_INF else -w
+            arrival = self._check_arrival(key, next_candidate)
             analyzer = StabilityAnalyzer(cone, arrival, self.engine)
             witness = analyzer.unstable_witness(out, 0.0)
             if witness is not None:
@@ -697,9 +518,11 @@ class DemandDrivenAnalyzer:
         The timing graph is compiled once per run (seeded with the
         current, possibly already refined, weights); one full STA pass
         follows, and each accepted refinement lowers its pin pair's
-        edges and reflows only the affected cone.
+        edges and reflows only the affected cone.  A NaN arrival raises
+        :class:`~repro.errors.AnalysisError`.
         """
         arrival = arrival or {}
+        reject_nan_arrivals(arrival)
         start = time.perf_counter()
         mark = len(self.dlog)
         deadline = self.policy.start()
@@ -732,9 +555,6 @@ class DemandDrivenAnalyzer:
                 break
             if self.tracer.enabled:
                 self.tracer.count("demand.critical_edges", len(critical))
-            critical = self._order_candidates(critical)
-            if self.options.portfolio_jobs > 1 and len(critical) > 1:
-                self._portfolio_prefetch(critical, deadline)
             improved_key = None
             weight_before = NEG_INF
             for _src, _dst, key in critical:
@@ -801,13 +621,6 @@ class DemandDrivenAnalyzer:
                 },
             )
             events.append(event)
-            movement = delay_before - delay_after
-            if movement == movement and abs(movement) != POS_INF:
-                # Credit the slack movement to the pin pair — the
-                # telemetry doubles as the "movement" candidate order.
-                self._movement[improved_key] = (
-                    self._movement.get(improved_key, 0.0) + movement
-                )
             if self.tracer.enabled:
                 self.tracer.event(
                     "refinement-applied",
@@ -820,6 +633,7 @@ class DemandDrivenAnalyzer:
                     delay_after=delay_after,
                     moved_outputs=len(event.output_moves),
                 )
+                movement = delay_before - delay_after
                 if movement == movement and abs(movement) != POS_INF:
                     self.tracer.observe(
                         "demand.refinement_slack_movement", movement

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING, Mapping
 from repro.core.required import characterize_network
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
-from repro.core.xbd0 import Engine
+from repro.core.xbd0 import Engine, reject_nan_arrivals
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
@@ -370,6 +370,7 @@ class HierarchicalAnalyzer:
         """
         design = self.design
         arrival = arrival or {}
+        reject_nan_arrivals(arrival)
         useful = self._useful_ports()
         t0 = time.perf_counter()
         mark = len(self.dlog)
@@ -594,8 +595,11 @@ class HierarchicalAnalyzer:
         """Propagate arrivals through the instance DAG (Section 3.2).
 
         One scenario through the compiled plan of :meth:`compile`
-        (built on first use and cached on the analyzer).
+        (built on first use and cached on the analyzer).  A NaN arrival
+        raises :class:`~repro.errors.AnalysisError`.
         """
+        arrival = arrival or {}
+        reject_nan_arrivals(arrival)
         design = self.design
         t0 = time.perf_counter()
         mark = len(self.dlog)
@@ -606,7 +610,7 @@ class HierarchicalAnalyzer:
             "propagate", phase="propagation", design=design.name
         ):
             net_times = compiled.propagate(
-                [arrival or {}], tracer=self.tracer
+                [arrival], tracer=self.tracer
             )[0]
         output_times = {o: net_times[o] for o in design.outputs}
         t2 = time.perf_counter()
@@ -638,6 +642,8 @@ class HierarchicalAnalyzer:
 
         design = self.design
         scenarios = [dict(s or {}) for s in scenarios]
+        for scenario in scenarios:
+            reject_nan_arrivals(scenario)
         t0 = time.perf_counter()
         mark = len(self.dlog)
         fresh = self._ensure_models()

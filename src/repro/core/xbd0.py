@@ -59,6 +59,15 @@ def _require_time(t: float) -> None:
         raise AnalysisError("stability query time must not be NaN")
 
 
+def reject_nan_arrivals(arrival: Mapping[str, float]) -> None:
+    """Raise :class:`~repro.errors.AnalysisError` naming the first input
+    whose arrival time is NaN.  ``-inf`` ("always there") and ``+inf``
+    ("never arrives") keep their meanings."""
+    for x, at in arrival.items():
+        if at != at:
+            raise AnalysisError(f"arrival time for {x!r} is NaN")
+
+
 class _ExprManager:
     """Structurally-hashed AND/OR DAG over primary-input literals.
 
@@ -292,9 +301,7 @@ class StabilityAnalyzer:
         self.arrival = {
             x: float((arrival or {}).get(x, 0.0)) for x in network.inputs
         }
-        for x, at in self.arrival.items():
-            if at != at:
-                raise AnalysisError(f"arrival time for {x!r} is NaN")
+        reject_nan_arrivals(self.arrival)
         self.engine: Engine = engine
         #: Optional satisfiability-don't-care constraint: a network whose
         #: outputs are named after PIs of ``network``; only PI vectors in

@@ -27,6 +27,8 @@ class Gate:
 
     def __post_init__(self) -> None:
         check_arity(self.gtype, len(self.fanins))
+        if self.delay != self.delay:
+            raise NetlistError(f"gate {self.name!r}: delay is NaN")
         if self.delay < 0:
             raise NetlistError(f"gate {self.name!r}: negative delay {self.delay}")
 

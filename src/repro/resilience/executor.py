@@ -71,10 +71,7 @@ def run_resilient(
     dlog: DegradationLog | None = None,
     subject_of: Callable = lambda payload: {"task": "?"},
     tracer: Tracer | None = None,
-    point: str = "scheduler.task",
-    serial_point: str = "scheduler.serial",
     sleep: Callable[[float], None] = time.sleep,
-    serial_fallback: bool = True,
 ) -> list[TaskOutcome]:
     """Map ``task`` over ``payloads``, surviving crashes and timeouts.
 
@@ -85,14 +82,6 @@ def run_resilient(
 
     ``subject_of(payload)`` names the payload for degradation records
     and fault-rule matching (e.g. ``{"module": name}``).
-
-    ``serial_fallback=False`` skips the in-process recovery phase:
-    whatever the pool could not finish comes back ``ok=False`` and the
-    caller decides.  The demand-driven portfolio uses this for its
-    speculative checks — a check that blew its per-check deadline must
-    be *skipped* (sound degradation), not ground out serially.
-    Outcomes with ``failures == 0`` were never attempted (e.g. the pool
-    could not be built) and may safely be retried in-process.
     """
     deadline = deadline if deadline is not None else UNLIMITED
     dlog = dlog if dlog is not None else DegradationLog()
@@ -109,13 +98,11 @@ def run_resilient(
         pending = _parallel_phase(
             task, payloads, pending, outcomes, contexts,
             jobs=jobs, policy=policy, deadline=deadline, dlog=dlog,
-            tracer=tracer, plan=plan, point=point, sleep=sleep,
+            tracer=tracer, plan=plan, sleep=sleep,
         )
 
     # Serial phase: first attempt of a serial run, or the in-process
     # fallback for everything the pool could not finish.
-    if not serial_fallback:
-        return outcomes
     for i in pending:
         outcome = outcomes[i]
         if deadline.expired():
@@ -130,7 +117,7 @@ def run_resilient(
             continue
         try:
             if plan is not None:
-                plan.fire(serial_point, **contexts[i])
+                plan.fire("scheduler.serial", **contexts[i])
             outcome.result = task(payloads[i], None, tracer)
             outcome.ok = True
         except (KeyboardInterrupt, SystemExit):
@@ -148,7 +135,7 @@ def run_resilient(
 
 def _parallel_phase(
     task, payloads, pending, outcomes, contexts, *,
-    jobs, policy, deadline, dlog, tracer, plan, point, sleep,
+    jobs, policy, deadline, dlog, tracer, plan, sleep,
 ) -> list[int]:
     """Worker-pool rounds with retry/quarantine; returns what is left."""
     try:
@@ -192,7 +179,7 @@ def _parallel_phase(
                 i: pool.submit(
                     task,
                     payloads[i],
-                    plan.directive(point, **contexts[i])
+                    plan.directive("scheduler.task", **contexts[i])
                     if plan is not None
                     else None,
                 )

@@ -65,12 +65,16 @@ class TestAnalysisOptions:
         assert opts.jobs == 1
         assert isinstance(opts.cache_dir, Path)
 
-    def test_sat_mode_removed(self):
-        """One SAT strategy: the option is an unknown keyword."""
+    @pytest.mark.parametrize(
+        "name", ["sat_mode", "refine_order", "portfolio_jobs", "check_timeout"]
+    )
+    def test_removed_option_rejected(self, name):
+        """One SAT strategy and one serial refinement loop: each removed
+        option is an unknown keyword."""
         names = {f.name for f in dataclasses.fields(AnalysisOptions)}
-        assert "sat_mode" not in names
+        assert name not in names
         with pytest.raises(TypeError):
-            AnalysisOptions(sat_mode="oneshot")
+            AnalysisOptions(**{name: 1})
 
     def test_with_changes_revalidates(self):
         opts = AnalysisOptions(engine="bdd")

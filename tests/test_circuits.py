@@ -177,6 +177,14 @@ class TestRandomLogic:
         net = random_network(6, 40, seed=2)
         net.topological_order()  # raises on cycles
 
+    def test_two_inputs_first_gate_needs_three_fanins(self):
+        """Seed 19 draws a MUX first, which needs 3 distinct fanins
+        while only the 2 inputs exist; generation used to loop forever."""
+        net = random_network(2, 5, seed=19)
+        assert net.num_gates() == 5
+        for gate in net.gates.values():
+            assert len(set(gate.fanins)) == len(gate.fanins)
+
 
 class TestPartition:
     @pytest.mark.parametrize("name", sorted(table2_circuits()))

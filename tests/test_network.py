@@ -41,6 +41,18 @@ class TestConstruction:
         with pytest.raises(NetlistError):
             net.add_gate("g", "NOT", ["a"], delay=-1.0)
 
+    def test_nan_delay_rejected(self):
+        """NaN slips past ``delay < 0``; a NaN gate feeding another gate
+        used to make ``stable_at`` loop until it was killed."""
+        net = Network()
+        net.add_input("a")
+        with pytest.raises(NetlistError, match="NaN"):
+            net.add_gate("g", "NOT", ["a"], delay=float("nan"))
+
+    def test_nan_delay_rejected_by_with_delays(self):
+        with pytest.raises(NetlistError, match="NaN"):
+            build_small().with_delays(lambda g: float("nan"))
+
     def test_empty_name_rejected(self):
         net = Network()
         with pytest.raises(NetlistError):

@@ -201,16 +201,27 @@ class TestCLI:
         assert exc.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_sat_mode_flag_removed_exit_2(self, tmp_path, capsys):
-        """Every stability check runs on the per-cone SAT session; the
-        old strategy flag is an unknown argument, not a silent no-op."""
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [
+            ("--sat-mode", "oneshot"),
+            ("--refine-order", "movement"),
+            ("--portfolio-jobs", "2"),
+            ("--check-timeout", "1.0"),
+        ],
+        ids=["sat-mode", "refine-order", "portfolio-jobs", "check-timeout"],
+    )
+    def test_removed_flag_exit_2(self, tmp_path, capsys, flag, value):
+        """Every stability check runs on the per-cone SAT session in one
+        serial refinement loop; each removed flag is an unknown
+        argument, not a silent no-op."""
         design = cascade_adder(8, 2)
         design.name = "csa8_2"
         verilog = tmp_path / "csa8.v"
         verilog.write_text(dumps_verilog(design))
         with pytest.raises(SystemExit) as exc:
-            main(["demand", str(verilog), "--sat-mode", "oneshot"])
+            main(["demand", str(verilog), flag, value])
         assert exc.value.code == 2
         lines = [line for line in capsys.readouterr().err.splitlines() if line]
         assert len(lines) == 1
-        assert lines[0].startswith("error:") and "--sat-mode" in lines[0]
+        assert lines[0].startswith("error:") and flag in lines[0]

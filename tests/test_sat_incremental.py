@@ -7,8 +7,7 @@ assumptions, and regardless of how aggressively the learned-clause
 database is reduced.  Models are checked semantically (they must satisfy
 the live clauses) since the search order legitimately differs.
 
-The tests at the bottom pin the demand-driven refinement contract:
-results are bit-identical for any portfolio worker count, and the
+The tests at the bottom pin the demand-driven refinement contract: the
 per-cone sessions decide every check as the one-shot oracle of
 ``tests/reference.py`` does.
 """
@@ -189,28 +188,6 @@ class TestSessionSurface:
         assert stats["frames_pushed"] == 1
         assert stats["frames_popped"] == 1
         assert stats["clauses_added"] >= 2
-
-
-class TestPortfolioDeterminism:
-    def test_results_independent_of_worker_count(self):
-        """Same refinement set and delays for any portfolio_jobs value."""
-        from repro.api import AnalysisOptions
-        from repro.circuits.adders import cascade_adder
-        from repro.core.demand import DemandDrivenAnalyzer
-
-        design = cascade_adder(8, 2)
-        results = []
-        for jobs in (1, 3):
-            options = AnalysisOptions(
-                portfolio_jobs=jobs, refine_order="movement"
-            )
-            results.append(
-                DemandDrivenAnalyzer(design, options=options).analyze()
-            )
-        base, parallel = results
-        assert parallel.output_times == base.output_times
-        assert parallel.refined_weights == base.refined_weights
-        assert parallel.refinement_checks == base.refinement_checks
 
 
 def _assert_session_matches_oracle(design, monkeypatch):

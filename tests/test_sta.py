@@ -137,7 +137,7 @@ class TestPinToPin:
     @settings(max_examples=40, deadline=None)
     @given(
         seed=st.integers(0, 10_000),
-        num_inputs=st.integers(3, 8),
+        num_inputs=st.integers(2, 8),
         num_gates=st.integers(1, 50),
     )
     def test_one_pass_matches_every_pair(self, seed, num_inputs, num_gates):

@@ -4,8 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.adders import carry_skip_block
+from repro.api import AnalysisSession
+from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.circuits.random_logic import random_network
+from repro.core.demand import DemandDrivenAnalyzer
+from repro.core.hier import HierarchicalAnalyzer
 from repro.core.xbd0 import (
     NEG_INF,
     StabilityAnalyzer,
@@ -206,3 +209,46 @@ class TestNaNRejected:
         always = functional_delays(csa_block2, {"c_in": float("-inf")})
         default = functional_delays(csa_block2)["c_out"]
         assert always["c_out"] <= default < never["c_out"] == float("inf")
+
+
+class TestNaNRejectedOnLibraryPaths:
+    """The hierarchical and demand-driven entry points reject a NaN
+    arrival before any work, naming the input; the kernel would
+    otherwise carry it into ``net_times`` (or into the answer)."""
+
+    @pytest.fixture(scope="class")
+    def design(self):
+        return cascade_adder(8, 4)
+
+    @pytest.mark.parametrize(
+        "run",
+        [
+            lambda d, a: HierarchicalAnalyzer(d).analyze(a),
+            lambda d, a: HierarchicalAnalyzer(d).analyze_lazy(a),
+            lambda d, a: HierarchicalAnalyzer(d).analyze_batch([{}, a]),
+            lambda d, a: AnalysisSession(d).hierarchical(a),
+            lambda d, a: DemandDrivenAnalyzer(d).analyze(a),
+            lambda d, a: DemandDrivenAnalyzer(d).analyze_batch([{}, a]),
+        ],
+        ids=[
+            "hier-analyze",
+            "hier-lazy",
+            "hier-batch",
+            "session-hierarchical",
+            "demand-analyze",
+            "demand-batch",
+        ],
+    )
+    def test_nan_arrival_rejected(self, design, run):
+        with pytest.raises(AnalysisError, match="'c_in'"):
+            run(design, {"a0": 1.0, "c_in": float("nan")})
+
+    def test_infinite_arrivals_keep_their_meaning(self, design):
+        for analyzer in (
+            HierarchicalAnalyzer(design),
+            DemandDrivenAnalyzer(design),
+        ):
+            default = analyzer.analyze().delay
+            never = analyzer.analyze({"c_in": float("inf")}).delay
+            always = analyzer.analyze({"c_in": float("-inf")}).delay
+            assert always <= default < never == float("inf")
