@@ -50,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.design import CompiledDesign
     from repro.library.store import ModelLibrary
     from repro.obs.forensics import ForensicsReport
+    from repro.resilience.degradation import DegradationLog
     from repro.resilience.policy import ResiliencePolicy
     from repro.scenarios.families import ScenarioFamily
     from repro.scenarios.result import FamilyResult
@@ -363,11 +364,9 @@ class AnalysisSession:
 
     # ---------------------------------------------------------------- analyses
     def hierarchical(
-        self,
-        arrival: Mapping[str, float] | None = None,
-        lazy: bool = False,
+        self, arrival: Mapping[str, float] | None = None
     ) -> "HierResult":
-        """Two-step (Section 3) analysis; ``lazy`` skips unused cones."""
+        """Two-step (Section 3) analysis."""
         from repro.core.hier import HierarchicalAnalyzer
 
         analyzer = self._analyzer(
@@ -376,8 +375,6 @@ class AnalysisSession:
                 self.design, library=self.library, options=self.options
             ),
         )
-        if lazy:
-            return analyzer.analyze_lazy(arrival)
         return analyzer.analyze(arrival)
 
     def compile(self) -> "CompiledDesign":
@@ -593,35 +590,34 @@ class AnalysisSession:
             tracer=self.options.tracer,
         )
 
-    def characterize(self) -> "dict[str, TimingModel]":
+    def characterize(
+        self, dlog: "DegradationLog | None" = None
+    ) -> "dict[str, TimingModel]":
         """Timing models for the (flattened) network's outputs.
 
-        Honors ``jobs`` and ``cache_dir``: with either set, work fans
-        out through the library scheduler; otherwise the serial
-        characterizer runs in-process.
+        Every output cone goes through the library scheduler: in-process
+        at ``jobs=1``, over worker processes above it, and through the
+        model library when ``cache_dir`` is set.  The run honours
+        ``deadline``: a cone past it, or one whose characterization
+        fails, gets its topological model, the substitution is recorded
+        on ``dlog``, and the degraded network is not stored in the
+        library.
         """
+        from repro.library.scheduler import characterize_network_parallel
+
         options = self.options
-        if options.jobs > 1 or self.library is not None:
-            from repro.library.scheduler import characterize_network_parallel
-
-            return characterize_network_parallel(
-                self.network,
-                jobs=options.jobs,
-                engine=options.engine,
-                max_orders=options.max_orders,
-                max_tuples=options.max_tuples,
-                library=self.library,
-                tracer=options.tracer,
-                policy=options.resilience_policy(),
-            )
-        from repro.core.required import characterize_network
-
-        return characterize_network(
+        policy = options.resilience_policy()
+        return characterize_network_parallel(
             self.network,
-            options.engine,
-            options.max_orders,
-            options.max_tuples,
+            jobs=options.jobs,
+            engine=options.engine,
+            max_orders=options.max_orders,
+            max_tuples=options.max_tuples,
+            library=self.library,
             tracer=options.tracer,
+            policy=policy,
+            dlog=dlog,
+            deadline=policy.start(),
         )
 
     # ----------------------------------------------------------------- reports

@@ -482,11 +482,20 @@ def cmd_sdc(args: argparse.Namespace) -> int:
 
 def cmd_characterize(args: argparse.Namespace) -> int:
     from repro.api import AnalysisSession
+    from repro.resilience.degradation import DegradationLog
 
     net = load_circuit(args.circuit)
     tracer = make_tracer(args)
     session = AnalysisSession(net, options=make_options(args, tracer))
-    models = session.characterize()
+    dlog = DegradationLog(tracer)
+    models = session.characterize(dlog=dlog)
+    if dlog:
+        # A partly topological library must never pass for an exact one.
+        print(
+            f"conservative degradations ({len(dlog)}):", file=sys.stderr
+        )
+        for degradation in dlog:
+            print(f"  {degradation}", file=sys.stderr)
     library = session.library
     if library is not None:
         print(
@@ -854,9 +863,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_analysis_opts(delay)
     delay.set_defaults(func=cmd_delay)
 
+    hier_help = (
+        "report for a hierarchical Verilog design: demand-driven, or the "
+        "two-step model-library report with --cache-dir or --jobs > 1"
+    )
     hier = sub.add_parser(
-        "hier-report",
-        help="demand-driven report for a hierarchical Verilog design",
+        "hier-report", help=hier_help, description=hier_help
     )
     add_analysis_opts(hier)
     add_resilience_opts(hier)

@@ -56,11 +56,7 @@ def _degradation_lines(degradations) -> list[str]:
         f"  conservative degradations ({len(degradations)}):",
         "  (arrival times remain upper bounds — Theorem 1)",
     ]
-    for d in degradations:
-        lines.append(
-            f"    [{d.kind}] {d.subject}: {d.detail} "
-            f"(fallback: {d.fallback})"
-        )
+    lines.extend(f"    {d}" for d in degradations)
     return lines
 
 

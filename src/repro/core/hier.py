@@ -24,12 +24,11 @@ import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
-from repro.core.required import characterize_network
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
 from repro.core.xbd0 import Engine, reject_nan_arrivals
 from repro.errors import AnalysisError, NetlistError
-from repro.netlist.hierarchy import HierDesign, Module
+from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
@@ -61,19 +60,6 @@ def topological_models(network: Network) -> dict[str, TimingModel]:
             output, network.inputs, delays
         )
     return models
-
-
-def characterize_module(
-    module: Module,
-    engine: Engine = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-    tracer: Tracer | None = None,
-) -> dict[str, TimingModel]:
-    """Step 1 for one module: a timing model per output port."""
-    return characterize_network(
-        module.network, engine, max_orders, max_tuples, tracer=tracer
-    )
 
 
 @dataclass
@@ -136,10 +122,11 @@ class HierarchicalAnalyzer:
         back.  Only consulted for functional models (topological ones
         are cheaper than a lookup).
     jobs:
-        Default worker-process count for :meth:`characterize_all`.
+        Worker processes for Step 1 (1 = in-process); see
+        :meth:`characterize_all`.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer` receiving
-        characterize-module spans, propagation spans, and the layer
+        characterize-module events, propagation spans, and the layer
         counters of everything the analyzer calls into.
     options:
         An :class:`~repro.api.AnalysisOptions` bundle.  When given it is
@@ -233,258 +220,59 @@ class HierarchicalAnalyzer:
         self._compiled = None
 
     def models_for(self, module_name: str) -> dict[str, TimingModel]:
-        """Cached timing models of one module (characterizing on miss).
+        """Timing models of one module, characterized on first use.
 
-        With a :attr:`library`, a hit on the module's structural
-        signature short-circuits characterization entirely; a miss
-        characterizes and stores the result for every later run.
+        A module not yet cached goes through the same Step-1 call as
+        :meth:`characterize_all`, so it gets the same library lookup,
+        run deadline, fault points and recorded topological fallback.
         """
-        if module_name not in self._models or any(
-            port not in self._models[module_name]
-            for port in self.design.modules[module_name].outputs
-        ):
-            module = self.design.modules[module_name]
-            if self.functional:
-                models = None
-                signature = None
-                if self.library is not None:
-                    from repro.library.signature import module_signature
-
-                    signature = module_signature(
-                        module, self.engine, self.max_orders, self.max_tuples
-                    )
-                    models = self.library.lookup(
-                        signature, module.inputs, module.outputs
-                    )
-                if models is None:
-                    t0 = time.perf_counter()
-                    with self.tracer.span(
-                        "characterize-module",
-                        phase="characterization",
-                        module=module_name,
-                    ):
-                        models = characterize_module(
-                            module, self.engine, self.max_orders,
-                            self.max_tuples, tracer=self.tracer,
-                        )
-                    if self.library is not None:
-                        self.library.store(
-                            signature, module.inputs, module.outputs, models
-                        )
-                        self.library.stats.record_characterization(
-                            module_name, time.perf_counter() - t0
-                        )
-                self._models[module_name] = models
-            else:
-                self._models[module_name] = topological_models(module.network)
+        if module_name not in self._models:
+            self._characterize(
+                (module_name,), self.jobs, self.policy.start()
+            )
         return self._models[module_name]
 
     def _note_fresh(self, module_name: str) -> None:
         """Hook: models for ``module_name`` were installed this run."""
-
-    def model_for(self, module_name: str, port: str) -> TimingModel:
-        """One output's model, characterized on demand (per-output lazy).
-
-        Unlike :meth:`models_for`, touching one port does not pay for the
-        module's other outputs — the basis of :meth:`analyze_lazy`, which
-        skips outputs that never reach a primary output (the simplest
-        observability don't-care).
-        """
-        models = self._models.setdefault(module_name, {})
-        if port not in models:
-            module = self.design.modules[module_name]
-            if port not in module.outputs:
-                raise AnalysisError(
-                    f"{port!r} is not an output of {module_name!r}"
-                )
-            if self.functional and self.library is not None:
-                from repro.library.signature import module_signature
-
-                cached = self.library.lookup(
-                    module_signature(
-                        module, self.engine, self.max_orders, self.max_tuples
-                    ),
-                    module.inputs,
-                    module.outputs,
-                )
-                if cached is not None:
-                    # A library hit covers the whole module; install every
-                    # port so later lazy touches are free too.
-                    models.update(cached)
-                    return models[port]
-            network = module.network
-            if self.functional:
-                from repro.core.required import characterize_output
-                from repro.core.timing_model import prune_dominated
-
-                with self.tracer.span(
-                    "characterize-module",
-                    phase="characterization",
-                    module=module_name,
-                    port=port,
-                ):
-                    local = characterize_output(
-                        network, port, self.engine, self.max_orders,
-                        self.max_tuples, tracer=self.tracer,
-                    )
-                expanded = tuple(
-                    tuple(
-                        dict(zip(local.inputs, tup)).get(x, NEG_INF)
-                        for x in network.inputs
-                    )
-                    for tup in local.tuples
-                )
-                models[port] = TimingModel(
-                    port, network.inputs, prune_dominated(expanded)
-                )
-            else:
-                models[port] = topological_models(network)[port]
-        return models[port]
-
-    def _useful_ports(self) -> dict[str, set[str]]:
-        """Per instance, the output ports reaching some primary output."""
-        design = self.design
-        useful_nets = set(design.outputs)
-        ports: dict[str, set[str]] = {}
-        for inst_name in reversed(design.instance_order()):
-            inst = design.instances[inst_name]
-            module = design.module_of(inst)
-            needed = {
-                port
-                for port in module.outputs
-                if inst.net_of(port) in useful_nets
-            }
-            ports[inst_name] = needed
-            if needed:
-                for port in module.inputs:
-                    useful_nets.add(inst.net_of(port))
-        return ports
-
-    def analyze_lazy(
-        self, arrival: Mapping[str, float] | None = None
-    ) -> HierResult:
-        """Like :meth:`analyze`, but characterizes only module outputs in
-        the transitive fanin of the design outputs.
-
-        ``net_times`` then covers only the useful nets.
-        """
-        design = self.design
-        arrival = arrival or {}
-        reject_nan_arrivals(arrival)
-        useful = self._useful_ports()
-        t0 = time.perf_counter()
-        mark = len(self.dlog)
-        deadline = self.policy.start()
-        before = {
-            name: set(models)
-            for name, models in self._models.items()
-        }
-        for inst_name in design.instance_order():
-            inst = design.instances[inst_name]
-            for port in useful[inst_name]:
-                self._model_for_guarded(inst.module_name, port, deadline)
-        fresh = tuple(
-            name
-            for name, models in self._models.items()
-            if set(models) != before.get(name, set())
-        )
-        t1 = time.perf_counter()
-        with self.tracer.span(
-            "propagate", phase="propagation", design=design.name, lazy=True
-        ):
-            net_times: dict[str, float] = {
-                x: float(arrival.get(x, 0.0)) for x in design.inputs
-            }
-            for inst_name in design.instance_order():
-                inst = design.instances[inst_name]
-                module = design.module_of(inst)
-                if not useful[inst_name]:
-                    continue
-                local_arrival = {
-                    port: net_times[inst.net_of(port)]
-                    for port in module.inputs
-                }
-                for port in useful[inst_name]:
-                    net_times[inst.net_of(port)] = self.model_for(
-                        inst.module_name, port
-                    ).stable_time(local_arrival)
-        missing = [o for o in design.outputs if o not in net_times]
-        if missing:
-            raise AnalysisError(f"undriven outputs {missing!r}")
-        output_times = {o: net_times[o] for o in design.outputs}
-        t2 = time.perf_counter()
-        return HierResult(
-            net_times=net_times,
-            output_times=output_times,
-            delay=max(output_times.values()) if output_times else NEG_INF,
-            characterized_modules=fresh,
-            characterization_seconds=t1 - t0,
-            propagation_seconds=t2 - t1,
-            degradations=self.dlog.snapshot()[mark:],
-        )
-
-    def _model_for_guarded(
-        self, module_name: str, port: str, deadline: Deadline
-    ) -> TimingModel:
-        """Lazy per-output Step 1, degrading instead of raising."""
-        models = self._models.get(module_name, {})
-        if port in models:
-            return models[port]
-        module = self.design.modules[module_name]
-        if self.functional and deadline.limited and deadline.expired():
-            model = topological_models(module.network)[port]
-            self._models.setdefault(module_name, {})[port] = model
-            self.dlog.record(
-                "deadline",
-                f"{module_name}.{port}",
-                f"run deadline expired after {deadline.elapsed():.3f}s",
-                "topological-model",
-            )
-            return model
-        try:
-            plan = self.policy.fault_plan
-            if plan is not None and self.functional:
-                plan.fire("hier.characterize", module=module_name, port=port)
-            return self.model_for(module_name, port)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            model = topological_models(module.network)[port]
-            self._models.setdefault(module_name, {})[port] = model
-            self.dlog.record(
-                "characterization-error",
-                f"{module_name}.{port}",
-                str(exc) or type(exc).__name__,
-                "topological-model",
-            )
-            return model
 
     def characterize_all(
         self, jobs: int | None = None, deadline: Deadline | None = None
     ) -> tuple[str, ...]:
         """Characterize every module not yet cached; returns their names.
 
-        ``jobs`` (default: the analyzer's ``jobs``) fans functional
-        characterization out over worker processes via the library
-        scheduler; results are identical for any job count.
+        Functional models always come from the library scheduler
+        (:func:`~repro.library.scheduler.characterize_modules`), with or
+        without a :attr:`library`: ``jobs`` (default: the analyzer's
+        ``jobs``) worker processes, or in-process at 1, with structural
+        twins characterized once.  Results are identical for any job
+        count.  ``functional=False`` installs topological models.
 
         Failures never abort the run: a module whose characterization
         crashes, times out, or falls past the run ``deadline`` gets its
         topological model instead (conservative by Theorem 1) and the
         substitution is recorded on :attr:`dlog`.
         """
-        jobs = self.jobs if jobs is None else max(1, int(jobs))
-        deadline = deadline if deadline is not None else self.policy.start()
         fresh = tuple(
             name for name in self.design.modules if name not in self._models
         )
-        if not fresh:
-            return fresh
-        if self.functional and (jobs > 1 or self.library is not None):
+        if fresh:
+            self._characterize(
+                fresh,
+                self.jobs if jobs is None else max(1, int(jobs)),
+                deadline if deadline is not None else self.policy.start(),
+            )
+        return fresh
+
+    def _characterize(
+        self, names: tuple[str, ...], jobs: int, deadline: Deadline
+    ) -> None:
+        """Step 1 for ``names``: install their models in the cache."""
+        modules = {name: self.design.modules[name] for name in names}
+        if self.functional:
             from repro.library.scheduler import characterize_modules
 
             results = characterize_modules(
-                {name: self.design.modules[name] for name in fresh},
+                modules,
                 jobs,
                 self.engine,
                 self.max_orders,
@@ -495,43 +283,14 @@ class HierarchicalAnalyzer:
                 dlog=self.dlog,
                 deadline=deadline,
             )
-            for name in fresh:
-                self._models[name] = results[name]
-                self._note_fresh(name)
         else:
-            for name in fresh:
-                self._characterize_guarded(name, deadline)
-        return fresh
-
-    def _characterize_guarded(self, name: str, deadline: Deadline) -> None:
-        """Serial Step 1 for one module, degrading instead of raising."""
-        module = self.design.modules[name]
-        if self.functional and deadline.limited and deadline.expired():
-            self._models[name] = topological_models(module.network)
+            results = {
+                name: topological_models(module.network)
+                for name, module in modules.items()
+            }
+        for name in names:
+            self._models[name] = results[name]
             self._note_fresh(name)
-            self.dlog.record(
-                "deadline",
-                name,
-                f"run deadline expired after {deadline.elapsed():.3f}s",
-                "topological-model",
-            )
-            return
-        try:
-            plan = self.policy.fault_plan
-            if plan is not None and self.functional:
-                plan.fire("hier.characterize", module=name)
-            self.models_for(name)
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception as exc:
-            self._models[name] = topological_models(module.network)
-            self._note_fresh(name)
-            self.dlog.record(
-                "characterization-error",
-                name,
-                str(exc) or type(exc).__name__,
-                "topological-model",
-            )
 
     # ------------------------------------------------------------------ step 2
     def _ensure_models(self) -> tuple[str, ...]:
@@ -773,13 +532,6 @@ class IncrementalAnalyzer(HierarchicalAnalyzer):
         self.recharacterizations[module_name] = (
             self.recharacterizations.get(module_name, 0) + 1
         )
-
-    def models_for(self, module_name: str) -> dict[str, TimingModel]:
-        fresh = module_name not in self._models
-        models = super().models_for(module_name)
-        if fresh:
-            self._note_fresh(module_name)
-        return models
 
     def replace_module(self, module_name: str, new_network: Network) -> None:
         """Swap a module's implementation; only its models are invalidated.

@@ -9,8 +9,9 @@ This subsystem turns that into infrastructure:
   combined with the characterization parameters;
 * :mod:`repro.library.store` — :class:`ModelLibrary`, an on-disk JSON
   store with atomic writes, corruption fallback, and an in-memory LRU;
-* :mod:`repro.library.scheduler` — parallel characterization of all
-  uncached leaf modules with deterministic merging;
+* :mod:`repro.library.scheduler` — Step 1 of every hierarchical
+  analysis: characterization of all uncached leaf modules, in-process
+  or over worker processes, with deterministic merging;
 * :mod:`repro.library.stats` — hit/miss/evict/characterization counters
   surfaced in ``hier-report``.
 
@@ -24,7 +25,6 @@ Typical use::
 """
 
 from repro.library.scheduler import (
-    characterize_design,
     characterize_modules,
     characterize_network_parallel,
 )
@@ -41,7 +41,6 @@ __all__ = [
     "FORMAT_VERSION",
     "LibraryStats",
     "ModelLibrary",
-    "characterize_design",
     "characterize_modules",
     "characterize_network_parallel",
     "design_signatures",

@@ -1,9 +1,11 @@
-"""Parallel leaf-module characterization with deterministic merging.
+"""Leaf-module characterization with deterministic merging.
 
 Step 1 of the hierarchical flow is embarrassingly parallel: each leaf
-module (indeed each output cone) is characterized independently.  This
-module fans the uncached work of a :class:`HierDesign` out over a
-``ProcessPoolExecutor`` through the fault-tolerant
+module (indeed each output cone) is characterized independently.
+:func:`characterize_modules` is the one Step-1 path of
+:class:`~repro.core.hier.HierarchicalAnalyzer`: it runs the uncached
+work in-process at ``jobs=1`` and fans it out over a
+``ProcessPoolExecutor`` above that, both through the fault-tolerant
 :func:`~repro.resilience.executor.run_resilient` runner:
 
 * distinct modules sharing one structural signature are characterized
@@ -21,7 +23,8 @@ module fans the uncached work of a :class:`HierDesign` out over a
   instead of hanging on queued work.
 
 ``characterize_network_parallel`` applies the same treatment to the
-output cones of a single flat network (the ``repro characterize`` CLI).
+output cones of a single flat network (``AnalysisSession.characterize``
+and the ``repro characterize`` CLI, at any ``jobs``).
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from repro.core.required import (
 from repro.core.timing_model import TimingModel
 from repro.library.signature import module_signature
 from repro.library.store import ModelLibrary
-from repro.netlist.hierarchy import HierDesign, Module
+from repro.netlist.hierarchy import Module
 from repro.netlist.network import Network
 from repro.obs.trace import Tracer, ensure_tracer
 from repro.resilience.degradation import DegradationLog
@@ -191,25 +194,6 @@ def characterize_modules(
             results[src_name], modules[src_name], module
         )
     return results
-
-
-def characterize_design(
-    design: HierDesign,
-    jobs: int = 1,
-    engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-    library: ModelLibrary | None = None,
-    tracer: Tracer | None = None,
-    policy: ResiliencePolicy | None = None,
-    dlog: DegradationLog | None = None,
-    deadline: Deadline | None = None,
-) -> dict[str, dict[str, TimingModel]]:
-    """Step 1 for a whole design: all distinct leaf modules, in parallel."""
-    return characterize_modules(
-        design.modules, jobs, engine, max_orders, max_tuples, library,
-        tracer=tracer, policy=policy, dlog=dlog, deadline=deadline,
-    )
 
 
 def characterize_network_parallel(

@@ -55,10 +55,11 @@ class Degradation:
             "fallback": self.fallback,
         }
 
-    def __str__(self) -> str:  # pragma: no cover - cosmetic
+    def __str__(self) -> str:
+        """The one-line form the CLI reports print."""
         return (
-            f"{self.kind}({self.subject}): {self.detail} "
-            f"-> {self.fallback}"
+            f"[{self.kind}] {self.subject}: {self.detail} "
+            f"(fallback: {self.fallback})"
         )
 
 

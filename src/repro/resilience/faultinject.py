@@ -7,12 +7,17 @@ the active :class:`FaultPlan` before doing real work:
 point                     where it fires
 ========================  =====================================================
 ``scheduler.task``        inside a characterization worker (parallel path)
-``scheduler.serial``      before an in-process (serial/fallback) task
-``hier.characterize``     before a Step-1 module characterization
+``scheduler.serial``      before an in-process characterization task (every
+                          ``jobs=1`` run, and the parallel path's fallback)
 ``demand.refine``         before a Section-5 refinement stability check
 ``store.read``            before decoding an on-disk library entry
 ``store.corrupt``         after a library store (``corrupt`` garbles the file)
+``server.compile``        before the server compiles a registered design
+``server.propagate``      before a served kernel evaluation
+``coalescer.flush``       at the top of every coalescer batch flush
 ========================  =====================================================
+
+A rule naming any other point is rejected (see :data:`POINTS`).
 
 A plan is a list of :class:`FaultRule` entries; each names a point, a
 fault ``kind`` (``exception``, ``crash``, ``timeout``, ``interrupt``,
@@ -47,6 +52,18 @@ Directive = tuple[str, float, str]
 #: Fault kinds understood by :func:`execute_directive`.
 KINDS = ("exception", "crash", "timeout", "interrupt", "corrupt")
 
+#: Trace points production code fires (the module docstring's table).
+POINTS = (
+    "scheduler.task",
+    "scheduler.serial",
+    "demand.refine",
+    "store.read",
+    "store.corrupt",
+    "server.compile",
+    "server.propagate",
+    "coalescer.flush",
+)
+
 
 class InjectedFault(ReproError):
     """The failure raised by an ``exception`` (or in-process ``crash``)
@@ -57,7 +74,7 @@ class InjectedFault(ReproError):
 class FaultRule:
     """One injection rule of a :class:`FaultPlan`."""
 
-    #: Trace point this rule arms (see module docstring).
+    #: Trace point this rule arms (see :data:`POINTS`).
     point: str
     #: Fault kind (see :data:`KINDS`).
     kind: str = "exception"
@@ -71,6 +88,11 @@ class FaultRule:
     message: str = "injected fault"
 
     def __post_init__(self) -> None:
+        if self.point not in POINTS:
+            raise ValueError(
+                f"unknown fault point {self.point!r}; expected one of "
+                f"{POINTS}"
+            )
         if self.kind not in KINDS:
             raise ValueError(
                 f"unknown fault kind {self.kind!r}; expected one of {KINDS}"

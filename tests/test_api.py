@@ -146,6 +146,14 @@ class TestSessionHierarchical:
         assert "cache-store" in names
         assert session.library.stats.characterizations > 0
 
+    def test_lazy_hierarchical_removed(self, csa4_design):
+        """One Step-1 path: the lazy per-output analysis is gone."""
+        session = AnalysisSession(csa4_design)
+        with pytest.raises(TypeError):
+            session.hierarchical(lazy=True)
+        for name in ("analyze_lazy", "model_for"):
+            assert not hasattr(HierarchicalAnalyzer, name)
+
     def test_hier_report_text(self, csa4_design):
         text = AnalysisSession(csa4_design).hier_report()
         assert "csa4.2" in text or "Hierarchical" in text

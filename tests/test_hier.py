@@ -88,6 +88,45 @@ class TestHierarchicalAnalysis:
         assert hier <= topo + 1e-9
 
 
+def carry_only_design(blocks: int = 4):
+    """A cascade exposing only its final carry: every sum output dangles."""
+    from repro.netlist.hierarchy import HierDesign, Module
+
+    design = HierDesign("carry_only")
+    design.add_module(Module("blk", carry_skip_block(2)))
+    design.add_input("c_in")
+    carry = "c_in"
+    for blk in range(blocks):
+        conns = {"c_in": carry}
+        for i in range(2):
+            bit = 2 * blk + i
+            design.add_input(f"a{bit}")
+            design.add_input(f"b{bit}")
+            conns.update(
+                {f"a{i}": f"a{bit}", f"b{i}": f"b{bit}", f"s{i}": f"s{bit}"}
+            )
+        carry = f"c{2 * (blk + 1)}"
+        conns["c_out"] = carry
+        design.add_instance(f"u{blk}", "blk", conns)
+    design.set_outputs([carry])
+    return design
+
+
+class TestDeadModuleOutputs:
+    """Module outputs that reach no primary output still get models:
+    Step 1 characterizes whole modules."""
+
+    def test_functional_closed_form(self):
+        analyzer = HierarchicalAnalyzer(carry_only_design())
+        assert analyzer.analyze().delay == 2 * 4 + 6
+        assert set(analyzer.models_for("blk")) == {"s0", "s1", "c_out"}
+
+    def test_topological_mode(self):
+        # c_in -> c_out is 6 per block; the first block's a0 path is 8.
+        analyzer = HierarchicalAnalyzer(carry_only_design(), functional=False)
+        assert analyzer.analyze().delay == 8.0 + 6.0 * 3
+
+
 class TestInputSlack:
     def test_fig5_at_design_level(self):
         # single-block design: slack of c_in under arr(c_in)=5 is 1

@@ -1,5 +1,6 @@
 """Tests for the persistent model library (signatures, store, scheduler)."""
 
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,6 @@ from repro.library import (
     FORMAT_NAME,
     FORMAT_VERSION,
     ModelLibrary,
-    characterize_design,
     characterize_modules,
     characterize_network_parallel,
     design_signatures,
@@ -241,7 +241,7 @@ class TestStore:
 class TestScheduler:
     def test_serial_matches_characterize_network(self):
         design = multi_module_design()
-        results = characterize_design(design)
+        results = characterize_modules(design.modules)
         for name, module in design.modules.items():
             assert model_tuples(results[name]) == model_tuples(
                 characterize_network(module.network)
@@ -250,8 +250,8 @@ class TestScheduler:
     @pytest.mark.slow
     def test_parallel_determinism(self):
         design = multi_module_design()
-        serial = characterize_design(design, jobs=1)
-        parallel = characterize_design(design, jobs=4)
+        serial = characterize_modules(design.modules, jobs=1)
+        parallel = characterize_modules(design.modules, jobs=4)
         assert {n: model_tuples(m) for n, m in serial.items()} == {
             n: model_tuples(m) for n, m in parallel.items()
         }
@@ -270,9 +270,9 @@ class TestScheduler:
     def test_library_short_circuits_second_run(self, tmp_path):
         design = multi_module_design()
         lib = ModelLibrary(tmp_path / "cache")
-        characterize_design(design, library=lib)
+        characterize_modules(design.modules, library=lib)
         again = ModelLibrary(tmp_path / "cache")
-        results = characterize_design(design, library=again)
+        results = characterize_modules(design.modules, library=again)
         assert again.stats.characterizations == 0
         assert again.stats.hits == len(design.modules)
         assert model_tuples(results["m_fp"]) == model_tuples(
@@ -326,17 +326,6 @@ class TestAnalyzerIntegration:
         assert recover.stats.corrupt_entries == 1
         assert recover.stats.characterizations == 1
         assert result.net_times == baseline.net_times
-
-    def test_analyze_lazy_hits_library(self, tmp_path):
-        design = cascade_adder(8, 2)
-        lib = ModelLibrary(tmp_path / "cache")
-        eager = HierarchicalAnalyzer(design, library=lib).analyze()
-        warm = ModelLibrary(tmp_path / "cache")
-        lazy = HierarchicalAnalyzer(
-            cascade_adder(8, 2), library=warm
-        ).analyze_lazy()
-        assert warm.stats.characterizations == 0
-        assert lazy.output_times == eager.output_times
 
     @pytest.mark.slow
     def test_parallel_jobs_same_result(self):
@@ -452,3 +441,45 @@ class TestCLI:
         assert out1.read_text() == out2.read_text()
         err = capsys.readouterr().err
         assert "1 hits, 0 characterizations" in err
+
+
+#: ``repro-sta characterize`` of ``carry_skip_block(8)`` saved as
+#: Verilog: (bytes, sha256) of the exported timing library.
+CSB8_EXPORT = (
+    6239,
+    "863288246e961700917b216c62f4a0faa19012d4e473510fd566ea390af8bd53",
+)
+
+
+class TestCharacterizeExportPinned:
+    """One Step-1 path: the exported library of a leaf-only block is the
+    same bytes in-process, over worker processes, and cold or warm
+    through the model library."""
+
+    @pytest.fixture()
+    def csb8(self, tmp_path):
+        path = tmp_path / "csb8.v"
+        path.write_text(dumps_verilog(carry_skip_block(8)))
+        return path
+
+    @staticmethod
+    def export(csb8, *flags):
+        target = csb8.with_suffix(".json")
+        argv = ["characterize", str(csb8), *flags, "-o", str(target)]
+        assert main(argv) == 0
+        data = target.read_bytes()
+        return len(data), hashlib.sha256(data).hexdigest()
+
+    def test_in_process(self, csb8):
+        assert self.export(csb8, "--jobs", "1") == CSB8_EXPORT
+
+    @pytest.mark.slow
+    def test_two_jobs(self, csb8):
+        assert self.export(csb8, "--jobs", "2") == CSB8_EXPORT
+
+    def test_cache_cold_then_warm(self, csb8, tmp_path, capsys):
+        cache = str(tmp_path / "cache")
+        assert self.export(csb8, "--cache-dir", cache) == CSB8_EXPORT
+        assert "0 hits, 1 characterizations" in capsys.readouterr().err
+        assert self.export(csb8, "--cache-dir", cache) == CSB8_EXPORT
+        assert "1 hits, 0 characterizations" in capsys.readouterr().err

@@ -10,22 +10,26 @@ optimistic one (Theorem 1).
 from __future__ import annotations
 
 import json
+import re
 
 import pytest
 
 from repro.api import AnalysisOptions, AnalysisSession
+from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.cli import main
 from repro.core.demand import DemandDrivenAnalyzer
-from repro.core.hier import HierarchicalAnalyzer
+from repro.core.hier import HierarchicalAnalyzer, topological_models
 from repro.errors import ReproError
 from repro.library.scheduler import characterize_modules
 from repro.library.store import ModelLibrary
+from repro.parsers.verilog import dumps_verilog
 from repro.resilience import (
     HAVE_FCNTL,
     Deadline,
     DeadlineExceeded,
     DegradationLog,
     FaultPlan,
+    FaultRule,
     FileLock,
     InjectedFault,
     ResiliencePolicy,
@@ -33,6 +37,7 @@ from repro.resilience import (
     parse_fault_spec,
     run_resilient,
 )
+from repro.resilience import faultinject
 
 EXAMPLE = "examples/csa8_2.v"
 
@@ -161,6 +166,22 @@ class TestFaultPlan:
         assert rule.times == -1
         assert rule.match == {"module": "blk2"}
         assert parse_fault_spec("demand.refine:exception").times == 1
+
+    def test_unknown_point_rejected(self):
+        with pytest.raises(ValueError, match="unknown fault point"):
+            FaultRule(point="no.such.point")
+        # Fired only by the deleted serial and lazy Step-1 guards.
+        with pytest.raises(ValueError, match="unknown fault point"):
+            FaultPlan().add("hier.characterize")
+        with pytest.raises(ReproError, match="unknown fault point"):
+            parse_fault_spec("no.such.point:exception:-1")
+
+    def test_points_are_the_docstring_table(self):
+        table = re.findall(
+            r"^``([a-z]+\.[a-z]+)``", faultinject.__doc__, re.M
+        )
+        assert tuple(table) == faultinject.POINTS
+        assert len(faultinject.POINTS) == 8
 
     def test_parse_rejects_bad_specs(self):
         for spec in ("nope", "p:", "p:badkind", "p:crash:x", "p:crash:1:kv"):
@@ -420,7 +441,7 @@ class TestAnalyzerDegradation:
             assert degraded.output_times[out] >= t
 
     def test_hier_characterize_fault_degrades(self, csa4_design):
-        plan = FaultPlan().add("hier.characterize", "exception", times=-1)
+        plan = FaultPlan().add("scheduler.serial", "exception", times=-1)
         degraded = HierarchicalAnalyzer(
             csa4_design, options=AnalysisOptions(fault_plan=plan)
         ).analyze()
@@ -429,15 +450,42 @@ class TestAnalyzerDegradation:
         for out, t in exact.output_times.items():
             assert degraded.output_times[out] >= t
 
-    def test_lazy_analysis_degrades_per_port(self, csa4_design):
-        plan = FaultPlan().add("hier.characterize", "exception", times=1)
-        degraded = HierarchicalAnalyzer(
-            csa4_design, options=AnalysisOptions(fault_plan=plan)
-        ).analyze_lazy()
-        exact = HierarchicalAnalyzer(csa4_design).analyze_lazy()
-        assert degraded.degradations
-        for out, t in exact.output_times.items():
-            assert degraded.output_times[out] >= t
+    @pytest.mark.parametrize(
+        "options",
+        [
+            lambda: AnalysisOptions(
+                fault_plan=FaultPlan().add(
+                    "scheduler.serial", "exception", times=-1
+                )
+            ),
+            lambda: AnalysisOptions(deadline=1e-9),
+        ],
+        ids=["serial-fault", "deadline"],
+    )
+    def test_one_plan_one_answer(self, options):
+        """Step 1 has one path: the same fault plan (or deadline) gives
+        the same delay and the same degradation records whether or not
+        a model library is attached."""
+
+        def run(**kwargs):
+            result = HierarchicalAnalyzer(
+                cascade_adder(4, 2), options=options(), **kwargs
+            ).analyze()
+            return result.delay, [
+                (d.kind, d.subject, d.detail, d.fallback)
+                for d in result.degradations
+            ]
+
+        plain = run()
+        assert plain == run(library=ModelLibrary())
+        delay, records = plain
+        assert delay == 14.0  # the topological bound; exact is 12.0
+        assert records[-1] == (
+            "characterization-error",
+            "csa_block2",
+            "characterization failed 1 time(s)",
+            "topological-model",
+        )
 
     def test_demand_refine_fault_keeps_conservative(self, csa4_design):
         plan = FaultPlan().add("demand.refine", "exception", times=-1)
@@ -490,6 +538,39 @@ class TestAnalyzerDegradation:
         assert result.degradations
 
 
+@pytest.mark.faulty
+class TestCharacterizeDeadline:
+    def test_session_deadline_gives_topological_models(self):
+        network = carry_skip_block(4)
+        dlog = DegradationLog()
+        models = AnalysisSession(
+            network, options=AnalysisOptions(deadline=1e-9)
+        ).characterize(dlog=dlog)
+        assert models == topological_models(network)
+        assert {d.kind for d in dlog} == {"deadline", "characterization-error"}
+        assert {d.subject for d in dlog} == set(network.outputs)
+
+    def test_cli_reports_deadline_degradations(self, tmp_path, capsys):
+        source = tmp_path / "csb4.v"
+        source.write_text(dumps_verilog(carry_skip_block(4)))
+        cache = tmp_path / "cache"
+        rc = main([
+            "characterize", str(source), "--deadline", "1e-9",
+            "--cache-dir", str(cache), "-o", str(tmp_path / "lib.json"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 0
+        deadline_lines = [
+            line for line in err.splitlines()
+            if line.strip().startswith("[deadline]")
+        ]
+        assert len(deadline_lines) == len(carry_skip_block(4).outputs)
+        assert "(fallback: " in deadline_lines[0]
+        # The partly topological library is never stored.
+        assert "0 hits, 0 characterizations" in err
+        assert not list(cache.glob("*.json"))
+
+
 # ------------------------------------------------------------------------ CLI
 class TestCLIFailSafe:
     def test_binary_input_exits_2_with_one_line(self, tmp_path, capsys):
@@ -513,6 +594,25 @@ class TestCLIFailSafe:
         err = capsys.readouterr().err
         assert rc == 2
         assert "fault spec" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["demand", EXAMPLE, "--inject", "no.such.point:exception:-1"],
+            [
+                "hier-report", EXAMPLE,
+                "--inject", "hier.characterize:exception",
+            ],
+            ["serve", "--port", "0", "--inject", "no.such.point:exception"],
+        ],
+        ids=["demand", "removed-point", "serve"],
+    )
+    def test_unknown_fault_point_exits_2(self, capsys, argv):
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert err.startswith("error: unknown fault point")
+        assert len(err.strip().splitlines()) == 1
 
     def test_bad_deadline_exits_2(self, capsys):
         rc = main(["hier-report", EXAMPLE, "--deadline", "-1"])

@@ -104,7 +104,7 @@ def test_demand_faults_stay_conservative(seed, num_gates, faults):
 def test_characterization_faults_stay_conservative(seed, num_gates):
     """Poisoned characterization degrades to topological, never below."""
     exact = HierarchicalAnalyzer(_bipartition(seed, num_gates)).analyze()
-    plan = FaultPlan().add("hier.characterize", "exception", times=-1)
+    plan = FaultPlan().add("scheduler.serial", "exception", times=-1)
     degraded = HierarchicalAnalyzer(
         _bipartition(seed, num_gates),
         options=AnalysisOptions(fault_plan=plan),

@@ -224,7 +224,6 @@ class TestNaNRejectedOnLibraryPaths:
         "run",
         [
             lambda d, a: HierarchicalAnalyzer(d).analyze(a),
-            lambda d, a: HierarchicalAnalyzer(d).analyze_lazy(a),
             lambda d, a: HierarchicalAnalyzer(d).analyze_batch([{}, a]),
             lambda d, a: AnalysisSession(d).hierarchical(a),
             lambda d, a: DemandDrivenAnalyzer(d).analyze(a),
@@ -232,7 +231,6 @@ class TestNaNRejectedOnLibraryPaths:
         ],
         ids=[
             "hier-analyze",
-            "hier-lazy",
             "hier-batch",
             "session-hierarchical",
             "demand-analyze",
