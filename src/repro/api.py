@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Mapping
 
 from repro.errors import AnalysisError, ParseError, ReproError
-from repro.netlist.hierarchy import HierDesign
+from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
 from repro.obs.trace import NULL_TRACER, Tracer, ensure_tracer
 
@@ -86,11 +86,12 @@ class AnalysisOptions:
         the deadline degrades to topological models instead of running
         longer (``None`` = unlimited).
     module_timeout:
-        Per-module characterization timeout (seconds) on the parallel
-        path; a hung worker task becomes a retry, then a degradation.
+        Timeout (seconds) of one output cone's characterization on the
+        parallel path; a hung worker task becomes a retry, then a
+        degradation.
     retries:
-        Worker-failure retry rounds before a module falls back to
-        serial (then topological) characterization.
+        Worker-failure retry rounds before a cone falls back to serial
+        (then topological) characterization.
     refine_budget:
         Maximum demand-driven refinements per analysis (``None`` =
         unlimited); past it, edges keep their conservative topological
@@ -303,6 +304,7 @@ class AnalysisSession:
         self.circuit = circuit
         self._library: "ModelLibrary | None" = None
         self._analyzers: dict[str, object] = {}
+        self._revision = 0
 
     # ------------------------------------------------------------- construction
     @classmethod
@@ -337,11 +339,10 @@ class AnalysisSession:
 
     @property
     def network(self) -> Network:
-        """The flat network (a hierarchical session flattens once)."""
+        """The flat network (a hierarchical session flattens once per
+        design revision)."""
         if isinstance(self.circuit, HierDesign):
-            if "flat" not in self._analyzers:
-                self._analyzers["flat"] = self.circuit.flatten()
-            return self._analyzers["flat"]  # type: ignore[return-value]
+            return self._analyzer("flat", self.circuit.flatten)
         return self.circuit
 
     @property
@@ -357,25 +358,47 @@ class AnalysisSession:
             )
         return self._library
 
+    def _cached(self) -> dict[str, object]:
+        """The cached analyzers, minus any built before a design edit.
+
+        The shared hierarchical analyzer survives: edits reach it through
+        :meth:`~repro.core.hier.IncrementalAnalyzer.replace_module`,
+        which drops the edited module's models and the compiled handle.
+        """
+        revision = getattr(self.circuit, "revision", 0)
+        if revision != self._revision:
+            self._revision = revision
+            self._analyzers = {
+                key: value
+                for key, value in self._analyzers.items()
+                if key == "hier"
+            }
+        return self._analyzers
+
     def _analyzer(self, key: str, factory):
-        if key not in self._analyzers:
-            self._analyzers[key] = factory()
-        return self._analyzers[key]
+        cached = self._cached()
+        if key not in cached:
+            cached[key] = factory()
+        return cached[key]
+
+    def _hier(self):
+        """The one hierarchical analyzer behind :meth:`hierarchical`,
+        :meth:`compile`, :meth:`analyze_batch` and :meth:`incremental`."""
+        from repro.core.hier import IncrementalAnalyzer
+
+        return self._analyzer(
+            "hier",
+            lambda: IncrementalAnalyzer(
+                self.design, library=self.library, options=self.options
+            ),
+        )
 
     # ---------------------------------------------------------------- analyses
     def hierarchical(
         self, arrival: Mapping[str, float] | None = None
     ) -> "HierResult":
         """Two-step (Section 3) analysis."""
-        from repro.core.hier import HierarchicalAnalyzer
-
-        analyzer = self._analyzer(
-            "hier",
-            lambda: HierarchicalAnalyzer(
-                self.design, library=self.library, options=self.options
-            ),
-        )
-        return analyzer.analyze(arrival)
+        return self._hier().analyze(arrival)
 
     def compile(self) -> "CompiledDesign":
         """Compile the design once into a reusable
@@ -387,15 +410,7 @@ class AnalysisSession:
         :meth:`analyze_batch`; module edits through :meth:`incremental`
         invalidate it.
         """
-        from repro.core.hier import HierarchicalAnalyzer
-
-        analyzer = self._analyzer(
-            "hier",
-            lambda: HierarchicalAnalyzer(
-                self.design, library=self.library, options=self.options
-            ),
-        )
-        return analyzer.compile()
+        return self._hier().compile()
 
     def analyze_family(
         self,
@@ -460,14 +475,7 @@ class AnalysisSession:
         else:
             raise AnalysisError(SCENARIO_LIST_REMOVED)
         if method == "hierarchical":
-            from repro.core.hier import HierarchicalAnalyzer
-
-            analyzer = self._analyzer(
-                "hier",
-                lambda: HierarchicalAnalyzer(
-                    self.design, library=self.library, options=self.options
-                ),
-            )
+            analyzer = self._hier()
         elif method == "demand":
             from repro.core.demand import DemandDrivenAnalyzer
 
@@ -489,16 +497,12 @@ class AnalysisSession:
 
         Returned directly (not just its result) because incremental flows
         interleave :meth:`~repro.core.hier.IncrementalAnalyzer.replace_module`
-        with re-analysis.
+        with re-analysis.  It is the analyzer behind :meth:`hierarchical`,
+        :meth:`compile` and :meth:`analyze_batch`, so an edit through it
+        reaches them; every other cached analyzer, and the flattened
+        network, is rebuilt from the edited design on next use.
         """
-        from repro.core.hier import IncrementalAnalyzer
-
-        return self._analyzer(
-            "incremental",
-            lambda: IncrementalAnalyzer(
-                self.design, library=self.library, options=self.options
-            ),
-        )
+        return self._hier()
 
     def demand_driven(
         self, arrival: Mapping[str, float] | None = None
@@ -534,7 +538,7 @@ class AnalysisSession:
         self, module: str, inp: str, out: str
     ) -> "PinPairExplanation":
         """Provenance of one refined pin pair (after :meth:`demand_driven`)."""
-        analyzer = self._analyzers.get("demand")
+        analyzer = self._cached().get("demand")
         if analyzer is None:
             raise AnalysisError("run demand_driven() before explain_pin()")
         return analyzer.explain_pin(module, inp, out)
@@ -595,20 +599,21 @@ class AnalysisSession:
     ) -> "dict[str, TimingModel]":
         """Timing models for the (flattened) network's outputs.
 
-        Every output cone goes through the library scheduler: in-process
-        at ``jobs=1``, over worker processes above it, and through the
-        model library when ``cache_dir`` is set.  The run honours
-        ``deadline``: a cone past it, or one whose characterization
-        fails, gets its topological model, the substitution is recorded
-        on ``dlog``, and the degraded network is not stored in the
-        library.
+        The network goes through the library scheduler as one module:
+        its output cones run in-process at ``jobs=1`` and over worker
+        processes above it, through the model library when
+        ``cache_dir`` is set.  The run honours ``deadline``: a cone past
+        it, or one whose characterization fails, gets its topological
+        model, the substitution is recorded on ``dlog``, and the
+        degraded network is not stored in the library.
         """
-        from repro.library.scheduler import characterize_network_parallel
+        from repro.library.scheduler import characterize_modules
 
         options = self.options
         policy = options.resilience_policy()
-        return characterize_network_parallel(
-            self.network,
+        network = self.network
+        return characterize_modules(
+            {network.name: Module(network.name, network)},
             jobs=options.jobs,
             engine=options.engine,
             max_orders=options.max_orders,
@@ -618,7 +623,7 @@ class AnalysisSession:
             policy=policy,
             dlog=dlog,
             deadline=policy.start(),
-        )
+        )[network.name]
 
     # ----------------------------------------------------------------- reports
     def report(self, arrival: Mapping[str, float] | None = None) -> str:

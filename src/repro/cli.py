@@ -554,7 +554,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     try:
         coalesce = CoalesceConfig(
-            max_batch=1 if args.no_coalesce else args.max_batch,
+            max_batch=args.max_batch,
             max_wait=args.max_wait_ms / 1e3,
             quiet_wait=args.quiet_wait_ms / 1e3,
         )
@@ -755,7 +755,7 @@ def build_parser() -> argparse.ArgumentParser:
             type=float,
             default=None,
             metavar="SECONDS",
-            help="per-module characterization timeout on the parallel "
+            help="per-cone characterization timeout on the parallel "
             "path; a hung worker becomes a retry, then a degradation",
         )
         p.add_argument(
@@ -979,12 +979,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="MS",
         help="flush once no new request arrived for this long "
         "(default %(default)s)",
-    )
-    serve.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable request coalescing (every request is its own "
-        "kernel call; the bench_server baseline configuration)",
     )
     serve.add_argument(
         "--max-scenarios",

@@ -23,7 +23,6 @@ from repro.core.hier import (
 )
 from repro.core.instance_models import (
     PerInstanceAnalyzer,
-    characterize_instance,
     instance_care_network,
 )
 from repro.core.ipblock import (
@@ -100,7 +99,6 @@ __all__ = [
     "approx_required_tuples",
     "black_box_from_library",
     "black_box_module",
-    "characterize_instance",
     "characterize_network",
     "characterize_output",
     "circuit_delay",

@@ -247,10 +247,10 @@ class HierarchicalAnalyzer:
         twins characterized once.  Results are identical for any job
         count.  ``functional=False`` installs topological models.
 
-        Failures never abort the run: a module whose characterization
-        crashes, times out, or falls past the run ``deadline`` gets its
-        topological model instead (conservative by Theorem 1) and the
-        substitution is recorded on :attr:`dlog`.
+        Failures never abort the run: an output cone whose
+        characterization crashes, times out, or falls past the run
+        ``deadline`` gets its topological model instead (conservative by
+        Theorem 1) and the substitution is recorded on :attr:`dlog`.
         """
         fresh = tuple(
             name for name in self.design.modules if name not in self._models

@@ -22,8 +22,7 @@ arrival condition at the instance boundary.
 from __future__ import annotations
 
 from repro.core.hier import HierarchicalAnalyzer
-from repro.core.required import characterize_output
-from repro.core.timing_model import NEG_INF, TimingModel, prune_dominated
+from repro.core.timing_model import TimingModel
 from repro.core.xbd0 import Engine
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign, Instance
@@ -89,70 +88,31 @@ def _restrict_care(care: Network, outputs: tuple[str, ...]) -> Network:
     return restricted
 
 
-def characterize_instance(
-    design: HierDesign,
-    instance: Instance | str,
-    engine: Engine = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-    flat: Network | None = None,
-) -> dict[str, TimingModel]:
-    """SDC-aware timing models of one instance, aligned to module inputs."""
-    if isinstance(instance, str):
-        instance = design.instances[instance]
-    module = design.module_of(instance)
-    network = module.network
-    care = instance_care_network(design, instance, flat)
-    models: dict[str, TimingModel] = {}
-    for output in network.outputs:
-        cone = network.extract_cone(output)
-        local_care = _restrict_care(care, cone.inputs)
-        local = characterize_output(
-            network, output, engine, max_orders, max_tuples,
-            care=local_care,
-        )
-        expanded = []
-        for tup in local.tuples:
-            named = dict(zip(local.inputs, tup))
-            expanded.append(
-                tuple(named.get(x, NEG_INF) for x in network.inputs)
-            )
-        models[output] = TimingModel(
-            output, network.inputs, prune_dominated(tuple(expanded))
-        )
-    return models
-
-
 class PerInstanceAnalyzer(HierarchicalAnalyzer):
     """Hierarchical analyzer with per-instance SDC-aware models.
 
     Trades the module-level model sharing of the base analyzer (each
     instance is characterized separately, against its own care set) for
-    accuracy — the refinement the paper's footnote 6 describes.  The
-    flattened design is computed once and shared across instances.
+    accuracy — the refinement the paper's footnote 6 describes.
+
+    Step 1 flattens the design once and sends every instance's cones to
+    the runner (:func:`~repro.library.scheduler.characterize_cones`),
+    owned by the instance and never through a model library.  ``jobs``,
+    the run deadline and the fault plan apply as for module models: a
+    failed or late cone keeps its output's topological model, recorded
+    on :attr:`dlog` under ``instance:output``.
     """
 
     def __init__(self, design: HierDesign, engine: Engine = "sat", **kwargs):
         super().__init__(design, engine, **kwargs)
         self._instance_models: dict[str, dict[str, TimingModel]] = {}
-        self._flat: Network | None = None
 
     def models_for_instance(self, inst_name: str) -> dict[str, TimingModel]:
-        """Cached SDC-aware models of one instance."""
-        if inst_name not in self._instance_models:
-            if inst_name not in self.design.instances:
-                raise AnalysisError(f"unknown instance {inst_name!r}")
-            if self._flat is None:
-                self._flat = self.design.flatten()
-            self._instance_models[inst_name] = characterize_instance(
-                self.design,
-                inst_name,
-                self.engine,
-                self.max_orders,
-                self.max_tuples,
-                flat=self._flat,
-            )
-            self._compiled = None
+        """SDC-aware models of one instance (Step 1 runs for every
+        instance on first use)."""
+        if inst_name not in self.design.instances:
+            raise AnalysisError(f"unknown instance {inst_name!r}")
+        self._ensure_models()
         return self._instance_models[inst_name]
 
     def _ensure_models(self):
@@ -162,9 +122,40 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
         this before propagating; reporting every instance name keeps the
         pre-hook ``characterized_modules`` behavior of this analyzer.
         """
+        from repro.library.scheduler import Cone, characterize_cones
+
         order = tuple(self.design.instance_order())
-        for inst_name in order:
-            self.models_for_instance(inst_name)
+        missing = [n for n in order if n not in self._instance_models]
+        if not missing:
+            return order
+        flat = self.design.flatten()
+        cones = []
+        for inst_name in missing:
+            network = self.design.module_of(inst_name).network
+            care = instance_care_network(self.design, inst_name, flat)
+            cones.extend(
+                Cone(
+                    inst_name,
+                    network,
+                    output,
+                    _restrict_care(care, network.extract_cone(output).inputs),
+                )
+                for output in network.outputs
+            )
+        characterized = characterize_cones(
+            cones,
+            self.jobs,
+            self.engine,
+            self.max_orders,
+            self.max_tuples,
+            tracer=self.tracer,
+            policy=self.policy,
+            dlog=self.dlog,
+            deadline=self.policy.start(),
+        )
+        for inst_name in missing:
+            models, _seconds = characterized.get(inst_name, ({}, None))
+            self._instance_models[inst_name] = models
         return order
 
     def _models_of_instance(self, inst_name):
@@ -173,4 +164,4 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
         :meth:`compile` bakes each instance's customized model into
         the plan.
         """
-        return self.models_for_instance(inst_name)
+        return self._instance_models[inst_name]

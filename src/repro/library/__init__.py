@@ -10,8 +10,9 @@ This subsystem turns that into infrastructure:
 * :mod:`repro.library.store` — :class:`ModelLibrary`, an on-disk JSON
   store with atomic writes, corruption fallback, and an in-memory LRU;
 * :mod:`repro.library.scheduler` — Step 1 of every hierarchical
-  analysis: characterization of all uncached leaf modules, in-process
-  or over worker processes, with deterministic merging;
+  analysis: one resilient runner over output cones, in-process or over
+  worker processes, with deterministic merging, under the module layer
+  that characterizes all uncached leaf modules;
 * :mod:`repro.library.stats` — hit/miss/evict/characterization counters
   surfaced in ``hier-report``.
 
@@ -24,10 +25,7 @@ Typical use::
     # characterizations, all models come from the library.
 """
 
-from repro.library.scheduler import (
-    characterize_modules,
-    characterize_network_parallel,
-)
+from repro.library.scheduler import characterize_modules
 from repro.library.signature import (
     design_signatures,
     module_signature,
@@ -42,7 +40,6 @@ __all__ = [
     "LibraryStats",
     "ModelLibrary",
     "characterize_modules",
-    "characterize_network_parallel",
     "design_signatures",
     "module_signature",
     "network_signature",

@@ -1,42 +1,42 @@
-"""Leaf-module characterization with deterministic merging.
+"""Step-1 characterization: one resilient runner over output cones.
 
-Step 1 of the hierarchical flow is embarrassingly parallel: each leaf
-module (indeed each output cone) is characterized independently.
-:func:`characterize_modules` is the one Step-1 path of
-:class:`~repro.core.hier.HierarchicalAnalyzer`: it runs the uncached
-work in-process at ``jobs=1`` and fans it out over a
-``ProcessPoolExecutor`` above that, both through the fault-tolerant
-:func:`~repro.resilience.executor.run_resilient` runner:
+Section 3.1 characterizes each leaf output separately, with required
+time 0 at the output, so Step 1 is embarrassingly parallel.
+:func:`characterize_cones` is the one runner every Step-1 caller uses.
+A work item (:class:`Cone`) is one output cone: its owner's name, the
+network, the output and, for the per-instance models of footnote 6, a
+care network.  Items go through
+:func:`~repro.resilience.executor.run_resilient`, in-process at
+``jobs=1`` and over worker processes above it:
 
-* distinct modules sharing one structural signature are characterized
-  once and re-keyed to every twin (content-addressing inside a run, not
-  just across runs);
-* work items are submitted in a fixed order and merged by payload index,
-  so results are bit-identical for any ``--jobs N`` — and for any crash
-  or retry pattern;
-* worker crashes, hung tasks, and restricted sandboxes degrade through
-  the resilience ladder: retry with backoff → quarantine → in-process
-  serial characterization → the topological (pin-to-pin longest-path)
-  model, which stays sound by Theorem 1.  Every rung taken is recorded
-  in the run's :class:`~repro.resilience.degradation.DegradationLog`;
-* Ctrl-C cancels pending futures and shuts the pool down cleanly
-  instead of hanging on queued work.
+* items are submitted in a fixed order and merged by index, so models
+  are bit-identical for any ``jobs`` and any crash or retry pattern;
+* crashes, hung tasks and restricted sandboxes degrade through retry
+  with backoff, quarantine and in-process serial characterization; a
+  cone that still fails, or misses the run deadline, gets its output's
+  topological model (sound by Theorem 1).  Every rung is recorded on
+  the run's :class:`~repro.resilience.degradation.DegradationLog`
+  under ``owner:output``;
+* fault rules match ``module=<owner>`` on every cone of an owner and
+  ``output=`` on one cone.
 
-``characterize_network_parallel`` applies the same treatment to the
-output cones of a single flat network (``AnalysisSession.characterize``
-and the ``repro characterize`` CLI, at any ``jobs``).
+The callers: :func:`characterize_modules` (modules of a
+:class:`~repro.core.hier.HierarchicalAnalyzer`, and the flat network of
+``AnalysisSession.characterize`` as one module) adds signatures, the
+model library and twin re-keying;
+:class:`~repro.core.instance_models.PerInstanceAnalyzer` sends SDC-aware
+cones owned by its instances, without a library.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from time import perf_counter
-from typing import Mapping
+from typing import Mapping, Sequence
 
-from repro.core.required import (
-    characterize_network,
-    characterize_output,
-    expand_model_to_inputs,
-)
+from repro.core import required
+from repro.core.hier import topological_models
+from repro.core.required import expand_model_to_inputs
 from repro.core.timing_model import TimingModel
 from repro.library.signature import module_signature
 from repro.library.store import ModelLibrary
@@ -49,31 +49,120 @@ from repro.resilience.faultinject import execute_directive
 from repro.resilience.policy import DEFAULT_POLICY, Deadline, ResiliencePolicy
 
 
-def _characterize_module_task(payload, directive=None, tracer=None):
-    """Worker: characterize one module (top-level for pickling).
+@dataclass(frozen=True)
+class Cone:
+    """One Step-1 work item: the cone of ``output`` in ``network``.
+
+    ``owner`` names the model set the cone belongs to (a module, or an
+    instance for per-instance models); ``care`` optionally restricts
+    the input vectors over which stability must hold.
+    """
+
+    owner: str
+    network: Network
+    output: str
+    care: Network | None = None
+
+
+def _characterize_cone_task(payload, directive=None, tracer=None):
+    """Worker: characterize one output cone (top-level for pickling).
 
     ``directive`` carries a serialized fault injection (tests only);
-    ``tracer`` is only supplied on the in-process serial path — it
-    cannot cross a process boundary.
+    ``tracer`` is only supplied on the in-process path — it cannot
+    cross a process boundary.  ``characterize_output`` is looked up on
+    its module at call time, so wrappers installed there see the call.
     """
     execute_directive(directive)
-    name, network, engine, max_orders, max_tuples = payload
+    cone, engine, max_orders, max_tuples = payload
     t0 = perf_counter()
-    models = characterize_network(
-        network, engine, max_orders, max_tuples, tracer=tracer
+    local = required.characterize_output(
+        cone.network, cone.output, engine, max_orders, max_tuples,
+        care=cone.care, tracer=tracer,
     )
-    return name, perf_counter() - t0, models
+    model = expand_model_to_inputs(local, cone.network.inputs)
+    return perf_counter() - t0, model
 
 
-def _characterize_output_task(payload, directive=None, tracer=None):
-    """Worker: characterize one output cone of a flat network."""
-    execute_directive(directive)
-    network, output, engine, max_orders, max_tuples = payload
-    t0 = perf_counter()
-    local = characterize_output(
-        network, output, engine, max_orders, max_tuples, tracer=tracer
+def characterize_cones(
+    cones: Sequence[Cone],
+    jobs: int = 1,
+    engine: str = "sat",
+    max_orders: int = 4,
+    max_tuples: int = 8,
+    tracer: Tracer | None = None,
+    policy: ResiliencePolicy | None = None,
+    dlog: DegradationLog | None = None,
+    deadline: Deadline | None = None,
+) -> dict[str, tuple[dict[str, TimingModel], float | None]]:
+    """Characterize every cone; group the models by owner.
+
+    Returns ``{owner: ({output: model}, seconds)}`` in item order, with
+    every model aligned to its network's full input order.  ``seconds``
+    sums the owner's cone times, or is ``None`` when any of its cones
+    degraded: a cone that fails or misses the ``deadline`` gets its
+    output's topological model (conservative by Theorem 1) and a
+    ``characterization-error`` record on ``dlog``.
+
+    Worker processes cannot share ``tracer``: each task returns its
+    wall time, recorded in the parent as one ``characterize-output``
+    event per cone (no phase) and one ``characterize-module`` event
+    (phase ``"characterization"``) per owner with no degraded cone.
+    """
+    tracer = ensure_tracer(tracer)
+    policy = policy if policy is not None else DEFAULT_POLICY
+    dlog = dlog if dlog is not None else DegradationLog(tracer)
+    outcomes = run_resilient(
+        _characterize_cone_task,
+        [(cone, engine, max_orders, max_tuples) for cone in cones],
+        jobs=jobs,
+        policy=policy,
+        deadline=deadline,
+        dlog=dlog,
+        subject_of=lambda payload: {
+            "module": payload[0].owner, "output": payload[0].output,
+        },
+        tracer=tracer,
     )
-    return output, perf_counter() - t0, local
+    owners: dict[str, tuple[dict[str, TimingModel], float | None]] = {}
+    fallback: dict[str, dict[str, TimingModel]] = {}
+    for cone, outcome in zip(cones, outcomes):
+        models, seconds = owners.get(cone.owner, ({}, 0.0))
+        if outcome.ok:
+            cone_seconds, models[cone.output] = outcome.result
+            if seconds is not None:
+                seconds += cone_seconds
+            if tracer.enabled:
+                tracer.event(
+                    "characterize-output",
+                    seconds=cone_seconds,
+                    module=cone.owner,
+                    output=cone.output,
+                    jobs=jobs,
+                )
+        else:
+            if cone.owner not in fallback:
+                fallback[cone.owner] = topological_models(cone.network)
+            models[cone.output] = fallback[cone.owner][cone.output]
+            seconds = None
+            dlog.record(
+                "characterization-error",
+                outcome.subject,
+                f"characterization failed {outcome.failures} time(s)",
+                "topological-model",
+            )
+        owners[cone.owner] = (models, seconds)
+    if tracer.enabled:
+        for owner, (_models, seconds) in owners.items():
+            if seconds is not None:
+                tracer.count("scheduler.characterizations")
+                tracer.event(
+                    "characterize-module",
+                    phase="characterization",
+                    seconds=seconds,
+                    module=owner,
+                    jobs=jobs,
+                )
+    return owners
 
 
 def _rekey_models(
@@ -84,13 +173,6 @@ def _rekey_models(
         d: TimingModel(d, dst.inputs, models[s].tuples)
         for s, d in zip(src.outputs, dst.outputs)
     }
-
-
-def _topological_fallback(module: Module) -> dict[str, TimingModel]:
-    """The always-sound Step-1 substitute (Theorem 1): topological models."""
-    from repro.core.hier import topological_models
-
-    return topological_models(module.network)
 
 
 def characterize_modules(
@@ -108,23 +190,12 @@ def characterize_modules(
     """Characterize every module, consulting/filling ``library``.
 
     Returns ``{module name: {output port: model}}`` with models aligned
-    to each module's own input order.  Results are independent of
-    ``jobs``; modules already present in ``library`` are never
-    re-characterized.
-
-    A module whose characterization cannot be completed (worker crash,
-    timeout, deadline, poison netlist) falls back to its topological
-    model — conservative by Theorem 1 — and the substitution is
-    recorded in ``dlog``.  Fallback models are *not* stored in the
-    library.
-
-    Worker processes cannot share ``tracer``; per-module wall time is
-    returned by each worker and recorded as a ``characterize-module``
-    event (phase ``"characterization"``) in the parent.
+    to each module's own input order.  Modules found in ``library`` are
+    never re-characterized; structural twins are characterized once and
+    re-keyed.  The cones of the rest go through one
+    :func:`characterize_cones` call, so ``jobs`` workers share them even
+    for a single module.  A module with a degraded cone is not stored.
     """
-    tracer = ensure_tracer(tracer)
-    policy = policy if policy is not None else DEFAULT_POLICY
-    dlog = dlog if dlog is not None else DegradationLog(tracer)
     signatures = {
         name: module_signature(module, engine, max_orders, max_tuples)
         for name, module in modules.items()
@@ -143,44 +214,19 @@ def characterize_modules(
         if sig not in representative:
             representative[sig] = name
             pending.append(name)
-    payloads = [
-        (name, modules[name].network, engine, max_orders, max_tuples)
-        for name in pending
-    ]
-    outcomes = run_resilient(
-        _characterize_module_task,
-        payloads,
-        jobs=jobs,
-        policy=policy,
-        deadline=deadline,
-        dlog=dlog,
-        subject_of=lambda payload: {"module": payload[0]},
-        tracer=tracer,
+    characterized = characterize_cones(
+        [
+            Cone(name, modules[name].network, output)
+            for name in pending
+            for output in modules[name].outputs
+        ],
+        jobs, engine, max_orders, max_tuples,
+        tracer=tracer, policy=policy, dlog=dlog, deadline=deadline,
     )
-    for outcome in outcomes:
-        name = pending[outcome.index]
-        if not outcome.ok:
-            module = modules[name]
-            results[name] = _topological_fallback(module)
-            dlog.record(
-                "characterization-error",
-                name,
-                f"characterization failed {outcome.failures} time(s)",
-                "topological-model",
-            )
-            continue
-        _task_name, seconds, models = outcome.result
+    for name in pending:
+        models, seconds = characterized.get(name, ({}, 0.0))
         results[name] = models
-        if tracer.enabled:
-            tracer.count("scheduler.characterizations")
-            tracer.event(
-                "characterize-module",
-                phase="characterization",
-                seconds=seconds,
-                module=name,
-                jobs=jobs,
-            )
-        if library is not None:
+        if library is not None and seconds is not None:
             module = modules[name]
             library.store(
                 signatures[name], module.inputs, module.outputs, models
@@ -194,84 +240,3 @@ def characterize_modules(
             results[src_name], modules[src_name], module
         )
     return results
-
-
-def characterize_network_parallel(
-    network: Network,
-    jobs: int = 1,
-    engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-    library: ModelLibrary | None = None,
-    tracer: Tracer | None = None,
-    policy: ResiliencePolicy | None = None,
-    dlog: DegradationLog | None = None,
-    deadline: Deadline | None = None,
-) -> dict[str, TimingModel]:
-    """Like ``characterize_network`` but fanned out per output cone.
-
-    With a ``library``, the whole network is treated as one module:
-    a hit short-circuits every cone, a miss characterizes then stores.
-    A cone whose characterization fails degrades to that output's
-    topological model (recorded in ``dlog``); a partially degraded
-    network is *not* stored in the library.
-    """
-    tracer = ensure_tracer(tracer)
-    policy = policy if policy is not None else DEFAULT_POLICY
-    dlog = dlog if dlog is not None else DegradationLog(tracer)
-    sig = None
-    if library is not None:
-        sig = module_signature(network, engine, max_orders, max_tuples)
-        cached = library.lookup(sig, network.inputs, network.outputs)
-        if cached is not None:
-            return cached
-    payloads = [
-        (network, output, engine, max_orders, max_tuples)
-        for output in network.outputs
-    ]
-    t0 = perf_counter()
-    models = {}
-    degraded = False
-    outcomes = run_resilient(
-        _characterize_output_task,
-        payloads,
-        jobs=jobs,
-        policy=policy,
-        deadline=deadline,
-        dlog=dlog,
-        subject_of=lambda payload: {"output": payload[1]},
-        tracer=tracer,
-    )
-    topo_models = None
-    for outcome in outcomes:
-        output = network.outputs[outcome.index]
-        if not outcome.ok:
-            if topo_models is None:
-                from repro.core.hier import topological_models
-
-                topo_models = topological_models(network)
-            models[output] = topo_models[output]
-            degraded = True
-            dlog.record(
-                "characterization-error",
-                output,
-                f"characterization failed {outcome.failures} time(s)",
-                "topological-model",
-            )
-            continue
-        _out, seconds, local = outcome.result
-        models[output] = expand_model_to_inputs(local, network.inputs)
-        if tracer.enabled:
-            tracer.event(
-                "characterize-output",
-                phase="characterization",
-                seconds=seconds,
-                output=output,
-                jobs=jobs,
-            )
-    if library is not None and sig is not None and not degraded:
-        library.store(sig, network.inputs, network.outputs, models)
-        library.stats.record_characterization(
-            network.name, perf_counter() - t0
-        )
-    return models

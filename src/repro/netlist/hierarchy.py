@@ -67,6 +67,8 @@ class HierDesign:
         self._input_set: set[str] = set()
         self._outputs: list[str] = []
         self._order_cache: list[str] | None = None
+        #: Bumped by :meth:`replace_module`, so caches can tell an edit.
+        self.revision = 0
 
     # ------------------------------------------------------------------ build
     def add_module(self, module: Module) -> Module:
@@ -135,6 +137,7 @@ class HierDesign:
             )
         module = Module(module_name, new_network)
         self._modules[module_name] = module
+        self.revision += 1
         return module
 
     # ------------------------------------------------------------------ query

@@ -8,7 +8,7 @@ optimistic answer.  This package turns that property into
 infrastructure:
 
 * :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (deadline,
-  per-module timeout, retry/backoff schedule, quarantine threshold,
+  per-task timeout, retry/backoff schedule, quarantine threshold,
   refinement budget) and the runtime :class:`Deadline`;
 * :mod:`repro.resilience.degradation` — :class:`Degradation` records and
   the per-run :class:`DegradationLog`; every conservative fallback lands

@@ -58,7 +58,7 @@ def _subject(subject_of, payload) -> dict:
 
 
 def _subject_name(ctx: dict) -> str:
-    return str(next(iter(ctx.values()), "?"))
+    return ":".join(str(v) for v in ctx.values()) or "?"
 
 
 def run_resilient(
@@ -80,8 +80,9 @@ def run_resilient(
     (``None`` in production), and ``tracer`` is only supplied on the
     in-process path (it cannot cross a process boundary).
 
-    ``subject_of(payload)`` names the payload for degradation records
-    and fault-rule matching (e.g. ``{"module": name}``).
+    ``subject_of(payload)`` is the payload's context for fault-rule
+    matching (e.g. ``{"module": name, "output": port}``); its values,
+    joined by ``:``, name the payload in degradation records.
     """
     deadline = deadline if deadline is not None else UNLIMITED
     dlog = dlog if dlog is not None else DegradationLog()
@@ -175,19 +176,22 @@ def _parallel_phase(
                 delay = deadline.clamp(next(backoff))
                 if delay and delay > 0:
                     sleep(delay)
-            futures = {
-                i: pool.submit(
-                    task,
-                    payloads[i],
+            futures = {}
+            for i in eligible:
+                directive = (
                     plan.directive("scheduler.task", **contexts[i])
                     if plan is not None
-                    else None,
+                    else None
                 )
-                for i in eligible
-            }
+                try:
+                    futures[i] = pool.submit(task, payloads[i], directive)
+                except BrokenProcessPool:
+                    # A worker died mid-submission: a submitted future
+                    # reports the crash below; the rest wait a round.
+                    break
             still_pending = [i for i in pending if i not in futures]
             broke = False
-            for i in eligible:
+            for i in futures:
                 outcome = outcomes[i]
                 if broke:
                     # The pool died; salvage what already finished.

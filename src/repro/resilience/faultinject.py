@@ -17,7 +17,10 @@ point                     where it fires
 ``coalescer.flush``       at the top of every coalescer batch flush
 ========================  =====================================================
 
-A rule naming any other point is rejected (see :data:`POINTS`).
+A rule naming any other point is rejected (see :data:`POINTS`).  The
+two scheduler points fire once per output cone, with the context
+``module=<owner>, output=<output>``: a ``module=`` rule matches every
+cone of its module (or instance), ``output=`` narrows it to one cone.
 
 A plan is a list of :class:`FaultRule` entries; each names a point, a
 fault ``kind`` (``exception``, ``crash``, ``timeout``, ``interrupt``,

@@ -9,13 +9,14 @@ step may be skipped, and the analysis stays sound (never optimistic).
 :class:`ResiliencePolicy` is the knob bundle for those trade-offs:
 
 * ``deadline_seconds`` — wall-clock budget for a whole analysis run; when
-  it expires, remaining modules fall back to topological models and
-  remaining refinements are skipped;
-* ``module_timeout`` — per-task budget for one parallel characterization;
+  it expires, remaining output cones fall back to topological models
+  and remaining refinements are skipped;
+* ``module_timeout`` — per-task budget for one parallel cone
+  characterization;
 * ``max_retries`` / ``backoff_base`` / ``backoff_cap`` / ``jitter`` —
   exponential-backoff retry schedule for failed worker tasks
   (deterministic per ``jitter_seed``);
-* ``quarantine_after`` — failures before a module is declared poison and
+* ``quarantine_after`` — failures before a cone is declared poison and
   never handed to a worker process again;
 * ``refine_budget`` — per-output cap on demand-driven refinement checks.
 

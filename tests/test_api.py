@@ -116,6 +116,41 @@ class TestSessionHierarchical:
             flat, engine="sat"
         )
 
+    def test_incremental_edit_reaches_every_entry_point(self):
+        """Theorem 1 after an edit: no cached analyzer, compiled handle
+        or flattened network answers for the design before the edit."""
+        from repro.scenarios import ScenarioSet
+
+        design = cascade_adder(4, 2)
+        session = AnalysisSession(design)
+
+        def answers():
+            handle = session.compile()
+            compiled = handle.propagate([{}])[0]
+            return {
+                "hierarchical": session.hierarchical().delay,
+                "compile": max(compiled[o] for o in design.outputs),
+                "analyze_batch": session.analyze_batch(
+                    ScenarioSet.of({})
+                ).delay,
+                "demand_driven": session.demand_driven().delay,
+                "per_instance": session.per_instance().delay,
+                "functional_delays": max(
+                    session.functional_delays().values()
+                ),
+            }
+
+        assert set(answers().values()) == {12.0}
+        network = design.modules["csa_block2"].network
+        incremental = session.incremental()
+        incremental.replace_module(
+            "csa_block2", network.with_delays(lambda g: 3 * g.delay)
+        )
+        assert incremental.analyze().delay == 36.0
+        assert AnalysisSession(design).hierarchical().delay == 36.0
+        assert answers() == dict.fromkeys(answers(), 36.0)
+        assert session.incremental() is incremental
+
     def test_explain_pin_requires_demand_run(self, csa4_design):
         session = AnalysisSession(csa4_design)
         with pytest.raises(AnalysisError):

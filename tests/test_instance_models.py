@@ -7,7 +7,6 @@ from repro.core.demand import flat_functional_delay
 from repro.core.hier import HierarchicalAnalyzer
 from repro.core.instance_models import (
     PerInstanceAnalyzer,
-    characterize_instance,
     instance_care_network,
 )
 from repro.core.xbd0 import StabilityAnalyzer
@@ -133,7 +132,7 @@ class TestCareAwareStability:
 class TestInstanceCharacterization:
     def test_sdc_model_drops_the_dead_branch(self):
         design = sdc_design()
-        models = characterize_instance(design, "u_mux")
+        models = PerInstanceAnalyzer(design).models_for_instance("u_mux")
         z = models["z"]
         # module input order: s, a, b
         assert z.inputs == ("s", "a", "b")

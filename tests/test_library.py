@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.api import AnalysisSession
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.cli import main
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
@@ -14,7 +15,6 @@ from repro.library import (
     FORMAT_VERSION,
     ModelLibrary,
     characterize_modules,
-    characterize_network_parallel,
     design_signatures,
     module_signature,
     network_signature,
@@ -282,15 +282,19 @@ class TestScheduler:
     @pytest.mark.slow
     def test_network_parallel_matches_serial(self, csa_block2):
         serial = characterize_network(csa_block2)
-        parallel = characterize_network_parallel(csa_block2, jobs=4)
+        parallel = AnalysisSession(csa_block2, jobs=4).characterize()
         assert model_tuples(serial) == model_tuples(parallel)
 
     def test_network_parallel_uses_library(self, tmp_path, csa_block2):
+        def characterize(lib):
+            modules = {"blk": Module("blk", csa_block2)}
+            return characterize_modules(modules, library=lib)["blk"]
+
         lib = ModelLibrary(tmp_path / "cache")
-        first = characterize_network_parallel(csa_block2, library=lib)
+        first = characterize(lib)
         assert lib.stats.characterizations == 1
         again = ModelLibrary(tmp_path / "cache")
-        second = characterize_network_parallel(csa_block2, library=again)
+        second = characterize(again)
         assert again.stats.characterizations == 0
         assert model_tuples(first) == model_tuples(second)
 

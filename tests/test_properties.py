@@ -1,15 +1,18 @@
 """Cross-cutting property tests for the invariants in DESIGN.md §7."""
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
 from repro.circuits.partition import cascade_bipartition
 from repro.circuits.random_logic import random_network
 from repro.core.required import approx_required_tuples
 from repro.core.xbd0 import StabilityAnalyzer
+from repro.errors import NetlistError
 from repro.netlist.ops import networks_equivalent_on
+from repro.resilience import FaultPlan
 from repro.sat.solver import SolveResult, solve_cnf
 from repro.sat.tseitin import miter_cnf
 from repro.sim.timed import stable_times
@@ -121,3 +124,92 @@ class TestEngineAgreementOnChecks:
             for engine in ("sat", "bdd", "brute")
         }
         assert len(set(verdicts.values())) == 1, verdicts
+
+
+def _bipartition(seed):
+    try:
+        return cascade_bipartition(
+            random_network(6, 18, seed=seed, num_outputs=3)
+        )
+    except NetlistError:
+        assume(False)
+
+
+@pytest.mark.faulty
+class TestDegradedStepOneBounds:
+    """Theorem 1 on the degraded Step-1 paths: per output, flat XBD0 ≤
+    hierarchical ≤ topological and flat XBD0 ≤ per-instance ≤
+    topological, whichever cones fail or miss the deadline."""
+
+    @staticmethod
+    def assert_bounded(design, hier_options, inst_options):
+        flat = AnalysisSession(design).functional_delays()
+        topological = AnalysisSession(
+            design, functional=False
+        ).hierarchical().output_times
+        hier = AnalysisSession(design, **hier_options).hierarchical()
+        inst = AnalysisSession(design, **inst_options).per_instance()
+        for out in design.outputs:
+            assert flat[out] <= hier.output_times[out] + 1e-9
+            assert hier.output_times[out] <= topological[out] + 1e-9
+            assert flat[out] <= inst.output_times[out] + 1e-9
+            assert inst.output_times[out] <= topological[out] + 1e-9
+        return hier, inst
+
+    @staticmethod
+    def fallbacks(result):
+        return {
+            d.subject
+            for d in result.degradations
+            if d.kind == "characterization-error"
+        }
+
+    @settings(max_examples=8, deadline=None)
+    @given(st.integers(0, 10_000), st.data())
+    def test_failed_cones(self, seed, data):
+        design = _bipartition(seed)
+        hier_plan, inst_plan = FaultPlan(), FaultPlan()
+        hier_failed, inst_failed = set(), set()
+        for inst_name, inst in design.instances.items():
+            outputs = design.modules[inst.module_name].outputs
+            if not outputs:
+                continue
+            if data.draw(st.booleans()):
+                # A module= rule hits every cone of its owner.
+                hier_plan.add(
+                    "scheduler.serial", times=-1, module=inst.module_name
+                )
+                inst_plan.add("scheduler.serial", times=-1, module=inst_name)
+                failed = outputs
+            else:
+                failed = data.draw(st.sets(st.sampled_from(outputs)))
+                for out in failed:
+                    hier_plan.add(
+                        "scheduler.serial", times=-1,
+                        module=inst.module_name, output=out,
+                    )
+                    inst_plan.add(
+                        "scheduler.serial", times=-1,
+                        module=inst_name, output=out,
+                    )
+            hier_failed |= {f"{inst.module_name}:{out}" for out in failed}
+            inst_failed |= {f"{inst_name}:{out}" for out in failed}
+        hier, inst = self.assert_bounded(
+            design, {"fault_plan": hier_plan}, {"fault_plan": inst_plan}
+        )
+        assert self.fallbacks(hier) == hier_failed
+        assert self.fallbacks(inst) == inst_failed
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_missed_deadline(self, seed):
+        design = _bipartition(seed)
+        options = {"deadline": 1e-9}
+        hier, inst = self.assert_bounded(design, options, options)
+        cones = {
+            (inst.module_name, out)
+            for inst in design.instances.values()
+            for out in design.modules[inst.module_name].outputs
+        }
+        assert len(self.fallbacks(hier)) == len(cones)
+        assert len(self.fallbacks(inst)) == len(cones)

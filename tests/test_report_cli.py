@@ -1,5 +1,8 @@
 """Tests for k-worst-paths, timing reports, and the CLI."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.circuits.adders import carry_skip_block, cascade_adder
@@ -184,6 +187,20 @@ class TestCLI:
         # and the reported version is a real dotted version string
         assert package_version()[0].isdigit()
 
+    def test_python_floor_is_the_oldest_ci_python(self):
+        """The declared ``requires-python`` floor is the oldest Python
+        the CI matrix runs (``package_version`` needs ``tomllib``)."""
+        root = Path(__file__).resolve().parents[1]
+        pyproject = (root / "pyproject.toml").read_text()
+        floor = re.search(
+            r'^requires-python\s*=\s*">=\s*([\d.]+)"', pyproject, re.M
+        ).group(1)
+        ci = (root / ".github" / "workflows" / "ci.yml").read_text()
+        matrix = re.search(r"python-version:\s*\[([^\]]*)\]", ci).group(1)
+        versions = re.findall(r"[\d.]+", matrix)
+        oldest = min(versions, key=lambda v: tuple(map(int, v.split("."))))
+        assert floor == oldest
+
     def test_unknown_subcommand_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -225,3 +242,12 @@ class TestCLI:
         lines = [line for line in capsys.readouterr().err.splitlines() if line]
         assert len(lines) == 1
         assert lines[0].startswith("error:") and flag in lines[0]
+
+    def test_serve_no_coalesce_removed_exit_2(self, capsys):
+        """``--max-batch 1`` is the one way to turn coalescing off."""
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", "0", "--no-coalesce"])
+        assert exc.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and "--no-coalesce" in lines[0]

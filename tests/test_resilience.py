@@ -337,6 +337,106 @@ class TestSchedulerDegradation:
             assert degraded.output_times[out] >= t
 
 
+@pytest.mark.faulty
+class TestConeRunner:
+    """Step 1 has one runner, over output cones: every caller gets the
+    same workers, deadline, fault points and per-cone fallback."""
+
+    @staticmethod
+    def tuples(results):
+        return {
+            name: {out: model.tuples for out, model in models.items()}
+            for name, models in results.items()
+        }
+
+    @pytest.mark.slow
+    def test_one_module_design_reaches_workers(self):
+        design = cascade_adder(8, 2)  # one module: csa_block2
+        assert len(design.modules) == 1
+        plan = FaultPlan().add("scheduler.task", "exception", times=1)
+        dlog = DegradationLog()
+        policy = ResiliencePolicy(
+            fault_plan=plan, backoff_base=0.0, jitter=0.0
+        )
+        parallel = characterize_modules(
+            design.modules, jobs=2, policy=policy, dlog=dlog
+        )
+        assert plan.rules[0].times == 0  # a worker took the rule
+        assert [d.kind for d in dlog] == ["task-error"]
+        assert dlog.snapshot()[0].subject.startswith("csa_block2:")
+        serial = characterize_modules(design.modules, jobs=1)
+        assert self.tuples(parallel) == self.tuples(serial)
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("jobs", [2, 4])
+    def test_models_identical_at_any_jobs(self, jobs):
+        from repro.circuits.partition import cascade_bipartition
+        from repro.circuits.random_logic import random_network
+
+        for design in (
+            cascade_adder(8, 2),
+            cascade_bipartition(random_network(6, 24, seed=5, num_outputs=3)),
+        ):
+            serial = characterize_modules(design.modules, jobs=1)
+            parallel = characterize_modules(design.modules, jobs=jobs)
+            assert self.tuples(parallel) == self.tuples(serial)
+
+    def test_one_cone_fault_degrades_only_that_output(self, csa4_design):
+        from repro.core.required import characterize_network
+
+        network = csa4_design.modules["csa_block2"].network
+        plan = FaultPlan().add(
+            "scheduler.serial", "exception", times=-1,
+            module="csa_block2", output="c_out",
+        )
+        library = ModelLibrary()
+        dlog = DegradationLog()
+        models = characterize_modules(
+            csa4_design.modules, library=library,
+            policy=ResiliencePolicy(fault_plan=plan), dlog=dlog,
+        )["csa_block2"]
+        exact = characterize_network(network)
+        topological = topological_models(network)
+        assert models["c_out"] == topological["c_out"] != exact["c_out"]
+        for out in network.outputs:
+            if out != "c_out":
+                assert models[out] == exact[out]
+        assert [(d.kind, d.subject) for d in dlog] == [
+            ("task-error", "csa_block2:c_out"),
+            ("characterization-error", "csa_block2:c_out"),
+        ]
+        # A partly topological module never reaches the library.
+        assert library.stats.stores == 0
+
+    def test_per_instance_honours_the_deadline(self):
+        design = cascade_adder(8, 2)
+        exact = AnalysisSession(design).per_instance()
+        degraded = AnalysisSession(design, deadline=1e-9).per_instance()
+        topological = AnalysisSession(
+            design, functional=False
+        ).hierarchical()
+        assert exact.delay == 16.0
+        assert degraded.delay == topological.delay == 26.0
+        assert {d.kind for d in degraded.degradations} == {
+            "deadline", "characterization-error",
+        }
+        assert {d.subject for d in degraded.degradations} == {
+            f"{inst}:{out}"
+            for inst in design.instances
+            for out in design.modules["csa_block2"].outputs
+        }
+
+    def test_per_instance_honours_the_fault_plan(self):
+        plan = FaultPlan().add("scheduler.serial", "exception", times=-1)
+        result = AnalysisSession(
+            cascade_adder(8, 2), fault_plan=plan
+        ).per_instance()
+        assert result.delay == 26.0
+        assert {d.kind for d in result.degradations} == {
+            "task-error", "characterization-error",
+        }
+
+
 # ---------------------------------------------------------------------- store
 class TestStoreHardening:
     def test_corrupt_entry_quarantined(self, tmp_path, csa4_design):
@@ -480,9 +580,10 @@ class TestAnalyzerDegradation:
         assert plain == run(library=ModelLibrary())
         delay, records = plain
         assert delay == 14.0  # the topological bound; exact is 12.0
+        # Step 1 runs per output cone: every cone degrades on its own.
         assert records[-1] == (
             "characterization-error",
-            "csa_block2",
+            "csa_block2:c_out",
             "characterization failed 1 time(s)",
             "topological-model",
         )
@@ -548,7 +649,9 @@ class TestCharacterizeDeadline:
         ).characterize(dlog=dlog)
         assert models == topological_models(network)
         assert {d.kind for d in dlog} == {"deadline", "characterization-error"}
-        assert {d.subject for d in dlog} == set(network.outputs)
+        assert {d.subject for d in dlog} == {
+            f"{network.name}:{output}" for output in network.outputs
+        }
 
     def test_cli_reports_deadline_degradations(self, tmp_path, capsys):
         source = tmp_path / "csb4.v"
@@ -620,9 +723,10 @@ class TestCLIFailSafe:
 
     @pytest.mark.faulty
     def test_injected_interrupt_exits_130(self, capsys):
+        # At --jobs 2 the cones of the one module run in workers.
         rc = main([
             "hier-report", EXAMPLE, "--jobs", "2",
-            "--inject", "scheduler.serial:interrupt",
+            "--inject", "scheduler.task:interrupt",
         ])
         err = capsys.readouterr().err
         assert rc == 130
@@ -649,8 +753,11 @@ class TestCLIFailSafe:
 
         clean_out, clean = delays(["hier-report", EXAMPLE, "--jobs", "2"])
         assert "degradations" not in clean_out
+        # Every worker attempt fails, then so does the first in-process
+        # fallback: that cone keeps its topological model.
         fault_out, faulted = delays([
             "hier-report", EXAMPLE, "--jobs", "2",
+            "--inject", "scheduler.task:exception:-1",
             "--inject", "scheduler.serial:exception:1",
         ])
         assert "conservative degradations" in fault_out
