@@ -67,7 +67,10 @@ class AnalysisOptions:
     ----------
     engine:
         Tautology engine for XBD0 stability checks (``sat``, ``bdd``,
-        or ``brute``).
+        or ``brute``).  ``None`` (the default) runs flat analysis on
+        ``bdd`` and per-cone checks (characterization, refinement,
+        per-instance models) on ``sat``; see
+        :func:`repro.core.xbd0.resolve_engine`.
     functional:
         ``False`` selects topological (baseline) timing models.
     max_orders:
@@ -104,7 +107,7 @@ class AnalysisOptions:
         working-set matrix to ``batch_size × nets`` floats).
     """
 
-    engine: str = "sat"
+    engine: str | None = None
     functional: bool = True
     max_orders: int = 4
     max_tuples: int = 8
@@ -119,7 +122,7 @@ class AnalysisOptions:
     batch_size: int = 256
 
     def __post_init__(self) -> None:
-        if self.engine not in ENGINES:
+        if self.engine is not None and self.engine not in ENGINES:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected one of {ENGINES}"
             )
@@ -584,7 +587,10 @@ class AnalysisSession:
     def functional_delays(
         self, arrival: Mapping[str, float] | None = None
     ) -> dict[str, float]:
-        """Flat XBD0 stable time per primary output."""
+        """Flat XBD0 stable time per primary output.
+
+        Runs on BDDs unless ``engine`` names another engine.
+        """
         from repro.core.xbd0 import functional_delays
 
         return functional_delays(
@@ -607,6 +613,7 @@ class AnalysisSession:
         model, the substitution is recorded on ``dlog``, and the
         degraded network is not stored in the library.
         """
+        from repro.core.xbd0 import resolve_engine
         from repro.library.scheduler import characterize_modules
 
         options = self.options
@@ -615,7 +622,7 @@ class AnalysisSession:
         return characterize_modules(
             {network.name: Module(network.name, network)},
             jobs=options.jobs,
-            engine=options.engine,
+            engine=resolve_engine(options.engine),
             max_orders=options.max_orders,
             max_tuples=options.max_tuples,
             library=self.library,

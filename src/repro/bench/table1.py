@@ -33,7 +33,8 @@ DEFAULT_GRID: tuple[tuple[int, int], ...] = (
 )
 
 
-def run_row(total_bits: int, block_bits: int, engine: Engine = "sat",
+def run_row(total_bits: int, block_bits: int,
+            engine: Engine | None = None,
             flat: bool = True) -> ComparisonRow:
     """Analyze one ``csa n.m`` circuit all three ways."""
     design = cascade_adder(total_bits, block_bits)
@@ -61,7 +62,8 @@ def run_row(total_bits: int, block_bits: int, engine: Engine = "sat",
 
 
 def run_table(
-    grid: tuple[tuple[int, int], ...] = DEFAULT_GRID, engine: Engine = "sat"
+    grid: tuple[tuple[int, int], ...] = DEFAULT_GRID,
+    engine: Engine | None = None,
 ) -> list[ComparisonRow]:
     """All rows of Table 1."""
     return [run_row(n, m, engine) for n, m in grid]

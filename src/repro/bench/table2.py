@@ -29,7 +29,7 @@ from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
 from repro.core.xbd0 import Engine
 
 
-def run_row(name: str, engine: Engine = "sat") -> ComparisonRow:
+def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     """Analyze one suite circuit (bipartitioned) all three ways."""
     factory, cut = TABLE2_ROWS[name]
     network = factory()
@@ -52,7 +52,7 @@ def run_row(name: str, engine: Engine = "sat") -> ComparisonRow:
     )
 
 
-def run_table(engine: Engine = "sat") -> list[ComparisonRow]:
+def run_table(engine: Engine | None = None) -> list[ComparisonRow]:
     """All rows of Table 2."""
     return [run_row(name, engine) for name in TABLE2_ROWS]
 

@@ -44,7 +44,7 @@ TABLE3_ROWS: dict[str, tuple[Callable[[], Network], float]] = {
 }
 
 
-def run_row(name: str, engine: Engine = "sat") -> ComparisonRow:
+def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     """One datapath row: bipartition, then all three analyses."""
     factory, cut = TABLE3_ROWS[name]
     network = factory()
@@ -64,7 +64,7 @@ def run_row(name: str, engine: Engine = "sat") -> ComparisonRow:
     )
 
 
-def run_table(engine: Engine = "sat") -> list[ComparisonRow]:
+def run_table(engine: Engine | None = None) -> list[ComparisonRow]:
     """All rows of Table 3."""
     return [run_row(name, engine) for name in TABLE3_ROWS]
 

@@ -3,7 +3,7 @@
 Usage (also exposed as ``python -m repro.cli``)::
 
     repro-sta report circuit.bench --arrival c_in=5
-    repro-sta delay circuit.blif --engine bdd
+    repro-sta delay circuit.blif --engine sat
     repro-sta demand design.v --scenarios arrivals.json
     repro-sta characterize circuit.bench -o circuit.timing.json
     repro-sta serve --preload design.v --port 8421
@@ -719,8 +719,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument(
             "--engine",
             choices=("sat", "bdd", "brute"),
-            default="sat",
-            help="tautology engine for stability checks",
+            default=None,
+            help="tautology engine for stability checks (default: bdd "
+            "for flat analysis, sat for per-cone checks)",
         )
 
     def add_cache_opts(p: argparse.ArgumentParser) -> None:
@@ -953,8 +954,8 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--engine",
         choices=("sat", "bdd", "brute"),
-        default="sat",
-        help="tautology engine for characterization",
+        default=None,
+        help="tautology engine for characterization (default: sat)",
     )
     serve.add_argument(
         "--max-batch",

@@ -36,6 +36,7 @@ from repro.core.xbd0 import (
     StabilityAnalyzer,
     StabilityContext,
     reject_nan_arrivals,
+    resolve_engine,
 )
 from repro.errors import AnalysisError
 from repro.kernel.graph import CompiledTimingGraph, GraphState
@@ -202,7 +203,7 @@ class DemandDrivenAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = options.engine
+        self.engine: Engine = resolve_engine(options.engine)
         self.tracer = ensure_tracer(options.tracer)
         self.policy = options.resilience_policy()
         self.dlog = DegradationLog(self.tracer)
@@ -756,11 +757,12 @@ class DemandDrivenAnalyzer:
 def flat_functional_delay(
     design: HierDesign,
     arrival: Mapping[str, float] | None = None,
-    engine: Engine = "sat",
+    engine: Engine | None = None,
 ) -> tuple[float, dict[str, float], float]:
     """Flat-analysis baseline: flatten and run exact XBD0 per output.
 
-    Returns ``(delay, per-output stable times, seconds)``.
+    Returns ``(delay, per-output stable times, seconds)``.  Runs on
+    BDDs unless ``engine`` names another engine.
     """
     from repro.core.xbd0 import functional_delays
 

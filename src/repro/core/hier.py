@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
-from repro.core.xbd0 import Engine, reject_nan_arrivals
+from repro.core.xbd0 import Engine, reject_nan_arrivals, resolve_engine
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
@@ -165,7 +165,7 @@ class HierarchicalAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = options.engine
+        self.engine: Engine = resolve_engine(options.engine)
         self.functional = options.functional
         self.max_orders = options.max_orders
         self.max_tuples = options.max_tuples

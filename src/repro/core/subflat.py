@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
-from repro.core.xbd0 import Engine, StabilityAnalyzer
+from repro.core.xbd0 import Engine, StabilityAnalyzer, resolve_engine
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign
 from repro.obs.trace import Tracer, ensure_tracer
@@ -73,7 +73,7 @@ class SubcircuitFlatAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = options.engine
+        self.engine: Engine = resolve_engine(options.engine)
         self.tracer = ensure_tracer(options.tracer)
 
     def analyze(

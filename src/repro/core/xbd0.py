@@ -23,6 +23,7 @@ finite set of candidate event times.
 Three interchangeable tautology engines are provided: ``"sat"`` (CDCL on
 the Tseitin encoding of the stability DAG), ``"bdd"`` (ROBDD evaluation)
 and ``"brute"`` (exhaustive enumeration, for tests/small cones).
+:func:`resolve_engine` picks one when the caller leaves the choice open.
 """
 
 from __future__ import annotations
@@ -39,12 +40,30 @@ from repro.obs.trace import Tracer, ensure_tracer
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import SolveResult
 from repro.sta.paths import event_time_candidates
-from repro.sta.topological import arrival_times
+from repro.sta.topological import arrival_times, required_times
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 Engine = Literal["sat", "bdd", "brute"]
+
+
+def resolve_engine(engine: Engine | None, flat: bool = False) -> Engine:
+    """The tautology engine a run uses: ``engine`` itself when given.
+
+    ``None`` leaves the choice to the code.  Flat analysis (``flat``:
+    :func:`functional_delays` and the flat functional report) runs on
+    ``"bdd"``: its one manager per run stays small under the
+    nearest-output-first variable order.  Per-cone checks
+    (characterization, Section-5 refinement, per-instance models, pin
+    explanations) run on ``"sat"``: they keep one incremental session
+    per cone alive for the whole run, and the model library keys their
+    models by this resolved name.
+    """
+    if engine is not None:
+        return engine
+    return "bdd" if flat else "sat"
+
 
 #: Tolerance for time comparisons (all benchmark delays are small integers
 #: or simple decimals; 1e-9 is far below any meaningful delay difference).
@@ -521,8 +540,16 @@ class StabilityAnalyzer:
 
     def _bdd_node(self, node: int) -> int:
         if self._bdd is None:
+            # Inputs nearest the outputs (shortest longest path to any
+            # output) go on top, ties in input order.  On an adder this
+            # puts the high bits above the carry-in and keeps the flat
+            # manager several times smaller than port order does.
+            network = self.network
+            rt = required_times(
+                network, dict.fromkeys(network.outputs, 0.0)
+            )
             self._bdd = BDDManager()
-            for x in self.network.inputs:
+            for x in sorted(network.inputs, key=lambda x: -rt[x]):
                 self._bdd.declare(x)
         bdd = self._bdd
         exprs = self._exprs
@@ -553,6 +580,16 @@ class StabilityAnalyzer:
                 )
                 stack.pop()
         return memo[node]
+
+    def _tautology_bdd(self, node: int) -> bool:
+        """Tautology via the analyzer's manager: ``node`` reduces to ONE."""
+        root = self._bdd_node(node)
+        tracer = self.tracer
+        if tracer.enabled:
+            assert self._bdd is not None
+            tracer.count("xbd0.bdd_checks")
+            tracer.gauge("xbd0.bdd_nodes", self._bdd.size())
+        return root == BDDManager.ONE
 
     def _tautology_brute(self, node: int) -> bool:
         exprs = self._exprs
@@ -602,7 +639,7 @@ class StabilityAnalyzer:
         if self.engine == "sat":
             return self._tautology_sat(node)
         if self.engine == "bdd":
-            return self._bdd_node(node) == BDDManager.ONE
+            return self._tautology_bdd(node)
         return self._tautology_brute(node)
 
     # --------------------------------------------------------------- queries
@@ -703,9 +740,11 @@ class StabilityAnalyzer:
     def functional_delay(self, output: str) -> float:
         """Exact XBD0 stable time of ``output`` under this arrival condition.
 
-        Binary search over the candidate event times (stability is monotone
-        in ``t``).  Returns ``-inf`` for outputs stable from the beginning
-        of time (constants).
+        Binary search over the finite candidate event times (stability
+        is monotone in ``t``).  Returns ``-inf`` for outputs stable from
+        the beginning of time (constants) and ``+inf`` for outputs never
+        stable at a finite time (every path that decides them starts at
+        an input that never arrives).
         """
         if not self.network.has_signal(output):
             raise AnalysisError(f"unknown signal {output!r}")
@@ -714,14 +753,13 @@ class StabilityAnalyzer:
                 self.network, self.arrival
             )
         cands = self._event_times.get(output, ())
-        finite = [c for c in cands if c != NEG_INF]
+        finite = [c for c in cands if NEG_INF < c < POS_INF]
         if not finite:
             return NEG_INF if self.stable_at(output, NEG_INF) else POS_INF
         ascending = sorted(finite)
         if not self.stable_at(output, ascending[-1]):
-            # The topological arrival bound can be exceeded only when some
-            # input never arrives coherently; candidates are exact, so this
-            # means "never stable" (cannot happen for well-formed inputs).
+            # No event happens past the last finite candidate, so the
+            # output settles only once a never-arriving input arrives.
             return POS_INF
         lo, hi = 0, len(ascending) - 1
         while lo < hi:
@@ -739,11 +777,16 @@ def functional_delays(
     network: Network,
     arrival: Mapping[str, float] | None = None,
     outputs: tuple[str, ...] | None = None,
-    engine: Engine = "sat",
+    engine: Engine | None = None,
     tracer: Tracer | None = None,
 ) -> dict[str, float]:
-    """Exact XBD0 stable time of each requested output (default: all POs)."""
-    analyzer = StabilityAnalyzer(network, arrival, engine, tracer=tracer)
+    """Exact XBD0 stable time of each requested output (default: all POs).
+
+    ``engine=None`` runs on BDDs (see :func:`resolve_engine`).
+    """
+    analyzer = StabilityAnalyzer(
+        network, arrival, resolve_engine(engine, flat=True), tracer=tracer
+    )
     targets = outputs if outputs is not None else network.outputs
     return {o: analyzer.functional_delay(o) for o in targets}
 
@@ -751,7 +794,7 @@ def functional_delays(
 def circuit_delay(
     network: Network,
     arrival: Mapping[str, float] | None = None,
-    engine: Engine = "sat",
+    engine: Engine | None = None,
 ) -> float:
     """Exact XBD0 delay of the circuit: max over primary outputs."""
     if not network.outputs:

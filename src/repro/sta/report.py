@@ -35,6 +35,12 @@ def _fmt(value: float) -> str:
     return f"{value:.3f}"
 
 
+def _gap(later: float, earlier: float) -> float:
+    """``later - earlier``, and 0 when the two are the same time (two
+    equal infinities differ by NaN, which :func:`_fmt` cannot print)."""
+    return 0.0 if later == earlier else later - earlier
+
+
 def _path_line(path: tuple[str, ...], delay: float) -> str:
     return f"      {_fmt(delay):>8}  {' -> '.join(path)}"
 
@@ -64,9 +70,9 @@ def timing_report(
         f"  {'endpoint':<16} {'arrival':>8} {'required':>9} {'slack':>8}",
         "  " + "-" * 45,
     ]
-    ranked = sorted(outputs, key=lambda o: rt[o] - at[o])
+    ranked = sorted(outputs, key=lambda o: _gap(rt[o], at[o]))
     for out in ranked:
-        slack = rt[out] - at[out]
+        slack = _gap(rt[out], at[out])
         marker = "  (VIOLATED)" if slack < -1e-9 else ""
         lines.append(
             f"  {out:<16} {_fmt(at[out]):>8} {_fmt(rt[out]):>9} "
@@ -84,20 +90,25 @@ def timing_report(
 def functional_timing_report(
     network: Network,
     arrival: Mapping[str, float] | None = None,
-    engine: "Engine" = "sat",
+    engine: "Engine | None" = None,
     max_paths: int = 5,
     tracer=None,
 ) -> str:
-    """Topological vs XBD0 comparison with false-path flags."""
+    """Topological vs XBD0 comparison with false-path flags.
+
+    Flat analysis: runs on BDDs unless ``engine`` names another engine.
+    """
     # imported here to keep repro.sta free of a static cycle with repro.core
     import time
 
-    from repro.core.xbd0 import StabilityAnalyzer
+    from repro.core.xbd0 import StabilityAnalyzer, resolve_engine
     from repro.obs.trace import ensure_tracer
 
     tracer = ensure_tracer(tracer)
     at = arrival_times(network, arrival)
-    analyzer = StabilityAnalyzer(network, arrival, engine, tracer=tracer)
+    analyzer = StabilityAnalyzer(
+        network, arrival, resolve_engine(engine, flat=True), tracer=tracer
+    )
     lines = [
         f"Functional (XBD0) timing report for {network.name}",
         "",
@@ -116,7 +127,7 @@ def functional_timing_report(
                 seconds=time.perf_counter() - t0,
                 output=out,
             )
-        gap = at[out] - functional[out]
+        gap = _gap(at[out], functional[out])
         lines.append(
             f"  {out:<16} {_fmt(at[out]):>12} {_fmt(functional[out]):>11} "
             f"{_fmt(gap):>10}"

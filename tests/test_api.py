@@ -31,7 +31,7 @@ def csa8_file(tmp_path) -> str:
 class TestAnalysisOptions:
     def test_defaults(self):
         opts = AnalysisOptions()
-        assert opts.engine == "sat"
+        assert opts.engine is None
         assert opts.functional is True
         assert opts.max_orders == 4
         assert opts.max_tuples == 8
@@ -302,6 +302,45 @@ class TestLegacyConstructors:
         assert legacy.analyze().output_times == (
             bundled.analyze().output_times
         )
+
+
+class TestEngineDefaults:
+    """``engine=None``, the default everywhere, runs flat analysis on
+    BDDs and per-cone checks on SAT; an explicit engine is honoured by
+    both kinds.  Read from the tracer's ``xbd0.*`` counters."""
+
+    FLAT = ("functional_delays", "session-functional-delays", "report")
+    PER_CONE = ("hierarchical", "demand")
+
+    @staticmethod
+    def _run(name, design, engine, tracer):
+        chosen = {} if engine is None else {"engine": engine}
+        options = AnalysisOptions(tracer=tracer, **chosen)
+        flat = design.flatten()
+        if name == "functional_delays":
+            functional_delays(flat, tracer=tracer, **chosen)
+        elif name == "session-functional-delays":
+            AnalysisSession(flat, options=options).functional_delays()
+        elif name == "report":
+            AnalysisSession(flat, options=options).report()
+        elif name == "hierarchical":
+            AnalysisSession(design, options=options).hierarchical()
+        else:
+            DemandDrivenAnalyzer(design, tracer=tracer, **chosen).analyze()
+
+    @pytest.mark.parametrize("engine", [None, "sat", "bdd"])
+    @pytest.mark.parametrize("name", FLAT + PER_CONE)
+    def test_engine_rule(self, csa4_design, name, engine):
+        tracer = Tracer()
+        self._run(name, csa4_design, engine, tracer)
+        sat_calls = tracer.metrics.counter("xbd0.sat_calls").value
+        bdd_checks = tracer.metrics.counter("xbd0.bdd_checks").value
+        if engine is None:
+            engine = "bdd" if name in self.FLAT else "sat"
+        if engine == "bdd":
+            assert sat_calls == 0 and bdd_checks > 0
+        else:
+            assert sat_calls > 0 and bdd_checks == 0
 
 
 class TestCliTrace:

@@ -129,7 +129,13 @@ class TestDemandEquivalence:
         assert result.topological_delay == max(
             oracle["topological_at"][o] for o in design.outputs
         )
-        flat, _times, _seconds = flat_functional_delay(design, arrival)
+        # Theorem 1 across engines: the flat oracle runs on BDDs, the
+        # hierarchy on SAT, and flat SAT must agree with flat BDD.
+        flat, times, _seconds = flat_functional_delay(design, arrival)
+        _flat, sat_times, _seconds = flat_functional_delay(
+            design, arrival, engine="sat"
+        )
+        assert times == sat_times
         assert flat <= result.delay <= result.topological_delay
 
     @settings(max_examples=6, deadline=None)

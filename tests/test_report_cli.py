@@ -89,6 +89,29 @@ class TestReports:
         text = functional_timing_report(and2)
         assert "false-path slack" not in text
 
+    @pytest.mark.parametrize("time", [float("-inf"), float("inf")])
+    def test_infinite_arrivals_report_a_zero_gap(self, time):
+        """An output that is an input with an infinite arrival reads the
+        same infinity both ways, so its pessimism gap (and its slack) is
+        0 rather than NaN, which the report could not print."""
+        from repro.api import AnalysisSession
+
+        net = Network("wire")
+        net.add_inputs(["a", "b"])
+        net.add_gate("z", "NOT", ["b"], 1.0)
+        net.set_outputs(["a", "z"])
+        arrival = {"a": time}
+        text = functional_timing_report(net, arrival)
+        inf = "inf" if time > 0 else "-inf"
+        assert re.search(rf"^  a\s+{inf}\s+{inf}\s+0$", text, re.M), text
+        assert "Functional (XBD0)" in AnalysisSession(net).report(arrival)
+        alone = Network("alone")
+        alone.add_input("a")
+        alone.set_outputs(["a"])
+        assert re.search(
+            rf"^  a\s+{inf}\s+{inf}\s+0$", timing_report(alone, arrival), re.M
+        )
+
 
 class TestCLI:
     @pytest.fixture()
@@ -165,6 +188,24 @@ class TestCLI:
         doc = json.loads(target.read_text())
         assert doc["format"] == "repro-timing-library"
         assert "c_out" in doc["models"]
+
+    def test_delay_runs_on_bdds_by_default(self, bench_file, capsys):
+        assert main(["delay", bench_file, "--trace"]) == 0
+        out = capsys.readouterr().out
+        assert "xbd0.bdd_checks" in out and "xbd0.sat_calls" not in out
+
+    def test_delay_past_bdd_node_budget_exit_2(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from repro.bdd.manager import BDDManager
+
+        monkeypatch.setattr(BDDManager.__init__, "__defaults__", (1000,))
+        f = tmp_path / "csa16_4.bench"
+        f.write_text(dumps_bench(cascade_adder(16, 4).flatten()))
+        assert main(["delay", str(f)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: BDD exceeded 1000 nodes\n"
+        assert captured.out == ""
 
     def test_error_exit_code(self, tmp_path, capsys):
         missing = str(tmp_path / "nope.bench")

@@ -5,19 +5,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import AnalysisSession
+from repro.bdd.manager import BDDManager
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.circuits.random_logic import random_network
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.hier import HierarchicalAnalyzer
 from repro.core.xbd0 import (
     NEG_INF,
+    POS_INF,
     StabilityAnalyzer,
     circuit_delay,
     functional_delays,
     topological_upper_bound,
 )
-from repro.errors import AnalysisError
+from repro.errors import AnalysisError, ReproError
 from repro.netlist.network import Network
+from repro.obs import Tracer
 from repro.sim.timed import brute_force_delay, brute_force_stable_at
 from repro.sta.topological import arrival_times
 
@@ -125,6 +128,73 @@ class TestFunctionalDelay:
         arr = {"a": 10.0}
         want = brute_force_delay(false_path_circuit, "z", arr)
         assert functional_delays(false_path_circuit, arr)["z"] == want
+
+
+def _input_as_output() -> Network:
+    net = Network("wire")
+    net.add_input("a")
+    net.set_outputs(["a"])
+    return net
+
+
+def _and_not_self() -> Network:
+    net = Network("and_not_self")
+    net.add_input("a")
+    net.add_gate("n", "NOT", ["a"], 1.0)
+    net.add_gate("z", "AND", ["a", "n"], 1.0)
+    net.set_outputs(["z"])
+    return net
+
+
+class TestNeverArrivingOutputs:
+    """An output every path of which starts at an input that never
+    arrives (``+inf``) is never stable: its XBD0 time is ``+inf``, the
+    same as its topological bound, not the ``-inf`` of a constant."""
+
+    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize(
+        "build", [_input_as_output, _and_not_self], ids=["input", "and-not"]
+    )
+    def test_reads_plus_inf(self, build, engine):
+        net = build()
+        arrival = {"a": POS_INF}
+        delays = functional_delays(net, arrival, engine=engine)
+        at = arrival_times(net, arrival)
+        for out in net.outputs:
+            assert delays[out] == at[out] == POS_INF, (out, engine)
+
+
+class TestFlatBDD:
+    """Flat analysis runs on one BDD manager whose variable order puts
+    the inputs nearest the outputs first; the manager size pins the
+    order (port order, with the carry-in on top, builds 9,376 and
+    93,066 nodes on these two adders)."""
+
+    @pytest.mark.parametrize(
+        "n, m, delay, nodes", [(16, 4, 24.0, 2_584), (48, 4, 40.0, 14_444)]
+    )
+    def test_manager_size_pins_the_order(self, n, m, delay, nodes):
+        tracer = Tracer()
+        flat = cascade_adder(n, m).flatten()
+        assert max(functional_delays(flat, tracer=tracer).values()) == delay
+        assert tracer.metrics.gauge("xbd0.bdd_nodes").value == nodes
+
+    def test_traced_run_reports_bdd_work(self, csa_block2):
+        tracer = Tracer()
+        functional_delays(csa_block2, tracer=tracer)
+        metrics = tracer.metrics
+        assert metrics.counter("xbd0.bdd_checks").value > 0
+        assert metrics.gauge("xbd0.bdd_nodes").value > 2
+        assert metrics.counter("xbd0.sat_calls").value == 0
+        summary = tracer.summary()
+        assert "xbd0.bdd_checks" in summary
+        assert "xbd0.bdd_nodes" in summary
+
+    def test_node_budget_names_itself(self, monkeypatch):
+        monkeypatch.setattr(BDDManager.__init__, "__defaults__", (1000,))
+        flat = cascade_adder(16, 4).flatten()
+        with pytest.raises(ReproError, match="BDD exceeded 1000 nodes"):
+            functional_delays(flat)
 
 
 class TestEnginesAgree:
