@@ -14,6 +14,7 @@ Run: pytest benchmarks/bench_ablation_models.py --benchmark-only
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.core.hier import HierarchicalAnalyzer
 from repro.core.required import characterize_network
@@ -42,7 +43,9 @@ def test_functional_vs_topological_models(benchmark, functional):
     design = cascade_adder(16, 2)
 
     def run():
-        return HierarchicalAnalyzer(design, functional=functional).analyze()
+        return HierarchicalAnalyzer(
+            design, options=AnalysisOptions(functional=functional)
+        ).analyze()
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     if functional:

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
 from repro.library import ModelLibrary, module_signature
@@ -198,12 +199,16 @@ def test_traced_overhead_guard(tmp_path):
 
     def run_hier(tracer):
         t0 = time.perf_counter()
-        HierarchicalAnalyzer(design, tracer=tracer).analyze()
+        HierarchicalAnalyzer(
+            design, options=AnalysisOptions(tracer=tracer)
+        ).analyze()
         return time.perf_counter() - t0
 
     def run_compiled(tracer):
         t0 = time.perf_counter()
-        analyzer = DemandDrivenAnalyzer(design, tracer=tracer)
+        analyzer = DemandDrivenAnalyzer(
+            design, options=AnalysisOptions(tracer=tracer)
+        )
         analyzer.analyze()
         return time.perf_counter() - t0
 

@@ -69,7 +69,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.14.0"
+__version__ = "1.15.0"
 
 __all__ = [
     "AnalysisOptions",

@@ -1,19 +1,19 @@
 """Unified analysis facade: :class:`AnalysisOptions` + :class:`AnalysisSession`.
 
-The analyzers under :mod:`repro.core` grew their configuration one
-keyword at a time (engine here, ``max_orders`` there, ``jobs`` and
-``cache_dir`` only on some).  This module is the single front door:
+This module is the single front door to the analyzers under
+:mod:`repro.core`:
 
 * :class:`AnalysisOptions` — one keyword-only, validated, frozen bundle
-  of every analysis knob.  Every analyzer constructor accepts
-  ``options=``; the scattered legacy keywords keep working by being
-  forwarded into an options bundle internally.
+  of every analysis knob.  It is the only way to configure an
+  analyzer: every constructor takes ``options=`` (keyword-only) and no
+  other configuration keyword.
 * :class:`AnalysisSession` — one object wrapping a loaded circuit
   (flat :class:`~repro.netlist.network.Network` or hierarchical
   :class:`~repro.netlist.hierarchy.HierDesign`) that exposes the whole
   analyzer surface as methods.  Analyzers, the model library, and the
   tracer are created once and shared, so successive calls reuse cached
-  timing models and aggregate into one trace.
+  timing models and aggregate into one trace.  The ``repro-sta``
+  analysis commands run through a session.
 
 Example::
 
@@ -73,10 +73,6 @@ class AnalysisOptions:
         :func:`repro.core.xbd0.resolve_engine`.
     functional:
         ``False`` selects topological (baseline) timing models.
-    max_orders:
-        Relaxation-order budget of approximate characterization.
-    max_tuples:
-        Per-output tuple budget of approximate characterization.
     jobs:
         Worker processes for parallel characterization (clamped ≥ 1).
     cache_dir:
@@ -109,8 +105,6 @@ class AnalysisOptions:
 
     engine: str | None = None
     functional: bool = True
-    max_orders: int = 4
-    max_tuples: int = 8
     jobs: int = 1
     cache_dir: str | Path | None = None
     tracer: Tracer | None = field(default=None, repr=False)
@@ -131,12 +125,6 @@ class AnalysisOptions:
                 f"batch_size must be >= 1, got {self.batch_size}"
             )
         object.__setattr__(self, "batch_size", int(self.batch_size))
-        if int(self.max_orders) < 1:
-            raise ValueError(f"max_orders must be >= 1, got {self.max_orders}")
-        if int(self.max_tuples) < 1:
-            raise ValueError(f"max_tuples must be >= 1, got {self.max_tuples}")
-        object.__setattr__(self, "max_orders", int(self.max_orders))
-        object.__setattr__(self, "max_tuples", int(self.max_tuples))
         object.__setattr__(self, "jobs", max(1, int(self.jobs)))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -623,8 +611,6 @@ class AnalysisSession:
             {network.name: Module(network.name, network)},
             jobs=options.jobs,
             engine=resolve_engine(options.engine),
-            max_orders=options.max_orders,
-            max_tuples=options.max_tuples,
             library=self.library,
             tracer=options.tracer,
             policy=policy,
@@ -653,26 +639,16 @@ class AnalysisSession:
         arrival: Mapping[str, float] | None = None,
         show_nets: bool = False,
     ) -> str:
-        """Hierarchical report (the ``hier-report`` command)."""
-        from repro.core.design_report import (
-            design_timing_report,
-            library_timing_report,
-        )
+        """Two-step (Section 3) report (the ``hier-report`` command).
 
-        options = self.options
-        if options.cache_dir is not None or options.jobs > 1:
-            return library_timing_report(
-                self.design,
-                arrival,
-                show_nets=show_nets,
-                library=self.library,
-                options=options,
-            )
-        return design_timing_report(
-            self.design,
-            arrival,
-            show_nets=show_nets,
-            options=options,
+        Runs :meth:`hierarchical` and appends the model library's
+        counters when the session has a library.
+        """
+        from repro.core.design_report import render_hier_report
+
+        result = self.hierarchical(arrival)
+        return render_hier_report(
+            self.design, result, show_nets=show_nets, library=self.library
         )
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -14,6 +14,7 @@ Run as ``python -m repro.bench.table1``.
 
 from __future__ import annotations
 
+from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -38,7 +39,9 @@ def run_row(total_bits: int, block_bits: int,
             flat: bool = True) -> ComparisonRow:
     """Analyze one ``csa n.m`` circuit all three ways."""
     design = cascade_adder(total_bits, block_bits)
-    analyzer = DemandDrivenAnalyzer(design, engine=engine)
+    analyzer = DemandDrivenAnalyzer(
+        design, options=AnalysisOptions(engine=engine)
+    )
     with stopwatch() as t_h:
         result = analyzer.analyze()
     if flat:

@@ -17,6 +17,7 @@ Run as ``python -m repro.bench.table2``.
 
 from __future__ import annotations
 
+from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -34,7 +35,9 @@ def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     factory, cut = TABLE2_ROWS[name]
     network = factory()
     design = cascade_bipartition(network, cut_fraction=cut)
-    analyzer = DemandDrivenAnalyzer(design, engine=engine)
+    analyzer = DemandDrivenAnalyzer(
+        design, options=AnalysisOptions(engine=engine)
+    )
     with stopwatch() as t_h:
         result = analyzer.analyze()
     flat_delay, _, flat_seconds = flat_functional_delay(design, engine=engine)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from typing import Callable
 
+from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -49,7 +50,9 @@ def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     factory, cut = TABLE3_ROWS[name]
     network = factory()
     design = cascade_bipartition(network, cut_fraction=cut)
-    analyzer = DemandDrivenAnalyzer(design, engine=engine)
+    analyzer = DemandDrivenAnalyzer(
+        design, options=AnalysisOptions(engine=engine)
+    )
     with stopwatch() as t_h:
         result = analyzer.analyze()
     flat_delay, _, flat_seconds = flat_functional_delay(design, engine=engine)

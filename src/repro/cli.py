@@ -10,17 +10,25 @@ Usage (also exposed as ``python -m repro.cli``)::
     repro-sta table1 | table2 | figures
 
 ``report`` prints a classic STA report plus the functional comparison;
-``delay`` prints per-output XBD0 stable times; ``hier-report`` and
-``demand`` analyze hierarchical Verilog designs (optionally over a JSON
-batch of arrival scenarios via ``--scenarios``); ``forensics`` prints
-the conservatism audit (topological vs refined arrival per output and
-the refinements that closed the gap); ``characterize`` writes a
-black-box timing library (see :mod:`repro.core.ipblock`); ``serve``
-runs the long-lived analysis server (:mod:`repro.server`); the last three regenerate the
-paper's tables and figures.  Every analysis command takes the observability
-flags ``--trace/--profile/--trace-file`` plus the standard-format
-exporters ``--export-trace FILE.json`` (Chrome trace-event / Perfetto)
-and ``--export-metrics FILE.prom`` (Prometheus text exposition).
+``delay`` prints per-output XBD0 stable times; ``hier-report`` (two-step,
+Section 3) and ``demand`` (demand-driven, Section 5) analyze
+hierarchical Verilog designs (optionally over a JSON batch of arrival
+scenarios via ``--scenarios``); ``forensics`` prints the conservatism
+audit (topological vs refined arrival per output and the refinements
+that closed the gap); ``sdc`` exports the refined pin pairs as SDC
+exceptions; ``characterize`` writes a black-box timing library (see
+:mod:`repro.core.ipblock`); ``serve`` runs the long-lived analysis
+server (:mod:`repro.server`); the last three regenerate the paper's
+tables and figures.
+
+Every analysis command builds one :class:`~repro.api.AnalysisOptions`
+from its flags (:func:`make_options`), runs through an
+:class:`~repro.api.AnalysisSession` (``sdc`` hands its options to
+:func:`~repro.core.sdc_export.export_design_sdc`), and registers only
+the flags it reads.  Each takes the observability flags
+``--trace/--profile/--trace-file`` plus the standard-format exporters
+``--export-trace FILE.json`` (Chrome trace-event / Perfetto) and
+``--export-metrics FILE.prom`` (Prometheus text exposition).
 """
 
 from __future__ import annotations
@@ -29,14 +37,14 @@ import argparse
 import re
 import sys
 from pathlib import Path
+from typing import Sequence
 
+from repro.api import AnalysisSession, load_circuit_file
 from repro.core.ipblock import export_timing_library
-from repro.core.xbd0 import functional_delays
-from repro.errors import ParseError, ReproError
+from repro.errors import ReproError
+from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
-from repro.parsers.bench import read_bench
-from repro.parsers.blif import read_blif
-from repro.sta.report import functional_timing_report, timing_report
+from repro.sta.report import timing_report
 
 
 def package_version() -> str:
@@ -93,36 +101,24 @@ class _Parser(argparse.ArgumentParser):
 def load_circuit(path: str) -> Network:
     """Load a flat netlist by extension (.bench, .blif, or .v).
 
-    Hierarchical Verilog files are flattened for the flat-analysis
-    commands (use the library API for hierarchical analysis).
+    Hierarchical Verilog files are flattened, under the file's stem,
+    for the flat-analysis commands (use the library API for
+    hierarchical analysis).
     """
-    file = Path(path)
-    try:
-        with file.open() as fp:
-            if file.suffix == ".bench":
-                return read_bench(fp, name=file.stem)
-            if file.suffix == ".blif":
-                return read_blif(fp)
-            if file.suffix == ".v":
-                from repro.netlist.hierarchy import HierDesign
-                from repro.parsers.verilog import read_verilog
-
-                circuit = read_verilog(fp)
-                if isinstance(circuit, HierDesign):
-                    return circuit.flatten(name=file.stem)
-                return circuit
-    except UnicodeDecodeError:
-        raise ParseError(
-            f"{file.name} is not a text netlist (undecodable bytes)"
-        ) from None
-    raise ReproError(f"unsupported netlist format: {file.suffix!r}")
+    circuit = load_circuit_file(path)
+    if isinstance(circuit, HierDesign):
+        return circuit.flatten(name=Path(path).stem)
+    return circuit
 
 
-def parse_arrivals(pairs: list[str]) -> dict[str, float]:
+def parse_arrivals(
+    pairs: list[str], inputs: Sequence[str]
+) -> dict[str, float]:
     """Parse repeated ``--arrival name=time`` options.
 
-    Times must be finite numbers (``nan``/``inf``/``1e400`` are
-    refused with the same check as scenario files).
+    Names must be primary ``inputs`` of the circuit, and times finite
+    numbers (``nan``/``inf``/``1e400`` are refused with the same check
+    as scenario files).
     """
     from repro.scenarios.spec import clean_arrival
 
@@ -132,7 +128,11 @@ def parse_arrivals(pairs: list[str]) -> dict[str, float]:
         if not name or not value:
             raise ReproError(f"bad --arrival {pair!r}; expected name=time")
         out[name] = value
-    return clean_arrival(out, "--arrival")
+    arrival = clean_arrival(out, "--arrival")
+    unknown = sorted(set(arrival) - set(inputs))
+    if unknown:
+        raise ReproError(f"--arrival names unknown input {unknown[0]!r}")
+    return arrival
 
 
 def _load_json(path: str):
@@ -183,18 +183,13 @@ def load_family(path: str):
     return family_from_json(data, source=file.name)
 
 
-def load_design(path: str):
+def load_design(path: str) -> HierDesign:
     """Load a hierarchical Verilog design (.v) or raise ReproError."""
-    from repro.netlist.hierarchy import HierDesign
-    from repro.parsers.verilog import read_verilog
-
-    file = Path(path)
-    if file.suffix != ".v":
+    if Path(path).suffix != ".v":
         raise ReproError(
             "hierarchical analysis expects a structural Verilog file"
         )
-    with file.open() as fp:
-        circuit = read_verilog(fp)
+    circuit = load_circuit_file(path)
     if not isinstance(circuit, HierDesign):
         raise ReproError(
             "file holds a single flat module; use 'report' instead"
@@ -306,77 +301,68 @@ def make_options(args: argparse.Namespace, tracer=None):
 
 def cmd_report(args: argparse.Namespace) -> int:
     net = load_circuit(args.circuit)
-    arrival = parse_arrivals(args.arrival)
+    arrival = parse_arrivals(args.arrival, net.inputs)
     tracer = make_tracer(args)
-    print(timing_report(net, arrival))
-    if not args.topological_only:
-        print(
-            functional_timing_report(
-                net, arrival, engine=args.engine, tracer=tracer
-            )
-        )
+    if args.topological_only:
+        print(timing_report(net, arrival))
+    else:
+        session = AnalysisSession(net, options=make_options(args, tracer))
+        print(session.report(arrival))
     finish_tracer(args, tracer)
     return 0
 
 
 def cmd_delay(args: argparse.Namespace) -> int:
     net = load_circuit(args.circuit)
-    arrival = parse_arrivals(args.arrival)
+    arrival = parse_arrivals(args.arrival, net.inputs)
     tracer = make_tracer(args)
-    delays = functional_delays(net, arrival, engine=args.engine, tracer=tracer)
+    session = AnalysisSession(net, options=make_options(args, tracer))
+    delays = session.functional_delays(arrival)
     for out in net.outputs:
         print(f"{out}\t{delays[out]:g}")
     finish_tracer(args, tracer)
     return 0
 
 
-def run_batch(args: argparse.Namespace, circuit, options, method: str) -> None:
+def run_batch(
+    args: argparse.Namespace,
+    session: AnalysisSession,
+    arrival: dict[str, float],
+    method: str,
+) -> None:
     """Shared ``--scenarios`` path: batch-analyze and print the report.
 
-    ``--arrival`` entries act as per-scenario defaults for inputs the
-    scenario file leaves unset.  A scenario file holding a family spec
-    routes through the family engine instead.
+    ``arrival`` (the ``--arrival`` entries) acts as per-scenario
+    defaults for inputs the scenario file leaves unset.  A scenario
+    file holding a family spec routes through the family engine
+    instead.
     """
-    from repro.api import AnalysisSession
     from repro.core.design_report import render_batch_report
     from repro.scenarios.families import ScenarioFamily
     from repro.scenarios.spec import ScenarioSet
 
-    base = parse_arrivals(args.arrival)
-    loaded = load_scenarios(args.scenarios, circuit.inputs)
-    session = AnalysisSession(circuit, options=options)
+    design = session.design
+    loaded = load_scenarios(args.scenarios, design.inputs)
     if isinstance(loaded, ScenarioFamily):
-        run_family(args, circuit, options, family=loaded, session=session)
+        run_family(session, loaded, arrival)
         return
-    if base:
-        loaded = [{**base, **s} for s in loaded]
+    if arrival:
+        loaded = [{**arrival, **s} for s in loaded]
     batch = session.analyze_batch(ScenarioSet(loaded), method=method)
-    print(render_batch_report(circuit, batch, show_nets=args.nets))
+    print(render_batch_report(design, batch, show_nets=args.nets))
 
 
 def run_family(
-    args: argparse.Namespace,
-    circuit,
-    options,
-    family=None,
-    session=None,
+    session: AnalysisSession, family, arrival: dict[str, float]
 ) -> None:
     """Shared ``--family`` path: evaluate a scenario family.
 
-    ``--arrival`` entries act as defaults for inputs the family's
-    ``arrival`` object leaves unset.
+    ``arrival`` (the ``--arrival`` entries) acts as defaults for inputs
+    the family's ``arrival`` object leaves unset.
     """
-    from repro.api import AnalysisSession
-
-    if family is None:
-        family = load_family(args.family)
-    base = parse_arrivals(args.arrival)
-    if base:
-        family = family.with_arrival(base)
-    if session is None:
-        session = AnalysisSession(circuit, options=options)
-    result = session.analyze_family(family)
-    print(result.render())
+    if arrival:
+        family = family.with_arrival(arrival)
+    print(session.analyze_family(family).render())
 
 
 def _check_scenario_flags(args: argparse.Namespace) -> None:
@@ -387,58 +373,45 @@ def _check_scenario_flags(args: argparse.Namespace) -> None:
         )
 
 
-def cmd_hier_report(args: argparse.Namespace) -> int:
-    from repro.api import AnalysisSession
+def run_design_command(args: argparse.Namespace, method: str) -> int:
+    """``hier-report`` and ``demand``: one design, one report.
 
-    circuit = load_design(args.circuit)
-    arrival = parse_arrivals(args.arrival)
-    tracer = make_tracer(args)
-    options = make_options(args, tracer)
+    ``--family`` and ``--scenarios`` evaluate a batch; otherwise the
+    session runs the command's own analysis once.
+    """
+    design = load_design(args.circuit)
+    arrival = parse_arrivals(args.arrival, design.inputs)
     _check_scenario_flags(args)
+    tracer = make_tracer(args)
+    session = AnalysisSession(design, options=make_options(args, tracer))
     if args.family:
-        run_family(args, circuit, options)
+        run_family(session, load_family(args.family), arrival)
     elif args.scenarios:
-        run_batch(args, circuit, options, method="hierarchical")
+        run_batch(args, session, arrival, method)
+    elif method == "demand":
+        from repro.core.design_report import render_design_report
+
+        result = session.demand_driven(arrival)
+        print(render_design_report(design, result, show_nets=args.nets))
     else:
-        session = AnalysisSession(circuit, options=options)
         print(session.hier_report(arrival, show_nets=args.nets))
     finish_tracer(args, tracer)
     return 0
 
 
-def cmd_demand(args: argparse.Namespace) -> int:
-    from repro.core.design_report import design_timing_report
+def cmd_hier_report(args: argparse.Namespace) -> int:
+    return run_design_command(args, "hierarchical")
 
-    circuit = load_design(args.circuit)
-    arrival = parse_arrivals(args.arrival)
-    tracer = make_tracer(args)
-    options = make_options(args, tracer)
-    _check_scenario_flags(args)
-    if args.family:
-        run_family(args, circuit, options)
-    elif args.scenarios:
-        run_batch(args, circuit, options, method="demand")
-    else:
-        print(
-            design_timing_report(
-                circuit,
-                arrival,
-                show_nets=args.nets,
-                options=options,
-            )
-        )
-    finish_tracer(args, tracer)
-    return 0
+
+def cmd_demand(args: argparse.Namespace) -> int:
+    return run_design_command(args, "demand")
 
 
 def cmd_forensics(args: argparse.Namespace) -> int:
-    from repro.api import AnalysisSession
-
     circuit = load_design(args.circuit)
-    arrival = parse_arrivals(args.arrival)
+    arrival = parse_arrivals(args.arrival, circuit.inputs)
     tracer = make_tracer(args)
-    options = make_options(args, tracer)
-    session = AnalysisSession(circuit, options=options)
+    session = AnalysisSession(circuit, options=make_options(args, tracer))
     report = session.forensics(arrival)
     if args.json:
         import json
@@ -454,34 +427,22 @@ def cmd_forensics(args: argparse.Namespace) -> int:
 
 def cmd_sdc(args: argparse.Namespace) -> int:
     from repro.core.sdc_export import export_design_sdc
-    from repro.netlist.hierarchy import HierDesign
-    from repro.parsers.verilog import read_verilog
 
-    file = Path(args.circuit)
-    if file.suffix != ".v":
-        raise ReproError("sdc export expects a structural Verilog file")
-    with file.open() as fp:
-        circuit = read_verilog(fp)
-    if not isinstance(circuit, HierDesign):
-        raise ReproError("file holds a single flat module; no hierarchy")
+    circuit = load_design(args.circuit)
     tracer = make_tracer(args)
+    options = make_options(args, tracer)
     if args.output:
         with Path(args.output).open("w") as out:
-            count = export_design_sdc(
-                circuit, out, engine=args.engine, tracer=tracer
-            )
+            count = export_design_sdc(circuit, out, options=options)
         print(f"wrote {count} constraints to {args.output}",
               file=sys.stderr)
     else:
-        count = export_design_sdc(
-            circuit, sys.stdout, engine=args.engine, tracer=tracer
-        )
+        export_design_sdc(circuit, sys.stdout, options=options)
     finish_tracer(args, tracer, stream=sys.stderr)
     return 0
 
 
 def cmd_characterize(args: argparse.Namespace) -> int:
-    from repro.api import AnalysisSession
     from repro.resilience.degradation import DegradationLog
 
     net = load_circuit(args.circuit)
@@ -707,15 +668,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_circuit_opts(p: argparse.ArgumentParser) -> None:
+    def add_circuit_opts(
+        p: argparse.ArgumentParser, arrival: bool = True
+    ) -> None:
         p.add_argument("circuit", help="netlist file (.bench or .blif)")
-        p.add_argument(
-            "--arrival",
-            action="append",
-            default=[],
-            metavar="PI=TIME",
-            help="input arrival time (repeatable; default 0.0)",
-        )
+        if arrival:
+            p.add_argument(
+                "--arrival",
+                action="append",
+                default=[],
+                metavar="PI=TIME",
+                help="primary-input arrival time (repeatable; default 0.0)",
+            )
         p.add_argument(
             "--engine",
             choices=("sat", "bdd", "brute"),
@@ -730,15 +694,13 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="characterize with N worker processes (default 1; "
-            "ignored by commands that never characterize)",
+            help="characterize with N worker processes (default 1)",
         )
         p.add_argument(
             "--cache-dir",
             default=None,
             metavar="DIR",
-            help="persistent model-library directory (default: no cache; "
-            "ignored by commands that never characterize)",
+            help="persistent model-library directory (default: no cache)",
         )
 
     def add_resilience_opts(p: argparse.ArgumentParser) -> None:
@@ -846,9 +808,17 @@ def build_parser() -> argparse.ArgumentParser:
             "Prometheus text exposition format",
         )
 
-    def add_analysis_opts(p: argparse.ArgumentParser) -> None:
-        add_circuit_opts(p)
-        add_cache_opts(p)
+    def add_analysis_opts(
+        p: argparse.ArgumentParser,
+        arrival: bool = True,
+        cache: bool = False,
+    ) -> None:
+        """The flags a command reads: ``--jobs``/``--cache-dir`` only
+        where it characterizes, ``--arrival`` only where arrivals
+        matter."""
+        add_circuit_opts(p, arrival)
+        if cache:
+            add_cache_opts(p)
         add_obs_opts(p)
 
     report = sub.add_parser("report", help="print a timing report")
@@ -865,13 +835,15 @@ def build_parser() -> argparse.ArgumentParser:
     delay.set_defaults(func=cmd_delay)
 
     hier_help = (
-        "report for a hierarchical Verilog design: demand-driven, or the "
-        "two-step model-library report with --cache-dir or --jobs > 1"
+        "two-step (Section 3) report for a hierarchical Verilog design: "
+        "characterize every module, then propagate (with --cache-dir, "
+        "through a persistent model library whose counters are "
+        "appended); 'demand' runs the demand-driven analysis"
     )
     hier = sub.add_parser(
         "hier-report", help=hier_help, description=hier_help
     )
-    add_analysis_opts(hier)
+    add_analysis_opts(hier, cache=True)
     add_resilience_opts(hier)
     add_batch_opts(hier)
     hier.add_argument(
@@ -884,7 +856,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="demand-driven (Section 5) report for a hierarchical "
         "Verilog design, with batched multi-scenario analysis",
     )
-    add_analysis_opts(demand)
+    add_analysis_opts(demand, cache=True)
     add_resilience_opts(demand)
     add_batch_opts(demand)
     demand.add_argument(
@@ -911,14 +883,14 @@ def build_parser() -> argparse.ArgumentParser:
         "sdc",
         help="export false-path SDC exceptions for a hierarchical design",
     )
-    add_analysis_opts(sdc)
+    add_analysis_opts(sdc, arrival=False)
     sdc.add_argument("-o", "--output", help="output file (default: stdout)")
     sdc.set_defaults(func=cmd_sdc)
 
     character = sub.add_parser(
         "characterize", help="write a black-box timing library (JSON)"
     )
-    add_analysis_opts(character)
+    add_analysis_opts(character, arrival=False, cache=True)
     add_resilience_opts(character)
     character.add_argument(
         "-o", "--output", help="output file (default: stdout)"

@@ -4,10 +4,9 @@ from repro.core.batch import BatchResult, ScenarioResult
 from repro.core.budget import InputBudget, input_budgets
 from repro.core.conditional import ConditionalAnalyzer, ConditionalResult
 from repro.core.design_report import (
-    design_timing_report,
-    library_timing_report,
     render_batch_report,
     render_design_report,
+    render_hier_report,
 )
 from repro.core.demand import (
     DemandDrivenAnalyzer,
@@ -107,7 +106,6 @@ __all__ = [
     "cosensitization_delay",
     "delay_by_criterion",
     "design_as_module",
-    "design_timing_report",
     "dumps_sdc",
     "evaluate_composed",
     "exact_required_relation",
@@ -118,11 +116,11 @@ __all__ = [
     "import_timing_library",
     "input_budgets",
     "instance_care_network",
-    "library_timing_report",
     "place_polygon",
     "prune_dominated",
     "render_batch_report",
     "render_design_report",
+    "render_hier_report",
     "render_polygon_ascii",
     "stack_cascade",
     "static_sensitization_delay",

@@ -32,7 +32,7 @@ from repro.core.required import exact_required_tuples_for_vector
 from repro.core.result import AnalysisResultMixin
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 from repro.sim.vectors import all_vectors
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -75,23 +75,22 @@ class ConditionalAnalyzer:
         Safety cap on the support width of any single output cone (the
         exact relation is exponential in it).
     options:
-        An :class:`~repro.api.AnalysisOptions` bundle; when given it is
-        the single configuration source (currently its tracer), like
-        every other analyzer.  The legacy ``tracer`` keyword keeps
-        working by being forwarded into an options bundle.
+        An :class:`~repro.api.AnalysisOptions` bundle, like every other
+        analyzer (this one reads its tracer; ``None`` means the
+        defaults).
     """
 
     def __init__(
         self,
         design: HierDesign,
         max_cone_support: int = 16,
-        tracer: Tracer | None = None,
+        *,
         options: "AnalysisOptions | None" = None,
     ):
         from repro.api import AnalysisOptions
 
         if options is None:
-            options = AnalysisOptions(tracer=tracer)
+            options = AnalysisOptions()
         design.validate()
         self.design = design
         self.options = options

@@ -47,7 +47,7 @@ from repro.obs.forensics import (
     OutputForensics,
     RefinementEvent,
 )
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
 from repro.sta.paths import distinct_path_lengths
 from repro.sta.topological import pin_to_pin_delays
@@ -184,22 +184,23 @@ class DemandDrivenResult(AnalysisResultMixin):
 class DemandDrivenAnalyzer:
     """Timing-graph based analyzer with lazy critical-edge refinement.
 
-    ``tracer`` (or ``options.tracer``) receives one event per graph STA
-    pass, per refinement step, and per second-longest-path query, plus
-    edges-refined-vs-total counters — the Section-5 effort profile.
+    Configured by an :class:`~repro.api.AnalysisOptions` bundle
+    (``None`` means the defaults).  ``options.tracer`` receives one
+    event per graph STA pass, per refinement step, and per
+    second-longest-path query, plus edges-refined-vs-total counters —
+    the Section-5 effort profile.
     """
 
     def __init__(
         self,
         design: HierDesign,
-        engine: Engine = "sat",
-        tracer: Tracer | None = None,
+        *,
         options: "AnalysisOptions | None" = None,
     ):
         from repro.api import AnalysisOptions
 
         if options is None:
-            options = AnalysisOptions(engine=engine, tracer=tracer)
+            options = AnalysisOptions()
         design.validate()
         self.design = design
         self.options = options

@@ -1,22 +1,28 @@
 """Timing reports for hierarchical designs.
 
-Formats the result of a demand-driven analysis: per-output arrivals with
-their topological baselines, the refined pin pairs (each one a discovered
-false-path fact, with the paper's Section-5 provenance), and a per-net
-arrival table for debugging.
+One renderer per analysis result: :func:`render_design_report` formats a
+demand-driven (Section 5) run — per-output arrivals with their
+topological baselines, the refined pin pairs (each one a discovered
+false-path fact, with the paper's Section-5 provenance);
+:func:`render_hier_report` formats a two-step (Section 3) run, with the
+model library's counters when one is in use; :func:`render_batch_report`
+formats a batch of scenarios.  Each can add a per-net arrival table for
+debugging.
 """
 
 from __future__ import annotations
 
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from repro.core.batch import BatchResult
-from repro.core.demand import DemandDrivenAnalyzer, DemandDrivenResult
+from repro.core.demand import DemandDrivenResult
+from repro.core.hier import HierResult
 from repro.core.result import AnalysisResult
-from repro.core.xbd0 import Engine
 from repro.netlist.hierarchy import HierDesign
-from repro.obs.trace import Tracer
 from repro.sta.topological import NEG_INF
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.library.store import ModelLibrary
 
 POS_INF = float("inf")
 
@@ -109,6 +115,41 @@ def render_design_report(
     return "\n".join(lines) + "\n"
 
 
+def render_hier_report(
+    design: HierDesign,
+    result: HierResult,
+    show_nets: bool = False,
+    library: ModelLibrary | None = None,
+) -> str:
+    """Format a two-step :class:`~repro.core.hier.HierResult` as a report.
+
+    With a model ``library`` its hit/miss/characterization counters are
+    appended — a warm cache shows ``characterizations : 0``.  The
+    report holds no wall-clock figure of its own (the library block
+    keeps its characterization time), so without a library its text is
+    the same at any ``jobs`` and with or without tracing.
+    """
+    lines = [
+        f"Hierarchical timing report for {design.name}",
+        f"  {len(design.modules)} modules, {len(design.instances)} "
+        f"instances, {len(design.inputs)} inputs, "
+        f"{len(design.outputs)} outputs",
+        "",
+        f"  estimated delay      : {_fmt(result.delay)}",
+        f"  modules characterized: {len(result.characterized_modules)}",
+    ]
+    if library is not None:
+        lines.append("")
+        lines.append(library.stats.render())
+    lines.extend(_degradation_lines(result.degradations))
+    lines.append("")
+    lines.extend(_output_table(result))
+    if show_nets:
+        lines.append("")
+        lines.extend(_net_table(result.net_times))
+    return "\n".join(lines) + "\n"
+
+
 def render_batch_report(
     design: HierDesign,
     batch: BatchResult,
@@ -153,77 +194,3 @@ def render_batch_report(
         lines.extend(_net_table(batch[worst].net_times))
     return "\n".join(lines) + "\n"
 
-
-def design_timing_report(
-    design: HierDesign,
-    arrival: Mapping[str, float] | None = None,
-    engine: Engine = "sat",
-    show_nets: bool = False,
-    tracer: Tracer | None = None,
-    options=None,
-) -> str:
-    """Analyze ``design`` demand-driven and render the report.
-
-    ``options`` (an :class:`~repro.api.AnalysisOptions`) supersedes the
-    individual ``engine``/``tracer`` keywords and carries the resilience
-    knobs (deadline, refinement budget, fault plan).
-    """
-    if options is not None:
-        analyzer = DemandDrivenAnalyzer(design, options=options)
-    else:
-        analyzer = DemandDrivenAnalyzer(design, engine=engine, tracer=tracer)
-    result = analyzer.analyze(arrival)
-    return render_design_report(design, result, show_nets)
-
-
-def library_timing_report(
-    design: HierDesign,
-    arrival: Mapping[str, float] | None = None,
-    engine: Engine = "sat",
-    show_nets: bool = False,
-    library=None,
-    jobs: int = 1,
-    cache_dir=None,
-    tracer: Tracer | None = None,
-    options=None,
-) -> str:
-    """Two-step hierarchical report backed by a persistent model library.
-
-    The cache-aware sibling of :func:`design_timing_report`: leaf
-    modules are characterized through ``library`` (a
-    :class:`~repro.library.store.ModelLibrary`, or ``None`` for an
-    in-run cache only) with ``jobs`` worker processes, and the library's
-    hit/miss/characterization counters are appended to the report — a
-    warm cache shows ``characterizations : 0``.
-    """
-    from repro.core.hier import HierarchicalAnalyzer
-
-    analyzer = HierarchicalAnalyzer(
-        design, engine=engine, library=library, jobs=jobs,
-        cache_dir=cache_dir, tracer=tracer, options=options,
-    )
-    jobs = analyzer.jobs
-    result = analyzer.analyze(arrival)
-    if library is None:
-        library = analyzer.library
-    lines = [
-        f"Hierarchical timing report for {design.name} (model library)",
-        f"  {len(design.modules)} modules, {len(design.instances)} "
-        f"instances, {len(design.inputs)} inputs, "
-        f"{len(design.outputs)} outputs",
-        "",
-        f"  estimated delay      : {_fmt(result.delay)}",
-        f"  modules characterized: {len(result.characterized_modules)} "
-        f"(step-1 {result.characterization_seconds:.3f}s, "
-        f"step-2 {result.propagation_seconds:.3f}s, jobs={jobs})",
-    ]
-    if library is not None:
-        lines.append("")
-        lines.append(library.stats.render())
-    lines.extend(_degradation_lines(result.degradations))
-    lines.append("")
-    lines.extend(_output_table(result))
-    if show_nets:
-        lines.append("")
-        lines.extend(_net_table(result.net_times))
-    return "\n".join(lines) + "\n"

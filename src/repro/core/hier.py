@@ -30,7 +30,7 @@ from repro.core.xbd0 import Engine, reject_nan_arrivals, resolve_engine
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
 from repro.resilience.policy import Deadline
 from repro.sta.paths import all_pin_path_lengths
@@ -111,65 +111,37 @@ class HierarchicalAnalyzer:
     ----------
     design:
         Depth-1 hierarchical design (validated on construction).
-    engine:
-        XBD0 tautology engine used during characterization.
-    functional:
-        If False, use topological pin-to-pin models instead (the baseline
-        hierarchical-topological analyzer).
-    library:
-        Optional :class:`~repro.library.store.ModelLibrary`.  Cached
-        models short-circuit Step 1; fresh characterizations are stored
-        back.  Only consulted for functional models (topological ones
-        are cheaper than a lookup).
-    jobs:
-        Worker processes for Step 1 (1 = in-process); see
-        :meth:`characterize_all`.
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer` receiving
-        characterize-module events, propagation spans, and the layer
-        counters of everything the analyzer calls into.
     options:
-        An :class:`~repro.api.AnalysisOptions` bundle.  When given it is
-        the single source of configuration and the individual keyword
-        arguments above (except ``library``) are ignored; the legacy
-        keywords keep working by being forwarded into an options bundle.
+        The :class:`~repro.api.AnalysisOptions` bundle: the tautology
+        engine of characterization, ``functional=False`` for topological
+        pin-to-pin models (the baseline hierarchical-topological
+        analyzer), Step-1 worker processes (``jobs``; see
+        :meth:`characterize_all`), the model-library directory, the
+        tracer and the resilience knobs.  ``None`` means the defaults.
+    library:
+        Optional :class:`~repro.library.store.ModelLibrary` (overrides
+        ``options.cache_dir``).  Cached models short-circuit Step 1;
+        fresh characterizations are stored back.  Only consulted for
+        functional models (topological ones are cheaper than a lookup).
     """
 
     def __init__(
         self,
         design: HierDesign,
-        engine: Engine = "sat",
-        functional: bool = True,
-        max_orders: int = 4,
-        max_tuples: int = 8,
-        library: "ModelLibrary | None" = None,
-        jobs: int = 1,
-        cache_dir=None,
-        tracer: Tracer | None = None,
+        *,
         options: "AnalysisOptions | None" = None,
+        library: "ModelLibrary | None" = None,
     ):
         from repro.api import AnalysisOptions
 
         if options is None:
-            # Legacy construction path: forward the scattered keywords
-            # into the unified (and validated) options bundle.
-            options = AnalysisOptions(
-                engine=engine,
-                functional=functional,
-                max_orders=max_orders,
-                max_tuples=max_tuples,
-                jobs=jobs,
-                cache_dir=cache_dir,
-                tracer=tracer,
-            )
+            options = AnalysisOptions()
         design.validate()
         self.design = design
         self.options = options
         self.engine: Engine = resolve_engine(options.engine)
         self.functional = options.functional
-        self.max_orders = options.max_orders
-        self.max_tuples = options.max_tuples
-        self.jobs = max(1, int(options.jobs))
+        self.jobs = options.jobs
         self.tracer = ensure_tracer(options.tracer)
         self.policy = options.resilience_policy()
         self.dlog = DegradationLog(self.tracer)
@@ -275,8 +247,6 @@ class HierarchicalAnalyzer:
                 modules,
                 jobs,
                 self.engine,
-                self.max_orders,
-                self.max_tuples,
                 self.library,
                 tracer=self.tracer,
                 policy=self.policy,
@@ -524,8 +494,8 @@ class IncrementalAnalyzer(HierarchicalAnalyzer):
     characterization of the modified module and 2) top-level analysis."
     """
 
-    def __init__(self, design: HierDesign, engine: Engine = "sat", **kwargs):
-        super().__init__(design, engine, **kwargs)
+    def __init__(self, design: HierDesign, **kwargs):
+        super().__init__(design, **kwargs)
         self.recharacterizations: dict[str, int] = {}
 
     def _note_fresh(self, module_name: str) -> None:

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from repro.core.hier import HierarchicalAnalyzer
 from repro.core.timing_model import TimingModel
-from repro.core.xbd0 import Engine
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign, Instance
 from repro.netlist.network import Network
@@ -103,8 +102,8 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
     on :attr:`dlog` under ``instance:output``.
     """
 
-    def __init__(self, design: HierDesign, engine: Engine = "sat", **kwargs):
-        super().__init__(design, engine, **kwargs)
+    def __init__(self, design: HierDesign, **kwargs):
+        super().__init__(design, **kwargs)
         self._instance_models: dict[str, dict[str, TimingModel]] = {}
 
     def models_for_instance(self, inst_name: str) -> dict[str, TimingModel]:
@@ -146,8 +145,6 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
             cones,
             self.jobs,
             self.engine,
-            self.max_orders,
-            self.max_tuples,
             tracer=self.tracer,
             policy=self.policy,
             dlog=self.dlog,

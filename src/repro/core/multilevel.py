@@ -72,13 +72,17 @@ def compose_design_models(
 ) -> dict[str, TimingModel]:
     """Timing models of every design output, over the design inputs.
 
-    ``analyzer`` may be passed to reuse an existing leaf-model cache.
+    ``max_tuples`` caps the composed tuples of every net (leaf modules
+    keep their own characterization budget).  ``analyzer`` may be
+    passed to reuse an existing leaf-model cache.
     """
+    from repro.api import AnalysisOptions
+
     design.validate()
     if analyzer is None:
         analyzer = HierarchicalAnalyzer(
-            design, engine=engine, functional=functional,
-            max_tuples=max_tuples,
+            design,
+            options=AnalysisOptions(engine=engine, functional=functional),
         )
     inputs = design.inputs
     width = len(inputs)

@@ -18,15 +18,13 @@ the per-class dataclass fields; :class:`AnalysisResult` is the
 ``Protocol`` consumers should type against.
 
 Renamed accessors from earlier revisions (``HierResult.characterized``,
-``DemandDrivenResult.seconds``, ``SubFlatResult.seconds``) warned as
-deprecated for several releases and are now **removed**: reading them
-raises :class:`AttributeError` with the migration hint, via
-:func:`removed_alias`.
+``DemandDrivenResult.seconds``, ``SubFlatResult.seconds``) are
+**removed**: reading them raises :class:`AttributeError` with the
+migration hint, via :func:`removed_alias`.
 """
 
 from __future__ import annotations
 
-import warnings
 from typing import Protocol, runtime_checkable
 
 NEG_INF = float("-inf")
@@ -35,38 +33,13 @@ NEG_INF = float("-inf")
 _CRITICAL_EPS = 1e-9
 
 
-def warn_renamed(old: str, new: str) -> None:
-    """Emit the standard rename ``DeprecationWarning`` for an accessor."""
-    warnings.warn(
-        f"{old} is deprecated; use {new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def deprecated_alias(old: str, new: str) -> property:
-    """A read-only property forwarding ``old`` to the renamed ``new``.
-
-    First stage of the deprecation policy; once an alias has warned for
-    several releases it escalates to :func:`removed_alias`.
-    """
-
-    def getter(self):
-        warn_renamed(f"{type(self).__name__}.{old}", new)
-        return getattr(self, new)
-
-    getter.__doc__ = f"Deprecated alias of :attr:`{new}`."
-    return property(getter)
-
-
 def removed_alias(old: str, new: str) -> property:
     """A property that hard-errors with the migration hint for ``old``.
 
-    Terminal stage of the deprecation policy.  Raising
-    :class:`AttributeError` (rather than silently vanishing) keeps the
-    failure mode identical to a missing attribute — ``hasattr`` and
-    ``getattr`` defaults behave normally — while the message tells the
-    caller exactly what to rename.
+    Raising :class:`AttributeError` (rather than silently vanishing)
+    keeps the failure mode identical to a missing attribute —
+    ``hasattr`` and ``getattr`` defaults behave normally — while the
+    message tells the caller exactly what to rename.
     """
 
     def getter(self):

@@ -17,11 +17,14 @@ design objects, while the facts are established once per module.
 from __future__ import annotations
 
 import io
-from typing import TextIO
+from typing import TYPE_CHECKING, TextIO
 
 from repro.core.demand import DemandDrivenAnalyzer, DemandDrivenResult
 from repro.netlist.hierarchy import HierDesign
 from repro.sta.topological import pin_to_pin_delay
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.api import AnalysisOptions
 
 NEG_INF = float("-inf")
 
@@ -103,10 +106,13 @@ def dumps_sdc(design: HierDesign, result: DemandDrivenResult) -> str:
 
 
 def export_design_sdc(
-    design: HierDesign, stream: TextIO, engine: str = "sat", tracer=None
+    design: HierDesign,
+    stream: TextIO,
+    options: "AnalysisOptions | None" = None,
 ) -> int:
-    """One-step: analyze demand-driven, then write the SDC exceptions."""
-    result = DemandDrivenAnalyzer(
-        design, engine=engine, tracer=tracer
-    ).analyze()
+    """One step: analyze ``design`` demand-driven, write its exceptions.
+
+    ``options`` configures the analysis (``None`` means the defaults).
+    """
+    result = DemandDrivenAnalyzer(design, options=options).analyze()
     return write_sdc(design, result, stream)

@@ -27,7 +27,7 @@ from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.xbd0 import Engine, StabilityAnalyzer, resolve_engine
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.api import AnalysisOptions
@@ -57,19 +57,22 @@ class SubFlatResult(AnalysisResultMixin):
 
 
 class SubcircuitFlatAnalyzer:
-    """The footnote-12 baseline analyzer."""
+    """The footnote-12 baseline analyzer.
+
+    Configured by an :class:`~repro.api.AnalysisOptions` bundle (its
+    engine and tracer; ``None`` means the defaults).
+    """
 
     def __init__(
         self,
         design: HierDesign,
-        engine: Engine = "sat",
-        tracer: Tracer | None = None,
+        *,
         options: "AnalysisOptions | None" = None,
     ):
         from repro.api import AnalysisOptions
 
         if options is None:
-            options = AnalysisOptions(engine=engine, tracer=tracer)
+            options = AnalysisOptions()
         design.validate()
         self.design = design
         self.options = options

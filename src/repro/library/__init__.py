@@ -14,13 +14,16 @@ This subsystem turns that into infrastructure:
   worker processes, with deterministic merging, under the module layer
   that characterizes all uncached leaf modules;
 * :mod:`repro.library.stats` — hit/miss/evict/characterization counters
-  surfaced in ``hier-report``.
+  appended to the ``hier-report`` (two-step) report.
 
 Typical use::
 
+    from repro.api import AnalysisOptions
     from repro.library import ModelLibrary
     lib = ModelLibrary("~/.cache/repro-models")
-    HierarchicalAnalyzer(design, library=lib, jobs=4).analyze()
+    HierarchicalAnalyzer(
+        design, library=lib, options=AnalysisOptions(jobs=4)
+    ).analyze()
     # second run (or any other design reusing the modules): zero
     # characterizations, all models come from the library.
 """

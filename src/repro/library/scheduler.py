@@ -73,11 +73,10 @@ def _characterize_cone_task(payload, directive=None, tracer=None):
     its module at call time, so wrappers installed there see the call.
     """
     execute_directive(directive)
-    cone, engine, max_orders, max_tuples = payload
+    cone, engine = payload
     t0 = perf_counter()
     local = required.characterize_output(
-        cone.network, cone.output, engine, max_orders, max_tuples,
-        care=cone.care, tracer=tracer,
+        cone.network, cone.output, engine, care=cone.care, tracer=tracer
     )
     model = expand_model_to_inputs(local, cone.network.inputs)
     return perf_counter() - t0, model
@@ -87,8 +86,6 @@ def characterize_cones(
     cones: Sequence[Cone],
     jobs: int = 1,
     engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
     tracer: Tracer | None = None,
     policy: ResiliencePolicy | None = None,
     dlog: DegradationLog | None = None,
@@ -113,7 +110,7 @@ def characterize_cones(
     dlog = dlog if dlog is not None else DegradationLog(tracer)
     outcomes = run_resilient(
         _characterize_cone_task,
-        [(cone, engine, max_orders, max_tuples) for cone in cones],
+        [(cone, engine) for cone in cones],
         jobs=jobs,
         policy=policy,
         deadline=deadline,
@@ -179,8 +176,6 @@ def characterize_modules(
     modules: Mapping[str, Module],
     jobs: int = 1,
     engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
     library: ModelLibrary | None = None,
     tracer: Tracer | None = None,
     policy: ResiliencePolicy | None = None,
@@ -197,7 +192,7 @@ def characterize_modules(
     for a single module.  A module with a degraded cone is not stored.
     """
     signatures = {
-        name: module_signature(module, engine, max_orders, max_tuples)
+        name: module_signature(module, engine)
         for name, module in modules.items()
     }
     results: dict[str, dict[str, TimingModel]] = {}
@@ -220,7 +215,7 @@ def characterize_modules(
             for name in pending
             for output in modules[name].outputs
         ],
-        jobs, engine, max_orders, max_tuples,
+        jobs, engine,
         tracer=tracer, policy=policy, dlog=dlog, deadline=deadline,
     )
     for name in pending:

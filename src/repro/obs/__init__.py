@@ -32,11 +32,13 @@ handler threads.
 
 Typical use::
 
+    from repro.api import AnalysisOptions
     from repro.obs import Tracer, RingBufferSink
 
     sink = RingBufferSink()
     tracer = Tracer(sinks=[sink])
-    HierarchicalAnalyzer(design, tracer=tracer).analyze()
+    options = AnalysisOptions(tracer=tracer)
+    HierarchicalAnalyzer(design, options=options).analyze()
     print(tracer.summary())          # per-phase time/counter breakdown
 """
 

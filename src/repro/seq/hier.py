@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
+from repro.api import AnalysisOptions
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.xbd0 import Engine
 from repro.errors import NetlistError
@@ -94,7 +95,9 @@ class SequentialDesign:
 
     def _get_analyzer(self, engine: Engine) -> DemandDrivenAnalyzer:
         if self._analyzer is None or self._engine != engine:
-            self._analyzer = DemandDrivenAnalyzer(self.core, engine=engine)
+            self._analyzer = DemandDrivenAnalyzer(
+                self.core, options=AnalysisOptions(engine=engine)
+            )
             self._engine = engine
         return self._analyzer
 

@@ -8,8 +8,10 @@ import pytest
 
 from repro.api import AnalysisOptions, AnalysisSession, load_circuit_file
 from repro.circuits.adders import cascade_adder
+from repro.core.conditional import ConditionalAnalyzer
 from repro.core.demand import DemandDrivenAnalyzer
-from repro.core.hier import HierarchicalAnalyzer
+from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
+from repro.core.instance_models import PerInstanceAnalyzer
 from repro.core.result import AnalysisResult
 from repro.core.subflat import SubcircuitFlatAnalyzer
 from repro.core.xbd0 import functional_delays
@@ -33,8 +35,6 @@ class TestAnalysisOptions:
         opts = AnalysisOptions()
         assert opts.engine is None
         assert opts.functional is True
-        assert opts.max_orders == 4
-        assert opts.max_tuples == 8
         assert opts.jobs == 1
         assert opts.cache_dir is None
         assert opts.tracer is None
@@ -52,8 +52,8 @@ class TestAnalysisOptions:
         "kwargs",
         [
             {"engine": "z3"},
-            {"max_orders": 0},
-            {"max_tuples": -1},
+            {"batch_size": 0},
+            {"retries": -1},
         ],
     )
     def test_validation(self, kwargs):
@@ -66,11 +66,20 @@ class TestAnalysisOptions:
         assert isinstance(opts.cache_dir, Path)
 
     @pytest.mark.parametrize(
-        "name", ["sat_mode", "refine_order", "portfolio_jobs", "check_timeout"]
+        "name",
+        [
+            "sat_mode",
+            "refine_order",
+            "portfolio_jobs",
+            "check_timeout",
+            "max_orders",
+            "max_tuples",
+        ],
     )
     def test_removed_option_rejected(self, name):
-        """One SAT strategy and one serial refinement loop: each removed
-        option is an unknown keyword."""
+        """One SAT strategy, one serial refinement loop, and the
+        characterization budgets no caller set: each removed option is
+        an unknown keyword."""
         names = {f.name for f in dataclasses.fields(AnalysisOptions)}
         assert name not in names
         with pytest.raises(TypeError):
@@ -78,9 +87,9 @@ class TestAnalysisOptions:
 
     def test_with_changes_revalidates(self):
         opts = AnalysisOptions(engine="bdd")
-        changed = opts.with_changes(max_orders=2)
-        assert changed.engine == "bdd" and changed.max_orders == 2
-        assert opts.max_orders == 4  # original untouched
+        changed = opts.with_changes(jobs=2)
+        assert changed.engine == "bdd" and changed.jobs == 2
+        assert opts.jobs == 1  # original untouched
         with pytest.raises(ValueError):
             opts.with_changes(engine="nope")
 
@@ -285,23 +294,56 @@ class TestRemovedShims:
         assert result.elapsed_seconds >= 0.0
 
 
-class TestLegacyConstructors:
-    def test_positional_engine_still_works(self, csa4_design):
-        analyzer = HierarchicalAnalyzer(csa4_design, "sat")
-        assert analyzer.engine == "sat"
-        assert analyzer.options.engine == "sat"
+class TestOptionsOnly:
+    """``options=`` is the only way to configure an analyzer: a removed
+    keyword or a positional engine is a ``TypeError``, never a value
+    silently dropped next to ``options=``."""
 
-    def test_options_bundle_equivalent(self, csa4_design):
-        legacy = HierarchicalAnalyzer(
-            csa4_design, engine="sat", max_orders=3, max_tuples=6
-        )
-        bundled = HierarchicalAnalyzer(
-            csa4_design,
-            options=AnalysisOptions(engine="sat", max_orders=3, max_tuples=6),
-        )
-        assert legacy.analyze().output_times == (
-            bundled.analyze().output_times
-        )
+    REMOVED = {
+        HierarchicalAnalyzer: (
+            "engine", "functional", "max_orders", "max_tuples", "jobs",
+            "cache_dir", "tracer",
+        ),
+        DemandDrivenAnalyzer: ("engine", "tracer"),
+        SubcircuitFlatAnalyzer: ("engine", "tracer"),
+        ConditionalAnalyzer: ("tracer",),
+    }
+    VALUES = {
+        "engine": "bdd",
+        "functional": False,
+        "max_orders": 2,
+        "max_tuples": 2,
+        "jobs": 2,
+        "cache_dir": "models",
+        "tracer": Tracer(),
+    }
+
+    @pytest.mark.parametrize(
+        ("cls", "keyword"),
+        [(cls, kw) for cls, kws in REMOVED.items() for kw in kws],
+        ids=lambda v: getattr(v, "__name__", v),
+    )
+    def test_removed_keyword_raises(self, csa4_design, cls, keyword):
+        value = self.VALUES[keyword]
+        with pytest.raises(TypeError, match=keyword):
+            cls(csa4_design, **{keyword: value})
+        with pytest.raises(TypeError, match=keyword):
+            cls(csa4_design, options=AnalysisOptions(), **{keyword: value})
+
+    @pytest.mark.parametrize(
+        "cls",
+        [
+            HierarchicalAnalyzer,
+            IncrementalAnalyzer,
+            PerInstanceAnalyzer,
+            DemandDrivenAnalyzer,
+            SubcircuitFlatAnalyzer,
+        ],
+        ids=lambda cls: cls.__name__,
+    )
+    def test_positional_engine_raises(self, csa4_design, cls):
+        with pytest.raises(TypeError):
+            cls(csa4_design, "sat")
 
 
 class TestEngineDefaults:
@@ -326,7 +368,7 @@ class TestEngineDefaults:
         elif name == "hierarchical":
             AnalysisSession(design, options=options).hierarchical()
         else:
-            DemandDrivenAnalyzer(design, tracer=tracer, **chosen).analyze()
+            DemandDrivenAnalyzer(design, options=options).analyze()
 
     @pytest.mark.parametrize("engine", [None, "sat", "bdd"])
     @pytest.mark.parametrize("name", FLAT + PER_CONE)

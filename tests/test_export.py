@@ -3,6 +3,7 @@
 import io
 import json
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.obs import (
@@ -28,7 +29,9 @@ def traced_run():
     tracer = Tracer()
     sink = RingBufferSink()
     tracer.add_sink(sink)
-    DemandDrivenAnalyzer(cascade_adder(8, 2), tracer=tracer).analyze()
+    DemandDrivenAnalyzer(
+        cascade_adder(8, 2), options=AnalysisOptions(tracer=tracer)
+    ).analyze()
     return tracer, sink
 
 

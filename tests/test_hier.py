@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.circuits.partition import cascade_bipartition
 from repro.circuits.random_logic import random_network
@@ -56,8 +57,10 @@ class TestHierarchicalAnalysis:
         assert shifted == base + 5.0
 
     def test_functional_mode_beats_topological_mode(self, csa4_design):
-        functional = HierarchicalAnalyzer(csa4_design, functional=True)
-        topological = HierarchicalAnalyzer(csa4_design, functional=False)
+        functional = HierarchicalAnalyzer(csa4_design)
+        topological = HierarchicalAnalyzer(
+            csa4_design, options=AnalysisOptions(functional=False)
+        )
         f = functional.analyze().delay
         t = topological.analyze().delay
         assert f < t
@@ -123,7 +126,9 @@ class TestDeadModuleOutputs:
 
     def test_topological_mode(self):
         # c_in -> c_out is 6 per block; the first block's a0 path is 8.
-        analyzer = HierarchicalAnalyzer(carry_only_design(), functional=False)
+        analyzer = HierarchicalAnalyzer(
+            carry_only_design(), options=AnalysisOptions(functional=False)
+        )
         assert analyzer.analyze().delay == 8.0 + 6.0 * 3
 
 

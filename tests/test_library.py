@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from repro.api import AnalysisSession
+from repro.api import AnalysisOptions, AnalysisSession
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.cli import main
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
@@ -336,7 +336,7 @@ class TestAnalyzerIntegration:
         design = multi_module_design()
         serial = HierarchicalAnalyzer(design).analyze()
         parallel = HierarchicalAnalyzer(
-            multi_module_design(), jobs=4
+            multi_module_design(), options=AnalysisOptions(jobs=4)
         ).analyze()
         assert parallel.net_times == serial.net_times
         assert set(parallel.characterized_modules) == set(serial.characterized_modules)
@@ -344,7 +344,9 @@ class TestAnalyzerIntegration:
     def test_topological_mode_skips_library(self, tmp_path):
         lib = ModelLibrary(tmp_path / "cache")
         HierarchicalAnalyzer(
-            cascade_adder(8, 2), functional=False, library=lib
+            cascade_adder(8, 2),
+            options=AnalysisOptions(functional=False),
+            library=lib,
         ).analyze()
         assert lib.stats.hits == lib.stats.misses == lib.stats.stores == 0
 
@@ -401,10 +403,33 @@ class TestCLI:
         assert delays(first) == delays(second)
 
     def test_hier_report_default_path_unchanged(self, verilog_file, capsys):
+        """Without --cache-dir no report prints model-library text; the
+        demand-driven report, with its pessimism line, is ``demand``'s."""
         assert main(["hier-report", verilog_file]) == 0
         out = capsys.readouterr().out
         assert "model library" not in out
+        assert "modules characterized: 1" in out
+        assert main(["demand", verilog_file]) == 0
+        out = capsys.readouterr().out
+        assert "model library" not in out
         assert "pessimism removed" in out
+
+    def test_hier_report_same_text_at_any_jobs(self, verilog_file, capsys):
+        """``--jobs`` is a speed knob: the two-step report is the same
+        bytes at any job count, with the two-step answer per output."""
+        assert main(["hier-report", verilog_file]) == 0
+        serial = capsys.readouterr().out
+        assert main(["hier-report", verilog_file, "--jobs", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        rows = dict(
+            line.split()
+            for line in serial.splitlines()
+            if line.startswith("  s") or line.startswith("  c8")
+        )
+        expected = AnalysisSession.from_file(verilog_file).hierarchical()
+        assert {o: float(t) for o, t in rows.items()} == (
+            expected.output_times
+        )
 
     def test_characterize_cache_identical_output(
         self, tmp_path, capsys

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.hier import HierarchicalAnalyzer
@@ -253,7 +254,9 @@ class TestAnalyzerWiring:
         tracer = Tracer()
         sink = RingBufferSink()
         tracer.add_sink(sink)
-        traced = DemandDrivenAnalyzer(design, tracer=tracer).analyze()
+        traced = DemandDrivenAnalyzer(
+            design, options=AnalysisOptions(tracer=tracer)
+        ).analyze()
         assert traced.output_times == plain.output_times
         assert traced.delay == plain.delay
         assert traced.refined_weights == plain.refined_weights
@@ -275,7 +278,7 @@ class TestAnalyzerWiring:
         analyzer = HierarchicalAnalyzer(
             design,
             library=ModelLibrary(tmp_path / "cache"),
-            tracer=tracer,
+            options=AnalysisOptions(tracer=tracer),
         )
         analyzer.analyze()
         names = sink.names()
@@ -289,7 +292,7 @@ class TestAnalyzerWiring:
         HierarchicalAnalyzer(
             design,
             library=ModelLibrary(tmp_path / "cache"),
-            tracer=tracer2,
+            options=AnalysisOptions(tracer=tracer2),
         ).analyze()
         assert "cache-hit" in sink2.names()
         assert "characterize-module" not in sink2.names()
@@ -297,7 +300,9 @@ class TestAnalyzerWiring:
     def test_phase_totals_sum_within_elapsed(self):
         design = cascade_adder(8, 2)
         tracer = Tracer()
-        DemandDrivenAnalyzer(design, tracer=tracer).analyze()
+        DemandDrivenAnalyzer(
+            design, options=AnalysisOptions(tracer=tracer)
+        ).analyze()
         totals = tracer.phase_totals()
         assert all(v >= 0.0 for v in totals.values())
         assert sum(totals.values()) <= tracer.elapsed_seconds()
@@ -308,7 +313,9 @@ class TestAnalyzerWiring:
         tracer = Tracer()
         sink = RingBufferSink()
         tracer.add_sink(sink)
-        HierarchicalAnalyzer(design, library=library, tracer=tracer).analyze()
+        HierarchicalAnalyzer(
+            design, library=library, options=AnalysisOptions(tracer=tracer)
+        ).analyze()
         assert library.tracer is tracer
         assert "cache-miss" in sink.names()
 

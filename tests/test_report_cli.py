@@ -137,14 +137,19 @@ class TestCLI:
             load_circuit(str(f))
 
     def test_parse_arrivals(self):
-        assert parse_arrivals(["a=1", "b=2.5"]) == {"a": 1.0, "b": 2.5}
+        inputs = ("a", "b")
+        assert parse_arrivals(["a=1", "b=2.5"], inputs) == {
+            "a": 1.0, "b": 2.5
+        }
         with pytest.raises(ReproError):
-            parse_arrivals(["oops"])
+            parse_arrivals(["oops"], inputs)
         with pytest.raises(ReproError):
-            parse_arrivals(["a=zebra"])
+            parse_arrivals(["a=zebra"], inputs)
         for value in ("nan", "inf", "-inf", "1e400"):
             with pytest.raises(ReproError, match="must be finite"):
-                parse_arrivals([f"a={value}"])
+                parse_arrivals([f"a={value}"], inputs)
+        with pytest.raises(ReproError, match="unknown input 'c'"):
+            parse_arrivals(["c=1"], inputs)
 
     def test_non_finite_arrival_exit_2(self, bench_file, tmp_path, capsys):
         design = cascade_adder(8, 2)
@@ -162,6 +167,68 @@ class TestCLI:
                 err = capsys.readouterr().err
                 assert err.startswith("error:") and err.count("\n") == 1
                 assert "must be finite" in err
+
+    def test_unknown_arrival_input_exit_2(self, bench_file, tmp_path, capsys):
+        """An ``--arrival`` that names no primary input is an error on
+        every command that takes one, including as the default of a
+        ``--scenarios`` or ``--family`` batch."""
+        import json
+
+        design = cascade_adder(8, 2)
+        design.name = "csa8_2"
+        verilog = str(tmp_path / "csa8.v")
+        Path(verilog).write_text(dumps_verilog(design))
+        scenarios = tmp_path / "scenarios.json"
+        scenarios.write_text(json.dumps([{"c_in": 1.0}]))
+        family = tmp_path / "family.json"
+        family.write_text(json.dumps({"family": "mc", "samples": 2}))
+        runs = [["report", bench_file], ["delay", bench_file]] + [
+            [command, verilog]
+            for command in ("hier-report", "demand", "forensics")
+        ] + [
+            [command, verilog, flag, str(path)]
+            for command in ("hier-report", "demand")
+            for flag, path in (
+                ("--scenarios", scenarios), ("--family", family)
+            )
+        ]
+        for argv in runs:
+            assert main(argv + ["--arrival", "nosuch=3"]) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.err == (
+                "error: --arrival names unknown input 'nosuch'\n"
+            ), argv
+            assert captured.out == "", argv
+
+    @pytest.mark.parametrize(
+        ("command", "flag", "value"),
+        [
+            *[
+                (command, flag, value)
+                for command in ("report", "delay", "sdc", "forensics")
+                for flag, value in (("--jobs", "2"), ("--cache-dir", "m"))
+            ],
+            ("characterize", "--arrival", "c_in=1"),
+            ("sdc", "--arrival", "c_in=1"),
+        ],
+    )
+    def test_unread_flag_not_registered_exit_2(
+        self, tmp_path, monkeypatch, capsys, command, flag, value
+    ):
+        """A command registers only the flags it reads: the ones it
+        would ignore are unknown arguments, not silent no-ops."""
+        design = cascade_adder(8, 2)
+        design.name = "csa8_2"
+        verilog = tmp_path / "csa8.v"
+        verilog.write_text(dumps_verilog(design))
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(verilog), flag, value])
+        assert exc.value.code == 2
+        lines = [line for line in capsys.readouterr().err.splitlines() if line]
+        assert len(lines) == 1
+        assert lines[0].startswith("error:") and flag in lines[0]
+        assert not (tmp_path / "m").exists()
 
     def test_report_command(self, bench_file, capsys):
         assert main(["report", bench_file]) == 0
