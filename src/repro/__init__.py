@@ -53,7 +53,7 @@ from repro.netlist.aig import equivalent
 from repro.netlist.hierarchy import HierDesign, Instance, Module
 from repro.netlist.network import Gate, GateType, Network
 from repro.obs import Metrics, Tracer
-from repro.resilience import Degradation, FaultPlan, ResiliencePolicy
+from repro.resilience import Degradation, FaultPlan
 from repro.sat import IncrementalSolver
 from repro.scenarios import (
     Corner,
@@ -69,7 +69,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.15.0"
+__version__ = "1.16.0"
 
 __all__ = [
     "AnalysisOptions",
@@ -97,7 +97,6 @@ __all__ = [
     "MonteCarlo",
     "Network",
     "ParametricSweep",
-    "ResiliencePolicy",
     "Scenario",
     "ScenarioFamily",
     "ScenarioResult",

@@ -51,7 +51,6 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.library.store import ModelLibrary
     from repro.obs.forensics import ForensicsReport
     from repro.resilience.degradation import DegradationLog
-    from repro.resilience.policy import ResiliencePolicy
     from repro.scenarios.families import ScenarioFamily
     from repro.scenarios.result import FamilyResult
 
@@ -92,9 +91,9 @@ class AnalysisOptions:
         Worker-failure retry rounds before a cone falls back to serial
         (then topological) characterization.
     refine_budget:
-        Maximum demand-driven refinements per analysis (``None`` =
-        unlimited); past it, edges keep their conservative topological
-        weights.
+        Maximum demand-driven refinement checks per ``analyze()`` call
+        (``None`` = unlimited); past it, edges keep their conservative
+        topological weights.
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` arming the
         deterministic fault-injection points (tests and drills only).
@@ -155,19 +154,6 @@ class AnalysisOptions:
         """The tracer, with ``None`` coerced to the shared null tracer."""
         return ensure_tracer(self.tracer)
 
-    def resilience_policy(self) -> "ResiliencePolicy":
-        """The :class:`~repro.resilience.ResiliencePolicy` these options
-        describe (consumed by every analyzer)."""
-        from repro.resilience.policy import ResiliencePolicy
-
-        return ResiliencePolicy(
-            deadline_seconds=self.deadline,
-            module_timeout=self.module_timeout,
-            max_retries=self.retries,
-            refine_budget=self.refine_budget,
-            fault_plan=self.fault_plan,
-        )
-
 
 #: Message of the removed legacy ``list[dict]``-batch form (the shim
 #: warned for several releases and now hard-errors with this hint).
@@ -190,11 +176,12 @@ def coerce_scenarios(
     arrival times or lists of numbers aligned with ``inputs``.  Shared
     by the CLI's ``--scenarios FILE`` loader and the server's
     ``POST /batch`` endpoint; ``source`` names the origin in error
-    messages.  Malformed batches raise
+    messages.  Malformed batches, and arrival times that are not finite
+    (:func:`~repro.scenarios.spec.clean_arrival`), raise
     :class:`~repro.errors.ReproError`.
     """
     from repro.scenarios.families import ScenarioFamily
-    from repro.scenarios.spec import ScenarioSpec
+    from repro.scenarios.spec import ScenarioSpec, clean_arrival
 
     if isinstance(data, ScenarioFamily):
         raise ReproError(
@@ -231,11 +218,12 @@ def coerce_scenarios(
                 "(input -> time) or a list of times"
             )
         try:
-            scenarios.append({name: float(v) for name, v in pairs})
+            scenario = {name: float(v) for name, v in pairs}
         except (TypeError, ValueError):
             raise ReproError(
                 f"{source}: scenario {i} has a non-numeric arrival time"
             ) from None
+        scenarios.append(clean_arrival(scenario, f"{source}: scenario {i}"))
     return scenarios
 
 
@@ -601,21 +589,14 @@ class AnalysisSession:
         model, the substitution is recorded on ``dlog``, and the
         degraded network is not stored in the library.
         """
-        from repro.core.xbd0 import resolve_engine
         from repro.library.scheduler import characterize_modules
 
-        options = self.options
-        policy = options.resilience_policy()
         network = self.network
         return characterize_modules(
             {network.name: Module(network.name, network)},
-            jobs=options.jobs,
-            engine=resolve_engine(options.engine),
-            library=self.library,
-            tracer=options.tracer,
-            policy=policy,
-            dlog=dlog,
-            deadline=policy.start(),
+            self.options,
+            self.library,
+            dlog,
         )[network.name]
 
     # ----------------------------------------------------------------- reports

@@ -26,7 +26,6 @@ from repro.core.polygon import (
 )
 from repro.core.required import characterize_network
 from repro.core.timing_model import TimingModel
-from repro.core.xbd0 import Engine, resolve_engine
 from repro.sta.topological import pin_to_pin_delay
 
 
@@ -46,10 +45,10 @@ class FigureData:
     fig5_topological_slack: float
 
 
-def compute_figures(engine: Engine | None = None) -> FigureData:
+def compute_figures() -> FigureData:
     """Recompute every number the three figures display."""
     block = carry_skip_block(2)
-    models = characterize_network(block, engine=resolve_engine(engine))
+    models = characterize_network(block)
     cout_model = models["c_out"]
 
     # Figure 4: two stacked polygons, all cascade PIs at 0.

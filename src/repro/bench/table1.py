@@ -14,7 +14,6 @@ Run as ``python -m repro.bench.table1``.
 
 from __future__ import annotations
 
-from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -23,7 +22,6 @@ from repro.bench.harness import (
 )
 from repro.circuits.adders import cascade_adder
 from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
-from repro.core.xbd0 import Engine
 
 #: The (total bits, block bits) grid: 9 circuits like the paper's 9 rows.
 DEFAULT_GRID: tuple[tuple[int, int], ...] = (
@@ -34,20 +32,16 @@ DEFAULT_GRID: tuple[tuple[int, int], ...] = (
 )
 
 
-def run_row(total_bits: int, block_bits: int,
-            engine: Engine | None = None,
-            flat: bool = True) -> ComparisonRow:
+def run_row(
+    total_bits: int, block_bits: int, flat: bool = True
+) -> ComparisonRow:
     """Analyze one ``csa n.m`` circuit all three ways."""
     design = cascade_adder(total_bits, block_bits)
-    analyzer = DemandDrivenAnalyzer(
-        design, options=AnalysisOptions(engine=engine)
-    )
+    analyzer = DemandDrivenAnalyzer(design)
     with stopwatch() as t_h:
         result = analyzer.analyze()
     if flat:
-        flat_delay, _, flat_seconds = flat_functional_delay(
-            design, engine=engine
-        )
+        flat_delay, _, flat_seconds = flat_functional_delay(design)
     else:
         flat_delay, flat_seconds = float("nan"), float("nan")
     return ComparisonRow(
@@ -66,10 +60,9 @@ def run_row(total_bits: int, block_bits: int,
 
 def run_table(
     grid: tuple[tuple[int, int], ...] = DEFAULT_GRID,
-    engine: Engine | None = None,
 ) -> list[ComparisonRow]:
     """All rows of Table 1."""
-    return [run_row(n, m, engine) for n, m in grid]
+    return [run_row(n, m) for n, m in grid]
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI

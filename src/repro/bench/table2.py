@@ -17,7 +17,6 @@ Run as ``python -m repro.bench.table2``.
 
 from __future__ import annotations
 
-from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -27,20 +26,17 @@ from repro.bench.harness import (
 from repro.circuits.iscaslike import TABLE2_ROWS
 from repro.circuits.partition import cascade_bipartition
 from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
-from repro.core.xbd0 import Engine
 
 
-def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
+def run_row(name: str) -> ComparisonRow:
     """Analyze one suite circuit (bipartitioned) all three ways."""
     factory, cut = TABLE2_ROWS[name]
     network = factory()
     design = cascade_bipartition(network, cut_fraction=cut)
-    analyzer = DemandDrivenAnalyzer(
-        design, options=AnalysisOptions(engine=engine)
-    )
+    analyzer = DemandDrivenAnalyzer(design)
     with stopwatch() as t_h:
         result = analyzer.analyze()
-    flat_delay, _, flat_seconds = flat_functional_delay(design, engine=engine)
+    flat_delay, _, flat_seconds = flat_functional_delay(design)
     return ComparisonRow(
         circuit=name,
         topological_delay=result.topological_delay,
@@ -55,9 +51,9 @@ def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     )
 
 
-def run_table(engine: Engine | None = None) -> list[ComparisonRow]:
+def run_table() -> list[ComparisonRow]:
     """All rows of Table 2."""
-    return [run_row(name, engine) for name in TABLE2_ROWS]
+    return [run_row(name) for name in TABLE2_ROWS]
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI

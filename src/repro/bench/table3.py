@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from typing import Callable
 
-from repro.api import AnalysisOptions
 from repro.bench.harness import (
     COMPARISON_HEADERS,
     ComparisonRow,
@@ -28,7 +27,6 @@ from repro.circuits.datapath import (
 from repro.circuits.iscaslike import alu
 from repro.circuits.partition import cascade_bipartition
 from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
-from repro.core.xbd0 import Engine
 from repro.netlist.network import Network
 
 #: Row name → (circuit factory, bipartition cut fraction).
@@ -45,17 +43,15 @@ TABLE3_ROWS: dict[str, tuple[Callable[[], Network], float]] = {
 }
 
 
-def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
+def run_row(name: str) -> ComparisonRow:
     """One datapath row: bipartition, then all three analyses."""
     factory, cut = TABLE3_ROWS[name]
     network = factory()
     design = cascade_bipartition(network, cut_fraction=cut)
-    analyzer = DemandDrivenAnalyzer(
-        design, options=AnalysisOptions(engine=engine)
-    )
+    analyzer = DemandDrivenAnalyzer(design)
     with stopwatch() as t_h:
         result = analyzer.analyze()
-    flat_delay, _, flat_seconds = flat_functional_delay(design, engine=engine)
+    flat_delay, _, flat_seconds = flat_functional_delay(design)
     return ComparisonRow(
         circuit=name,
         topological_delay=result.topological_delay,
@@ -67,9 +63,9 @@ def run_row(name: str, engine: Engine | None = None) -> ComparisonRow:
     )
 
 
-def run_table(engine: Engine | None = None) -> list[ComparisonRow]:
+def run_table() -> list[ComparisonRow]:
     """All rows of Table 3."""
-    return [run_row(name, engine) for name in TABLE3_ROWS]
+    return [run_row(name) for name in TABLE3_ROWS]
 
 
 def main() -> None:  # pragma: no cover - exercised via CLI

@@ -22,7 +22,6 @@ from typing import Mapping
 
 from repro.core.required import characterize_network
 from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
-from repro.core.xbd0 import Engine
 from repro.errors import AnalysisError
 from repro.netlist.network import Network
 from repro.sta.topological import required_times
@@ -77,7 +76,6 @@ def _prune_max(
 def input_budgets(
     network: Network,
     required: Mapping[str, float],
-    engine: Engine = "sat",
     max_tuples: int = 8,
     models: Mapping[str, TimingModel] | None = None,
 ) -> InputBudget:
@@ -93,7 +91,7 @@ def input_budgets(
     if not required:
         raise AnalysisError("no output constraints given")
     if models is None:
-        models = characterize_network(network, engine=engine)
+        models = characterize_network(network)
     inputs = network.inputs
     # Per constrained output: its alternative required-time tuples.
     per_output: list[tuple[tuple[float, ...], ...]] = []

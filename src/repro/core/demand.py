@@ -49,6 +49,7 @@ from repro.obs.forensics import (
 )
 from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
+from repro.resilience.policy import Deadline
 from repro.sta.paths import distinct_path_lengths
 from repro.sta.topological import pin_to_pin_delays
 
@@ -206,7 +207,6 @@ class DemandDrivenAnalyzer:
         self.options = options
         self.engine: Engine = resolve_engine(options.engine)
         self.tracer = ensure_tracer(options.tracer)
-        self.policy = options.resilience_policy()
         self.dlog = DegradationLog(self.tracer)
         self._states: dict[PinPair, _PinPairState] = {}
         self._cones: dict[tuple[str, str], Network] = {}
@@ -441,7 +441,7 @@ class DemandDrivenAnalyzer:
         """
         module_name, inp, out = key
         try:
-            plan = self.policy.fault_plan
+            plan = self.options.fault_plan
             if plan is not None:
                 plan.fire(
                     "demand.refine", module=module_name, input=inp, output=out
@@ -527,8 +527,8 @@ class DemandDrivenAnalyzer:
         reject_nan_arrivals(arrival)
         start = time.perf_counter()
         mark = len(self.dlog)
-        deadline = self.policy.start()
-        budget = self.policy.refine_budget
+        deadline = Deadline(self.options.deadline)
+        budget = self.options.refine_budget
         self._checks = 0
         self._refinements = 0
         graph = self._compiled_graph()
@@ -758,18 +758,17 @@ class DemandDrivenAnalyzer:
 def flat_functional_delay(
     design: HierDesign,
     arrival: Mapping[str, float] | None = None,
-    engine: Engine | None = None,
 ) -> tuple[float, dict[str, float], float]:
     """Flat-analysis baseline: flatten and run exact XBD0 per output.
 
     Returns ``(delay, per-output stable times, seconds)``.  Runs on
-    BDDs unless ``engine`` names another engine.
+    BDDs, the flat default of :func:`~repro.core.xbd0.resolve_engine`.
     """
     from repro.core.xbd0 import functional_delays
 
     flat = design.flatten()
     start = time.perf_counter()
-    times = functional_delays(flat, arrival, engine=engine)
+    times = functional_delays(flat, arrival)
     seconds = time.perf_counter() - start
     if not times:
         raise AnalysisError("design has no outputs")

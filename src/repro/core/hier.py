@@ -26,13 +26,12 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
-from repro.core.xbd0 import Engine, reject_nan_arrivals, resolve_engine
+from repro.core.xbd0 import reject_nan_arrivals
 from repro.errors import AnalysisError, NetlistError
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import Degradation, DegradationLog
-from repro.resilience.policy import Deadline
 from repro.sta.paths import all_pin_path_lengths
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -139,11 +138,7 @@ class HierarchicalAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = resolve_engine(options.engine)
-        self.functional = options.functional
-        self.jobs = options.jobs
         self.tracer = ensure_tracer(options.tracer)
-        self.policy = options.resilience_policy()
         self.dlog = DegradationLog(self.tracer)
         if library is None and options.cache_dir is not None:
             from repro.library.store import ModelLibrary
@@ -199,59 +194,43 @@ class HierarchicalAnalyzer:
         run deadline, fault points and recorded topological fallback.
         """
         if module_name not in self._models:
-            self._characterize(
-                (module_name,), self.jobs, self.policy.start()
-            )
+            self._characterize((module_name,))
         return self._models[module_name]
 
     def _note_fresh(self, module_name: str) -> None:
         """Hook: models for ``module_name`` were installed this run."""
 
-    def characterize_all(
-        self, jobs: int | None = None, deadline: Deadline | None = None
-    ) -> tuple[str, ...]:
+    def characterize_all(self) -> tuple[str, ...]:
         """Characterize every module not yet cached; returns their names.
 
         Functional models always come from the library scheduler
         (:func:`~repro.library.scheduler.characterize_modules`), with or
-        without a :attr:`library`: ``jobs`` (default: the analyzer's
-        ``jobs``) worker processes, or in-process at 1, with structural
-        twins characterized once.  Results are identical for any job
-        count.  ``functional=False`` installs topological models.
+        without a :attr:`library`: ``options.jobs`` worker processes, or
+        in-process at 1, with structural twins characterized once.
+        Results are identical for any job count.  ``functional=False``
+        installs topological models.
 
         Failures never abort the run: an output cone whose
         characterization crashes, times out, or falls past the run
-        ``deadline`` gets its topological model instead (conservative by
-        Theorem 1) and the substitution is recorded on :attr:`dlog`.
+        deadline (``options.deadline``, started by this call) gets its
+        topological model instead (conservative by Theorem 1) and the
+        substitution is recorded on :attr:`dlog`.
         """
         fresh = tuple(
             name for name in self.design.modules if name not in self._models
         )
         if fresh:
-            self._characterize(
-                fresh,
-                self.jobs if jobs is None else max(1, int(jobs)),
-                deadline if deadline is not None else self.policy.start(),
-            )
+            self._characterize(fresh)
         return fresh
 
-    def _characterize(
-        self, names: tuple[str, ...], jobs: int, deadline: Deadline
-    ) -> None:
+    def _characterize(self, names: tuple[str, ...]) -> None:
         """Step 1 for ``names``: install their models in the cache."""
         modules = {name: self.design.modules[name] for name in names}
-        if self.functional:
+        if self.options.functional:
             from repro.library.scheduler import characterize_modules
 
             results = characterize_modules(
-                modules,
-                jobs,
-                self.engine,
-                self.library,
-                tracer=self.tracer,
-                policy=self.policy,
-                dlog=self.dlog,
-                deadline=deadline,
+                modules, self.options, self.library, self.dlog
             )
         else:
             results = {
@@ -272,7 +251,7 @@ class HierarchicalAnalyzer:
         granularities (per instance) override this and
         :meth:`_models_of_instance` as a pair.
         """
-        return self.characterize_all(deadline=self.policy.start())
+        return self.characterize_all()
 
     def _models_of_instance(
         self, inst_name: str

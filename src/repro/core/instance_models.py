@@ -26,6 +26,7 @@ from repro.core.timing_model import TimingModel
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign, Instance
 from repro.netlist.network import Network
+from repro.resilience.policy import Deadline
 
 #: Prefix applied to copied driver-logic signals inside care networks so
 #: they can never collide with module port names.
@@ -142,13 +143,7 @@ class PerInstanceAnalyzer(HierarchicalAnalyzer):
                 for output in network.outputs
             )
         characterized = characterize_cones(
-            cones,
-            self.jobs,
-            self.engine,
-            tracer=self.tracer,
-            policy=self.policy,
-            dlog=self.dlog,
-            deadline=self.policy.start(),
+            cones, self.options, self.dlog, Deadline(self.options.deadline)
         )
         for inst_name in missing:
             models, _seconds = characterized.get(inst_name, ({}, None))

@@ -29,7 +29,6 @@ from repro.core.timing_model import (
     TimingModel,
     prune_dominated,
 )
-from repro.core.xbd0 import Engine
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign, Module
 
@@ -64,26 +63,14 @@ def _combine(
 
 
 def compose_design_models(
-    design: HierDesign,
-    engine: Engine = "sat",
-    functional: bool = True,
-    max_tuples: int = 8,
-    analyzer: HierarchicalAnalyzer | None = None,
+    design: HierDesign, max_tuples: int = 8
 ) -> dict[str, TimingModel]:
     """Timing models of every design output, over the design inputs.
 
     ``max_tuples`` caps the composed tuples of every net (leaf modules
-    keep their own characterization budget).  ``analyzer`` may be
-    passed to reuse an existing leaf-model cache.
+    keep their own characterization budget).
     """
-    from repro.api import AnalysisOptions
-
-    design.validate()
-    if analyzer is None:
-        analyzer = HierarchicalAnalyzer(
-            design,
-            options=AnalysisOptions(engine=engine, functional=functional),
-        )
+    analyzer = HierarchicalAnalyzer(design)
     inputs = design.inputs
     width = len(inputs)
     index = {x: i for i, x in enumerate(inputs)}
@@ -124,10 +111,7 @@ def compose_design_models(
 
 
 def design_as_module(
-    design: HierDesign,
-    name: str | None = None,
-    engine: Engine = "sat",
-    max_tuples: int = 8,
+    design: HierDesign, name: str | None = None
 ) -> tuple[Module, dict[str, TimingModel]]:
     """Package a whole design as a leaf module for a higher level.
 
@@ -135,9 +119,7 @@ def design_as_module(
     :meth:`HierarchicalAnalyzer.preload_models` — the mechanism that turns
     depth-1 analysis into arbitrary-depth analysis.
     """
-    models = compose_design_models(
-        design, engine=engine, max_tuples=max_tuples
-    )
+    models = compose_design_models(design)
     return black_box_module(
         name or design.name, design.inputs, design.outputs, models
     )

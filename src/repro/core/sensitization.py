@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Literal as TypingLiteral
 from typing import Mapping
 
-from repro.core.xbd0 import Engine, StabilityAnalyzer
+from repro.core.xbd0 import StabilityAnalyzer
 from repro.errors import AnalysisError
 from repro.netlist.gates import evaluate, satisfied_primes
 from repro.netlist.network import Network
@@ -130,9 +130,12 @@ def delay_by_criterion(
     output: str,
     criterion: Criterion,
     arrival: Mapping[str, float] | None = None,
-    engine: Engine = "sat",
 ) -> float:
-    """Dispatch: delay of ``output`` under the named criterion."""
+    """Dispatch: delay of ``output`` under the named criterion.
+
+    ``"xbd0"`` checks the output's cone on SAT, like every per-cone
+    check (:func:`~repro.core.xbd0.resolve_engine`).
+    """
     if criterion == "topological":
         return arrival_times(network, arrival)[output]
     if criterion == "static":
@@ -140,6 +143,6 @@ def delay_by_criterion(
     if criterion == "cosens":
         return cosensitization_delay(network, output, arrival)
     if criterion == "xbd0":
-        analyzer = StabilityAnalyzer(network, arrival, engine)
+        analyzer = StabilityAnalyzer(network, arrival)
         return analyzer.functional_delay(output)
     raise AnalysisError(f"unknown criterion {criterion!r}")

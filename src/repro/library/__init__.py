@@ -29,11 +29,7 @@ Typical use::
 """
 
 from repro.library.scheduler import characterize_modules
-from repro.library.signature import (
-    design_signatures,
-    module_signature,
-    network_signature,
-)
+from repro.library.signature import module_signature, network_signature
 from repro.library.stats import LibraryStats
 from repro.library.store import FORMAT_NAME, FORMAT_VERSION, ModelLibrary
 
@@ -43,7 +39,6 @@ __all__ = [
     "LibraryStats",
     "ModelLibrary",
     "characterize_modules",
-    "design_signatures",
     "module_signature",
     "network_signature",
 ]

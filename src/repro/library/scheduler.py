@@ -6,8 +6,9 @@ time 0 at the output, so Step 1 is embarrassingly parallel.
 A work item (:class:`Cone`) is one output cone: its owner's name, the
 network, the output and, for the per-instance models of footnote 6, a
 care network.  Items go through
-:func:`~repro.resilience.executor.run_resilient`, in-process at
-``jobs=1`` and over worker processes above it:
+:func:`~repro.resilience.executor.run_resilient` under one
+:class:`~repro.api.AnalysisOptions` bundle, in-process at ``jobs=1``
+and over worker processes above it:
 
 * items are submitted in a fixed order and merged by index, so models
   are bit-identical for any ``jobs`` and any crash or retry pattern;
@@ -32,21 +33,25 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from time import perf_counter
-from typing import Mapping, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.core import required
 from repro.core.hier import topological_models
 from repro.core.required import expand_model_to_inputs
 from repro.core.timing_model import TimingModel
+from repro.core.xbd0 import resolve_engine
 from repro.library.signature import module_signature
 from repro.library.store import ModelLibrary
 from repro.netlist.hierarchy import Module
 from repro.netlist.network import Network
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import DegradationLog
 from repro.resilience.executor import run_resilient
 from repro.resilience.faultinject import execute_directive
-from repro.resilience.policy import DEFAULT_POLICY, Deadline, ResiliencePolicy
+from repro.resilience.policy import Deadline
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import AnalysisOptions
 
 
 @dataclass(frozen=True)
@@ -84,15 +89,16 @@ def _characterize_cone_task(payload, directive=None, tracer=None):
 
 def characterize_cones(
     cones: Sequence[Cone],
-    jobs: int = 1,
-    engine: str = "sat",
-    tracer: Tracer | None = None,
-    policy: ResiliencePolicy | None = None,
+    options: "AnalysisOptions | None" = None,
     dlog: DegradationLog | None = None,
     deadline: Deadline | None = None,
 ) -> dict[str, tuple[dict[str, TimingModel], float | None]]:
     """Characterize every cone; group the models by owner.
 
+    ``options`` (``None``: the defaults) supplies the engine
+    (:func:`~repro.core.xbd0.resolve_engine` of ``options.engine``),
+    the workers, retries, per-task timeout, fault plan and tracer;
+    ``deadline`` is the run's started deadline (``None``: unlimited).
     Returns ``{owner: ({output: model}, seconds)}`` in item order, with
     every model aligned to its network's full input order.  ``seconds``
     sums the owner's cone times, or is ``None`` when any of its cones
@@ -105,20 +111,22 @@ def characterize_cones(
     event per cone (no phase) and one ``characterize-module`` event
     (phase ``"characterization"``) per owner with no degraded cone.
     """
-    tracer = ensure_tracer(tracer)
-    policy = policy if policy is not None else DEFAULT_POLICY
+    if options is None:
+        from repro.api import AnalysisOptions
+
+        options = AnalysisOptions()
+    tracer = ensure_tracer(options.tracer)
     dlog = dlog if dlog is not None else DegradationLog(tracer)
+    engine = resolve_engine(options.engine)
     outcomes = run_resilient(
         _characterize_cone_task,
         [(cone, engine) for cone in cones],
-        jobs=jobs,
-        policy=policy,
+        options=options,
         deadline=deadline,
         dlog=dlog,
         subject_of=lambda payload: {
             "module": payload[0].owner, "output": payload[0].output,
         },
-        tracer=tracer,
     )
     owners: dict[str, tuple[dict[str, TimingModel], float | None]] = {}
     fallback: dict[str, dict[str, TimingModel]] = {}
@@ -134,7 +142,7 @@ def characterize_cones(
                     seconds=cone_seconds,
                     module=cone.owner,
                     output=cone.output,
-                    jobs=jobs,
+                    jobs=options.jobs,
                 )
         else:
             if cone.owner not in fallback:
@@ -157,7 +165,7 @@ def characterize_cones(
                     phase="characterization",
                     seconds=seconds,
                     module=owner,
-                    jobs=jobs,
+                    jobs=options.jobs,
                 )
     return owners
 
@@ -174,13 +182,9 @@ def _rekey_models(
 
 def characterize_modules(
     modules: Mapping[str, Module],
-    jobs: int = 1,
-    engine: str = "sat",
+    options: "AnalysisOptions | None" = None,
     library: ModelLibrary | None = None,
-    tracer: Tracer | None = None,
-    policy: ResiliencePolicy | None = None,
     dlog: DegradationLog | None = None,
-    deadline: Deadline | None = None,
 ) -> dict[str, dict[str, TimingModel]]:
     """Characterize every module, consulting/filling ``library``.
 
@@ -188,9 +192,16 @@ def characterize_modules(
     to each module's own input order.  Modules found in ``library`` are
     never re-characterized; structural twins are characterized once and
     re-keyed.  The cones of the rest go through one
-    :func:`characterize_cones` call, so ``jobs`` workers share them even
-    for a single module.  A module with a degraded cone is not stored.
+    :func:`characterize_cones` call under ``options``, so ``jobs``
+    workers share them even for a single module, and the run deadline
+    (``options.deadline``) starts here.  A module with a degraded cone
+    is not stored.
     """
+    if options is None:
+        from repro.api import AnalysisOptions
+
+        options = AnalysisOptions()
+    engine = resolve_engine(options.engine)
     signatures = {
         name: module_signature(module, engine)
         for name, module in modules.items()
@@ -215,8 +226,7 @@ def characterize_modules(
             for name in pending
             for output in modules[name].outputs
         ],
-        jobs, engine,
-        tracer=tracer, policy=policy, dlog=dlog, deadline=deadline,
+        options, dlog, Deadline(options.deadline),
     )
     for name in pending:
         models, seconds = characterized.get(name, ({}, 0.0))

@@ -12,9 +12,10 @@ its environment).  Two requirements shape the design:
   identically.  Stored models are positional for the same reason; the
   store re-keys them to the requesting module's port names on load.
 * **Parameter sensitivity** — a model characterized with a different
-  engine or different ``max_orders``/``max_tuples`` budgets is a
-  different artifact, so those parameters are folded into the key
-  (:func:`module_signature`).
+  engine is a different artifact, so the engine is folded into the key
+  (:func:`module_signature`), next to the fixed relaxation budgets of
+  Step 1 (:func:`~repro.core.required.characterize_output`'s
+  ``max_orders=4`` and ``max_tuples=8``).
 
 Only the output cones matter: gates that reach no output do not affect
 any timing model and are excluded from the hash.
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.netlist.hierarchy import HierDesign, Module
+from repro.netlist.hierarchy import Module
 from repro.netlist.network import Network
 
 #: Bump when the canonical-form computation changes incompatibly.
@@ -72,38 +73,23 @@ def network_signature(network: Network) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def module_signature(
-    module: Module | Network,
-    engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-) -> str:
+def module_signature(module: Module | Network, engine: str = "sat") -> str:
     """Cache key: structural hash combined with characterization knobs.
 
     ``engine`` participates because different tautology engines are
     allowed to differ in cost, never in result — but keeping the key
     engine-qualified makes cross-engine validation runs independent.
+    The relaxation budgets are fixed (``max_orders=4``,
+    ``max_tuples=8``) but stay in the hashed text, so keys written
+    before they were fixed still match.
     """
     network = module.network if isinstance(module, Module) else module
     payload = "\n".join(
         [
             network_signature(network),
             f"engine={engine}",
-            f"max_orders={int(max_orders)}",
-            f"max_tuples={int(max_tuples)}",
+            "max_orders=4",
+            "max_tuples=8",
         ]
     )
     return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def design_signatures(
-    design: HierDesign,
-    engine: str = "sat",
-    max_orders: int = 4,
-    max_tuples: int = 8,
-) -> dict[str, str]:
-    """Cache key of every leaf module, keyed by module name."""
-    return {
-        name: module_signature(module, engine, max_orders, max_tuples)
-        for name, module in design.modules.items()
-    }

@@ -7,9 +7,10 @@ that crashes or times out can be skipped without ever producing an
 optimistic answer.  This package turns that property into
 infrastructure:
 
-* :mod:`repro.resilience.policy` — :class:`ResiliencePolicy` (deadline,
-  per-task timeout, retry/backoff schedule, quarantine threshold,
-  refinement budget) and the runtime :class:`Deadline`;
+* :mod:`repro.resilience.policy` — the runtime :class:`Deadline` and
+  the fixed retry schedule (backoff delays, quarantine threshold); the
+  knobs themselves (deadline, per-task timeout, retries, refinement
+  budget, fault plan) are :class:`~repro.api.AnalysisOptions` fields;
 * :mod:`repro.resilience.degradation` — :class:`Degradation` records and
   the per-run :class:`DegradationLog`; every conservative fallback lands
   on ``result.degradations`` and in the :mod:`repro.obs` trace stream;
@@ -55,15 +56,9 @@ from repro.resilience.faultinject import (
     parse_fault_spec,
 )
 from repro.resilience.locking import HAVE_FCNTL, FileLock
-from repro.resilience.policy import (
-    DEFAULT_POLICY,
-    Deadline,
-    DeadlineExceeded,
-    ResiliencePolicy,
-)
+from repro.resilience.policy import Deadline, DeadlineExceeded
 
 __all__ = [
-    "DEFAULT_POLICY",
     "BreakerConfig",
     "BreakerOpen",
     "CircuitBreaker",
@@ -76,7 +71,6 @@ __all__ = [
     "FileLock",
     "HAVE_FCNTL",
     "InjectedFault",
-    "ResiliencePolicy",
     "TaskOutcome",
     "execute_directive",
     "parse_fault_spec",

@@ -5,12 +5,14 @@ semantics the analysis stack needs:
 
 * **worker crashes** (``BrokenProcessPool``) rebuild the pool and retry
   the unfinished payloads — one poison task cannot abort the run;
-* **per-task timeouts** (``policy.module_timeout``, tightened by the
+* **per-task timeouts** (``options.module_timeout``, tightened by the
   run deadline) turn a hung task into a retryable failure;
-* **retries** follow the policy's exponential backoff-with-jitter
-  schedule, bounded by ``policy.max_retries`` rounds;
+* **retries** follow the fixed backoff-with-jitter schedule
+  (:func:`~repro.resilience.policy.backoff_delays`), bounded by
+  ``options.retries`` rounds;
 * **quarantine**: payloads that keep failing in workers
-  (``policy.quarantine_after``) stop being handed to processes;
+  (:data:`~repro.resilience.policy.QUARANTINE_AFTER` times) stop being
+  handed to processes;
 * **serial fallback**: whatever the pool could not finish is attempted
   once in-process; what still fails is reported as a failed outcome and
   the *caller* substitutes the sound topological model (Theorem 1);
@@ -31,11 +33,19 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from typing import Any, Callable, Mapping, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Mapping, Sequence
 
-from repro.obs.trace import Tracer, ensure_tracer
+from repro.obs.trace import ensure_tracer
 from repro.resilience.degradation import DegradationLog
-from repro.resilience.policy import UNLIMITED, Deadline, ResiliencePolicy
+from repro.resilience.policy import (
+    QUARANTINE_AFTER,
+    UNLIMITED,
+    Deadline,
+    backoff_delays,
+)
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.api import AnalysisOptions
 
 
 @dataclass
@@ -65,20 +75,21 @@ def run_resilient(
     task: Callable,
     payloads: Sequence,
     *,
-    jobs: int,
-    policy: ResiliencePolicy,
+    options: "AnalysisOptions",
     deadline: Deadline | None = None,
     dlog: DegradationLog | None = None,
     subject_of: Callable = lambda payload: {"task": "?"},
-    tracer: Tracer | None = None,
     sleep: Callable[[float], None] = time.sleep,
 ) -> list[TaskOutcome]:
     """Map ``task`` over ``payloads``, surviving crashes and timeouts.
 
-    ``task`` is called as ``task(payload, directive, tracer)`` — the
-    directive slot carries serialized fault injections into workers
-    (``None`` in production), and ``tracer`` is only supplied on the
-    in-process path (it cannot cross a process boundary).
+    ``options`` supplies the worker count (``jobs``), the retry rounds
+    (``retries``), the per-task timeout (``module_timeout``), the fault
+    plan and the tracer.  ``task`` is called as
+    ``task(payload, directive, tracer)`` — the directive slot carries
+    serialized fault injections into workers (``None`` in production),
+    and ``tracer`` is only supplied on the in-process path (it cannot
+    cross a process boundary).
 
     ``subject_of(payload)`` is the payload's context for fault-rule
     matching (e.g. ``{"module": name, "output": port}``); its values,
@@ -86,8 +97,8 @@ def run_resilient(
     """
     deadline = deadline if deadline is not None else UNLIMITED
     dlog = dlog if dlog is not None else DegradationLog()
-    tracer = ensure_tracer(tracer)
-    plan = policy.fault_plan
+    tracer = ensure_tracer(options.tracer)
+    plan = options.fault_plan
     outcomes = [
         TaskOutcome(i, _subject_name(_subject(subject_of, p)))
         for i, p in enumerate(payloads)
@@ -95,10 +106,10 @@ def run_resilient(
     contexts = [_subject(subject_of, p) for p in payloads]
     pending = list(range(len(payloads)))
 
-    if jobs > 1 and len(payloads) > 1:
+    if options.jobs > 1 and len(payloads) > 1:
         pending = _parallel_phase(
             task, payloads, pending, outcomes, contexts,
-            jobs=jobs, policy=policy, deadline=deadline, dlog=dlog,
+            options=options, deadline=deadline, dlog=dlog,
             tracer=tracer, plan=plan, sleep=sleep,
         )
 
@@ -136,25 +147,24 @@ def run_resilient(
 
 def _parallel_phase(
     task, payloads, pending, outcomes, contexts, *,
-    jobs, policy, deadline, dlog, tracer, plan, sleep,
+    options, deadline, dlog, tracer, plan, sleep,
 ) -> list[int]:
     """Worker-pool rounds with retry/quarantine; returns what is left."""
+    workers = min(options.jobs, len(payloads))
     try:
-        pool = ProcessPoolExecutor(
-            max_workers=min(jobs, len(payloads))
-        )
+        pool = ProcessPoolExecutor(max_workers=workers)
     except (OSError, ValueError, ImportError, NotImplementedError):
         return pending  # restricted sandbox: everything goes serial
-    backoff = policy.backoff_delays()
+    backoff = backoff_delays()
     pool_breaks = 0
-    rounds = 1 + max(0, policy.max_retries)
+    rounds = 1 + options.retries
     try:
         for round_no in range(rounds):
             if not pending or deadline.expired():
                 break
             eligible = [
                 i for i in pending
-                if outcomes[i].failures < policy.quarantine_after
+                if outcomes[i].failures < QUARANTINE_AFTER
             ]
             for i in pending:
                 if (
@@ -206,7 +216,7 @@ def _parallel_phase(
                     outcome.failures += 1
                     still_pending.append(i)
                     continue
-                timeout = deadline.clamp(policy.module_timeout)
+                timeout = deadline.clamp(options.module_timeout)
                 try:
                     outcome.result = futures[i].result(timeout=timeout)
                     outcome.ok = True
@@ -244,14 +254,12 @@ def _parallel_phase(
             if broke:
                 pool.shutdown(wait=False)
                 pool_breaks += 1
-                if pool_breaks > max(1, policy.max_retries):
+                if pool_breaks > max(1, options.retries):
                     pool = None
                     break
                 if tracer.enabled:
                     tracer.count("resilience.pool_restarts")
-                pool = ProcessPoolExecutor(
-                    max_workers=min(jobs, len(payloads))
-                )
+                pool = ProcessPoolExecutor(max_workers=workers)
     except (KeyboardInterrupt, SystemExit):
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -263,7 +271,7 @@ def _parallel_phase(
     for i in pending:
         outcome = outcomes[i]
         if (
-            outcome.failures >= policy.quarantine_after
+            outcome.failures >= QUARANTINE_AFTER
             and not outcome.quarantined
         ):
             outcome.quarantined = True

@@ -1,4 +1,4 @@
-"""Deadlines, timeouts, and retry policy for fail-safe analysis.
+"""Deadlines and the retry schedule for fail-safe analysis.
 
 The demand-driven algorithm (Section 5) and the two-step flow (Section 3)
 share one structural property: they start from a conservative topological
@@ -6,35 +6,43 @@ answer and only *refine* toward exactness.  Theorem 1 therefore licenses a
 whole family of time/fault trade-offs — any characterization or refinement
 step may be skipped, and the analysis stays sound (never optimistic).
 
-:class:`ResiliencePolicy` is the knob bundle for those trade-offs:
+The knobs of those trade-offs are :class:`~repro.api.AnalysisOptions`
+fields (``deadline``, ``module_timeout``, ``retries``, ``refine_budget``,
+``fault_plan``).  This module holds what is not a knob:
 
-* ``deadline_seconds`` — wall-clock budget for a whole analysis run; when
-  it expires, remaining output cones fall back to topological models
-  and remaining refinements are skipped;
-* ``module_timeout`` — per-task budget for one parallel cone
-  characterization;
-* ``max_retries`` / ``backoff_base`` / ``backoff_cap`` / ``jitter`` —
-  exponential-backoff retry schedule for failed worker tasks
-  (deterministic per ``jitter_seed``);
-* ``quarantine_after`` — failures before a cone is declared poison and
-  never handed to a worker process again;
-* ``refine_budget`` — per-output cap on demand-driven refinement checks.
-
-:class:`Deadline` is the runtime companion: one instance per analysis
-run, started when the run starts, consulted by every layer.
+* :class:`Deadline` — the runtime companion of ``deadline``: one
+  instance per analysis run, started when the run starts, consulted by
+  every layer;
+* :func:`backoff_delays` — the fixed retry sleep schedule of failed
+  worker tasks (exponential, capped, deterministically jittered);
+* :data:`QUARANTINE_AFTER` — worker failures before a task is declared
+  poison and never handed to a worker process again.
 """
 
 from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import Iterator
 
 from repro.errors import AnalysisError
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.resilience.faultinject import FaultPlan
+#: Worker failures before a task is quarantined as poison.
+QUARANTINE_AFTER = 3
+
+
+def backoff_delays() -> Iterator[float]:
+    """The retry sleep schedule: exponential, capped, jittered.
+
+    Starts at 0.05 s and doubles up to a 2 s cap; each sleep gets up to
+    25% jitter from a stream seeded with 0, so retry timing is
+    reproducible in tests and incident replays.
+    """
+    rng = random.Random(0)
+    delay = 0.05
+    while True:
+        yield min(delay * (1.0 + 0.25 * rng.random()), 2.0)
+        delay = min(delay * 2.0, 2.0)
 
 
 class DeadlineExceeded(AnalysisError):
@@ -112,66 +120,3 @@ class Deadline:
 UNLIMITED = Deadline(None)
 
 
-@dataclass(frozen=True)
-class ResiliencePolicy:
-    """Fault-tolerance configuration for one analysis stack.
-
-    The defaults keep every production behavior on (worker-crash
-    recovery, serial fallback, conservative degradation) while adding no
-    time limits; set ``deadline_seconds`` / ``module_timeout`` /
-    ``refine_budget`` to bound the run.
-    """
-
-    #: Wall-clock budget for the whole run (``None`` = unlimited).
-    deadline_seconds: float | None = None
-    #: Per-task budget for one parallel characterization (``None`` = none).
-    module_timeout: float | None = None
-    #: Retry attempts per failed task after the first try.
-    max_retries: int = 2
-    #: First backoff sleep; doubles per retry round.
-    backoff_base: float = 0.05
-    #: Ceiling on one backoff sleep.
-    backoff_cap: float = 2.0
-    #: Jitter fraction applied to each sleep (0 disables).
-    jitter: float = 0.25
-    #: Seed of the deterministic jitter stream.
-    jitter_seed: int = 0
-    #: Task failures before the subject is quarantined as poison.
-    quarantine_after: int = 3
-    #: Per-output cap on demand-driven refinement checks (``None`` = none).
-    refine_budget: int | None = None
-    #: Deterministic fault-injection plan (tests and drills only).
-    fault_plan: "FaultPlan | None" = field(default=None, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.deadline_seconds is not None and self.deadline_seconds < 0:
-            raise ValueError("deadline_seconds must be >= 0")
-        if self.module_timeout is not None and self.module_timeout <= 0:
-            raise ValueError("module_timeout must be > 0")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.refine_budget is not None and self.refine_budget < 0:
-            raise ValueError("refine_budget must be >= 0")
-
-    def start(self, clock=time.monotonic) -> Deadline:
-        """A fresh :class:`Deadline` for one analysis run."""
-        return Deadline(self.deadline_seconds, clock=clock)
-
-    def backoff_delays(self) -> Iterator[float]:
-        """The retry sleep schedule: exponential, capped, jittered.
-
-        Deterministic per ``jitter_seed`` so retry timing is
-        reproducible in tests and incident replays.
-        """
-        rng = random.Random(self.jitter_seed)
-        delay = self.backoff_base
-        while True:
-            jittered = delay
-            if self.jitter > 0.0:
-                jittered *= 1.0 + self.jitter * rng.random()
-            yield min(jittered, self.backoff_cap)
-            delay = min(delay * 2.0, self.backoff_cap)
-
-
-#: Policy with every default — the implicit configuration of legacy calls.
-DEFAULT_POLICY = ResiliencePolicy()

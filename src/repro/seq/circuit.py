@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.core.xbd0 import Engine, functional_delays
+from repro.core.xbd0 import functional_delays
 from repro.errors import NetlistError
 from repro.netlist.network import Network
 from repro.sta.topological import arrival_times
@@ -96,9 +96,12 @@ class SequentialCircuit:
         clk_to_q: float = 0.0,
         input_arrival: Mapping[str, float] | None = None,
         functional: bool = True,
-        engine: Engine = "sat",
     ) -> dict[str, float]:
-        """Stable time of every endpoint after a clock edge at t = 0."""
+        """Stable time of every endpoint after a clock edge at t = 0.
+
+        Functional times come from flat XBD0 analysis of the core, on
+        BDDs (:func:`~repro.core.xbd0.functional_delays`).
+        """
         arrival = {q: clk_to_q for q in self._q_names}
         for x, t in (input_arrival or {}).items():
             if x in self._q_names:
@@ -111,9 +114,7 @@ class SequentialCircuit:
                 f"endpoints {missing!r} must be declared core outputs"
             )
         if functional:
-            return functional_delays(
-                self.core, arrival, outputs=endpoints, engine=engine
-            )
+            return functional_delays(self.core, arrival, outputs=endpoints)
         at = arrival_times(self.core, arrival)
         return {e: at[e] for e in endpoints}
 
@@ -123,12 +124,9 @@ class SequentialCircuit:
         setup: float = 0.0,
         input_arrival: Mapping[str, float] | None = None,
         functional: bool = True,
-        engine: Engine = "sat",
     ) -> float:
         """Smallest clock period closing timing at every endpoint."""
-        times = self.endpoint_times(
-            clk_to_q, input_arrival, functional, engine
-        )
+        times = self.endpoint_times(clk_to_q, input_arrival, functional)
         worst = max(times.values(), default=NEG_INF)
         if worst == NEG_INF:
             return 0.0
@@ -139,11 +137,8 @@ class SequentialCircuit:
         clk_to_q: float = 0.0,
         input_arrival: Mapping[str, float] | None = None,
         functional: bool = True,
-        engine: Engine = "sat",
     ) -> tuple[str, float]:
         """The endpoint that sets the clock period."""
-        times = self.endpoint_times(
-            clk_to_q, input_arrival, functional, engine
-        )
+        times = self.endpoint_times(clk_to_q, input_arrival, functional)
         pin = max(times, key=times.__getitem__)
         return pin, times[pin]

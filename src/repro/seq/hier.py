@@ -14,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from repro.api import AnalysisOptions
 from repro.core.demand import DemandDrivenAnalyzer
-from repro.core.xbd0 import Engine
 from repro.errors import NetlistError
 from repro.netlist.hierarchy import HierDesign
 from repro.seq.circuit import Flop
@@ -72,7 +70,6 @@ class SequentialDesign:
             q_names.add(flop.q)
         self._q_names = q_names
         self._analyzer: DemandDrivenAnalyzer | None = None
-        self._engine: Engine = "sat"
 
     @property
     def primary_inputs(self) -> tuple[str, ...]:
@@ -93,20 +90,11 @@ class SequentialDesign:
         pins.extend(self.primary_outputs)
         return tuple(dict.fromkeys(pins))
 
-    def _get_analyzer(self, engine: Engine) -> DemandDrivenAnalyzer:
-        if self._analyzer is None or self._engine != engine:
-            self._analyzer = DemandDrivenAnalyzer(
-                self.core, options=AnalysisOptions(engine=engine)
-            )
-            self._engine = engine
-        return self._analyzer
-
     def clock_report(
         self,
         clk_to_q: float = 0.0,
         setup: float = 0.0,
         input_arrival: Mapping[str, float] | None = None,
-        engine: Engine = "sat",
     ) -> ClockReport:
         """Minimum clock period via demand-driven hierarchical analysis.
 
@@ -121,8 +109,9 @@ class SequentialDesign:
             if x not in self.core.inputs:
                 raise NetlistError(f"unknown primary input {x!r}")
             arrival[x] = float(t)
-        analyzer = self._get_analyzer(engine)
-        result = analyzer.analyze(arrival)
+        if self._analyzer is None:
+            self._analyzer = DemandDrivenAnalyzer(self.core)
+        result = self._analyzer.analyze(arrival)
         endpoint_times = {
             e: result.net_times[e] for e in self.endpoints()
         }
@@ -150,12 +139,9 @@ class SequentialDesign:
         clk_to_q: float = 0.0,
         setup: float = 0.0,
         input_arrival: Mapping[str, float] | None = None,
-        engine: Engine = "sat",
     ) -> float:
         """Smallest safe clock period."""
-        return self.clock_report(
-            clk_to_q, setup, input_arrival, engine
-        ).period
+        return self.clock_report(clk_to_q, setup, input_arrival).period
 
 
 def registered_cascade(

@@ -52,7 +52,11 @@ Degradation contract: a kernel evaluation failure — or an open
 per-design circuit breaker — never becomes a 500.  The registry
 answers from the topological-bound path instead (sound by Theorem 1)
 and the response is a 200 with ``degraded: true`` plus the
-``Degradation`` records explaining the precision loss.
+``Degradation`` records explaining the precision loss.  This holds for
+``include: ["nets"]`` requests too: the topological handle has the
+same nets.  ``POST /batch`` with a ``family`` is the one exception: its
+delay overrides index the functional plan, so it has no topological
+fallback and evaluates the compiled handle directly.
 """
 
 from __future__ import annotations
@@ -83,7 +87,6 @@ from repro.server.registry import (
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import SamplingProfiler
     from repro.resilience.breaker import BreakerConfig
-    from repro.resilience.faultinject import FaultPlan
 
 JSON = "application/json"
 PROM = "text/plain; version=0.0.4; charset=utf-8"
@@ -229,7 +232,9 @@ class TimingServerApp:
         The design cache; one is created from ``options``/``coalesce``
         when not given.
     options:
-        Analysis options for designs registered through the app.
+        Analysis options for designs registered through the app; its
+        ``fault_plan`` (``serve --inject``) arms the registry's and the
+        coalescers' fault points.
     coalesce:
         Flush policy for per-design request coalescers.
     default_deadline:
@@ -251,9 +256,6 @@ class TimingServerApp:
         disables the app-level check (the HTTP shell has its own).
     breaker:
         Per-design circuit-breaker tuning forwarded to the registry
-        (ignored when an explicit ``registry`` is passed).
-    fault_plan:
-        Deterministic fault injection forwarded to the registry
         (ignored when an explicit ``registry`` is passed).
     flight_capacity / slow_threshold:
         Flight-recorder sizing: records retained per ring and the
@@ -283,7 +285,6 @@ class TimingServerApp:
         queue_timeout: float = 5.0,
         max_body_bytes: int | None = None,
         breaker: "BreakerConfig | None" = None,
-        fault_plan: "FaultPlan | None" = None,
         flight_capacity: int = 512,
         slow_threshold: float = 0.1,
         slo: "Sequence[SloObjective]" = (),
@@ -297,7 +298,6 @@ class TimingServerApp:
                 coalesce=coalesce,
                 tracer=tracer,
                 breaker=breaker,
-                fault_plan=fault_plan,
             )
         else:
             self.trace_sink = RingBufferSink(capacity=trace_capacity)
@@ -756,13 +756,10 @@ class TimingServerApp:
         deadline = self._deadline_of(payload)
         if "nets" in include:
             # the coalesced path extracts output rows only; a full net
-            # dump is a debugging request, evaluated directly
-            net_times = entry.handle.propagate(
-                [arrival],
-                batch_size=self.registry.options.batch_size,
-                tracer=self.tracer,
-            )[0]
-            outcome = Outcome(ok=True, value=net_times, batch_size=1)
+            # dump is a debugging request, evaluated uncoalesced (still
+            # behind the breaker and the topological fallback)
+            row = self._evaluate(entry, [arrival], entry.handle.plan.nets)[0]
+            outcome = Outcome(ok=True, value=row, batch_size=1)
             if deadline is not None and deadline.expired():
                 outcome = Outcome(
                     ok=False,
@@ -772,7 +769,7 @@ class TimingServerApp:
                     ),
                 )
             if outcome.ok:
-                doc = self._net_doc(entry, net_times, include)
+                doc = self._net_doc(entry, row, include)
         else:
             outcome = entry.coalescer.submit(
                 arrival, deadline=deadline, label=trace_id
@@ -859,19 +856,8 @@ class TimingServerApp:
         include = self._include_of(payload)
         deadline = self._deadline_of(payload)
         t0 = time.perf_counter()
-        if "nets" in include:
-            rows = entry.handle.propagate(
-                scenarios,
-                batch_size=self.registry.options.batch_size,
-                tracer=self.tracer,
-            )
-        else:
-            rows = entry.evaluate_rows(
-                scenarios,
-                batch_size=self.registry.options.batch_size,
-                tracer=self.tracer,
-                fault_plan=self.registry.fault_plan,
-            )
+        nets = entry.handle.plan.nets if "nets" in include else None
+        rows = self._evaluate(entry, scenarios, nets)
         elapsed = time.perf_counter() - t0
         if deadline is not None and deadline.expired():
             outcome = Outcome(
@@ -886,10 +872,7 @@ class TimingServerApp:
             return self._outcome_error(outcome, trace_id)
         entry.requests += len(scenarios)
         if "nets" in include:
-            docs = [
-                self._net_doc(entry, net_times, include)
-                for net_times in rows
-            ]
+            docs = [self._net_doc(entry, row, include) for row in rows]
         else:
             docs = [self._row_doc(entry, row, include) for row in rows]
         delays = [d["delay"] for d in docs]
@@ -960,6 +943,17 @@ class TimingServerApp:
             ]
         return 200, JSON, _dumps(doc)
 
+    def _evaluate(self, entry: RegisteredDesign, scenarios, nets) -> list:
+        """Uncoalesced rows over ``nets`` (``None``: the outputs),
+        breaker-guarded with the topological fallback."""
+        return entry.evaluate_rows(
+            scenarios,
+            batch_size=self.registry.options.batch_size,
+            tracer=self.tracer,
+            fault_plan=self.registry.options.fault_plan,
+            nets=nets,
+        )
+
     def _check_scenario_limit(self, count: int) -> None:
         if count > self.max_scenarios:
             raise RequestError(
@@ -1028,7 +1022,7 @@ class TimingServerApp:
         return tuple(include)
 
     def _deadline_of(self, payload):
-        from repro.resilience.policy import Deadline, ResiliencePolicy
+        from repro.resilience.policy import Deadline
 
         seconds = payload.get("deadline", self.default_deadline)
         if seconds is None:
@@ -1039,7 +1033,7 @@ class TimingServerApp:
             raise RequestError("'deadline' must be a number of seconds")
         if seconds <= 0:
             raise RequestError("'deadline' must be > 0 seconds")
-        return ResiliencePolicy(deadline_seconds=seconds).start()
+        return Deadline(seconds)
 
     @staticmethod
     def _row_doc(
@@ -1081,16 +1075,22 @@ class TimingServerApp:
 
     @staticmethod
     def _net_doc(
-        entry: RegisteredDesign, net_times: dict, include: tuple[str, ...]
+        entry: RegisteredDesign,
+        row: "Sequence[float] | DegradedRow",
+        include: tuple[str, ...],
     ) -> dict:
-        """Response body from a full all-nets dict (debugging path)."""
+        """Response body from a row over every net of the plan
+        (debugging path)."""
+        doc: dict = {}
+        if isinstance(row, DegradedRow):
+            doc["degraded"] = True  # records via _attach_degradations
+            row = row.row
+        net_times = dict(zip(entry.handle.plan.nets, row))
         outputs = {o: net_times[o] for o in entry.handle.outputs}
-        doc: dict = {
-            "delay": max(outputs.values()) if outputs else None,
-        }
+        doc["delay"] = max(outputs.values()) if outputs else None
         if "outputs" in include:
             doc["outputs"] = outputs
-        doc["nets"] = dict(net_times)
+        doc["nets"] = net_times
         return doc
 
     def _outcome_error(

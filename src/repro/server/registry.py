@@ -162,9 +162,11 @@ class RegisteredDesign:
         batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         fault_plan: "FaultPlan | None" = None,
+        nets: Sequence[str] | None = None,
     ) -> list:
-        """Output rows for ``scenarios``, degrading instead of raising.
+        """Stable-time rows for ``scenarios``, degrading instead of raising.
 
+        Each row aligns with ``nets`` (default: ``handle.outputs``).
         The hot path: one batched kernel call against :attr:`handle`,
         guarded by :attr:`breaker`.  When the breaker is open the
         kernel is not attempted at all; when it is closed but the call
@@ -173,11 +175,14 @@ class RegisteredDesign:
         result — failed/skipped ones as :class:`DegradedRow` values
         whose times are sound upper bounds (Theorem 1).
         """
+        if nets is None:
+            nets = self.handle.outputs
         if not self.breaker.allow():
             return self.degraded_rows(
                 scenarios,
                 batch_size=batch_size,
                 tracer=tracer,
+                nets=nets,
                 kind="breaker-open",
                 detail=(
                     "kernel path suspended after repeated evaluation "
@@ -188,10 +193,7 @@ class RegisteredDesign:
             if fault_plan is not None:
                 fault_plan.fire("server.propagate", design=self.name)
             rows = self.handle.propagate_rows(
-                scenarios,
-                batch_size=batch_size,
-                tracer=tracer,
-                nets=self.handle.outputs,
+                scenarios, batch_size=batch_size, tracer=tracer, nets=nets
             )
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -201,6 +203,7 @@ class RegisteredDesign:
                 scenarios,
                 batch_size=batch_size,
                 tracer=tracer,
+                nets=nets,
                 kind="evaluation-error",
                 detail=f"{type(exc).__name__}: {exc}",
             )
@@ -213,17 +216,19 @@ class RegisteredDesign:
         *,
         batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
+        nets: Sequence[str] | None = None,
         kind: str = "breaker-open",
         detail: str = "",
     ) -> list[DegradedRow]:
-        """Conservative output rows from the topological-bound handle."""
+        """Conservative rows from the topological-bound handle, aligned
+        with ``nets`` (default: ``handle.outputs``)."""
         if self._topo is None:
             self._topo = topological_handle(self.design)
         values = self._topo.propagate_rows(
             scenarios,
             batch_size=batch_size,
             tracer=tracer,
-            nets=self.handle.outputs,
+            nets=self.handle.outputs if nets is None else nets,
         )
         log = DegradationLog(tracer)
         log.record(
@@ -262,11 +267,11 @@ class DesignRegistry:
     breaker:
         Tuning for each design's evaluation-path
         :class:`~repro.resilience.breaker.CircuitBreaker`.
-    fault_plan:
-        Deterministic chaos plan (``serve --inject``); consulted at the
-        ``server.compile`` and ``server.propagate`` trace points here
-        and threaded into each coalescer's ``coalescer.flush`` point.
-        Defaults to ``options.fault_plan``.
+
+    ``options.fault_plan`` (``serve --inject``) is the deterministic
+    chaos plan: consulted at the ``server.compile`` and
+    ``server.propagate`` trace points here and threaded into each
+    coalescer's ``coalescer.flush`` point.
     """
 
     def __init__(
@@ -277,7 +282,6 @@ class DesignRegistry:
         max_designs: int = 32,
         tracer: Tracer | None = None,
         breaker: BreakerConfig | None = None,
-        fault_plan: "FaultPlan | None" = None,
     ):
         if max_designs < 1:
             raise ValueError(f"max_designs must be >= 1, got {max_designs}")
@@ -289,9 +293,6 @@ class DesignRegistry:
         self.coalesce = coalesce or CoalesceConfig()
         self.max_designs = max_designs
         self.breaker_config = breaker or BreakerConfig()
-        self.fault_plan = (
-            fault_plan if fault_plan is not None else base.fault_plan
-        )
         self._lock = threading.RLock()
         self._entries: dict[str, RegisteredDesign] = {}
         self._by_name: dict[str, str] = {}
@@ -397,9 +398,10 @@ class DesignRegistry:
     ) -> RegisteredDesign:
         t0 = time.perf_counter()
         session = AnalysisSession(circuit, options=self.options)
+        plan = self.options.fault_plan
         try:
-            if self.fault_plan is not None:
-                self.fault_plan.fire("server.compile", design=circuit.name)
+            if plan is not None:
+                plan.fire("server.compile", design=circuit.name)
             with self.tracer.span(
                 "server-register", phase="compile", design=circuit.name
             ):
@@ -467,7 +469,7 @@ class DesignRegistry:
                 scenarios,
                 batch_size=self.options.batch_size,
                 tracer=self.tracer,
-                fault_plan=self.fault_plan,
+                fault_plan=self.options.fault_plan,
             )
 
         return RequestCoalescer(
@@ -475,7 +477,7 @@ class DesignRegistry:
             config=self.coalesce,
             tracer=self.tracer,
             name=entry.name,
-            fault_plan=self.fault_plan,
+            fault_plan=self.options.fault_plan,
         )
 
     # ----------------------------------------------------------------- lookups

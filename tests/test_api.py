@@ -54,6 +54,8 @@ class TestAnalysisOptions:
             {"engine": "z3"},
             {"batch_size": 0},
             {"retries": -1},
+            {"module_timeout": 0.0},
+            {"refine_budget": -2},
         ],
     )
     def test_validation(self, kwargs):
@@ -344,6 +346,146 @@ class TestOptionsOnly:
     def test_positional_engine_raises(self, csa4_design, cls):
         with pytest.raises(TypeError):
             cls(csa4_design, "sat")
+
+
+def _removed_parameter_calls(design):
+    """``(name, call)`` per parameter that only duplicated an
+    :class:`AnalysisOptions` field or that no caller set; ``call(kw)``
+    passes ``kw`` to the function that used to take it."""
+    from repro.bench import figures, table1, table2, table3
+    from repro.core.budget import input_budgets
+    from repro.core.demand import flat_functional_delay
+    from repro.core.multilevel import compose_design_models, design_as_module
+    from repro.core.sensitization import delay_by_criterion
+    from repro.library.scheduler import (
+        Cone,
+        characterize_cones,
+        characterize_modules,
+    )
+    from repro.library.signature import module_signature
+    from repro.resilience.executor import run_resilient
+    from repro.seq import accumulator
+    from repro.seq.hier import registered_cascade
+    from repro.server import DesignRegistry, TimingServerApp
+
+    network = design.flatten()
+    output = network.outputs[0]
+    seq = accumulator(2)
+    seq_design = registered_cascade(4)
+    analyzer = HierarchicalAnalyzer(design)
+    cone = Cone("m", network, output)
+    calls = [
+        ("run_resilient", lambda kw: run_resilient(
+            abs, [1], options=AnalysisOptions(), **kw)),
+        ("characterize_cones", lambda kw: characterize_cones([cone], **kw)),
+        ("characterize_modules",
+         lambda kw: characterize_modules(design.modules, **kw)),
+        ("characterize_all", lambda kw: analyzer.characterize_all(**kw)),
+        ("TimingServerApp", lambda kw: TimingServerApp(**kw)),
+        ("DesignRegistry", lambda kw: DesignRegistry(**kw)),
+        ("module_signature", lambda kw: module_signature(network, **kw)),
+        ("compose_design_models",
+         lambda kw: compose_design_models(design, **kw)),
+        ("design_as_module", lambda kw: design_as_module(design, **kw)),
+        ("input_budgets",
+         lambda kw: input_budgets(network, {output: 8.0}, **kw)),
+        ("delay_by_criterion",
+         lambda kw: delay_by_criterion(network, output, "xbd0", **kw)),
+        ("SequentialCircuit.endpoint_times",
+         lambda kw: seq.endpoint_times(**kw)),
+        ("SequentialCircuit.min_clock_period",
+         lambda kw: seq.min_clock_period(**kw)),
+        ("SequentialCircuit.critical_endpoint",
+         lambda kw: seq.critical_endpoint(**kw)),
+        ("SequentialDesign.clock_report",
+         lambda kw: seq_design.clock_report(**kw)),
+        ("SequentialDesign.min_clock_period",
+         lambda kw: seq_design.min_clock_period(**kw)),
+        ("table1.run_row", lambda kw: table1.run_row(8, 2, **kw)),
+        ("table1.run_table", lambda kw: table1.run_table(**kw)),
+        ("table2.run_row", lambda kw: table2.run_row("c17", **kw)),
+        ("table2.run_table", lambda kw: table2.run_table(**kw)),
+        ("table3.run_row", lambda kw: table3.run_row("mul4x4", **kw)),
+        ("table3.run_table", lambda kw: table3.run_table(**kw)),
+        ("compute_figures", lambda kw: figures.compute_figures(**kw)),
+        ("flat_functional_delay",
+         lambda kw: flat_functional_delay(design, **kw)),
+    ]
+    return dict(calls)
+
+
+class TestOneConfigurationObject:
+    """:class:`AnalysisOptions` is the only configuration object: the
+    resilience policy, its translation and the parameters that no
+    caller set are gone, and passing one is a ``TypeError``."""
+
+    REMOVED = [
+        ("run_resilient", "policy"),
+        ("run_resilient", "jobs"),
+        ("run_resilient", "tracer"),
+        ("characterize_cones", "policy"),
+        ("characterize_cones", "jobs"),
+        ("characterize_cones", "engine"),
+        ("characterize_cones", "tracer"),
+        ("characterize_modules", "policy"),
+        ("characterize_modules", "jobs"),
+        ("characterize_modules", "engine"),
+        ("characterize_modules", "tracer"),
+        ("characterize_modules", "deadline"),
+        ("characterize_all", "jobs"),
+        ("characterize_all", "deadline"),
+        ("TimingServerApp", "fault_plan"),
+        ("DesignRegistry", "fault_plan"),
+        ("module_signature", "max_orders"),
+        ("module_signature", "max_tuples"),
+        ("compose_design_models", "engine"),
+        ("compose_design_models", "functional"),
+        ("compose_design_models", "analyzer"),
+        ("design_as_module", "engine"),
+        ("design_as_module", "max_tuples"),
+        ("input_budgets", "engine"),
+        ("delay_by_criterion", "engine"),
+        ("SequentialCircuit.endpoint_times", "engine"),
+        ("SequentialCircuit.min_clock_period", "engine"),
+        ("SequentialCircuit.critical_endpoint", "engine"),
+        ("SequentialDesign.clock_report", "engine"),
+        ("SequentialDesign.min_clock_period", "engine"),
+        ("table1.run_row", "engine"),
+        ("table1.run_table", "engine"),
+        ("table2.run_row", "engine"),
+        ("table2.run_table", "engine"),
+        ("table3.run_row", "engine"),
+        ("table3.run_table", "engine"),
+        ("compute_figures", "engine"),
+        ("flat_functional_delay", "engine"),
+    ]
+
+    @pytest.mark.parametrize(
+        ("name", "parameter"), REMOVED, ids=lambda v: v
+    )
+    def test_removed_parameter_raises(self, csa4_design, name, parameter):
+        call = _removed_parameter_calls(csa4_design)[name]
+        with pytest.raises(TypeError, match=f"'{parameter}'"):
+            call({parameter: None})
+
+    @pytest.mark.parametrize(
+        ("module", "names"),
+        [
+            ("repro", ("ResiliencePolicy",)),
+            ("repro.resilience", ("ResiliencePolicy", "DEFAULT_POLICY")),
+            ("repro.resilience.policy", ("ResiliencePolicy", "DEFAULT_POLICY")),
+            ("repro.library", ("design_signatures",)),
+            ("repro.library.signature", ("design_signatures",)),
+        ],
+    )
+    def test_removed_names_are_gone(self, module, names):
+        import importlib
+
+        mod = importlib.import_module(module)
+        for name in names:
+            assert not hasattr(mod, name)
+            assert name not in getattr(mod, "__all__", ())
+        assert not hasattr(AnalysisOptions, "resilience_policy")
 
 
 class TestEngineDefaults:

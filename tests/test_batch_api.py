@@ -158,6 +158,8 @@ class TestLoadScenarios:
             ([[1.0]], "has 1 values for 2 inputs"),
             ([3.5], "must be an object"),
             ([{"a": "fast"}], "non-numeric"),
+            ([{"a": "nan"}], "must be finite"),
+            ([["inf", 0.0]], "must be finite"),
         ],
     )
     def test_malformed(self, tmp_path, payload, match):

@@ -13,6 +13,8 @@ from repro.bench.harness import (
 from repro.bench.table1 import DEFAULT_GRID, run_row
 from repro.bench.table2 import TABLE2_ROWS
 from repro.bench.table2 import run_row as run_row2
+from repro.circuits.adders import carry_skip_block
+from repro.core.required import characterize_network
 
 
 class TestFormatting:
@@ -96,6 +98,11 @@ class TestTable2Rows:
 
 class TestFigures:
     def test_compute_figures_bdd_engine(self):
-        data = compute_figures(engine="bdd")
+        # BDD characterization gives the SAT models the figures plot.
+        block = carry_skip_block(2)
+        assert characterize_network(block, engine="bdd") == (
+            characterize_network(block, engine="sat")
+        )
+        data = compute_figures()
         assert data.fig4_c4 == 10.0
         assert data.fig5_functional_slack == 1.0

@@ -15,7 +15,6 @@ from repro.library import (
     FORMAT_VERSION,
     ModelLibrary,
     characterize_modules,
-    design_signatures,
     module_signature,
     network_signature,
 )
@@ -113,12 +112,20 @@ class TestSignature:
         mod = Module("m", csa_block2)
         base = module_signature(mod)
         assert module_signature(mod, engine="bdd") != base
-        assert module_signature(mod, max_orders=2) != base
-        assert module_signature(mod, max_tuples=4) != base
         assert module_signature(mod) == base  # deterministic
 
+    def test_key_is_pinned(self, csa_block2):
+        # The key of every library written before the relaxation
+        # budgets were fixed: stored models stay warm.
+        assert module_signature(Module("b", csa_block2)) == (
+            "46947bb9339de2c31a9860c86f67fb7f01aa2aebb62cc5efa36e00d085673b28"
+        )
+
     def test_design_signatures_share_twins(self):
-        sigs = design_signatures(multi_module_design())
+        sigs = {
+            name: module_signature(module)
+            for name, module in multi_module_design().modules.items()
+        }
         assert set(sigs) == {"m_and", "m_and_twin", "m_or", "m_fp"}
         assert sigs["m_and"] == sigs["m_and_twin"]
         assert len(set(sigs.values())) == 3
@@ -250,8 +257,10 @@ class TestScheduler:
     @pytest.mark.slow
     def test_parallel_determinism(self):
         design = multi_module_design()
-        serial = characterize_modules(design.modules, jobs=1)
-        parallel = characterize_modules(design.modules, jobs=4)
+        serial = characterize_modules(design.modules)
+        parallel = characterize_modules(
+            design.modules, AnalysisOptions(jobs=4)
+        )
         assert {n: model_tuples(m) for n, m in serial.items()} == {
             n: model_tuples(m) for n, m in parallel.items()
         }

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.obs import (
     BUCKET_BOUNDS,
@@ -607,7 +608,7 @@ class TestServerAttribution:
     def test_degraded_and_breaker_paths_reach_flight_recorder(self):
         plan = FaultPlan()
         app = make_app(
-            fault_plan=plan,
+            options=AnalysisOptions(fault_plan=plan),
             breaker=BreakerConfig(failure_threshold=1, reset_timeout=60.0),
         )
         try:

@@ -22,6 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.resilience import BreakerConfig, CircuitBreaker, FaultPlan
 from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerOpen
@@ -36,6 +37,22 @@ from repro.server import (
 
 
 # --------------------------------------------------------------------- helpers
+class RaisingHandle:
+    """A compiled handle whose kernel calls fail (everything else is
+    the wrapped handle's)."""
+
+    def __init__(self, handle):
+        self._handle = handle
+
+    def __getattr__(self, name):
+        return getattr(self._handle, name)
+
+    def propagate(self, *args, **kwargs):
+        raise RuntimeError("kernel unavailable")
+
+    propagate_rows = propagate
+
+
 class FakeClock:
     """Deterministic monotonic clock for breaker/gate state machines."""
 
@@ -341,7 +358,7 @@ class TestDegradedServing:
     def test_kernel_fault_degrades_then_breaker_opens(self):
         plan = FaultPlan()
         app = make_app(
-            fault_plan=plan,
+            options=AnalysisOptions(fault_plan=plan),
             breaker=BreakerConfig(failure_threshold=2, reset_timeout=60.0),
         )
         try:
@@ -373,7 +390,7 @@ class TestDegradedServing:
     def test_breaker_recovers_after_reset(self):
         plan = FaultPlan()
         app = make_app(
-            fault_plan=plan,
+            options=AnalysisOptions(fault_plan=plan),
             breaker=BreakerConfig(failure_threshold=1, reset_timeout=0.05),
         )
         try:
@@ -391,7 +408,7 @@ class TestDegradedServing:
 
     def test_coalescer_flush_fault_still_answers_conservatively(self):
         plan = FaultPlan()
-        app = make_app(fault_plan=plan)
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
         try:
             req = {"design": "csa4_2", "arrival": {}}
             status, doc = call(app, "POST", "/analyze", req)
@@ -406,7 +423,7 @@ class TestDegradedServing:
 
     def test_batch_degrades_per_request(self):
         plan = FaultPlan()
-        app = make_app(fault_plan=plan)
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
         try:
             req = {"design": "csa4_2", "scenarios": [{}, {"a0": 3.0}]}
             status, clean = call(app, "POST", "/batch", req)
@@ -424,7 +441,8 @@ class TestDegradedServing:
     def test_compile_fault_registers_topological_handle(self):
         plan = FaultPlan().add("server.compile", kind="exception", times=1)
         app = TimingServerApp(
-            coalesce=CoalesceConfig(max_batch=4), fault_plan=plan
+            coalesce=CoalesceConfig(max_batch=4),
+            options=AnalysisOptions(fault_plan=plan),
         )
         try:
             app.registry.register_design(cascade_adder(4, 2))
@@ -434,6 +452,63 @@ class TestDegradedServing:
             assert status == 200
             kinds = [d["kind"] for d in doc["degradations"]]
             assert "compile-error" in kinds
+        finally:
+            app.close()
+
+
+class TestDegradedNets:
+    """``include: ["nets"]`` requests skip the coalescer, not the breaker,
+    the ``server.propagate`` fault point or the topological fallback."""
+
+    REQUESTS = {
+        "/analyze": {"design": "csa4_2", "arrival": {}, "include": ["nets"]},
+        "/batch": {
+            "design": "csa4_2",
+            "scenarios": [{}, {"a0": 3.0}],
+            "include": ["nets"],
+        },
+    }
+
+    @staticmethod
+    def net_docs(route, doc):
+        return [doc] if route == "/analyze" else doc["scenarios"]
+
+    @pytest.mark.parametrize("route", ["/analyze", "/batch"])
+    def test_injected_fault_degrades_every_net(self, route):
+        plan = FaultPlan()
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
+        try:
+            nets = set(app.registry.get("csa4_2").handle.plan.nets)
+            status, exact = call(app, "POST", route, self.REQUESTS[route])
+            assert status == 200 and "degraded" not in exact
+            plan.add("server.propagate", kind="exception", times=-1)
+            status, doc = call(app, "POST", route, self.REQUESTS[route])
+            assert status == 200
+            assert doc["degraded"] is True
+            assert "evaluation-error" in [
+                d["kind"] for d in doc["degradations"]
+            ]
+            pairs = zip(self.net_docs(route, doc), self.net_docs(route, exact))
+            for got, want in pairs:
+                assert set(got["nets"]) == nets
+                assert got["delay"] >= want["delay"]
+                for net, t in want["nets"].items():
+                    assert got["nets"][net] >= t - 1e-9  # Theorem 1
+        finally:
+            app.close()
+
+    @pytest.mark.parametrize("route", ["/analyze", "/batch"])
+    def test_raising_handle_answers_200(self, route):
+        app = make_app()
+        try:
+            entry = app.registry.get("csa4_2")
+            nets = set(entry.handle.plan.nets)
+            entry.handle = RaisingHandle(entry.handle)
+            status, doc = call(app, "POST", route, self.REQUESTS[route])
+            assert status == 200
+            assert doc["degraded"] is True
+            for got in self.net_docs(route, doc):
+                assert set(got["nets"]) == nets
         finally:
             app.close()
 
@@ -603,7 +678,7 @@ class TestChaosSoak:
             max_inflight=2,
             max_queue=2,
             queue_timeout=0.5,
-            fault_plan=plan,
+            options=AnalysisOptions(fault_plan=plan),
             breaker=BreakerConfig(failure_threshold=3, reset_timeout=0.05),
         )
         entry = app.registry.register_design(cascade_adder(8, 2))

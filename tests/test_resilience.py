@@ -32,12 +32,12 @@ from repro.resilience import (
     FaultRule,
     FileLock,
     InjectedFault,
-    ResiliencePolicy,
     execute_directive,
     parse_fault_spec,
     run_resilient,
 )
 from repro.resilience import faultinject
+from repro.resilience.policy import backoff_delays
 
 EXAMPLE = "examples/csa8_2.v"
 
@@ -90,34 +90,16 @@ class TestDeadline:
 
 class TestResiliencePolicy:
     def test_backoff_is_deterministic_and_capped(self):
-        policy = ResiliencePolicy(
-            backoff_base=0.5, backoff_cap=1.5, jitter=0.25, jitter_seed=7
-        )
-        first = policy.backoff_delays()
-        second = policy.backoff_delays()
-        seq1 = [next(first) for _ in range(5)]
-        seq2 = [next(second) for _ in range(5)]
-        assert seq1 == seq2  # same seed, same schedule
-        assert all(d <= 1.5 for d in seq1)
-        assert seq1[0] >= 0.5  # jitter only adds
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ResiliencePolicy(module_timeout=0.0)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(max_retries=-1)
-        with pytest.raises(ValueError):
-            ResiliencePolicy(refine_budget=-2)
-
-    def test_options_build_policy(self):
-        options = AnalysisOptions(
-            deadline=30.0, module_timeout=5.0, retries=1, refine_budget=9
-        )
-        policy = options.resilience_policy()
-        assert policy.deadline_seconds == 30.0
-        assert policy.module_timeout == 5.0
-        assert policy.max_retries == 1
-        assert policy.refine_budget == 9
+        first = backoff_delays()
+        second = backoff_delays()
+        seq1 = [next(first) for _ in range(8)]
+        seq2 = [next(second) for _ in range(8)]
+        assert seq1 == seq2  # fixed seed, same schedule
+        # 0.05 s doubling to a 2 s cap, up to 25% jitter from seed 0.
+        assert [round(d, 6) for d in seq1] == [
+            0.060555, 0.118949, 0.221029, 0.425892,
+            0.902255, 1.761974, 2.0, 2.0,
+        ]
 
     def test_options_validate_resilience_fields(self):
         with pytest.raises(ValueError):
@@ -199,7 +181,7 @@ def _double(payload, directive=None, tracer=None):
 class TestRunResilient:
     def test_serial_success(self):
         outcomes = run_resilient(
-            _double, [1, 2, 3], jobs=1, policy=ResiliencePolicy()
+            _double, [1, 2, 3], options=AnalysisOptions()
         )
         assert [o.result for o in outcomes] == [2, 4, 6]
         assert all(o.ok for o in outcomes)
@@ -210,8 +192,7 @@ class TestRunResilient:
         outcomes = run_resilient(
             _double,
             [1, 2],
-            jobs=1,
-            policy=ResiliencePolicy(fault_plan=plan),
+            options=AnalysisOptions(fault_plan=plan),
             dlog=dlog,
         )
         assert [o.ok for o in outcomes] == [False, True]
@@ -225,7 +206,7 @@ class TestRunResilient:
         clock.now = 100.0  # already past the deadline
         dlog = DegradationLog()
         outcomes = run_resilient(
-            _double, [1, 2], jobs=1, policy=ResiliencePolicy(),
+            _double, [1, 2], options=AnalysisOptions(),
             deadline=deadline, dlog=dlog,
         )
         assert all(not o.ok for o in outcomes)
@@ -235,8 +216,7 @@ class TestRunResilient:
         plan = FaultPlan().add("scheduler.serial", "interrupt", times=1)
         with pytest.raises(KeyboardInterrupt):
             run_resilient(
-                _double, [1], jobs=1,
-                policy=ResiliencePolicy(fault_plan=plan),
+                _double, [1], options=AnalysisOptions(fault_plan=plan),
             )
 
     @pytest.mark.slow
@@ -248,11 +228,9 @@ class TestRunResilient:
         outcomes = run_resilient(
             _double,
             [1, 2, 3],
-            jobs=2,
-            policy=ResiliencePolicy(
-                fault_plan=plan, backoff_base=0.0, jitter=0.0
-            ),
+            options=AnalysisOptions(jobs=2, fault_plan=plan),
             dlog=dlog,
+            sleep=lambda _s: None,
         )
         assert [o.result for o in outcomes] == [2, 4, 6]
         assert any(d.kind == "worker-crash" for d in dlog)
@@ -268,18 +246,15 @@ class TestRunResilient:
         outcomes = run_resilient(
             _double,
             [1, 2, 3],
-            jobs=2,
-            policy=ResiliencePolicy(
-                fault_plan=plan, max_retries=3, quarantine_after=2,
-                backoff_base=0.0, jitter=0.0,
-            ),
+            options=AnalysisOptions(jobs=2, retries=3, fault_plan=plan),
             dlog=dlog,
             subject_of=lambda p: {"task": str(p)},
+            sleep=lambda _s: None,
         )
         assert [o.result for o in outcomes] == [2, 4, 6]
         poisoned = outcomes[1]
         assert poisoned.quarantined
-        assert poisoned.failures >= 2
+        assert poisoned.failures >= 3  # quarantined after 3 failures
         assert any(d.kind == "quarantine" for d in dlog)
 
     @pytest.mark.slow
@@ -291,12 +266,11 @@ class TestRunResilient:
         outcomes = run_resilient(
             _double,
             [1, 2],
-            jobs=2,
-            policy=ResiliencePolicy(
-                fault_plan=plan, module_timeout=0.2, max_retries=0,
-                quarantine_after=1, backoff_base=0.0, jitter=0.0,
+            options=AnalysisOptions(
+                jobs=2, fault_plan=plan, module_timeout=0.2, retries=0
             ),
             dlog=dlog,
+            sleep=lambda _s: None,
         )
         # The serial fallback runs the task without the worker directive,
         # so results still arrive — but the timeout was recorded.
@@ -313,10 +287,9 @@ class TestSchedulerDegradation:
         plan = FaultPlan().add("scheduler.serial", "exception", times=-1)
         dlog = DegradationLog()
         library = ModelLibrary()  # memory-only
-        policy = ResiliencePolicy(fault_plan=plan)
         results = characterize_modules(
-            csa4_design.modules, jobs=1, library=library,
-            policy=policy, dlog=dlog,
+            csa4_design.modules, AnalysisOptions(fault_plan=plan),
+            library=library, dlog=dlog,
         )
         assert set(results) == set(csa4_design.modules)
         assert any(d.kind == "characterization-error" for d in dlog)
@@ -355,16 +328,14 @@ class TestConeRunner:
         assert len(design.modules) == 1
         plan = FaultPlan().add("scheduler.task", "exception", times=1)
         dlog = DegradationLog()
-        policy = ResiliencePolicy(
-            fault_plan=plan, backoff_base=0.0, jitter=0.0
-        )
         parallel = characterize_modules(
-            design.modules, jobs=2, policy=policy, dlog=dlog
+            design.modules, AnalysisOptions(jobs=2, fault_plan=plan),
+            dlog=dlog,
         )
         assert plan.rules[0].times == 0  # a worker took the rule
         assert [d.kind for d in dlog] == ["task-error"]
         assert dlog.snapshot()[0].subject.startswith("csa_block2:")
-        serial = characterize_modules(design.modules, jobs=1)
+        serial = characterize_modules(design.modules)
         assert self.tuples(parallel) == self.tuples(serial)
 
     @pytest.mark.slow
@@ -377,8 +348,10 @@ class TestConeRunner:
             cascade_adder(8, 2),
             cascade_bipartition(random_network(6, 24, seed=5, num_outputs=3)),
         ):
-            serial = characterize_modules(design.modules, jobs=1)
-            parallel = characterize_modules(design.modules, jobs=jobs)
+            serial = characterize_modules(design.modules)
+            parallel = characterize_modules(
+                design.modules, AnalysisOptions(jobs=jobs)
+            )
             assert self.tuples(parallel) == self.tuples(serial)
 
     def test_one_cone_fault_degrades_only_that_output(self, csa4_design):
@@ -392,8 +365,8 @@ class TestConeRunner:
         library = ModelLibrary()
         dlog = DegradationLog()
         models = characterize_modules(
-            csa4_design.modules, library=library,
-            policy=ResiliencePolicy(fault_plan=plan), dlog=dlog,
+            csa4_design.modules, AnalysisOptions(fault_plan=plan),
+            library=library, dlog=dlog,
         )["csa_block2"]
         exact = characterize_network(network)
         topological = topological_models(network)

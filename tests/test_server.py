@@ -451,6 +451,22 @@ class TestAppRoutes:
         assert status == 400
         assert "unknown input 'nope'" in doc["error"]["message"]
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e400"])
+    @pytest.mark.parametrize("form", ["object", "list"])
+    def test_batch_non_finite_arrival_is_400(self, app, form, value):
+        # A bare scenario list is checked like every other arrival path.
+        inputs = app.registry.get("csa4_2").handle.inputs
+        if form == "object":
+            item = {"c_in": value}
+        else:
+            item = [value] + [0.0] * (len(inputs) - 1)
+        status, doc = call(
+            app, "POST", "/batch", {"design": "csa4_2", "scenarios": [item]}
+        )
+        assert status == 400, (form, value)
+        assert doc["error"]["code"] == "bad-request"
+        assert "must be finite" in doc["error"]["message"]
+
     def test_metrics_exposition(self, app):
         call(app, "GET", "/healthz")
         status, _, out = app.handle("GET", "/metrics")

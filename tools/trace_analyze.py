@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Offline analysis of Chrome trace files written by the tracer.
 
-The server (``GET /trace``), the CLI's ``--trace-out``, and
+The server (``GET /trace``), the CLI's ``--export-trace``, and
 :func:`repro.obs.export.write_chrome_trace` all emit the Chrome
 trace-event JSON format.  This tool reads such a file (or the JSONL
 form written by :class:`repro.obs.sinks.JsonlSink`) and answers the
