@@ -1,9 +1,12 @@
-"""Ablation: tautology engine choice (SAT vs BDD vs brute force).
+"""Ablation: tautology engine choice (SAT vs BDD).
 
 The XBD0 stability check is engine-agnostic (DESIGN.md invariant 3); this
 bench measures the cost of each engine on circuits of different character:
 the MUX-rich carry-skip block, the reconvergent carry-lookahead adder, and
-an XOR parity tree (BDD-friendly).
+an XOR parity tree (BDD-friendly).  The code picks the engine by kind of
+work (``repro.core.xbd0.FLAT_ENGINE`` and ``CONE_ENGINE``);
+``StabilityAnalyzer(engine=)`` is where both are named and held to each
+other.
 
 Run: pytest benchmarks/bench_ablation_engines.py --benchmark-only
 """
@@ -20,7 +23,7 @@ CIRCUITS = {
     "par12": lambda: parity_tree(12),
 }
 
-ENGINES = ("sat", "bdd", "brute")
+ENGINES = ("sat", "bdd")
 
 
 @pytest.mark.parametrize("circuit", sorted(CIRCUITS))
@@ -28,8 +31,6 @@ ENGINES = ("sat", "bdd", "brute")
 def test_engine(benchmark, circuit, engine):
     net = CIRCUITS[circuit]()
     out = net.outputs[-1]
-    if engine == "brute" and len(net.support(out)) > 16:
-        pytest.skip("brute engine capped at small supports")
 
     def run():
         return StabilityAnalyzer(net, engine=engine).functional_delay(out)

@@ -7,8 +7,6 @@ Run: pytest benchmarks/bench_figures_3_4_5.py --benchmark-only
 Rendered figures: python -m repro.bench.figures
 """
 
-import pytest
-
 from repro.bench.figures import compute_figures
 from repro.circuits.adders import carry_skip_block
 from repro.core.required import characterize_network
@@ -33,12 +31,11 @@ def test_figure_data(benchmark):
     assert data.fig5_topological_slack == -3.0
 
 
-@pytest.mark.parametrize("engine", ["sat", "bdd"])
-def test_characterization_speed(benchmark, engine):
+def test_characterization_speed(benchmark):
     block = carry_skip_block(2)
 
     def run():
-        return characterize_network(block, engine=engine)
+        return characterize_network(block)
 
     models = benchmark(run)
     assert models["c_out"].delay_from("c_in") == 2.0

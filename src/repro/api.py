@@ -22,7 +22,7 @@ Example::
 
     tracer = Tracer(sinks=[RingBufferSink()])
     session = AnalysisSession.from_file(
-        "design.v", options=AnalysisOptions(engine="sat", tracer=tracer)
+        "design.v", options=AnalysisOptions(tracer=tracer)
     )
     result = session.demand_driven()
     print(result.delay, result.critical_outputs())
@@ -54,22 +54,17 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.scenarios.families import ScenarioFamily
     from repro.scenarios.result import FamilyResult
 
-#: Tautology engines accepted by every analyzer.
-ENGINES = ("sat", "bdd", "brute")
-
 
 @dataclass(frozen=True, kw_only=True)
 class AnalysisOptions:
     """Every analysis knob, in one validated keyword-only bundle.
 
+    No knob picks the tautology engine; the code picks it by kind of
+    work (:data:`repro.core.xbd0.FLAT_ENGINE` for flat analysis,
+    :data:`repro.core.xbd0.CONE_ENGINE` for per-cone checks).
+
     Parameters
     ----------
-    engine:
-        Tautology engine for XBD0 stability checks (``sat``, ``bdd``,
-        or ``brute``).  ``None`` (the default) runs flat analysis on
-        ``bdd`` and per-cone checks (characterization, refinement,
-        per-instance models) on ``sat``; see
-        :func:`repro.core.xbd0.resolve_engine`.
     functional:
         ``False`` selects topological (baseline) timing models.
     jobs:
@@ -82,11 +77,11 @@ class AnalysisOptions:
     deadline:
         Wall-clock budget (seconds) for one analysis call.  Work past
         the deadline degrades to topological models instead of running
-        longer (``None`` = unlimited).
+        longer (``None`` or ``inf`` = unlimited; NaN is rejected).
     module_timeout:
         Timeout (seconds) of one output cone's characterization on the
         parallel path; a hung worker task becomes a retry, then a
-        degradation.
+        degradation (``None`` or ``inf`` = no timeout).
     retries:
         Worker-failure retry rounds before a cone falls back to serial
         (then topological) characterization.
@@ -102,7 +97,6 @@ class AnalysisOptions:
         working-set matrix to ``batch_size × nets`` floats).
     """
 
-    engine: str | None = None
     functional: bool = True
     jobs: int = 1
     cache_dir: str | Path | None = None
@@ -115,10 +109,6 @@ class AnalysisOptions:
     batch_size: int = 256
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in ENGINES:
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected one of {ENGINES}"
-            )
         if int(self.batch_size) < 1:
             raise ValueError(
                 f"batch_size must be >= 1, got {self.batch_size}"
@@ -131,9 +121,11 @@ class AnalysisOptions:
             value = getattr(self, name)
             if value is not None:
                 value = float(value)
-                if value <= 0:
+                if not value > 0:  # NaN fails every comparison
                     raise ValueError(f"{name} must be > 0, got {value}")
-                object.__setattr__(self, name, value)
+                # No limit; blocking waits would reject an infinite one.
+                limit = None if value == float("inf") else value
+                object.__setattr__(self, name, limit)
         if int(self.retries) < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries}")
         object.__setattr__(self, "retries", int(self.retries))
@@ -392,10 +384,7 @@ class AnalysisSession:
         return self._hier().compile()
 
     def analyze_family(
-        self,
-        family: "ScenarioFamily | Mapping",
-        *,
-        backend: str | None = None,
+        self, family: "ScenarioFamily | Mapping"
     ) -> "FamilyResult":
         """Evaluate a scenario family against the compiled design.
 
@@ -417,7 +406,6 @@ class AnalysisSession:
         return analyze_family(
             handle,
             family,
-            backend=backend,
             batch_size=self.options.batch_size,
             tracer=self.tracer,
         )
@@ -565,15 +553,12 @@ class AnalysisSession:
     ) -> dict[str, float]:
         """Flat XBD0 stable time per primary output.
 
-        Runs on BDDs unless ``engine`` names another engine.
+        Runs on :data:`~repro.core.xbd0.FLAT_ENGINE`.
         """
         from repro.core.xbd0 import functional_delays
 
         return functional_delays(
-            self.network,
-            arrival,
-            engine=self.options.engine,
-            tracer=self.options.tracer,
+            self.network, arrival, tracer=self.options.tracer
         )
 
     def characterize(
@@ -608,10 +593,7 @@ class AnalysisSession:
             timing_report(self.network, arrival)
             + "\n"
             + functional_timing_report(
-                self.network,
-                arrival,
-                engine=self.options.engine,
-                tracer=self.options.tracer,
+                self.network, arrival, tracer=self.options.tracer
             )
         )
 
@@ -636,7 +618,4 @@ class AnalysisSession:
         kind = "HierDesign" if self.is_hierarchical else "Network"
         name = getattr(self.circuit, "name", "?")
         traced = self.tracer is not NULL_TRACER
-        return (
-            f"AnalysisSession({kind} {name!r}, engine={self.options.engine!r},"
-            f" traced={traced})"
-        )
+        return f"AnalysisSession({kind} {name!r}, traced={traced})"

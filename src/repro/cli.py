@@ -3,7 +3,7 @@
 Usage (also exposed as ``python -m repro.cli``)::
 
     repro-sta report circuit.bench --arrival c_in=5
-    repro-sta delay circuit.blif --engine sat
+    repro-sta delay circuit.blif
     repro-sta demand design.v --scenarios arrivals.json
     repro-sta characterize circuit.bench -o circuit.timing.json
     repro-sta serve --preload design.v --port 8421
@@ -284,7 +284,6 @@ def make_options(args: argparse.Namespace, tracer=None):
         plan = FaultPlan([parse_fault_spec(s) for s in specs])
     try:
         return AnalysisOptions(
-            engine=args.engine,
             batch_size=getattr(args, "batch_size", 256),
             jobs=getattr(args, "jobs", 1),
             cache_dir=getattr(args, "cache_dir", None),
@@ -680,13 +679,6 @@ def build_parser() -> argparse.ArgumentParser:
                 metavar="PI=TIME",
                 help="primary-input arrival time (repeatable; default 0.0)",
             )
-        p.add_argument(
-            "--engine",
-            choices=("sat", "bdd", "brute"),
-            default=None,
-            help="tautology engine for stability checks (default: bdd "
-            "for flat analysis, sat for per-cone checks)",
-        )
 
     def add_cache_opts(p: argparse.ArgumentParser) -> None:
         p.add_argument(
@@ -922,12 +914,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="DESIGN",
         help="register a design at startup: a structural Verilog file "
         "or a generator spec like gen:csa32.2 (repeatable)",
-    )
-    serve.add_argument(
-        "--engine",
-        choices=("sat", "bdd", "brute"),
-        default=None,
-        help="tautology engine for characterization (default: sat)",
     )
     serve.add_argument(
         "--max-batch",

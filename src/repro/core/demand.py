@@ -32,11 +32,9 @@ from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
 from repro.core.xbd0 import (
-    Engine,
     StabilityAnalyzer,
     StabilityContext,
     reject_nan_arrivals,
-    resolve_engine,
 )
 from repro.errors import AnalysisError
 from repro.kernel.graph import CompiledTimingGraph, GraphState
@@ -205,7 +203,6 @@ class DemandDrivenAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = resolve_engine(options.engine)
         self.tracer = ensure_tracer(options.tracer)
         self.dlog = DegradationLog(self.tracer)
         self._states: dict[PinPair, _PinPairState] = {}
@@ -358,10 +355,8 @@ class DemandDrivenAnalyzer:
                 arrival[x] = POS_INF if w == NEG_INF else -w
         return arrival
 
-    def _context_for(self, key: PinPair) -> StabilityContext | None:
-        """The shared per-cone SAT context (``None`` off the sat path)."""
-        if self.engine != "sat":
-            return None
+    def _context_for(self, key: PinPair) -> StabilityContext:
+        """The cone's shared context."""
         module_name, _inp, out = key
         ckey = (module_name, out)
         context = self._contexts.get(ckey)
@@ -375,7 +370,6 @@ class DemandDrivenAnalyzer:
         analyzer = StabilityAnalyzer(
             self._cone(module_name, out),
             self._check_arrival(key, candidate),
-            self.engine,
             tracer=self.tracer,
             context=self._context_for(key),
         )
@@ -486,7 +480,7 @@ class DemandDrivenAnalyzer:
             next_candidate = state.next_candidate()
             cone = self._cone(module_name, out)
             arrival = self._check_arrival(key, next_candidate)
-            analyzer = StabilityAnalyzer(cone, arrival, self.engine)
+            analyzer = StabilityAnalyzer(cone, arrival)
             witness = analyzer.unstable_witness(out, 0.0)
             if witness is not None:
                 from repro.sim.timed import vector_output_delay
@@ -762,7 +756,7 @@ def flat_functional_delay(
     """Flat-analysis baseline: flatten and run exact XBD0 per output.
 
     Returns ``(delay, per-output stable times, seconds)``.  Runs on
-    BDDs, the flat default of :func:`~repro.core.xbd0.resolve_engine`.
+    :data:`~repro.core.xbd0.FLAT_ENGINE`, like all flat analysis.
     """
     from repro.core.xbd0 import functional_delays
 

@@ -111,12 +111,12 @@ class HierarchicalAnalyzer:
     design:
         Depth-1 hierarchical design (validated on construction).
     options:
-        The :class:`~repro.api.AnalysisOptions` bundle: the tautology
-        engine of characterization, ``functional=False`` for topological
-        pin-to-pin models (the baseline hierarchical-topological
-        analyzer), Step-1 worker processes (``jobs``; see
-        :meth:`characterize_all`), the model-library directory, the
-        tracer and the resilience knobs.  ``None`` means the defaults.
+        The :class:`~repro.api.AnalysisOptions` bundle:
+        ``functional=False`` for topological pin-to-pin models (the
+        baseline hierarchical-topological analyzer), Step-1 worker
+        processes (``jobs``; see :meth:`characterize_all`), the
+        model-library directory, the tracer and the resilience knobs.
+        ``None`` means the defaults.
     library:
         Optional :class:`~repro.library.store.ModelLibrary` (overrides
         ``options.cache_dir``).  Cached models short-circuit Step 1;
@@ -332,16 +332,11 @@ class HierarchicalAnalyzer:
             degradations=self.dlog.snapshot()[mark:],
         )
 
-    def analyze_batch(
-        self,
-        scenarios,
-        backend: str | None = None,
-    ) -> "BatchResult":
+    def analyze_batch(self, scenarios) -> "BatchResult":
         """Analyze many arrival scenarios in one call (Section 3.2 × N).
 
         Characterization and compilation happen once; every scenario
-        runs through the compiled kernel.  ``backend`` optionally forces
-        the kernel backend (``"numpy"``/``"python"``).  Per-scenario
+        runs through the compiled kernel.  Per-scenario
         slack is ``deadline − arrival`` under each scenario's own
         deadline (its latest primary-output arrival), the Section-5
         convention.
@@ -366,7 +361,6 @@ class HierarchicalAnalyzer:
             ):
                 rows = compiled.propagate(
                     scenarios,
-                    backend=backend,
                     batch_size=self.options.batch_size,
                     tracer=self.tracer,
                 )

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from repro.core.timing_model import TimingModel, prune_dominated
-from repro.core.xbd0 import Engine, StabilityAnalyzer, StabilityContext
+from repro.core.xbd0 import StabilityAnalyzer, StabilityContext
 from repro.errors import AnalysisError
 from repro.netlist.gates import satisfied_primes
 from repro.netlist.network import Network
@@ -86,7 +86,6 @@ def approx_required_tuples(
     network: Network,
     output: str,
     required: float = 0.0,
-    engine: Engine = "sat",
     max_orders: int = 4,
     max_tuples: int = 8,
     path_length_cap: int = 64,
@@ -94,6 +93,9 @@ def approx_required_tuples(
     tracer: Tracer | None = None,
 ) -> RequiredTimeResult:
     """Approximate required-time analysis of one output cone.
+
+    Every check is a per-cone check, decided on
+    :data:`~repro.core.xbd0.CONE_ENGINE`.
 
     Parameters
     ----------
@@ -138,7 +140,7 @@ def approx_required_tuples(
         checks += 1
         arrival = dict(zip(inputs, tuple_values))
         analyzer = StabilityAnalyzer(
-            cone, arrival, engine, care=care, tracer=tracer, context=context
+            cone, arrival, care=care, tracer=tracer, context=context
         )
         return analyzer.stable_at(output, required)
 
@@ -223,7 +225,6 @@ def approx_required_tuples(
 def characterize_output(
     network: Network,
     output: str,
-    engine: Engine = "sat",
     max_orders: int = 4,
     max_tuples: int = 8,
     care: Network | None = None,
@@ -236,7 +237,7 @@ def characterize_output(
     :mod:`repro.core.instance_models`).
     """
     result = approx_required_tuples(
-        network, output, 0.0, engine, max_orders, max_tuples,
+        network, output, 0.0, max_orders, max_tuples,
         care=care, tracer=tracer,
     )
     return result.as_timing_model()
@@ -261,7 +262,6 @@ def expand_model_to_inputs(
 
 def characterize_network(
     network: Network,
-    engine: Engine = "sat",
     max_orders: int = 4,
     max_tuples: int = 8,
     tracer: Tracer | None = None,
@@ -273,7 +273,7 @@ def characterize_network(
     return {
         output: expand_model_to_inputs(
             characterize_output(
-                network, output, engine, max_orders, max_tuples,
+                network, output, max_orders, max_tuples,
                 tracer=tracer,
             ),
             network.inputs,

@@ -133,8 +133,8 @@ def delay_by_criterion(
 ) -> float:
     """Dispatch: delay of ``output`` under the named criterion.
 
-    ``"xbd0"`` checks the output's cone on SAT, like every per-cone
-    check (:func:`~repro.core.xbd0.resolve_engine`).
+    ``"xbd0"`` checks the output's cone on
+    :data:`~repro.core.xbd0.CONE_ENGINE`, like every per-cone check.
     """
     if criterion == "topological":
         return arrival_times(network, arrival)[output]

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping
 
 from repro.core.result import AnalysisResultMixin, removed_alias
-from repro.core.xbd0 import Engine, StabilityAnalyzer, resolve_engine
+from repro.core.xbd0 import StabilityAnalyzer
 from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign
 from repro.obs.trace import ensure_tracer
@@ -60,7 +60,8 @@ class SubcircuitFlatAnalyzer:
     """The footnote-12 baseline analyzer.
 
     Configured by an :class:`~repro.api.AnalysisOptions` bundle (its
-    engine and tracer; ``None`` means the defaults).
+    tracer; ``None`` means the defaults).  Each instance is one cone of
+    work, checked on :data:`~repro.core.xbd0.CONE_ENGINE`.
     """
 
     def __init__(
@@ -76,7 +77,6 @@ class SubcircuitFlatAnalyzer:
         design.validate()
         self.design = design
         self.options = options
-        self.engine: Engine = resolve_engine(options.engine)
         self.tracer = ensure_tracer(options.tracer)
 
     def analyze(
@@ -98,8 +98,7 @@ class SubcircuitFlatAnalyzer:
                 for port in module.inputs
             }
             analyzer = StabilityAnalyzer(
-                module.network, local_arrival, self.engine,
-                tracer=self.tracer,
+                module.network, local_arrival, tracer=self.tracer
             )
             analyses += 1
             with self.tracer.span(

@@ -20,15 +20,14 @@ tautology; stability is monotone in ``t`` (the monotone-speedup property of
 XBD0), so the exact functional delay is found by binary search over the
 finite set of candidate event times.
 
-Three interchangeable tautology engines are provided: ``"sat"`` (CDCL on
-the Tseitin encoding of the stability DAG), ``"bdd"`` (ROBDD evaluation)
-and ``"brute"`` (exhaustive enumeration, for tests/small cones).
-:func:`resolve_engine` picks one when the caller leaves the choice open.
+Two interchangeable tautology engines are provided: ``"sat"`` (CDCL on
+the Tseitin encoding of the stability DAG) and ``"bdd"`` (ROBDD
+evaluation).  The code picks one by kind of work: flat analysis runs on
+:data:`FLAT_ENGINE`, per-cone checks on :data:`CONE_ENGINE`.
 """
 
 from __future__ import annotations
 
-import itertools
 import time
 from typing import Literal, Mapping
 
@@ -45,24 +44,18 @@ from repro.sta.topological import arrival_times, required_times
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
-Engine = Literal["sat", "bdd", "brute"]
+Engine = Literal["sat", "bdd"]
 
+#: Engine of flat analysis (:func:`functional_delays` and the flat
+#: functional report): its one manager per run stays small under the
+#: nearest-output-first variable order.
+FLAT_ENGINE: Engine = "bdd"
 
-def resolve_engine(engine: Engine | None, flat: bool = False) -> Engine:
-    """The tautology engine a run uses: ``engine`` itself when given.
-
-    ``None`` leaves the choice to the code.  Flat analysis (``flat``:
-    :func:`functional_delays` and the flat functional report) runs on
-    ``"bdd"``: its one manager per run stays small under the
-    nearest-output-first variable order.  Per-cone checks
-    (characterization, Section-5 refinement, per-instance models, pin
-    explanations) run on ``"sat"``: they keep one incremental session
-    per cone alive for the whole run, and the model library keys their
-    models by this resolved name.
-    """
-    if engine is not None:
-        return engine
-    return "bdd" if flat else "sat"
+#: Engine of per-cone checks (characterization, Section-5 refinement,
+#: per-instance models, pin explanations, the sub-flat baseline): they
+#: keep one incremental session per cone alive for the whole run, and
+#: the model library keys their models by this name.
+CONE_ENGINE: Engine = "sat"
 
 
 #: Tolerance for time comparisons (all benchmark delays are small integers
@@ -190,23 +183,6 @@ class _ExprManager:
         pair = self.gate_memo[key] = (s0, s1)
         return pair
 
-    def support(self, node: int) -> set[str]:
-        """PIs the expression depends on."""
-        seen: set[int] = set()
-        pis: set[str] = set()
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            if n in seen:
-                continue
-            seen.add(n)
-            kind = self.kind[n]
-            if kind == "lit":
-                pis.add(self.data[n][0])  # type: ignore[index]
-            elif kind in ("and", "or"):
-                stack.extend(self.data[n])  # type: ignore[arg-type]
-        return pis
-
     def evaluate(self, node: int, assignment: Mapping[str, bool]) -> bool:
         """Evaluate the DAG on a PI assignment."""
         memo: dict[int, bool] = {}
@@ -286,7 +262,8 @@ class StabilityAnalyzer:
         "available from the beginning of time" (an unconstrained input).
         A NaN arrival raises :class:`~repro.errors.AnalysisError`.
     engine:
-        Tautology engine: ``"sat"`` (default), ``"bdd"`` or ``"brute"``.
+        Tautology engine: ``"sat"`` or ``"bdd"``; ``None`` (the default)
+        is :data:`CONE_ENGINE`.
     tracer:
         Optional :class:`~repro.obs.trace.Tracer`; every SAT call and
         stability check is counted (and timed, for SAT) against it.
@@ -295,26 +272,26 @@ class StabilityAnalyzer:
         Optional :class:`StabilityContext` to share expression manager,
         session, and encodings with other analyzers over the *same*
         network structure (e.g. refinement checks under different
-        arrival conditions).  Without one, every analyzer that asks SAT
-        (the ``"sat"`` engine, or witnesses under a ``care`` network)
-        builds a private context.
+        arrival conditions).  Without one, a ``"sat"`` analyzer builds a
+        private context.
     """
 
     def __init__(
         self,
         network: Network,
         arrival: Mapping[str, float] | None = None,
-        engine: Engine = "sat",
+        engine: Engine | None = None,
         care: Network | None = None,
         tracer: Tracer | None = None,
         context: StabilityContext | None = None,
     ):
-        if engine not in ("sat", "bdd", "brute"):
+        if engine is None:
+            engine = CONE_ENGINE
+        if engine not in ("sat", "bdd"):
             raise AnalysisError(f"unknown engine {engine!r}")
         if care is not None and engine == "bdd":
             raise AnalysisError(
-                "care-set constraints are supported by the sat and brute "
-                "engines only"
+                "care-set constraints are supported by the sat engine only"
             )
         self.network = network
         self.arrival = {
@@ -338,7 +315,7 @@ class StabilityAnalyzer:
                     f"care outputs {missing!r} are not PIs of the network"
                 )
         self._context = context
-        if context is None and (engine == "sat" or care is not None):
+        if context is None and engine == "sat":
             self._context = StabilityContext()
         self._exprs = (
             self._context.exprs if self._context is not None
@@ -591,44 +568,6 @@ class StabilityAnalyzer:
             tracer.gauge("xbd0.bdd_nodes", self._bdd.size())
         return root == BDDManager.ONE
 
-    def _tautology_brute(self, node: int) -> bool:
-        exprs = self._exprs
-        support = sorted(exprs.support(node))
-        if self.care is not None:
-            return self._tautology_brute_care(node, support)
-        if len(support) > 24:
-            raise AnalysisError(
-                f"brute engine: support of {len(support)} inputs is too large"
-            )
-        for bits in itertools.product((False, True), repeat=len(support)):
-            if not exprs.evaluate(node, dict(zip(support, bits))):
-                return False
-        return True
-
-    def _tautology_brute_care(self, node: int, support: list[str]) -> bool:
-        """Enumerate care-network inputs plus unconstrained PIs."""
-        care = self.care
-        assert care is not None
-        constrained = set(care.outputs)
-        free = [p for p in support if p not in constrained]
-        if len(care.inputs) + len(free) > 20:
-            raise AnalysisError("brute engine: care enumeration too large")
-        exprs = self._exprs
-        for care_bits in itertools.product(
-            (False, True), repeat=len(care.inputs)
-        ):
-            image = care.output_values(dict(zip(care.inputs, care_bits)))
-            for free_bits in itertools.product(
-                (False, True), repeat=len(free)
-            ):
-                assignment = {
-                    p: image[p] for p in support if p in constrained
-                }
-                assignment.update(zip(free, free_bits))
-                if not exprs.evaluate(node, assignment):
-                    return False
-        return True
-
     def _is_tautology(self, node: int) -> bool:
         if node == _ExprManager.TRUE:
             return True
@@ -638,9 +577,7 @@ class StabilityAnalyzer:
             return False
         if self.engine == "sat":
             return self._tautology_sat(node)
-        if self.engine == "bdd":
-            return self._tautology_bdd(node)
-        return self._tautology_brute(node)
+        return self._tautology_bdd(node)
 
     # --------------------------------------------------------------- queries
     def stable_at(self, output: str, t: float) -> bool:
@@ -684,35 +621,27 @@ class StabilityAnalyzer:
         node = self._exprs.disj([s0, s1])
         if node == _ExprManager.TRUE:
             return None
-        for assignment in self._witness_candidates(node):
-            full = {x: assignment.get(x, False) for x in self.network.inputs}
-            if not self._exprs.evaluate(node, full):
-                return full
+        witness = (
+            self._sat_witness(node)
+            if self.engine == "sat"
+            else self._bdd_witness(node)
+        )
+        if witness is None:
+            return None
+        full = {x: witness.get(x, False) for x in self.network.inputs}
+        if not self._exprs.evaluate(node, full):
+            return full
         return None
 
-    def _witness_candidates(self, node: int):
-        exprs = self._exprs
-        if self.engine == "bdd":
-            bdd_node = self._bdd_node(node)
-            assert self._bdd is not None
-            model = self._bdd.any_model(self._bdd.negate(bdd_node))
-            if model is None:
-                return
-            names = {
-                self._bdd.var_level(x): x for x in self.network.inputs
-            }
-            yield {names[level]: value for level, value in model.items()}
-        elif self.engine == "sat" or self.care is not None:
-            witness = self._sat_witness(node)
-            if witness is not None:
-                yield witness
-        else:  # brute force over the support
-            support = sorted(exprs.support(node))
-            for bits in itertools.product((False, True), repeat=len(support)):
-                assignment = dict(zip(support, bits))
-                if not exprs.evaluate(node, assignment):
-                    yield assignment
-                    return
+    def _bdd_witness(self, node: int) -> dict[str, bool] | None:
+        """A path to ZERO in the BDD of ``node``, by PI name."""
+        bdd_node = self._bdd_node(node)
+        assert self._bdd is not None
+        model = self._bdd.any_model(self._bdd.negate(bdd_node))
+        if model is None:
+            return None
+        names = {self._bdd.var_level(x): x for x in self.network.inputs}
+        return {names[level]: value for level, value in model.items()}
 
     def _sat_witness(self, node: int) -> dict[str, bool] | None:
         """SAT model of ¬(S0+S1) (∧ care), mapped back to PI names."""
@@ -777,29 +706,24 @@ def functional_delays(
     network: Network,
     arrival: Mapping[str, float] | None = None,
     outputs: tuple[str, ...] | None = None,
-    engine: Engine | None = None,
     tracer: Tracer | None = None,
 ) -> dict[str, float]:
     """Exact XBD0 stable time of each requested output (default: all POs).
 
-    ``engine=None`` runs on BDDs (see :func:`resolve_engine`).
+    Flat analysis: runs on :data:`FLAT_ENGINE`.
     """
-    analyzer = StabilityAnalyzer(
-        network, arrival, resolve_engine(engine, flat=True), tracer=tracer
-    )
+    analyzer = StabilityAnalyzer(network, arrival, FLAT_ENGINE, tracer=tracer)
     targets = outputs if outputs is not None else network.outputs
     return {o: analyzer.functional_delay(o) for o in targets}
 
 
 def circuit_delay(
-    network: Network,
-    arrival: Mapping[str, float] | None = None,
-    engine: Engine | None = None,
+    network: Network, arrival: Mapping[str, float] | None = None
 ) -> float:
     """Exact XBD0 delay of the circuit: max over primary outputs."""
     if not network.outputs:
         raise AnalysisError("network has no outputs")
-    delays = functional_delays(network, arrival, engine=engine)
+    delays = functional_delays(network, arrival)
     return max(delays.values())
 
 

@@ -12,13 +12,13 @@ try:  # pragma: no cover - trivially true or false per environment
     import numpy as _np
 
     HAVE_NUMPY = True
-except ImportError:  # pragma: no cover - exercised via backend="python"
+except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
     HAVE_NUMPY = False
 
 #: Below this batch size the python executor usually wins (per-node numpy
-#: call overhead exceeds the vectorization gain), so ``backend=None``
-#: auto-selection stays on the pure-python flat-array path.
+#: call overhead exceeds the vectorization gain), so :func:`pick_backend`
+#: stays on the pure-python flat-array path.
 NUMPY_MIN_BATCH = 8
 
 
@@ -27,24 +27,13 @@ def numpy_or_none():
     return _np
 
 
-def pick_backend(batch_size: int, backend: str | None = None) -> str:
-    """Resolve a backend request to ``"numpy"`` or ``"python"``.
+def pick_backend(batch_size: int) -> str:
+    """The executor for a batch: ``"numpy"`` or ``"python"``.
 
-    ``backend=None`` auto-selects: numpy for batches of at least
-    :data:`NUMPY_MIN_BATCH` scenarios when numpy is importable, the
-    pure-python executor otherwise.  Requesting ``"numpy"`` without
-    numpy installed raises ``ValueError`` (callers surface it as a
-    configuration error).
+    Numpy for batches of at least :data:`NUMPY_MIN_BATCH` scenarios when
+    numpy is importable, the pure-python executor otherwise.  Both give
+    bit-identical answers, so the choice only moves time.
     """
-    if backend is None:
-        if HAVE_NUMPY and batch_size >= NUMPY_MIN_BATCH:
-            return "numpy"
-        return "python"
-    if backend not in ("numpy", "python"):
-        raise ValueError(
-            f"unknown kernel backend {backend!r}; "
-            "expected 'numpy', 'python', or None"
-        )
-    if backend == "numpy" and not HAVE_NUMPY:
-        raise ValueError("numpy backend requested but numpy is not installed")
-    return backend
+    if HAVE_NUMPY and batch_size >= NUMPY_MIN_BATCH:
+        return "numpy"
+    return "python"

@@ -43,7 +43,7 @@ class CompiledDesign:
     degradations: "tuple[Degradation, ...]" = ()
     #: Wall-clock seconds spent characterizing + planning.
     compile_seconds: float = 0.0
-    #: Per-backend executor cache: repeated :meth:`propagate` calls
+    #: Per-executor cache: repeated :meth:`propagate` calls
     #: against one handle skip the per-node array setup.
     _executors: dict = field(
         default_factory=dict, repr=False, compare=False
@@ -90,7 +90,6 @@ class CompiledDesign:
     def propagate(
         self,
         scenarios: Sequence[Mapping[str, float]],
-        backend: str | None = None,
         batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         nets: Sequence[str] | None = None,
@@ -98,7 +97,7 @@ class CompiledDesign:
     ) -> list[dict[str, float]]:
         """Net stable times for each scenario, as name-keyed dicts.
 
-        ``backend``/``batch_size``/``tracer``/``delays`` forward to
+        ``batch_size``/``tracer``/``delays`` forward to
         :func:`~repro.kernel.execute.propagate_batch`.  ``nets`` limits
         each result dict to the named nets (e.g. ``handle.outputs``);
         building the full ~all-nets dict costs more per scenario than
@@ -108,7 +107,6 @@ class CompiledDesign:
         values = propagate_batch(
             self.plan,
             self.rows_from(scenarios),
-            backend=backend,
             batch_size=batch_size,
             cache=self._executors,
             tracer=tracer,
@@ -123,7 +121,6 @@ class CompiledDesign:
     def propagate_rows(
         self,
         scenarios: Sequence[Mapping[str, float]],
-        backend: str | None = None,
         batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         nets: Sequence[str] | None = None,
@@ -140,7 +137,6 @@ class CompiledDesign:
         values = propagate_batch(
             self.plan,
             self.rows_from(scenarios),
-            backend=backend,
             batch_size=batch_size,
             cache=self._executors,
             tracer=tracer,

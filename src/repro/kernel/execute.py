@@ -75,8 +75,11 @@ class PythonExecutor:
         delays: one vector (aligned with ``plan.ent_delay``) shared by
         every scenario, or one vector per scenario.  The override path
         performs the identical float64 additions, so a vector equal to
-        ``plan.ent_delay`` is bit-identical to no override.
+        ``plan.ent_delay`` is bit-identical to no override.  A numpy
+        override is read as plain floats, so every result is a ``float``.
         """
+        if hasattr(delays, "tolist"):
+            delays = delays.tolist()
         plan = self.plan
         n_inputs = plan.n_inputs
         n_nodes = plan.n_nodes
@@ -232,7 +235,6 @@ class NumpyExecutor:
 def propagate_batch(
     plan: CompiledGraph,
     rows: Sequence[Sequence[float]],
-    backend: str | None = None,
     batch_size: int | None = None,
     cache: dict | None = None,
     tracer: Tracer = NULL_TRACER,
@@ -240,13 +242,13 @@ def propagate_batch(
 ) -> list[list[float]]:
     """Evaluate arrival rows against a plan, picking an executor.
 
-    ``backend`` is ``"numpy"``, ``"python"``, or ``None`` for automatic
-    selection (numpy for batches of at least
+    The executor is :func:`~repro.kernel.backend.pick_backend` of the
+    row count: numpy for batches of at least
     :data:`~repro.kernel.backend.NUMPY_MIN_BATCH` scenarios when
-    available).  ``batch_size`` caps the scenarios evaluated per
-    vectorized chunk, bounding the working-set matrix to
+    available, pure python otherwise.  ``batch_size`` caps the scenarios
+    evaluated per vectorized chunk, bounding the working-set matrix to
     ``batch_size × nets`` floats.  ``cache`` (a dict owned by the
-    caller, keyed by backend name) reuses executors across calls so
+    caller, keyed by executor name) reuses executors across calls so
     repeated evaluation of one plan skips the per-node array setup.
     ``delays`` optionally overrides the plan's entry delays — one
     ``(n_entries,)`` vector shared by the whole batch (a corner), or
@@ -266,7 +268,7 @@ def propagate_batch(
         raise ValueError(
             f"{len(delays)} delay rows for {len(rows)} scenarios"
         )
-    chosen = pick_backend(len(rows), backend)
+    chosen = pick_backend(len(rows))
     executor = None if cache is None else cache.get(chosen)
     if executor is None:
         executor = (

@@ -39,7 +39,6 @@ from repro.core import required
 from repro.core.hier import topological_models
 from repro.core.required import expand_model_to_inputs
 from repro.core.timing_model import TimingModel
-from repro.core.xbd0 import resolve_engine
 from repro.library.signature import module_signature
 from repro.library.store import ModelLibrary
 from repro.netlist.hierarchy import Module
@@ -69,7 +68,7 @@ class Cone:
     care: Network | None = None
 
 
-def _characterize_cone_task(payload, directive=None, tracer=None):
+def _characterize_cone_task(cone, directive=None, tracer=None):
     """Worker: characterize one output cone (top-level for pickling).
 
     ``directive`` carries a serialized fault injection (tests only);
@@ -78,10 +77,9 @@ def _characterize_cone_task(payload, directive=None, tracer=None):
     its module at call time, so wrappers installed there see the call.
     """
     execute_directive(directive)
-    cone, engine = payload
     t0 = perf_counter()
     local = required.characterize_output(
-        cone.network, cone.output, engine, care=cone.care, tracer=tracer
+        cone.network, cone.output, care=cone.care, tracer=tracer
     )
     model = expand_model_to_inputs(local, cone.network.inputs)
     return perf_counter() - t0, model
@@ -95,16 +93,16 @@ def characterize_cones(
 ) -> dict[str, tuple[dict[str, TimingModel], float | None]]:
     """Characterize every cone; group the models by owner.
 
-    ``options`` (``None``: the defaults) supplies the engine
-    (:func:`~repro.core.xbd0.resolve_engine` of ``options.engine``),
-    the workers, retries, per-task timeout, fault plan and tracer;
-    ``deadline`` is the run's started deadline (``None``: unlimited).
-    Returns ``{owner: ({output: model}, seconds)}`` in item order, with
-    every model aligned to its network's full input order.  ``seconds``
-    sums the owner's cone times, or is ``None`` when any of its cones
-    degraded: a cone that fails or misses the ``deadline`` gets its
-    output's topological model (conservative by Theorem 1) and a
-    ``characterization-error`` record on ``dlog``.
+    ``options`` (``None``: the defaults) supplies the workers, retries,
+    per-task timeout, fault plan and tracer; ``deadline`` is the run's
+    started deadline (``None``: unlimited).  Every check runs on
+    :data:`~repro.core.xbd0.CONE_ENGINE`.  Returns ``{owner: ({output:
+    model}, seconds)}`` in item order, with every model aligned to its
+    network's full input order.  ``seconds`` sums the owner's cone
+    times, or is ``None`` when any of its cones degraded: a cone that
+    fails or misses the ``deadline`` gets its output's topological
+    model (conservative by Theorem 1) and a ``characterization-error``
+    record on ``dlog``.
 
     Worker processes cannot share ``tracer``: each task returns its
     wall time, recorded in the parent as one ``characterize-output``
@@ -117,16 +115,13 @@ def characterize_cones(
         options = AnalysisOptions()
     tracer = ensure_tracer(options.tracer)
     dlog = dlog if dlog is not None else DegradationLog(tracer)
-    engine = resolve_engine(options.engine)
     outcomes = run_resilient(
         _characterize_cone_task,
-        [(cone, engine) for cone in cones],
+        cones,
         options=options,
         deadline=deadline,
         dlog=dlog,
-        subject_of=lambda payload: {
-            "module": payload[0].owner, "output": payload[0].output,
-        },
+        subject_of=lambda cone: {"module": cone.owner, "output": cone.output},
     )
     owners: dict[str, tuple[dict[str, TimingModel], float | None]] = {}
     fallback: dict[str, dict[str, TimingModel]] = {}
@@ -201,10 +196,8 @@ def characterize_modules(
         from repro.api import AnalysisOptions
 
         options = AnalysisOptions()
-    engine = resolve_engine(options.engine)
     signatures = {
-        name: module_signature(module, engine)
-        for name, module in modules.items()
+        name: module_signature(module) for name, module in modules.items()
     }
     results: dict[str, dict[str, TimingModel]] = {}
     representative: dict[str, str] = {}

@@ -12,7 +12,8 @@ its environment).  Two requirements shape the design:
   identically.  Stored models are positional for the same reason; the
   store re-keys them to the requesting module's port names on load.
 * **Parameter sensitivity** — a model characterized with a different
-  engine is a different artifact, so the engine is folded into the key
+  engine is a different artifact, so the per-cone engine
+  (:data:`~repro.core.xbd0.CONE_ENGINE`) is folded into the key
   (:func:`module_signature`), next to the fixed relaxation budgets of
   Step 1 (:func:`~repro.core.required.characterize_output`'s
   ``max_orders=4`` and ``max_tuples=8``).
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
+from repro.core.xbd0 import CONE_ENGINE
 from repro.netlist.hierarchy import Module
 from repro.netlist.network import Network
 
@@ -73,21 +75,22 @@ def network_signature(network: Network) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def module_signature(module: Module | Network, engine: str = "sat") -> str:
+def module_signature(module: Module | Network) -> str:
     """Cache key: structural hash combined with characterization knobs.
 
-    ``engine`` participates because different tautology engines are
-    allowed to differ in cost, never in result — but keeping the key
-    engine-qualified makes cross-engine validation runs independent.
-    The relaxation budgets are fixed (``max_orders=4``,
-    ``max_tuples=8``) but stay in the hashed text, so keys written
-    before they were fixed still match.
+    The per-cone engine (:data:`~repro.core.xbd0.CONE_ENGINE`, text
+    ``engine=sat``) participates because tautology engines may differ
+    in cost, never in result — but an engine-qualified key keeps a
+    library written under another engine apart.  The relaxation
+    budgets are fixed (``max_orders=4``, ``max_tuples=8``) but stay in
+    the hashed text, so keys written before they were fixed still
+    match.
     """
     network = module.network if isinstance(module, Module) else module
     payload = "\n".join(
         [
             network_signature(network),
-            f"engine={engine}",
+            f"engine={CONE_ENGINE}",
             "max_orders=4",
             "max_tuples=8",
         ]

@@ -78,7 +78,7 @@ class BreakerConfig:
             raise ValueError(
                 f"failure_threshold must be >= 1, got {self.failure_threshold}"
             )
-        if self.reset_timeout < 0:
+        if not self.reset_timeout >= 0:  # NaN fails every comparison
             raise ValueError("reset_timeout must be >= 0")
         if int(self.probe_limit) < 1:
             raise ValueError("probe_limit must be >= 1")

@@ -3,16 +3,14 @@
 :func:`analyze_family` is the one evaluation path every family takes:
 
 1. validate the family's arrival vector against the compiled design;
-2. pick the executor backend **once** (from the chunk size, so the
-   choice — and therefore Monte-Carlo's sampling generator — does not
-   flip between chunks);
-3. for each chunk of at most ``batch_size`` members, lower the chunk
-   to per-member delay vectors (:meth:`ScenarioFamily.delay_rows`) and
-   evaluate it via
+2. for each chunk of at most ``batch_size`` members, lower the chunk
+   to per-member delay vectors (:meth:`ScenarioFamily.delay_rows`, drawn
+   with numpy whenever it is installed) and evaluate it via
    :meth:`~repro.kernel.design.CompiledDesign.propagate_rows` with the
-   ``delays=`` override — the handle's executor cache is reused across
-   every chunk, so the per-node array setup is paid once per family;
-4. fold each chunk into O(members + outputs) aggregates and drop it,
+   ``delays=`` override — the kernel picks the executor per chunk, and
+   the handle's executor cache is reused across every chunk, so the
+   per-node array setup is paid once per family;
+3. fold each chunk into O(members + outputs) aggregates and drop it,
    keeping memory bounded regardless of sample count.
 """
 
@@ -41,15 +39,13 @@ def analyze_family(
     handle: "CompiledDesign",
     family: ScenarioFamily,
     *,
-    backend: str | None = None,
     batch_size: int = 256,
     tracer: Tracer = NULL_TRACER,
 ) -> FamilyResult:
     """Evaluate every member of ``family`` against a compiled design.
 
-    ``backend`` forces ``"numpy"`` / ``"python"`` (default: automatic
-    from the chunk size); ``batch_size`` bounds the scenarios — and the
-    sampled delay matrix — held in memory at once.  Returns the
+    ``batch_size`` bounds the scenarios — and the sampled delay matrix —
+    held in memory at once; it never changes an answer.  Returns the
     aggregated :class:`~repro.scenarios.result.FamilyResult`.
     """
     if not isinstance(family, ScenarioFamily):
@@ -71,10 +67,10 @@ def analyze_family(
         )
     members = family.expand()
     count = len(members)
-    # One backend for the whole run: sampling and execution must agree,
-    # and the choice must not flip when the last chunk is short.
-    chosen = pick_backend(min(batch_size, count), backend)
-    np = numpy_or_none() if chosen == "numpy" else None
+    # The sampler depends only on whether numpy is installed, so every
+    # member's samples depend only on (seed, index), never on chunking.
+    np = numpy_or_none()
+    chosen = pick_backend(min(batch_size, count))
     outputs = handle.outputs
     n_out = len(outputs)
     detail = count <= DETAIL_LIMIT
@@ -88,7 +84,6 @@ def analyze_family(
         delays = family.delay_rows(plan, lo, hi, np)
         rows = handle.propagate_rows(
             [arrival] * (hi - lo),
-            backend=chosen,
             tracer=tracer,
             nets=outputs,
             delays=delays,

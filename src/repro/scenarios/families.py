@@ -22,12 +22,13 @@ Three families, all lowered through :meth:`ScenarioFamily.delay_rows`:
   chunks (hierarchical SSTA in the spirit of arXiv:1705.04981).
 
 Determinism: every Monte-Carlo member ``m`` draws from its own child
-seed derived from ``(seed, m)``, so results are independent of chunk
-boundaries and identical across runs for a fixed backend.  The numpy
-and python backends use different generators (``numpy.random`` vs
-:mod:`random`), so samples differ *across* backends; zero-variance
-families are bit-identical everywhere because ``mean + 0.0·z == mean``
-in IEEE float64.
+seed derived from ``(seed, m)``, with ``numpy.random`` whenever numpy
+is installed and with :mod:`random` otherwise.  A member's samples
+therefore depend only on ``(seed, m)`` and on whether numpy is
+installed: never on the member count, ``batch_size`` chunking or the
+executor that evaluates them.  The two generators draw different
+samples; zero-variance families are bit-identical everywhere because
+``mean + 0.0·z == mean`` in IEEE float64.
 """
 
 from __future__ import annotations

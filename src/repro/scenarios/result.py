@@ -94,7 +94,8 @@ class FamilyResult:
     name: str
     #: Members evaluated.
     count: int
-    #: Executor backend every chunk ran on.
+    #: Executor of the first chunk and of every full one (a last chunk
+    #: below ``NUMPY_MIN_BATCH`` members runs on python).
     backend: str
     #: Wall-clock seconds of the propagation loop.
     seconds: float

@@ -135,7 +135,7 @@ class AdmissionGate:
             )
         if int(max_queue) < 0:
             raise ValueError(f"max_queue must be >= 0, got {max_queue}")
-        if queue_timeout <= 0:
+        if not queue_timeout > 0:  # NaN fails every comparison
             raise ValueError("queue_timeout must be > 0")
         self.max_inflight = None if max_inflight is None else int(max_inflight)
         self.max_queue = int(max_queue)
@@ -310,7 +310,7 @@ class TimingServerApp:
         )
         self.slo = SloTracker(tuple(slo))
         self.profiler = profiler
-        if default_deadline is not None and default_deadline <= 0:
+        if default_deadline is not None and not default_deadline > 0:
             raise ValueError("default_deadline must be > 0")
         self.default_deadline = default_deadline
         if int(max_scenarios) < 1:
@@ -1031,7 +1031,7 @@ class TimingServerApp:
             seconds = float(seconds)
         except (TypeError, ValueError):
             raise RequestError("'deadline' must be a number of seconds")
-        if seconds <= 0:
+        if not seconds > 0:  # NaN fails every comparison
             raise RequestError("'deadline' must be > 0 seconds")
         return Deadline(seconds)
 

@@ -89,7 +89,7 @@ class CoalesceConfig:
                 f"max_batch must be >= 1, got {self.max_batch}"
             )
         object.__setattr__(self, "max_batch", int(self.max_batch))
-        if self.max_wait < 0 or self.quiet_wait < 0:
+        if not (self.max_wait >= 0 and self.quiet_wait >= 0):  # or NaN
             raise ValueError("max_wait and quiet_wait must be >= 0")
 
 

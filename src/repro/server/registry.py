@@ -253,8 +253,8 @@ class DesignRegistry:
     Parameters
     ----------
     options:
-        Analysis options every registered design compiles under (engine,
-        jobs, cache_dir...).  The registry forces nothing; the model
+        Analysis options every registered design compiles under (jobs,
+        cache_dir, deadline...).  The registry forces nothing; the model
         library configured here is shared by every design.
     coalesce:
         Flush policy handed to each design's

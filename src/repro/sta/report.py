@@ -12,12 +12,9 @@ Two report flavours:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping
+from typing import Mapping
 
 from repro.netlist.network import Network
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.core.xbd0 import Engine
 from repro.sta.paths import k_worst_paths
 from repro.sta.topological import arrival_times, required_times
 
@@ -90,25 +87,22 @@ def timing_report(
 def functional_timing_report(
     network: Network,
     arrival: Mapping[str, float] | None = None,
-    engine: "Engine | None" = None,
     max_paths: int = 5,
     tracer=None,
 ) -> str:
     """Topological vs XBD0 comparison with false-path flags.
 
-    Flat analysis: runs on BDDs unless ``engine`` names another engine.
+    Flat analysis: runs on :data:`~repro.core.xbd0.FLAT_ENGINE`.
     """
     # imported here to keep repro.sta free of a static cycle with repro.core
     import time
 
-    from repro.core.xbd0 import StabilityAnalyzer, resolve_engine
+    from repro.core.xbd0 import FLAT_ENGINE, StabilityAnalyzer
     from repro.obs.trace import ensure_tracer
 
     tracer = ensure_tracer(tracer)
     at = arrival_times(network, arrival)
-    analyzer = StabilityAnalyzer(
-        network, arrival, resolve_engine(engine, flat=True), tracer=tracer
-    )
+    analyzer = StabilityAnalyzer(network, arrival, FLAT_ENGINE, tracer=tracer)
     lines = [
         f"Functional (XBD0) timing report for {network.name}",
         "",

@@ -45,7 +45,6 @@ def arrival_times(
 def arrival_times_batch(
     network: Network,
     scenarios,
-    backend: str | None = None,
     batch_size: int | None = None,
 ) -> list[dict[str, float]]:
     """Topological arrival times for a batch of PI-arrival scenarios.
@@ -53,8 +52,7 @@ def arrival_times_batch(
     Compiles the network once (:func:`repro.kernel.plan.compile_network`)
     and evaluates every scenario in one batched kernel pass —
     bit-identical to calling :func:`arrival_times` per scenario.
-    ``backend`` forces the kernel backend (``"numpy"``/``"python"``;
-    default auto), ``batch_size`` chunks the evaluation.
+    ``batch_size`` chunks the evaluation.
     """
     from repro.kernel.execute import propagate_batch
     from repro.kernel.plan import compile_network
@@ -67,9 +65,7 @@ def arrival_times_batch(
     rows = [
         [float((s or {}).get(x, 0.0)) for x in inputs] for s in scenarios
     ]
-    values = propagate_batch(
-        plan, rows, backend=backend, batch_size=batch_size
-    )
+    values = propagate_batch(plan, rows, batch_size=batch_size)
     return [dict(zip(plan.nets, row)) for row in values]
 
 

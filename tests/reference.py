@@ -6,12 +6,15 @@ hold :mod:`repro.kernel` bit-identical to them: the kernel performs the
 same float64 additions, maxima, and minima on the same values, so every
 comparison is exact.  :class:`OneShotStabilityAnalyzer` decides each
 XBD0 stability check on a fresh CNF and a fresh solver, the reference
-for the per-cone incremental SAT sessions.
+for the per-cone incremental SAT sessions; :func:`brute_force_witness`
+enumerates input vectors, the reference for witnesses and care sets.
 """
 
 from __future__ import annotations
 
 from repro.core.xbd0 import StabilityAnalyzer
+from repro.sim.timed import vector_output_delay
+from repro.sim.vectors import all_vectors
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, SolveResult
 from repro.sat.tseitin import NetworkEncoder, encode_equal
@@ -186,3 +189,27 @@ class OneShotStabilityAnalyzer(StabilityAnalyzer):
                     pi_vars[out] = cnf.new_var()
                 encode_equal(cnf, pi_vars[out], care_map[out])
         return Solver(cnf).solve() is SolveResult.UNSAT
+
+
+def brute_force_witness(network, output, time, arrival=None, care=None):
+    """The first input vector under which ``output`` is not stable by
+    ``time``, or ``None`` when it is stable under every vector.
+
+    Each vector is decided by the per-vector calculus that
+    :func:`~repro.sim.timed.brute_force_stable_at` enumerates
+    (:func:`~repro.sim.timed.vector_output_delay`).  With a ``care``
+    network only its image counts: the PIs named by its outputs take
+    the image's values, every other PI ranges freely.
+    """
+    constrained = [] if care is None else list(care.outputs)
+    free = [x for x in network.inputs if x not in constrained]
+    images = (
+        [{}] if care is None
+        else [care.output_values(v) for v in all_vectors(care.inputs)]
+    )
+    for image in images:
+        for vector in all_vectors(free):
+            vector.update({x: image[x] for x in constrained})
+            if vector_output_delay(network, vector, output, arrival) > time:
+                return vector
+    return None

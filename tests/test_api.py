@@ -14,8 +14,8 @@ from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
 from repro.core.instance_models import PerInstanceAnalyzer
 from repro.core.result import AnalysisResult
 from repro.core.subflat import SubcircuitFlatAnalyzer
-from repro.core.xbd0 import functional_delays
-from repro.errors import AnalysisError
+from repro.core.xbd0 import StabilityAnalyzer, functional_delays
+from repro.errors import AnalysisError, ReproError
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.obs import NULL_TRACER, RingBufferSink, Tracer
@@ -30,10 +30,15 @@ def csa8_file(tmp_path) -> str:
     return str(f)
 
 
+def sat_delays(network):
+    """Flat XBD0 delays decided on SAT, to hold the flat BDD rule to."""
+    analyzer = StabilityAnalyzer(network, engine="sat")
+    return {o: analyzer.functional_delay(o) for o in network.outputs}
+
+
 class TestAnalysisOptions:
     def test_defaults(self):
         opts = AnalysisOptions()
-        assert opts.engine is None
         assert opts.functional is True
         assert opts.jobs == 1
         assert opts.cache_dir is None
@@ -46,12 +51,12 @@ class TestAnalysisOptions:
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
-            AnalysisOptions().engine = "bdd"
+            AnalysisOptions().jobs = 2
 
     @pytest.mark.parametrize(
         "kwargs",
         [
-            {"engine": "z3"},
+            {"deadline": float("nan")},
             {"batch_size": 0},
             {"retries": -1},
             {"module_timeout": 0.0},
@@ -88,12 +93,12 @@ class TestAnalysisOptions:
             AnalysisOptions(**{name: 1})
 
     def test_with_changes_revalidates(self):
-        opts = AnalysisOptions(engine="bdd")
+        opts = AnalysisOptions(retries=3)
         changed = opts.with_changes(jobs=2)
-        assert changed.engine == "bdd" and changed.jobs == 2
+        assert changed.retries == 3 and changed.jobs == 2
         assert opts.jobs == 1  # original untouched
         with pytest.raises(ValueError):
-            opts.with_changes(engine="nope")
+            opts.with_changes(retries=-1)
 
 
 class TestSessionHierarchical:
@@ -123,9 +128,7 @@ class TestSessionHierarchical:
         flat = session.network
         assert isinstance(flat, Network)
         assert session.network is flat
-        assert session.functional_delays() == functional_delays(
-            flat, engine="sat"
-        )
+        assert session.functional_delays() == sat_delays(flat)
 
     def test_incremental_edit_reaches_every_entry_point(self):
         """Theorem 1 after an edit: no cached analyzer, compiled handle
@@ -212,9 +215,7 @@ class TestSessionFlat:
         assert session.network is csa_block2
         with pytest.raises(AnalysisError):
             session.design
-        assert session.functional_delays() == functional_delays(
-            csa_block2, engine="sat"
-        )
+        assert session.functional_delays() == sat_delays(csa_block2)
         assert "Timing report" in session.report()
 
     def test_characterize_serial_matches_scheduler(
@@ -231,7 +232,7 @@ class TestSessionFlat:
 
 class TestFromFile:
     def test_from_file_verilog_keeps_hierarchy(self, csa8_file):
-        session = AnalysisSession.from_file(csa8_file, engine="sat")
+        session = AnalysisSession.from_file(csa8_file)
         assert session.is_hierarchical
         assert isinstance(load_circuit_file(csa8_file), HierDesign)
         assert session.hierarchical().delay > 0
@@ -488,21 +489,163 @@ class TestOneConfigurationObject:
         assert not hasattr(AnalysisOptions, "resilience_policy")
 
 
+def _knob_calls(design):
+    """``name -> call(kw)`` per function that took an ``engine=`` or a
+    ``backend=`` override; ``call(kw)`` passes ``kw`` to it."""
+    from repro.core.required import (
+        approx_required_tuples,
+        characterize_network,
+        characterize_output,
+    )
+    from repro.core.xbd0 import circuit_delay
+    from repro.kernel import pick_backend, propagate_batch
+    from repro.library.signature import module_signature
+    from repro.scenarios import Corner, CornerSweep, analyze_family
+    from repro.sta.report import functional_timing_report
+    from repro.sta.topological import arrival_times_batch
+
+    network = design.flatten()
+    output = network.outputs[0]
+    session = AnalysisSession(design)
+    family = CornerSweep([Corner("typ")])
+    return {
+        "functional_delays": lambda kw: functional_delays(network, **kw),
+        "circuit_delay": lambda kw: circuit_delay(network, **kw),
+        "functional_timing_report":
+            lambda kw: functional_timing_report(network, **kw),
+        "characterize_output":
+            lambda kw: characterize_output(network, output, **kw),
+        "approx_required_tuples":
+            lambda kw: approx_required_tuples(network, output, **kw),
+        "characterize_network":
+            lambda kw: characterize_network(network, **kw),
+        "module_signature": lambda kw: module_signature(network, **kw),
+        "AnalysisOptions": lambda kw: AnalysisOptions(**kw),
+        "pick_backend": lambda kw: pick_backend(1, **kw),
+        "propagate_batch": lambda kw: propagate_batch(
+            session.compile().plan, [[0.0] * len(design.inputs)], **kw
+        ),
+        "CompiledDesign.propagate":
+            lambda kw: session.compile().propagate([{}], **kw),
+        "CompiledDesign.propagate_rows":
+            lambda kw: session.compile().propagate_rows([{}], **kw),
+        "HierarchicalAnalyzer.analyze_batch":
+            lambda kw: HierarchicalAnalyzer(design).analyze_batch([{}], **kw),
+        "AnalysisSession.analyze_family":
+            lambda kw: session.analyze_family(family, **kw),
+        "analyze_family":
+            lambda kw: analyze_family(session.compile(), family, **kw),
+        "arrival_times_batch":
+            lambda kw: arrival_times_batch(network, [{}], **kw),
+    }
+
+
+def _removed_knob_cases():
+    """``(id, exception, message, check(design, path))`` per removed way
+    to pick an engine or an executor."""
+    from repro.cli import main
+
+    engine = (
+        "functional_delays", "circuit_delay", "functional_timing_report",
+        "characterize_output", "approx_required_tuples",
+        "characterize_network", "module_signature", "AnalysisOptions",
+    )
+    backend = (
+        "pick_backend", "propagate_batch", "CompiledDesign.propagate",
+        "CompiledDesign.propagate_rows",
+        "HierarchicalAnalyzer.analyze_batch",
+        "AnalysisSession.analyze_family", "analyze_family",
+        "arrival_times_batch",
+    )
+
+    def parameter(name, keyword, value):
+        return lambda design, _path: _knob_calls(design)[name](
+            {keyword: value}
+        )
+
+    def name_gone(module, name):
+        import importlib
+
+        return lambda _design, _path: getattr(
+            importlib.import_module(module), name
+        )
+
+    def flag(command):
+        def check(_design, path):
+            circuit = [] if command == "serve" else [path]
+            main([command, *circuit, "--engine", "sat"])
+
+        return check
+
+    commands = (
+        "report", "delay", "hier-report", "demand", "forensics", "sdc",
+        "characterize", "serve",
+    )
+    return [
+        *[(f"{n}-engine", TypeError, "'engine'", parameter(n, "engine", "sat"))
+          for n in engine],
+        *[(f"{n}-backend", TypeError, "'backend'",
+           parameter(n, "backend", "python")) for n in backend],
+        ("repro.api.ENGINES", AttributeError, "ENGINES",
+         name_gone("repro.api", "ENGINES")),
+        ("repro.core.xbd0.resolve_engine", AttributeError, "resolve_engine",
+         name_gone("repro.core.xbd0", "resolve_engine")),
+        *[(f"--engine-{c}", SystemExit, "2", flag(c)) for c in commands],
+        ("StabilityAnalyzer-brute", AnalysisError, "unknown engine 'brute'",
+         lambda design, _path: StabilityAnalyzer(
+             design.flatten(), engine="brute"
+         )),
+    ]
+
+
+REMOVED_KNOBS = _removed_knob_cases()
+
+
+class TestCodePicksEngineAndExecutor:
+    """No option, flag or parameter picks the tautology engine or the
+    kernel executor, and the brute-force engine is gone: each removed
+    way raises (``--engine`` is an unknown flag, exit 2)."""
+
+    @pytest.mark.parametrize(
+        ("expected", "message", "check"),
+        [case[1:] for case in REMOVED_KNOBS],
+        ids=[case[0] for case in REMOVED_KNOBS],
+    )
+    def test_removed_knob(
+        self, csa4_design, csa8_file, capsys, monkeypatch, expected,
+        message, check,
+    ):
+        import repro.server
+
+        def no_server(*_args, **_kwargs):
+            raise ReproError("no listening server in unit tests")
+
+        monkeypatch.setattr(repro.server, "TimingHTTPServer", no_server)
+        with pytest.raises(expected, match=message) as exc:
+            check(csa4_design, csa8_file)
+        if expected is SystemExit:
+            assert exc.value.code == 2
+            assert "--engine" in capsys.readouterr().err
+
+
 class TestEngineDefaults:
-    """``engine=None``, the default everywhere, runs flat analysis on
-    BDDs and per-cone checks on SAT; an explicit engine is honoured by
-    both kinds.  Read from the tracer's ``xbd0.*`` counters."""
+    """The code picks the tautology engine by kind of work, from two
+    constants of :mod:`repro.core.xbd0`: flat analysis runs on
+    ``FLAT_ENGINE`` (BDD), per-cone checks on ``CONE_ENGINE`` (SAT).
+    ``None`` runs the rule as shipped; ``sat`` and ``bdd`` set both
+    constants to that engine, and every entry point follows them, so
+    moving one kind of work to the other engine is a one-constant
+    change.  Read from the tracer's ``xbd0.*`` counters."""
 
     FLAT = ("functional_delays", "session-functional-delays", "report")
     PER_CONE = ("hierarchical", "demand")
 
     @staticmethod
-    def _run(name, design, engine, tracer):
-        chosen = {} if engine is None else {"engine": engine}
-        options = AnalysisOptions(tracer=tracer, **chosen)
+    def _run(name, design, tracer):
+        options = AnalysisOptions(tracer=tracer)
         flat = design.flatten()
         if name == "functional_delays":
-            functional_delays(flat, tracer=tracer, **chosen)
+            functional_delays(flat, tracer=tracer)
         elif name == "session-functional-delays":
             AnalysisSession(flat, options=options).functional_delays()
         elif name == "report":
@@ -514,9 +657,14 @@ class TestEngineDefaults:
 
     @pytest.mark.parametrize("engine", [None, "sat", "bdd"])
     @pytest.mark.parametrize("name", FLAT + PER_CONE)
-    def test_engine_rule(self, csa4_design, name, engine):
+    def test_engine_rule(self, csa4_design, name, engine, monkeypatch):
+        from repro.core import xbd0
+
+        if engine is not None:
+            monkeypatch.setattr(xbd0, "FLAT_ENGINE", engine)
+            monkeypatch.setattr(xbd0, "CONE_ENGINE", engine)
         tracer = Tracer()
-        self._run(name, csa4_design, engine, tracer)
+        self._run(name, csa4_design, tracer)
         sat_calls = tracer.metrics.counter("xbd0.sat_calls").value
         bdd_checks = tracer.metrics.counter("xbd0.bdd_checks").value
         if engine is None:

@@ -42,10 +42,10 @@ class TestOptions:
         assert opts.batch_size == 256
 
     def test_one_engine_option(self):
-        # Propagation always runs on the compiled kernel; the only
-        # engine option selects the tautology engine.
+        # Propagation always runs on the compiled kernel and the code
+        # picks the tautology engine: no option names an engine.
         names = [f.name for f in dataclasses.fields(AnalysisOptions)]
-        assert [n for n in names if "engine" in n] == ["engine"]
+        assert [n for n in names if "engine" in n] == []
 
     def test_batch_size_validated(self):
         with pytest.raises(ValueError, match="batch_size"):
@@ -245,16 +245,14 @@ class TestCLI:
         assert "flat module" in capsys.readouterr().err
 
     def test_no_propagation_engine_flag(self, verilog_file, capsys):
-        # One propagation engine: --engine (the tautology engine) is the
-        # only engine flag, and any other flag is a one-line usage
-        # error with exit 2.
+        # One propagation engine, and the code picks the tautology
+        # engine: no flag names an engine, and an unknown flag is a
+        # one-line usage error with exit 2.
         for command in ("demand", "hier-report", "forensics"):
             with pytest.raises(SystemExit):
                 main([command, "--help"])
             help_text = capsys.readouterr().out
-            assert set(re.findall(r"--[\w-]*engine\b", help_text)) == {
-                "--engine"
-            }
+            assert re.findall(r"--[\w-]*engine\b", help_text) == []
             with pytest.raises(SystemExit) as exc:
                 main([command, verilog_file, "--turbo-engine", "on"])
             assert exc.value.code == 2

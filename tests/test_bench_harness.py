@@ -13,8 +13,6 @@ from repro.bench.harness import (
 from repro.bench.table1 import DEFAULT_GRID, run_row
 from repro.bench.table2 import TABLE2_ROWS
 from repro.bench.table2 import run_row as run_row2
-from repro.circuits.adders import carry_skip_block
-from repro.core.required import characterize_network
 
 
 class TestFormatting:
@@ -97,12 +95,24 @@ class TestTable2Rows:
 
 
 class TestFigures:
-    def test_compute_figures_bdd_engine(self):
-        # BDD characterization gives the SAT models the figures plot.
-        block = carry_skip_block(2)
-        assert characterize_network(block, engine="bdd") == (
-            characterize_network(block, engine="sat")
-        )
+    def test_compute_figures_bdd_engine(self, monkeypatch):
+        # BDD characterization gives the SAT models the figures plot:
+        # every characterization check is decided on both engines.
+        from repro.core import required
+        from repro.core.xbd0 import StabilityAnalyzer
+
+        verdicts = []
+
+        class BothEngines(StabilityAnalyzer):
+            def stable_at(self, output, t):
+                verdict = super().stable_at(output, t)
+                bdd = StabilityAnalyzer(self.network, self.arrival, "bdd")
+                assert bdd.stable_at(output, t) == verdict, (output, t)
+                verdicts.append(verdict)
+                return verdict
+
+        monkeypatch.setattr(required, "StabilityAnalyzer", BothEngines)
         data = compute_figures()
+        assert set(verdicts) == {True, False}
         assert data.fig4_c4 == 10.0
         assert data.fig5_functional_slack == 1.0

@@ -14,6 +14,7 @@ from repro.errors import AnalysisError
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
 from repro.sim.vectors import all_vectors
+from tests.reference import brute_force_witness
 
 
 def sdc_design() -> HierDesign:
@@ -100,14 +101,20 @@ class TestCareAwareStability:
         assert with_care.stable_at("z", 0.0)
 
     def test_brute_engine_agrees_with_sat(self):
+        """SAT under a care network agrees with brute-force enumeration
+        of the care image."""
         design = sdc_design()
         module = design.modules["mux_mod"].network
         care = instance_care_network(design, "u_mux")
+        verdicts = set()
         for arrival_a in (-5.0, 0.0, 100.0):
             arrival = {"a": arrival_a, "s": -1.0, "b": -1.0}
             sat = StabilityAnalyzer(module, arrival, "sat", care=care)
-            brute = StabilityAnalyzer(module, arrival, "brute", care=care)
-            assert sat.stable_at("z", 0.0) == brute.stable_at("z", 0.0)
+            for t in (-0.5, 0.0):
+                brute = brute_force_witness(module, "z", t, arrival, care)
+                assert sat.stable_at("z", t) == (brute is None)
+                verdicts.add(brute is None)
+        assert verdicts == {True, False}
 
     def test_bdd_engine_rejects_care(self):
         design = sdc_design()

@@ -151,8 +151,8 @@ class TestExecute:
     @needs_numpy
     def test_chunking_preserves_results(self):
         plan, rows = self._plan_and_rows(11)
-        whole = propagate_batch(plan, rows, backend="numpy")
-        chunked = propagate_batch(plan, rows, backend="numpy", batch_size=3)
+        whole = propagate_batch(plan, rows)
+        chunked = propagate_batch(plan, rows, batch_size=3)
         assert whole == chunked
 
     def test_empty_batch(self):
@@ -175,10 +175,6 @@ class TestExecute:
         if HAVE_NUMPY:
             assert pick_backend(NUMPY_MIN_BATCH) == "numpy"
         assert pick_backend(NUMPY_MIN_BATCH - 1) == "python"
-
-    def test_pick_backend_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            pick_backend(4, "fortran")
 
 
 def small_graph():
@@ -293,13 +289,14 @@ class TestGoldenEquivalence:
             for _ in range(12)
         ]
         analyzer = HierarchicalAnalyzer(design)
-        python = analyzer.analyze_batch(scenarios, backend="python")
-        auto = analyzer.analyze_batch(scenarios)
-        for a, b, s in zip(python, auto, scenarios):
+        batch = analyzer.analyze_batch(scenarios)
+        plan = analyzer.compile().plan
+        python = PythonExecutor(plan).propagate(
+            analyzer.compile().rows_from(scenarios)
+        )
+        for result, row, s in zip(batch, python, scenarios):
             oracle = hier_net_times(design, analyzer._models_of_instance, s)
-            assert a.net_times == b.net_times == oracle
-            assert a.slacks == b.slacks
-        assert python.delay == auto.delay
+            assert result.net_times == dict(zip(plan.nets, row)) == oracle
 
     def test_demand_engines(self, design):
         result = DemandDrivenAnalyzer(design).analyze({"c_in": 1.0})

@@ -19,7 +19,7 @@ from repro.circuits.partition import cascade_bipartition
 from repro.circuits.random_logic import random_network
 from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
 from repro.core.hier import HierarchicalAnalyzer
-from repro.core.xbd0 import functional_delays
+from repro.core.xbd0 import StabilityAnalyzer
 from repro.kernel import (
     HAVE_NUMPY,
     CompiledTimingGraph,
@@ -34,7 +34,9 @@ NEG_INF = float("-inf")
 POS_INF = float("inf")
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
-BACKENDS = ("python", "numpy") if HAVE_NUMPY else ("python",)
+EXECUTORS = (
+    (PythonExecutor, NumpyExecutor) if HAVE_NUMPY else (PythonExecutor,)
+)
 
 
 def random_hierarchy(seed):
@@ -93,20 +95,24 @@ class TestHierEquivalence:
             hier_net_times(design, analyzer._models_of_instance, s)
             for s in scenarios
         ]
-        for backend in BACKENDS:
-            batch = analyzer.analyze_batch(scenarios, backend=backend)
-            for result, oracle in zip(batch, oracles):
-                outputs = {o: oracle[o] for o in design.outputs}
-                delay = max(outputs.values())
-                assert result.net_times == oracle
-                assert result.output_times == outputs
-                assert result.slacks == {
-                    o: POS_INF if NEG_INF in (delay, t) else delay - t
-                    for o, t in outputs.items()
-                }
-            assert batch.delay == max(
-                max(o[x] for x in design.outputs) for o in oracles
-            )
+        batch = analyzer.analyze_batch(scenarios)
+        for result, oracle in zip(batch, oracles):
+            outputs = {o: oracle[o] for o in design.outputs}
+            delay = max(outputs.values())
+            assert result.net_times == oracle
+            assert result.output_times == outputs
+            assert result.slacks == {
+                o: POS_INF if NEG_INF in (delay, t) else delay - t
+                for o, t in outputs.items()
+            }
+        assert batch.delay == max(
+            max(o[x] for x in design.outputs) for o in oracles
+        )
+        handle = analyzer.compile()
+        rows = handle.rows_from(scenarios)
+        for executor in EXECUTORS:
+            values = executor(handle.plan).propagate(rows)
+            assert [dict(zip(handle.plan.nets, v)) for v in values] == oracles
 
 
 class TestDemandEquivalence:
@@ -133,8 +139,9 @@ class TestDemandEquivalence:
         # Theorem 1 across engines: the flat oracle runs on BDDs, the
         # hierarchy on SAT, and flat SAT must agree with flat BDD.
         flat, times, _seconds = flat_functional_delay(design, arrival)
-        sat_times = functional_delays(design.flatten(), arrival, engine="sat")
-        assert times == sat_times
+        flat_net = design.flatten()
+        sat = StabilityAnalyzer(flat_net, arrival, "sat")
+        assert times == {o: sat.functional_delay(o) for o in flat_net.outputs}
         assert flat <= result.delay <= result.topological_delay
 
     @settings(max_examples=6, deadline=None)

@@ -108,11 +108,15 @@ class TestSignature:
         padded.add_gate("unused", "NOT", [padded.inputs[0]], 5.0)
         assert network_signature(padded) == network_signature(csa_block2)
 
-    def test_parameters_change_key(self, csa_block2):
+    def test_parameters_change_key(self, csa_block2, monkeypatch):
+        from repro.library import signature
+
         mod = Module("m", csa_block2)
         base = module_signature(mod)
-        assert module_signature(mod, engine="bdd") != base
         assert module_signature(mod) == base  # deterministic
+        # the per-cone engine is part of the key
+        monkeypatch.setattr(signature, "CONE_ENGINE", "bdd")
+        assert module_signature(mod) != base
 
     def test_key_is_pinned(self, csa_block2):
         # The key of every library written before the relaxation

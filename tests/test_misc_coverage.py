@@ -89,7 +89,6 @@ class TestExprManagerContradictions:
         a = exprs.lit("a", True)
         b = exprs.lit("b", False)
         node = exprs.disj([exprs.conj([a, b]), exprs.lit("c", True)])
-        assert exprs.support(node) == {"a", "b", "c"}
         assert exprs.evaluate(
             node, {"a": True, "b": False, "c": False}
         )

@@ -12,6 +12,7 @@ tolerances.
 """
 
 import json
+import sys
 import warnings
 
 import pytest
@@ -23,6 +24,7 @@ from repro.circuits.adders import cascade_adder
 from repro.cli import load_scenarios, main
 from repro.errors import AnalysisError, ReproError
 from repro.kernel import HAVE_NUMPY
+from repro.kernel import backend as kernel_backend
 from repro.parsers.verilog import dumps_verilog
 from repro.scenarios import (
     Corner,
@@ -45,6 +47,13 @@ from repro.server import TimingServerApp
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
 BACKENDS = ["python", pytest.param("numpy", marks=needs_numpy)]
+
+
+def pin_executor(monkeypatch, name):
+    """Make the kernel's own rule pick executor ``name`` for every
+    chunk, by moving its numpy threshold."""
+    threshold = 1 if name == "numpy" else sys.maxsize
+    monkeypatch.setattr(kernel_backend, "NUMPY_MIN_BATCH", threshold)
 
 
 @pytest.fixture(scope="module")
@@ -302,52 +311,81 @@ class TestEngine:
             analyze_family(handle, fam)
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_unit_corner_bit_identical_to_baseline(self, handle, backend):
+    def test_unit_corner_bit_identical_to_baseline(
+        self, handle, backend, monkeypatch
+    ):
         arrival = {"a0": 1.0, "b3": 2.5}
         fam = CornerSweep([Corner("typ", 1.0)], arrival=arrival)
-        result = analyze_family(handle, fam, backend=backend)
+        pin_executor(monkeypatch, backend)
+        result = analyze_family(handle, fam)
+        assert result.backend == backend
         base = handle.propagate([arrival], nets=handle.outputs)[0]
         assert arrivals_of(result) == [base]
         assert result.delay == max(base.values())
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_parametric_x0_bit_identical(self, handle, backend):
+    def test_parametric_x0_bit_identical(self, handle, backend, monkeypatch):
         fam = ParametricSweep(
             "x", [0.0, 1.0], slope=0.5, sensitivity=0.1
         )
-        result = analyze_family(handle, fam, backend=backend)
+        pin_executor(monkeypatch, backend)
+        result = analyze_family(handle, fam)
+        assert result.backend == backend
         base = handle.propagate([{}], nets=handle.outputs)[0]
         assert dict(result.members[0].arrivals) == base
         # a positive slope strictly slows a non-trivial design
         assert result.members[1].delay > result.members[0].delay
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mc_zero_variance_bit_identical(self, handle, backend):
+    def test_mc_zero_variance_bit_identical(
+        self, handle, backend, monkeypatch
+    ):
         fam = MonteCarlo(3, seed=11, sigma=0.0, sigma_rel=0.0)
-        result = analyze_family(handle, fam, backend=backend)
+        pin_executor(monkeypatch, backend)
+        result = analyze_family(handle, fam)
+        assert result.backend == backend
         base = handle.propagate([{}], nets=handle.outputs)[0]
         assert arrivals_of(result) == [base] * 3
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mc_fixed_seed_deterministic(self, handle, backend):
+    def test_mc_fixed_seed_deterministic(self, handle, backend, monkeypatch):
         fam = MonteCarlo(8, seed=42, sigma=0.2)
-        a = analyze_family(handle, fam, backend=backend)
-        b = analyze_family(handle, fam, backend=backend)
+        pin_executor(monkeypatch, backend)
+        a = analyze_family(handle, fam)
+        b = analyze_family(handle, fam)
+        assert a.backend == backend
         assert a.delays() == b.delays()
-        other = analyze_family(
-            handle, MonteCarlo(8, seed=43, sigma=0.2), backend=backend
-        )
+        other = analyze_family(handle, MonteCarlo(8, seed=43, sigma=0.2))
         assert a.delays() != other.delays()
 
     @pytest.mark.parametrize("backend", BACKENDS)
-    def test_mc_chunking_does_not_change_samples(self, handle, backend):
+    def test_mc_chunking_does_not_change_samples(
+        self, handle, backend, monkeypatch
+    ):
         # per-member child seeds: chunk boundaries must be invisible
-        # (the backend is pinned — numpy and python draw from
-        # different generators by design)
         fam = MonteCarlo(10, seed=5, sigma=0.15)
-        big = analyze_family(handle, fam, backend=backend, batch_size=64)
-        small = analyze_family(handle, fam, backend=backend, batch_size=3)
+        pin_executor(monkeypatch, backend)
+        big = analyze_family(handle, fam, batch_size=64)
+        small = analyze_family(handle, fam, batch_size=3)
+        assert big.backend == small.backend == backend
         assert big.delays() == small.delays()
+
+    def test_mc_samples_depend_only_on_seed_and_index(self, handle):
+        # The kernel's own executor choice: the 4-member family and the
+        # chunks of 4 run on python, the 16-member family on numpy when
+        # it is installed.  The samples and the answers stay the same.
+        def run(samples, **kwargs):
+            fam = MonteCarlo(samples, seed=7, sigma_rel=0.1)
+            return analyze_family(handle, fam, **kwargs)
+
+        four, sixteen = run(4), run(16)
+        chunked = run(16, batch_size=4)
+        assert four.delays() == sixteen.delays()[:4]
+        assert chunked.delays() == sixteen.delays()
+        for result in (four, sixteen, chunked):
+            for member in result.members:
+                assert type(member.delay) is float
+                assert all(type(t) is float for _, t in member.arrivals)
 
     def test_corner_sweep_matches_naive_loop(self, handle):
         # engine result == propagating each corner's scaled delays

@@ -24,22 +24,37 @@ from repro.obs import Tracer
 from repro.sim.timed import brute_force_delay, brute_force_stable_at
 from repro.sta.topological import arrival_times
 
+#: The two tautology engines, and ``brute``: the vector-enumeration
+#: oracle of :mod:`repro.sim.timed` that both engines must agree with.
 ENGINES = ("sat", "bdd", "brute")
+
+
+def stable_on(engine, net, output, t, arrival=None):
+    """Whether ``output`` is stable by ``t``, decided on ``engine``."""
+    if engine == "brute":
+        return brute_force_stable_at(net, output, t, arrival)
+    return StabilityAnalyzer(net, arrival, engine).stable_at(output, t)
+
+
+def delays_on(engine, net, arrival=None):
+    """Every output's XBD0 stable time, computed on ``engine``."""
+    if engine == "brute":
+        return {o: brute_force_delay(net, o, arrival) for o in net.outputs}
+    analyzer = StabilityAnalyzer(net, arrival, engine)
+    return {o: analyzer.functional_delay(o) for o in net.outputs}
 
 
 class TestStableAt:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_and_gate(self, and2, engine):
-        analyzer = StabilityAnalyzer(and2, engine=engine)
-        assert not analyzer.stable_at("z", 0.5)
-        assert analyzer.stable_at("z", 1.0)
-        assert analyzer.stable_at("z", 2.0)
+        assert not stable_on(engine, and2, "z", 0.5)
+        assert stable_on(engine, and2, "z", 1.0)
+        assert stable_on(engine, and2, "z", 2.0)
 
     @pytest.mark.parametrize("engine", ENGINES)
     def test_carry_skip_known_threshold(self, csa_block2, engine):
-        analyzer = StabilityAnalyzer(csa_block2, engine=engine)
-        assert not analyzer.stable_at("c_out", 7.0)
-        assert analyzer.stable_at("c_out", 8.0)
+        assert not stable_on(engine, csa_block2, "c_out", 7.0)
+        assert stable_on(engine, csa_block2, "c_out", 8.0)
 
     def test_unconstrained_input_still_stabilizes_controlled_gate(self):
         # z = AND(a, b): with b unconstrained (-inf = always there) the
@@ -85,7 +100,7 @@ class TestStableAt:
 class TestFunctionalDelay:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_carry_skip_all_outputs(self, csa_block2, engine):
-        delays = functional_delays(csa_block2, engine=engine)
+        delays = delays_on(engine, csa_block2)
         assert delays == {"s0": 4.0, "s1": 6.0, "c_out": 8.0}
 
     def test_fig5_arrival_condition(self, csa_block2):
@@ -158,7 +173,7 @@ class TestNeverArrivingOutputs:
     def test_reads_plus_inf(self, build, engine):
         net = build()
         arrival = {"a": POS_INF}
-        delays = functional_delays(net, arrival, engine=engine)
+        delays = delays_on(engine, net, arrival)
         at = arrival_times(net, arrival)
         for out in net.outputs:
             assert delays[out] == at[out] == POS_INF, (out, engine)
@@ -204,7 +219,7 @@ class TestEnginesAgree:
         net = random_network(5, 12, seed=seed, num_outputs=2)
         for out in net.outputs:
             oracle = brute_force_delay(net, out)
-            for engine in ENGINES:
+            for engine in ("sat", "bdd"):
                 got = StabilityAnalyzer(net, engine=engine).functional_delay(out)
                 assert got == pytest.approx(oracle), (out, engine)
 
@@ -242,14 +257,6 @@ class TestStats:
         assert analyzer.stats["stability_checks"] > 0
         assert analyzer.stats["sat_calls"] > 0
 
-    def test_brute_engine_rejects_wide_support(self):
-        net = random_network(26, 30, seed=1, num_outputs=1)
-        analyzer = StabilityAnalyzer(net, engine="brute")
-        out = net.outputs[0]
-        if len(net.support(out)) > 24:
-            with pytest.raises(AnalysisError):
-                analyzer.functional_delay(out)
-
     def test_unknown_engine_rejected(self, csa_block2):
         with pytest.raises(AnalysisError):
             StabilityAnalyzer(csa_block2, engine="magic")
@@ -264,7 +271,7 @@ class TestNaNRejected:
         with pytest.raises(AnalysisError, match="c_in"):
             functional_delays(carry_skip_block(2), {"c_in": float("nan")})
 
-    @pytest.mark.parametrize("engine", ENGINES)
+    @pytest.mark.parametrize("engine", ("sat", "bdd"))
     def test_nan_query_time_rejected(self, csa_block2, engine):
         analyzer = StabilityAnalyzer(csa_block2, engine=engine)
         with pytest.raises(AnalysisError, match="NaN"):
