@@ -151,72 +151,9 @@ class AnalysisOptions:
 #: warned for several releases and now hard-errors with this hint).
 SCENARIO_LIST_REMOVED = (
     "bare scenario lists are no longer accepted by analyze_batch; pass "
-    "a ScenarioSpec (repro.scenarios.Scenario, ScenarioSet, or a "
-    "scenario family) — e.g. ScenarioSet.of(*scenarios)"
+    "a repro.scenarios.Scenario or ScenarioSet — e.g. "
+    "ScenarioSet.of(*scenarios)"
 )
-
-
-def coerce_scenarios(
-    data, inputs: list[str], source: str = "scenarios"
-) -> list[dict[str, float]]:
-    """Validate a raw scenario batch into arrival-time mappings.
-
-    ``data`` is a :class:`~repro.scenarios.ScenarioSpec` (scenario
-    families excluded — expand those through
-    :func:`repro.scenarios.analyze_family`) or, legacy form, a list
-    whose items are either objects mapping primary input names to
-    arrival times or lists of numbers aligned with ``inputs``.  Shared
-    by the CLI's ``--scenarios FILE`` loader and the server's
-    ``POST /batch`` endpoint; ``source`` names the origin in error
-    messages.  Malformed batches, and arrival times that are not finite
-    (:func:`~repro.scenarios.spec.clean_arrival`), raise
-    :class:`~repro.errors.ReproError`.
-    """
-    from repro.scenarios.families import ScenarioFamily
-    from repro.scenarios.spec import ScenarioSpec, clean_arrival
-
-    if isinstance(data, ScenarioFamily):
-        raise ReproError(
-            f"{source}: scenario families vary delays, not arrivals; "
-            "evaluate them via analyze_family()"
-        )
-    if isinstance(data, ScenarioSpec):
-        data = data.expand()
-    if not isinstance(data, list):
-        raise ReproError(f"{source}: expected a JSON list of scenarios")
-    if not data:
-        raise ReproError(f"{source}: scenario list is empty")
-    known = set(inputs)
-    scenarios: list[dict[str, float]] = []
-    for i, item in enumerate(data):
-        if isinstance(item, dict):
-            unknown = sorted(set(item) - known)
-            if unknown:
-                raise ReproError(
-                    f"{source}: scenario {i} names unknown input "
-                    f"{unknown[0]!r}"
-                )
-            pairs = list(item.items())
-        elif isinstance(item, list):
-            if len(item) != len(inputs):
-                raise ReproError(
-                    f"{source}: scenario {i} has {len(item)} values "
-                    f"for {len(inputs)} inputs"
-                )
-            pairs = list(zip(inputs, item))
-        else:
-            raise ReproError(
-                f"{source}: scenario {i} must be an object "
-                "(input -> time) or a list of times"
-            )
-        try:
-            scenario = {name: float(v) for name, v in pairs}
-        except (TypeError, ValueError):
-            raise ReproError(
-                f"{source}: scenario {i} has a non-numeric arrival time"
-            ) from None
-        scenarios.append(clean_arrival(scenario, f"{source}: scenario {i}"))
-    return scenarios
 
 
 def load_circuit_file(path: str | Path) -> Network | HierDesign:
@@ -383,28 +320,24 @@ class AnalysisSession:
         """
         return self._hier().compile()
 
-    def analyze_family(
-        self, family: "ScenarioFamily | Mapping"
-    ) -> "FamilyResult":
+    def analyze_family(self, family: "ScenarioFamily") -> "FamilyResult":
         """Evaluate a scenario family against the compiled design.
 
         ``family`` is a :class:`~repro.scenarios.ScenarioFamily`
         (:class:`~repro.scenarios.CornerSweep`,
         :class:`~repro.scenarios.ParametricSweep`, or
-        :class:`~repro.scenarios.MonteCarlo`) or its JSON-spec dict.
-        The design is compiled once (:meth:`compile` — cached), every
-        member streams through the kernel's delay-override hooks in
+        :class:`~repro.scenarios.MonteCarlo`); JSON specs are read at
+        the CLI and server boundaries
+        (:func:`~repro.scenarios.spec.read_batch`).  The design is
+        compiled once (:meth:`compile` — cached), every member streams
+        through the kernel's delay-override hooks in
         ``options.batch_size`` chunks, and the aggregated
         :class:`~repro.scenarios.FamilyResult` comes back.
         """
-        from repro.scenarios import analyze_family, family_from_json
-        from repro.scenarios.families import ScenarioFamily
+        from repro.scenarios import analyze_family
 
-        if not isinstance(family, ScenarioFamily):
-            family = family_from_json(family, source="family")
-        handle = self.compile()
         return analyze_family(
-            handle,
+            self.compile(),
             family,
             batch_size=self.options.batch_size,
             tracer=self.tracer,
@@ -417,30 +350,27 @@ class AnalysisSession:
     ):
         """Analyze a batch of arrival scenarios in one call.
 
-        ``scenarios`` is a :class:`~repro.scenarios.ScenarioSpec`
-        (:class:`~repro.scenarios.Scenario`,
-        :class:`~repro.scenarios.ScenarioSet`, or a scenario family).
-        The legacy bare-``list[dict]`` form warned as deprecated for
-        several releases and now raises :class:`AnalysisError` with a
-        migration hint (JSON boundaries — CLI and server — still accept
-        raw lists via :func:`coerce_scenarios`).
+        ``scenarios`` is a :class:`~repro.scenarios.Scenario` or
+        :class:`~repro.scenarios.ScenarioSet`.  A bare ``list[dict]``
+        raises :class:`AnalysisError` with a migration hint, and so
+        does a scenario family, which varies delays rather than
+        arrivals (run it with :meth:`analyze_family`).
         ``method`` selects the analysis: ``"hierarchical"`` (Section 3
         two-step) or ``"demand"`` (Section 5 demand-driven, refinements
         shared across the batch).  Returns a
         :class:`~repro.core.batch.BatchResult` with per-scenario
-        arrivals/slacks and the shared degradation log — except for family specs, which route through
-        :meth:`analyze_family` and return a
-        :class:`~repro.scenarios.FamilyResult`.
+        arrivals/slacks and the shared degradation log.
         """
-        from repro.scenarios.families import ScenarioFamily
         from repro.scenarios.spec import ScenarioSpec
 
-        if isinstance(scenarios, ScenarioFamily):
-            return self.analyze_family(scenarios)
-        if isinstance(scenarios, ScenarioSpec):
-            scenarios = scenarios.expand()
-        else:
+        if not isinstance(scenarios, ScenarioSpec):
             raise AnalysisError(SCENARIO_LIST_REMOVED)
+        if scenarios.kind == "family":
+            raise AnalysisError(
+                "scenario families vary delays, not arrivals; evaluate "
+                "them with analyze_family()"
+            )
+        scenarios = scenarios.expand()
         if method == "hierarchical":
             analyzer = self._hier()
         elif method == "demand":

@@ -135,52 +135,26 @@ def parse_arrivals(
     return arrival
 
 
-def _load_json(path: str):
+def load_scenarios(path: str, inputs: Sequence[str]):
+    """Load ``--scenarios FILE`` through
+    :func:`~repro.scenarios.spec.read_batch`: a
+    :class:`~repro.scenarios.ScenarioFamily`, or the file's arrival
+    mappings (see ``docs/SCENARIOS.md``).  Malformed files raise
+    :class:`~repro.errors.ReproError`, which the CLI surfaces as a
+    one-line ``error:`` with exit code 2.
+    """
     import json
+
+    from repro.scenarios.spec import read_batch
 
     file = Path(path)
     try:
-        return file, json.loads(file.read_text())
+        data = json.loads(file.read_text())
     except json.JSONDecodeError as exc:
         raise ReproError(f"{file.name}: not valid JSON ({exc})") from None
     except UnicodeDecodeError:
         raise ReproError(f"{file.name}: not a text file") from None
-
-
-def load_scenarios(path: str, inputs: list[str]):
-    """Load ``--scenarios FILE``: arrival vectors or a scenario spec.
-
-    The legacy format — a JSON list whose items are objects mapping
-    primary-input names to arrival times, or lists of numbers aligned
-    with the design's input order — returns a plain list of arrival
-    mappings.  A scenario-spec object (``family`` / ``arrival`` /
-    ``scenarios`` key, see ``docs/SCENARIOS.md``) returns the parsed
-    :class:`~repro.scenarios.ScenarioSpec` — a
-    :class:`~repro.scenarios.ScenarioFamily` for family specs.
-    Malformed files raise :class:`~repro.errors.ReproError`, which the
-    CLI surfaces as a one-line ``error:`` with exit code 2.
-    """
-    from repro.api import coerce_scenarios
-    from repro.scenarios.families import ScenarioFamily
-    from repro.scenarios.spec import spec_from_json
-
-    file, data = _load_json(path)
-    if isinstance(data, dict) and (
-        "family" in data or "arrival" in data or "scenarios" in data
-    ):
-        spec = spec_from_json(data, source=file.name)
-        if isinstance(spec, ScenarioFamily):
-            return spec
-        return coerce_scenarios(spec, inputs, source=file.name)
-    return coerce_scenarios(data, inputs, source=file.name)
-
-
-def load_family(path: str):
-    """Load ``--family FILE``: a scenario-family spec object."""
-    from repro.scenarios.families import family_from_json
-
-    file, data = _load_json(path)
-    return family_from_json(data, source=file.name)
+    return read_batch(data, inputs, file.name)
 
 
 def load_design(path: str) -> HierDesign:
@@ -329,63 +303,37 @@ def run_batch(
     arrival: dict[str, float],
     method: str,
 ) -> None:
-    """Shared ``--scenarios`` path: batch-analyze and print the report.
+    """The ``--scenarios`` path: analyze the batch, print its report.
 
-    ``arrival`` (the ``--arrival`` entries) acts as per-scenario
-    defaults for inputs the scenario file leaves unset.  A scenario
-    file holding a family spec routes through the family engine
-    instead.
+    ``arrival`` (the ``--arrival`` entries) supplies defaults for the
+    inputs each scenario, or a family's ``arrival`` object, leaves
+    unset.
     """
     from repro.core.design_report import render_batch_report
-    from repro.scenarios.families import ScenarioFamily
     from repro.scenarios.spec import ScenarioSet
 
     design = session.design
-    loaded = load_scenarios(args.scenarios, design.inputs)
-    if isinstance(loaded, ScenarioFamily):
-        run_family(session, loaded, arrival)
-        return
-    if arrival:
-        loaded = [{**arrival, **s} for s in loaded]
-    batch = session.analyze_batch(ScenarioSet(loaded), method=method)
-    print(render_batch_report(design, batch, show_nets=args.nets))
-
-
-def run_family(
-    session: AnalysisSession, family, arrival: dict[str, float]
-) -> None:
-    """Shared ``--family`` path: evaluate a scenario family.
-
-    ``arrival`` (the ``--arrival`` entries) acts as defaults for inputs
-    the family's ``arrival`` object leaves unset.
-    """
-    if arrival:
-        family = family.with_arrival(arrival)
-    print(session.analyze_family(family).render())
-
-
-def _check_scenario_flags(args: argparse.Namespace) -> None:
-    if getattr(args, "scenarios", None) and getattr(args, "family", None):
-        raise ReproError(
-            "--scenarios and --family are mutually exclusive; a "
-            "--scenarios file may itself hold a family spec"
-        )
+    batch = load_scenarios(args.scenarios, design.inputs)
+    if isinstance(batch, list):
+        batch = ScenarioSet([{**arrival, **s} for s in batch])
+        result = session.analyze_batch(batch, method=method)
+        print(render_batch_report(design, result, show_nets=args.nets))
+    else:
+        family = batch.with_arrival(arrival) if arrival else batch
+        print(session.analyze_family(family).render())
 
 
 def run_design_command(args: argparse.Namespace, method: str) -> int:
     """``hier-report`` and ``demand``: one design, one report.
 
-    ``--family`` and ``--scenarios`` evaluate a batch; otherwise the
-    session runs the command's own analysis once.
+    ``--scenarios`` evaluates a batch; otherwise the session runs the
+    command's own analysis once.
     """
     design = load_design(args.circuit)
     arrival = parse_arrivals(args.arrival, design.inputs)
-    _check_scenario_flags(args)
     tracer = make_tracer(args)
     session = AnalysisSession(design, options=make_options(args, tracer))
-    if args.family:
-        run_family(session, load_family(args.family), arrival)
-    elif args.scenarios:
+    if args.scenarios:
         run_batch(args, session, arrival, method)
     elif method == "demand":
         from repro.core.design_report import render_design_report
@@ -751,21 +699,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--scenarios",
             default=None,
             metavar="FILE",
-            help="batch mode: JSON list of arrival scenarios, each "
+            help="batch mode: a JSON list of arrival scenarios, each "
             "an object keyed by input name or a list aligned with "
-            "the design's input order (--arrival entries become "
-            "per-scenario defaults); scenario-spec objects (see "
-            "docs/SCENARIOS.md) are also accepted",
-        )
-        p.add_argument(
-            "--family",
-            default=None,
-            metavar="FILE",
-            help="family mode: JSON scenario-family spec (corner "
-            "sweep, parametric sweep, or monte-carlo; see "
-            "docs/SCENARIOS.md) evaluated through the compiled "
-            "kernel's delay-override hooks (--arrival entries "
-            "become arrival defaults)",
+            "the design's input order, or a scenario-spec or "
+            "scenario-family object (see docs/SCENARIOS.md); "
+            "--arrival entries become defaults",
         )
 
     def add_obs_opts(p: argparse.ArgumentParser) -> None:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.core.required import characterize_network
-from repro.core.timing_model import NEG_INF, POS_INF, TimingModel
+from repro.core.timing_model import POS_INF, TimingModel, maximal_tuples
 from repro.errors import AnalysisError
 from repro.netlist.network import Network
 from repro.sta.topological import required_times
@@ -55,22 +55,6 @@ class InputBudget:
             else:
                 gains[x] = best - base
         return gains
-
-
-def _prune_max(
-    tuples: list[tuple[float, ...]], cap: int
-) -> tuple[tuple[float, ...], ...]:
-    unique = list(dict.fromkeys(tuples))
-    kept = []
-    for cand in unique:
-        if not any(
-            other != cand
-            and all(o >= c for o, c in zip(other, cand))
-            for other in unique
-        ):
-            kept.append(cand)
-    kept.sort(reverse=True)
-    return tuple(kept[:cap])
 
 
 def input_budgets(
@@ -117,6 +101,6 @@ def input_budgets(
     topological = tuple(topo[x] for x in inputs)
     return InputBudget(
         inputs=inputs,
-        tuples=_prune_max(combos, max_tuples),
+        tuples=maximal_tuples(combos, max_tuples),
         topological=topological,
     )

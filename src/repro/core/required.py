@@ -29,7 +29,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from repro.core.timing_model import TimingModel, prune_dominated
+from repro.core.timing_model import (
+    TimingModel,
+    maximal_tuples,
+    prune_dominated,
+)
 from repro.core.xbd0 import StabilityAnalyzer, StabilityContext
 from repro.errors import AnalysisError
 from repro.netlist.gates import satisfied_primes
@@ -299,28 +303,6 @@ class ExactRequiredRelation:
         return self.relation[key]
 
 
-def _max_tuples(
-    tuples: list[tuple[float, ...]], cap: int
-) -> tuple[tuple[float, ...], ...]:
-    """Maximal elements under elementwise ≤ in required-time space."""
-    unique = list(dict.fromkeys(tuples))
-    kept: list[tuple[float, ...]] = []
-    for cand in unique:
-        dominated = False
-        for other in unique:
-            if other == cand:
-                continue
-            if all(o >= c for o, c in zip(other, cand)) and any(
-                o > c for o, c in zip(other, cand)
-            ):
-                dominated = True
-                break
-        if not dominated:
-            kept.append(cand)
-    kept.sort(reverse=True)
-    return tuple(kept[:cap])
-
-
 def exact_required_tuples_for_vector(
     network: Network,
     output: str,
@@ -369,7 +351,7 @@ def exact_required_tuples_for_vector(
                         if v < merged[i]:
                             merged[i] = v
                 options.append(tuple(merged))
-        result = _max_tuples(options, cap)
+        result = maximal_tuples(options, cap)
         memo[key] = result
         return result
 

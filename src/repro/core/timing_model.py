@@ -64,6 +64,18 @@ def prune_dominated(tuples: Iterable[DelayTuple]) -> tuple[DelayTuple, ...]:
     return tuple(t for t in unique if t not in dominated)
 
 
+def maximal_tuples(
+    tuples: Iterable[DelayTuple], cap: int
+) -> tuple[DelayTuple, ...]:
+    """The first ``cap`` maximal tuples in required-time space (larger =
+    looser), in descending order: :func:`prune_dominated` on the
+    negated tuples."""
+    kept = prune_dominated(tuple(-v for v in t) for t in tuples)
+    return tuple(
+        sorted((tuple(-v for v in t) for t in kept), reverse=True)[:cap]
+    )
+
+
 @dataclass(frozen=True)
 class TimingModel:
     """Delay model of one module output.

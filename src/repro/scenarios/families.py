@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from repro.errors import ReproError
-from repro.scenarios.spec import ScenarioSpec, clean_arrival
+from repro.scenarios.spec import ScenarioSpec, _finite, clean_arrival
 
 #: Splitmix64-style constants for per-member child seeds.
 _SEED_MULT = 6364136223846793005
@@ -50,16 +50,6 @@ _SEED_MASK = (1 << 63) - 1
 def child_seed(seed: int, index: int) -> int:
     """Deterministic per-member seed, independent of chunking."""
     return (((seed + 1) * _SEED_MULT) ^ ((index + 1) * _SEED_GAMMA)) & _SEED_MASK
-
-
-def _finite(value, what: str, source: str) -> float:
-    try:
-        out = float(value)
-    except (TypeError, ValueError):
-        raise ReproError(f"{source}: {what} is not a number") from None
-    if math.isnan(out) or math.isinf(out):
-        raise ReproError(f"{source}: {what} must be finite")
-    return out
 
 
 @dataclass(frozen=True)
@@ -158,8 +148,8 @@ def _check_scale(scale: float, what: str) -> None:
 
 
 def _parse_corners(corners, source: str) -> tuple[Corner, ...]:
-    if isinstance(corners, (Corner, Mapping)):
-        corners = [corners]
+    if not isinstance(corners, (list, tuple)):
+        raise ReproError(f"{source}: 'corners' must be a list of corners")
     parsed: list[Corner] = []
     seen: set[str] = set()
     for item in corners:
@@ -379,7 +369,7 @@ class MonteCarlo(ScenarioFamily):
         src = "monte-carlo family"
         try:
             self.samples = int(samples)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ReproError(f"{src}: 'samples' is not an integer") from None
         if self.samples < 1:
             raise ReproError(
@@ -387,7 +377,7 @@ class MonteCarlo(ScenarioFamily):
             )
         try:
             self.seed = int(seed)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ReproError(f"{src}: 'seed' is not an integer") from None
         self.sigma = _finite(sigma, "sigma", src)
         self.sigma_rel = _finite(sigma_rel, "sigma_rel", src)
@@ -469,6 +459,10 @@ class MonteCarlo(ScenarioFamily):
         return doc
 
 
+#: Most members a ``sweep`` shorthand may ask for: its values are
+#: built when the spec is read, before any scenario limit applies.
+MAX_SWEEP_COUNT = 1 << 20
+
 #: JSON tag -> family class (``mc`` is an accepted alias).
 FAMILY_KINDS: dict[str, type] = {
     "corner": CornerSweep,
@@ -483,7 +477,7 @@ def family_from_json(data, source: str = "family") -> ScenarioFamily:
     if not isinstance(data, Mapping):
         raise ReproError(f"{source}: family spec must be a JSON object")
     tag = data.get("family")
-    cls = FAMILY_KINDS.get(tag)
+    cls = FAMILY_KINDS.get(tag) if isinstance(tag, str) else None
     if cls is None:
         known = sorted(set(FAMILY_KINDS) - {"mc"})
         raise ReproError(
@@ -534,13 +528,14 @@ def _linspace(sweep: Mapping, source: str) -> list[float]:
     stop = _finite(sweep.get("stop", 1.0), "sweep stop", source)
     try:
         count = int(sweep.get("count", 2))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ReproError(
             f"{source}: sweep count is not an integer"
         ) from None
-    if count < 1:
+    if not 1 <= count <= MAX_SWEEP_COUNT:
         raise ReproError(
-            f"{source}: sweep count must be >= 1, got {count}"
+            f"{source}: sweep count must be between 1 and "
+            f"{MAX_SWEEP_COUNT}, got {count}"
         )
     if count == 1:
         return [start]

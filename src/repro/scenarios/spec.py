@@ -3,29 +3,41 @@
 A *scenario* is one arrival-time assignment for the primary inputs; a
 *spec* is a declarative, JSON-serializable description of one or many
 of them.  Three concrete shapes share the :class:`ScenarioSpec`
-surface (``count()`` / ``expand()`` / ``to_json()`` / ``from_json()``):
+surface (``count()`` / ``expand()`` / ``to_json()``):
 
 * :class:`Scenario` — one arrival vector;
-* :class:`ScenarioSet` — an explicit list of scenarios (what the
-  legacy ``list[dict]`` batch API expressed);
+* :class:`ScenarioSet` — an explicit list of scenarios;
 * :class:`~repro.scenarios.families.ScenarioFamily` — a *generated*
   batch (corner sweep, parametric sweep, Monte-Carlo sampling) that
   varies edge **delays** rather than arrivals and expands to
   thousands of kernel rows from a few lines of JSON.
 
-:func:`spec_from_json` is the single parser: it dispatches on shape
-(``family`` / ``arrival`` / ``scenarios`` keys, or a bare JSON list)
-and is what ``cli.load_scenarios`` and the server's ``POST /batch``
-route feed raw payloads through.
+:func:`spec_from_json` turns decoded JSON back into a spec (it
+round-trips ``to_json``).  :func:`read_batch` is the one reader of
+batch documents: ``--scenarios`` files and ``POST /batch`` bodies go
+through it and through nothing else.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from typing import Mapping
+from typing import Mapping, Sequence
 
 from repro.errors import ReproError
+
+
+def _finite(value, what: str, source: str) -> float:
+    """``value`` as a finite float, else a :class:`ReproError`."""
+    try:
+        out = float(value)
+    except (TypeError, ValueError):
+        raise ReproError(f"{source}: {what} is not a number") from None
+    except OverflowError:  # an integer past the float range
+        out = math.inf
+    if not math.isfinite(out):
+        raise ReproError(f"{source}: {what} must be finite")
+    return out
 
 
 def clean_arrival(arrival, source: str) -> dict[str, float]:
@@ -41,27 +53,17 @@ def clean_arrival(arrival, source: str) -> dict[str, float]:
         raise ReproError(
             f"{source}: 'arrival' must be an object (input -> time)"
         )
-    out: dict[str, float] = {}
-    for name, value in arrival.items():
-        try:
-            time = float(value)
-        except (TypeError, ValueError):
-            raise ReproError(
-                f"{source}: arrival time for {name!r} is not a number"
-            ) from None
-        if math.isnan(time) or math.isinf(time):
-            raise ReproError(
-                f"{source}: arrival time for {name!r} must be finite"
-            )
-        out[str(name)] = time
-    return out
+    return {
+        str(name): _finite(value, f"arrival time for {name!r}", source)
+        for name, value in arrival.items()
+    }
 
 
 class ScenarioSpec:
     """Common surface of every scenario description.
 
     Subclasses implement :meth:`count` (how many concrete scenarios
-    the spec stands for), :meth:`expand` (materialize them),
+    the spec stands for), :meth:`expand` (materialize them) and
     :meth:`to_json` (a JSON-ready dict that :func:`spec_from_json`
     round-trips), and compare equal by serialized form.
     """
@@ -78,13 +80,8 @@ class ScenarioSpec:
         raise NotImplementedError
 
     def to_json(self) -> dict:
-        """JSON-ready dict; ``from_json`` round-trips it."""
+        """JSON-ready dict; :func:`spec_from_json` round-trips it."""
         raise NotImplementedError
-
-    @staticmethod
-    def from_json(data, source: str = "spec") -> "ScenarioSpec":
-        """Parse any spec shape (delegates to :func:`spec_from_json`)."""
-        return spec_from_json(data, source)
 
     def dumps(self) -> str:
         """The spec as a JSON string (stable key order)."""
@@ -126,34 +123,34 @@ class Scenario(ScenarioSpec):
         return doc
 
 
+def _scenario_doc(item: Mapping) -> tuple[Mapping, str]:
+    """``(arrival, name)`` of one scenario object: the ``arrival``
+    object of an ``{"arrival": {...}, "name": ...}`` scenario, else the
+    object itself (input -> time) and no name."""
+    arrival = item.get("arrival")
+    if isinstance(arrival, Mapping):
+        return arrival, str(item.get("name", ""))
+    return item, ""
+
+
 class ScenarioSet(ScenarioSpec):
     """An explicit, ordered list of scenarios.
 
-    The spec form of the legacy ``list[dict]`` batch; items may be
-    :class:`Scenario` objects or arrival mappings.
+    Items may be :class:`Scenario` objects, arrival mappings, or
+    ``{"arrival": {...}, "name": ...}`` objects.
     """
 
     kind = "set"
 
     def __init__(self, scenarios, name: str = ""):
-        if isinstance(scenarios, (Scenario, Mapping)):
-            scenarios = [scenarios]
+        if not isinstance(scenarios, (list, tuple)):
+            raise ReproError("scenario set: 'scenarios' must be a list")
         items: list[Scenario] = []
         for i, item in enumerate(scenarios):
             if isinstance(item, Scenario):
                 items.append(item)
             elif isinstance(item, Mapping):
-                if "arrival" in item and isinstance(
-                    item["arrival"], Mapping
-                ):
-                    items.append(
-                        Scenario(
-                            item["arrival"],
-                            name=str(item.get("name", "")),
-                        )
-                    )
-                else:
-                    items.append(Scenario(item))
+                items.append(Scenario(*_scenario_doc(item)))
             else:
                 raise ReproError(
                     f"scenario set: item {i} must be an object "
@@ -226,10 +223,86 @@ def spec_from_json(data, source: str = "spec") -> ScenarioSpec:
     )
 
 
+def read_batch(data, inputs: Sequence[str], source: str = "scenarios"):
+    """Read one batch document: the single parser of batch JSON.
+
+    ``data`` is decoded JSON, a ``--scenarios`` file or the
+    ``scenarios`` field of a ``POST /batch`` body.  A batch is a list
+    of scenarios, or an object with a ``family`` key (a scenario
+    family, see :func:`~repro.scenarios.families.family_from_json`),
+    an ``arrival`` key (one scenario) or a ``scenarios`` key (a list of
+    scenarios).  A scenario is an object mapping input names to times,
+    an ``{"arrival": {...}, "name": ...}`` object, or a list of times
+    aligned with ``inputs``.
+
+    Returns the :class:`~repro.scenarios.families.ScenarioFamily`, or
+    one arrival mapping per scenario, every name one of ``inputs`` and
+    every time finite.  Anything else raises
+    :class:`~repro.errors.ReproError` naming ``source``.
+    """
+    items = data
+    if isinstance(data, Mapping):
+        if "family" in data or "arrival" in data:
+            spec = spec_from_json(data, source)
+            if spec.kind == "family":
+                return spec
+            items = spec.expand()
+        elif "scenarios" in data:
+            items = data["scenarios"]
+            if not isinstance(items, list):
+                raise ReproError(
+                    f"{source}: 'scenarios' must be a list of scenarios"
+                )
+    if not isinstance(items, list):
+        raise ReproError(
+            f"{source}: expected a JSON list of scenarios, or an object "
+            "with a 'scenarios', 'arrival' or 'family' key"
+        )
+    if not items:
+        raise ReproError(f"{source}: scenario list is empty")
+    known = set(inputs)
+    scenarios: list[dict[str, float]] = []
+    for i, item in enumerate(items):
+        where = f"{source}: scenario {i}"
+        if isinstance(item, list):
+            if len(item) != len(inputs):
+                raise ReproError(
+                    f"{where} has {len(item)} values for "
+                    f"{len(inputs)} inputs"
+                )
+            pairs = zip(inputs, item)
+        elif isinstance(item, Mapping):
+            item = _scenario_doc(item)[0]
+            unknown = sorted(set(item) - known)
+            if unknown:
+                raise ReproError(
+                    f"{where} names unknown input {unknown[0]!r}"
+                )
+            pairs = item.items()
+        else:
+            raise ReproError(
+                f"{where} must be an object (input -> time) or a list "
+                "of times"
+            )
+        try:
+            scenario = {name: float(v) for name, v in pairs}
+        except (TypeError, ValueError):
+            raise ReproError(
+                f"{where} has a non-numeric arrival time"
+            ) from None
+        except OverflowError:  # an integer past the float range
+            raise ReproError(
+                f"{where}: arrival times must be finite"
+            ) from None
+        scenarios.append(clean_arrival(scenario, where))
+    return scenarios
+
+
 __all__ = [
     "Scenario",
     "ScenarioSet",
     "ScenarioSpec",
     "clean_arrival",
+    "read_batch",
     "spec_from_json",
 ]

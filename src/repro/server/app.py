@@ -54,9 +54,9 @@ answers from the topological-bound path instead (sound by Theorem 1)
 and the response is a 200 with ``degraded: true`` plus the
 ``Degradation`` records explaining the precision loss.  This holds for
 ``include: ["nets"]`` requests too: the topological handle has the
-same nets.  ``POST /batch`` with a ``family`` is the one exception: its
-delay overrides index the functional plan, so it has no topological
-fallback and evaluates the compiled handle directly.
+same nets.  A scenario family on ``POST /batch`` is the one exception:
+its delay overrides index the functional plan, so it has no
+topological fallback and evaluates the compiled handle directly.
 """
 
 from __future__ import annotations
@@ -68,14 +68,15 @@ import time
 from typing import TYPE_CHECKING, Sequence
 from urllib.parse import parse_qsl
 
-from repro.api import AnalysisOptions, coerce_scenarios
+from repro.api import AnalysisOptions
 from repro.errors import ReproError
 from repro.obs.export import chrome_trace_events, render_prometheus
 from repro.obs.flight import FlightRecord, FlightRecorder, RequestContext
 from repro.obs.sinks import RingBufferSink
 from repro.obs.slo import SloObjective, SloTracker
 from repro.obs.trace import Tracer
-from repro.scenarios.spec import clean_arrival
+from repro.resilience.degradation import DegradationLog
+from repro.scenarios.spec import clean_arrival, read_batch
 from repro.server.coalescer import CoalesceConfig, Outcome
 from repro.server.registry import (
     DegradedRow,
@@ -758,18 +759,13 @@ class TimingServerApp:
             # the coalesced path extracts output rows only; a full net
             # dump is a debugging request, evaluated uncoalesced (still
             # behind the breaker and the topological fallback)
+            t0 = time.perf_counter()
             row = self._evaluate(entry, [arrival], entry.handle.plan.nets)[0]
             outcome = Outcome(ok=True, value=row, batch_size=1)
             if deadline is not None and deadline.expired():
-                outcome = Outcome(
-                    ok=False,
-                    error="deadline-exceeded",
-                    detail=(
-                        f"evaluated past its {deadline.limit:g}s deadline"
-                    ),
+                outcome = self._late(
+                    deadline, "request", time.perf_counter() - t0, trace_id
                 )
-            if outcome.ok:
-                doc = self._net_doc(entry, row, include)
         else:
             outcome = entry.coalescer.submit(
                 arrival, deadline=deadline, label=trace_id
@@ -794,8 +790,6 @@ class TimingServerApp:
                     batch_id=outcome.batch_id,
                     queue_seconds=outcome.queue_seconds,
                 )
-            if outcome.ok:
-                doc = self._row_doc(entry, outcome.value, include)
         rctx = self._request_context()
         rctx.design = entry.name
         rctx.batch_id = outcome.batch_id
@@ -804,6 +798,7 @@ class TimingServerApp:
         if not outcome.ok:
             return self._outcome_error(outcome, trace_id)
         entry.requests += 1
+        doc = self._row_doc(entry, outcome.value, include)
         doc.update(
             {
                 "trace_id": trace_id,
@@ -826,55 +821,31 @@ class TimingServerApp:
     def _batch(self, payload, trace_id):
         entry = self._entry_of(payload)
         self._request_context().design = entry.name
-        family = payload.get("family")
-        raw = payload.get("scenarios")
-        if (
-            family is None
-            and isinstance(raw, dict)
-            and "family" in raw
-        ):
-            family, raw = raw, None
-        if family is not None:
-            if raw is not None:
-                raise RequestError(
-                    "provide either 'scenarios' or 'family', not both"
-                )
-            return self._batch_family(entry, payload, family, trace_id)
-        if raw is None:
+        if "scenarios" not in payload or "family" in payload:
             raise RequestError(
-                "missing 'scenarios' (list of arrival vectors or a "
-                "scenario spec) or 'family' (a family spec)"
+                "POST /batch reads its batch from 'scenarios': a list "
+                "of arrival vectors, or a scenario-spec or family object "
+                "(a family goes under 'scenarios')"
             )
-        if isinstance(raw, dict):
-            from repro.scenarios.spec import spec_from_json
-
-            raw = spec_from_json(raw, source="scenarios")
-        scenarios = coerce_scenarios(
-            raw, list(entry.handle.inputs), source="scenarios"
-        )
-        self._check_scenario_limit(len(scenarios))
+        batch = read_batch(payload["scenarios"], entry.handle.inputs)
+        if not isinstance(batch, list):
+            return self._batch_family(entry, payload, batch, trace_id)
+        self._check_scenario_limit(len(batch))
         include = self._include_of(payload)
         deadline = self._deadline_of(payload)
         t0 = time.perf_counter()
         nets = entry.handle.plan.nets if "nets" in include else None
-        rows = self._evaluate(entry, scenarios, nets)
+        rows = self._evaluate(entry, batch, nets)
         elapsed = time.perf_counter() - t0
         if deadline is not None and deadline.expired():
-            outcome = Outcome(
-                ok=False,
-                error="deadline-exceeded",
-                detail=(
-                    f"batch of {len(scenarios)} evaluated in "
-                    f"{elapsed * 1e3:.1f}ms, past its "
-                    f"{deadline.limit:g}s deadline"
+            return self._outcome_error(
+                self._late(
+                    deadline, f"batch of {len(batch)}", elapsed, trace_id
                 ),
+                trace_id,
             )
-            return self._outcome_error(outcome, trace_id)
-        entry.requests += len(scenarios)
-        if "nets" in include:
-            docs = [self._net_doc(entry, row, include) for row in rows]
-        else:
-            docs = [self._row_doc(entry, row, include) for row in rows]
+        entry.requests += len(batch)
+        docs = [self._row_doc(entry, row, include) for row in rows]
         delays = [d["delay"] for d in docs]
         doc = {
             "trace_id": trace_id,
@@ -896,12 +867,10 @@ class TimingServerApp:
         )
         return 200, JSON, _dumps(doc)
 
-    def _batch_family(self, entry, payload, spec, trace_id):
-        """The family arm of ``POST /batch``: expand, bound, evaluate."""
+    def _batch_family(self, entry, payload, family, trace_id):
+        """The family arm of ``POST /batch``: bound, evaluate."""
         from repro.scenarios import analyze_family
-        from repro.scenarios.families import family_from_json
 
-        family = family_from_json(spec, source="family")
         self._check_scenario_limit(family.count())
         deadline = self._deadline_of(payload)
         t0 = time.perf_counter()
@@ -916,16 +885,12 @@ class TimingServerApp:
             )
         elapsed = time.perf_counter() - t0
         if deadline is not None and deadline.expired():
-            outcome = Outcome(
-                ok=False,
-                error="deadline-exceeded",
-                detail=(
-                    f"family of {result.count} evaluated in "
-                    f"{elapsed * 1e3:.1f}ms, past its "
-                    f"{deadline.limit:g}s deadline"
+            return self._outcome_error(
+                self._late(
+                    deadline, f"family of {result.count}", elapsed, trace_id
                 ),
+                trace_id,
             )
-            return self._outcome_error(outcome, trace_id)
         entry.requests += result.count
         doc = result.to_dict()
         doc["family_name"] = doc.pop("name", "")
@@ -942,6 +907,28 @@ class TimingServerApp:
                 d.as_dict() for d in entry.handle.degradations
             ]
         return 200, JSON, _dumps(doc)
+
+    def _late(self, deadline, what: str, seconds: float, trace_id: str):
+        """The ``deadline-exceeded`` outcome of ``what`` evaluated past
+        its deadline, carrying one ``deadline`` degradation record like
+        the coalescer's rejections."""
+        detail = (
+            f"{what} evaluated in {seconds * 1e3:.1f}ms, past its "
+            f"{deadline.limit:g}s deadline"
+        )
+        log = DegradationLog(self.tracer)
+        log.record(
+            kind="deadline",
+            subject=trace_id,
+            detail=detail,
+            fallback="request rejected (504); no analysis result returned",
+        )
+        return Outcome(
+            ok=False,
+            error="deadline-exceeded",
+            detail=detail,
+            degradations=log.snapshot(),
+        )
 
     def _evaluate(self, entry: RegisteredDesign, scenarios, nets) -> list:
         """Uncoalesced rows over ``nets`` (``None``: the outputs),
@@ -1013,12 +1000,12 @@ class TimingServerApp:
             include = [include]
         if not isinstance(include, list):
             raise RequestError("'include' must be a list of field names")
-        unknown = sorted(set(include) - set(INCLUDABLE))
-        if unknown:
-            raise RequestError(
-                f"unknown include field {unknown[0]!r}; "
-                f"expected one of {INCLUDABLE}"
-            )
+        for field in include:  # tuple membership: no hashing
+            if field not in INCLUDABLE:
+                raise RequestError(
+                    f"unknown include field {field!r}; "
+                    f"expected one of {INCLUDABLE}"
+                )
         return tuple(include)
 
     def _deadline_of(self, payload):
@@ -1029,7 +1016,7 @@ class TimingServerApp:
             return None
         try:
             seconds = float(seconds)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise RequestError("'deadline' must be a number of seconds")
         if not seconds > 0:  # NaN fails every comparison
             raise RequestError("'deadline' must be > 0 seconds")
@@ -1041,14 +1028,22 @@ class TimingServerApp:
         row: "Sequence[float] | DegradedRow",
         include: tuple[str, ...],
     ) -> dict:
-        """Response body from a raw output-times row (the hot path)."""
+        """Response body from a raw row: output times (the hot path),
+        or with ``include: ["nets"]`` the times of every net of the
+        plan."""
         doc: dict = {}
         if isinstance(row, DegradedRow):
             doc["degraded"] = True  # records via _attach_degradations
             row = row.row
+        nets = None
+        if "nets" in include:
+            nets = dict(zip(entry.handle.plan.nets, row))
+            row = [nets[o] for o in entry.handle.outputs]
         doc["delay"] = max(row) if row else None
         if "outputs" in include:
             doc["outputs"] = dict(zip(entry.handle.outputs, row))
+        if nets is not None:
+            doc["nets"] = nets
         return doc
 
     @staticmethod
@@ -1072,26 +1067,6 @@ class TimingServerApp:
             doc["degraded"] = True
         if records:
             doc["degradations"] = [d.as_dict() for d in records]
-
-    @staticmethod
-    def _net_doc(
-        entry: RegisteredDesign,
-        row: "Sequence[float] | DegradedRow",
-        include: tuple[str, ...],
-    ) -> dict:
-        """Response body from a row over every net of the plan
-        (debugging path)."""
-        doc: dict = {}
-        if isinstance(row, DegradedRow):
-            doc["degraded"] = True  # records via _attach_degradations
-            row = row.row
-        net_times = dict(zip(entry.handle.plan.nets, row))
-        outputs = {o: net_times[o] for o in entry.handle.outputs}
-        doc["delay"] = max(outputs.values()) if outputs else None
-        if "outputs" in include:
-            doc["outputs"] = outputs
-        doc["nets"] = net_times
-        return doc
 
     def _outcome_error(
         self, outcome: Outcome, trace_id: str

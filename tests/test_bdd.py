@@ -135,14 +135,17 @@ def test_node_limit():
 
 
 # ---------------------------------------------------------------- property
-_expr = st.deferred(
-    lambda: st.one_of(
-        st.integers(0, 3).map(lambda i: ("var", i)),
-        st.tuples(st.just("not"), _expr),
-        st.tuples(st.just("and"), _expr, _expr),
-        st.tuples(st.just("or"), _expr, _expr),
-        st.tuples(st.just("xor"), _expr, _expr),
-    )
+# st.recursive bounds the tree size; an unbounded st.deferred tree
+# makes Hypothesis discard most draws for exceeding its depth limit.
+_expr = st.recursive(
+    st.integers(0, 3).map(lambda i: ("var", i)),
+    lambda sub: st.one_of(
+        st.tuples(st.just("not"), sub),
+        st.tuples(st.just("and"), sub, sub),
+        st.tuples(st.just("or"), sub, sub),
+        st.tuples(st.just("xor"), sub, sub),
+    ),
+    max_leaves=16,
 )
 
 

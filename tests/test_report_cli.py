@@ -171,7 +171,7 @@ class TestCLI:
     def test_unknown_arrival_input_exit_2(self, bench_file, tmp_path, capsys):
         """An ``--arrival`` that names no primary input is an error on
         every command that takes one, including as the default of a
-        ``--scenarios`` or ``--family`` batch."""
+        ``--scenarios`` batch of arrivals or of a family."""
         import json
 
         design = cascade_adder(8, 2)
@@ -186,11 +186,9 @@ class TestCLI:
             [command, verilog]
             for command in ("hier-report", "demand", "forensics")
         ] + [
-            [command, verilog, flag, str(path)]
+            [command, verilog, "--scenarios", str(path)]
             for command in ("hier-report", "demand")
-            for flag, path in (
-                ("--scenarios", scenarios), ("--family", family)
-            )
+            for path in (scenarios, family)
         ]
         for argv in runs:
             assert main(argv + ["--arrival", "nosuch=3"]) == 2, argv

@@ -12,6 +12,7 @@ tolerances.
 """
 
 import json
+import re
 import sys
 import warnings
 
@@ -19,7 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.api import AnalysisSession, coerce_scenarios
+from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
 from repro.cli import load_scenarios, main
 from repro.errors import AnalysisError, ReproError
@@ -42,6 +43,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.families import child_seed
 from repro.scenarios.result import DETAIL_LIMIT
+from repro.scenarios.spec import read_batch
 from repro.server import TimingServerApp
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
@@ -491,19 +493,17 @@ class TestExactnessProperties:
 
 # ------------------------------------------------------------ session surface
 class TestSessionSurface:
-    def test_analyze_family_accepts_spec_dict(self, design):
-        result = AnalysisSession(design).analyze_family(
-            {"family": "corner", "corners": [{"name": "typ"}]}
-        )
-        assert isinstance(result, FamilyResult)
-        assert result.count == 1
+    def test_analyze_family_rejects_spec_dict(self, design):
+        # JSON is read at the CLI and server boundaries (read_batch);
+        # the session takes typed specs
+        with pytest.raises(AnalysisError, match="needs a ScenarioFamily"):
+            AnalysisSession(design).analyze_family(
+                {"family": "corner", "corners": [{"name": "typ"}]}
+            )
 
-    def test_analyze_batch_routes_families(self, design):
-        result = AnalysisSession(design).analyze_batch(
-            MonteCarlo(3, seed=1)
-        )
-        assert isinstance(result, FamilyResult)
-        assert result.count == 3
+    def test_analyze_batch_rejects_families(self, design):
+        with pytest.raises(AnalysisError, match="analyze_family"):
+            AnalysisSession(design).analyze_batch(MonteCarlo(3, seed=1))
 
     def test_analyze_batch_accepts_specs_without_warning(self, design):
         session = AnalysisSession(design)
@@ -519,22 +519,61 @@ class TestSessionSurface:
         with pytest.raises(ReproError, match="ScenarioSet"):
             session.analyze_batch([{"a0": 1.0}])
 
-    def test_coerce_scenarios_expands_specs(self, design):
-        out = coerce_scenarios(
-            ScenarioSet([{"a0": 1.0}]), list(design.inputs), source="t"
-        )
-        assert out == [{"a0": 1.0}]
-        # expanded scenarios still hit the unknown-input check
-        with pytest.raises(ReproError, match="unknown input"):
-            coerce_scenarios(
-                ScenarioSet([{"zz": 1.0}]), list(design.inputs), source="t"
-            )
 
-    def test_coerce_scenarios_rejects_families(self, design):
-        with pytest.raises(ReproError, match="analyze_family"):
-            coerce_scenarios(
-                MonteCarlo(2), list(design.inputs), source="t"
-            )
+class TestReadBatch:
+    """``read_batch``: the one reader of ``--scenarios`` files and
+    ``POST /batch`` bodies, with one scenario grammar at every level."""
+
+    def test_spec_objects_checked_against_inputs(self, design):
+        inputs = design.inputs
+        assert read_batch({"scenarios": [{"a0": 1.0}]}, inputs) == [
+            {"a0": 1.0}
+        ]
+        assert read_batch({"arrival": {"a0": 1.0}}, inputs) == [
+            {"a0": 1.0}
+        ]
+        with pytest.raises(ReproError, match="unknown input 'zz'"):
+            read_batch({"scenarios": [{"zz": 1.0}]}, inputs, "t")
+        with pytest.raises(ReproError, match="unknown input 'zz'"):
+            read_batch({"arrival": {"zz": 1.0}}, inputs, "t")
+
+    def test_every_scenario_form_at_every_level(self, design):
+        inputs = design.inputs
+        aligned = [0.0] * len(inputs)
+        aligned[inputs.index("c_in")] = 2.0
+        forms = [{"c_in": 2.0}, {"arrival": {"c_in": 2.0}, "name": "late"},
+                 aligned]
+        want = [{"c_in": 2.0}, {"c_in": 2.0}, dict(zip(inputs, aligned))]
+        assert read_batch(forms, inputs) == want
+        assert read_batch({"scenarios": forms}, inputs) == want
+
+    def test_families_pass_through(self, design):
+        fam = read_batch(
+            {"family": "corner", "corners": [{"name": "typ"}]},
+            design.inputs,
+        )
+        assert fam == CornerSweep([Corner("typ")])
+
+    @pytest.mark.parametrize(
+        ("doc", "needle"),
+        [
+            ({"scenarios": False}, "'scenarios' must be a list"),
+            ({"scenarios": {"c_in": 1.0}}, "'scenarios' must be a list"),
+            ({"family": "corner", "corners": 0.5}, "'corners' must be a list"),
+            ({"family": "mc", "samples": 2, "corners": {"name": "x"}},
+             "'corners' must be a list"),
+            ({"family": []}, "unknown family []"),
+            ({"family": {"family": {}}}, "unknown family"),
+            ({"family": "mc", "samples": float("inf")}, "not an integer"),
+            ({"family": "parametric", "parameter": "x",
+              "sweep": {"count": 2**63}}, "sweep count must be between"),
+            ([{"c_in": 10**400}], "must be finite"),
+            ({"c_in": 1.0}, "expected a JSON list"),
+        ],
+    )
+    def test_malformed_documents_are_repro_errors(self, design, doc, needle):
+        with pytest.raises(ReproError, match=re.escape(needle)):
+            read_batch(doc, design.inputs, "t")
 
 
 # ------------------------------------------------------------------ the server
@@ -560,7 +599,7 @@ class TestServerFamilies:
             "/batch",
             {
                 "design": "csa4_2",
-                "family": {
+                "scenarios": {
                     "family": "monte-carlo",
                     "samples": 5,
                     "seed": 7,
@@ -597,7 +636,7 @@ class TestServerFamilies:
             "/batch",
             {
                 "design": "csa4_2",
-                "family": {"family": "mc", "samples": 51},
+                "scenarios": {"family": "mc", "samples": 51},
             },
         )
         assert status == 413
@@ -625,6 +664,16 @@ class TestServerFamilies:
         )
         assert status == 400
 
+    def test_family_key_is_400(self, app):
+        status, doc = call(
+            app,
+            "/batch",
+            {"design": "csa4_2", "family": {"family": "mc", "samples": 1}},
+        )
+        assert status == 400
+        assert doc["error"]["code"] == "bad-request"
+        assert "a family goes under 'scenarios'" in doc["error"]["message"]
+
     def test_max_scenarios_validated(self):
         with pytest.raises(ValueError, match="max_scenarios"):
             TimingServerApp(max_scenarios=0)
@@ -646,20 +695,27 @@ class TestFamilyCLI:
         ))
         return str(f)
 
+    @staticmethod
+    def assert_family_flag_refused(argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unrecognized arguments: --family")
+        assert err.count("\n") == 1
+
     def test_demand_family_flag(self, verilog_file, family_file, capsys):
-        assert main(["demand", verilog_file, "--family", family_file]) == 0
-        out = capsys.readouterr().out
-        assert "Scenario family 'monte-carlo'" in out
-        assert "4 members" in out
+        # --family is gone: a --scenarios file holds a family spec
+        self.assert_family_flag_refused(
+            ["demand", verilog_file, "--family", family_file], capsys
+        )
 
     def test_hier_report_family_flag(
         self, verilog_file, family_file, capsys
     ):
-        assert (
-            main(["hier-report", verilog_file, "--family", family_file])
-            == 0
+        self.assert_family_flag_refused(
+            ["hier-report", verilog_file, "--family", family_file], capsys
         )
-        assert "Scenario family" in capsys.readouterr().out
 
     def test_scenarios_file_may_hold_a_family(
         self, verilog_file, family_file, capsys
@@ -674,12 +730,13 @@ class TestFamilyCLI:
     ):
         scn = tmp_path / "s.json"
         scn.write_text("[{}]")
-        code = main([
-            "demand", verilog_file,
-            "--scenarios", str(scn), "--family", family_file,
-        ])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+        self.assert_family_flag_refused(
+            [
+                "demand", verilog_file,
+                "--scenarios", str(scn), "--family", family_file,
+            ],
+            capsys,
+        )
 
     def test_family_arrival_flag_merges(
         self, verilog_file, tmp_path, capsys
@@ -689,10 +746,10 @@ class TestFamilyCLI:
             {"family": "corner", "corners": [{"name": "typ"}]}
         ))
         assert main([
-            "demand", verilog_file, "--family", str(f),
+            "demand", verilog_file, "--scenarios", str(f),
             "--arrival", "a0=50",
         ]) == 0
-        plain = main(["demand", verilog_file, "--family", str(f)])
+        plain = main(["demand", verilog_file, "--scenarios", str(f)])
         assert plain == 0
         late, base = capsys.readouterr().out.split("Scenario family")[1:]
         assert late != base

@@ -363,6 +363,8 @@ class TestAppRoutes:
             ({"design": "csa4_2", "arrival": {"zz": 1}}, "unknown input"),
             ({"design": "csa4_2", "arrival": {"a0": "x"}}, "not a number"),
             ({"design": "csa4_2", "include": ["magic"]}, "include"),
+            ({"design": "csa4_2", "include": [{}]}, "include"),
+            ({"design": "csa4_2", "include": [["outputs"]]}, "include"),
             ({"design": "csa4_2", "deadline": 0}, "deadline"),
             ({"design": "csa4_2", "deadline": "soon"}, "deadline"),
         ]
@@ -425,6 +427,29 @@ class TestAppRoutes:
         status, doc = call(app, "POST", "/batch", {"design": "csa4_2"})
         assert status == 400
         assert "scenarios" in doc["error"]["message"]
+
+    def test_batch_scenario_forms_agree(self, app):
+        """Every scenario form reads the same at every level of a
+        batch: objects, ``{"arrival"}`` objects and aligned lists, in a
+        bare list or under a ``scenarios`` key."""
+        inputs = list(app.registry.get("csa4_2").handle.inputs)
+        aligned = [2.0 if x == "c_in" else 0.0 for x in inputs]
+        forms = [{"c_in": 2.0}, {"arrival": {"c_in": 2.0}}, aligned, {}]
+        delays = []
+        for scenarios in (forms, {"scenarios": forms}):
+            status, doc = call(
+                app, "POST", "/batch",
+                {"design": "csa4_2", "scenarios": scenarios},
+            )
+            assert status == 200, doc
+            delays.append(doc["delays"])
+        _, late = call(
+            app, "POST", "/analyze",
+            {"design": "csa4_2", "arrival": {"c_in": 2.0}},
+        )
+        _, base = call(app, "POST", "/analyze", {"design": "csa4_2"})
+        want = [late["delay"]] * 3 + [base["delay"]]
+        assert delays == [want, want]
 
     def test_forensics(self, app):
         status, doc = call(
@@ -495,6 +520,25 @@ class TestDeadline504:
             "POST",
             "/analyze",
             {"design": "csa4_2", "arrival": {}, "deadline": 1e-9},
+        )
+        assert status == 504
+        assert doc["error"]["code"] == "deadline-exceeded"
+        assert [d["kind"] for d in doc["degradations"]] == ["deadline"]
+        assert doc["degradations"][0]["fallback"]
+
+    @pytest.mark.parametrize(
+        ("route", "body"),
+        [
+            ("/analyze", {"include": ["nets"]}),
+            ("/batch", {"scenarios": [{}, {"a0": 1.0}]}),
+            ("/batch", {"scenarios": {"family": "mc", "samples": 2}}),
+        ],
+        ids=["nets", "batch", "family"],
+    )
+    def test_every_504_carries_its_deadline_record(self, app, route, body):
+        status, doc = call(
+            app, "POST", route,
+            {"design": "csa4_2", "deadline": 1e-9, **body},
         )
         assert status == 504
         assert doc["error"]["code"] == "deadline-exceeded"
