@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.circuits.adders import cascade_adder
-from repro.server import CoalesceConfig, TimingServerApp
+from repro.server import TimingServerApp
 from repro.server.registry import DesignRegistry
 
 REQUEST = json.dumps(
@@ -48,14 +48,14 @@ REQUESTS_PER_CLIENT = 50
 
 def make_obs_on():
     """The default serving configuration: tracer + flight recorder."""
-    app = TimingServerApp(coalesce=CoalesceConfig(max_batch=8))
+    app = TimingServerApp(max_batch=8)
     app.registry.register_design(cascade_adder(8, 2))
     return app
 
 
 def make_obs_off():
     """Same server with every observability surface stripped."""
-    registry = DesignRegistry(coalesce=CoalesceConfig(max_batch=8))
+    registry = DesignRegistry(max_batch=8)
     app = TimingServerApp(registry, flight_capacity=0)
     app.registry.register_design(cascade_adder(8, 2))
     return app

@@ -69,7 +69,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.18.0"
+__version__ = "1.19.0"
 
 __all__ = [
     "AnalysisOptions",

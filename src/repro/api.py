@@ -92,9 +92,6 @@ class AnalysisOptions:
     fault_plan:
         Optional :class:`~repro.resilience.FaultPlan` arming the
         deterministic fault-injection points (tests and drills only).
-    batch_size:
-        Scenario chunk size for compiled batch evaluation (bounds the
-        working-set matrix to ``batch_size × nets`` floats).
     """
 
     functional: bool = True
@@ -106,14 +103,8 @@ class AnalysisOptions:
     retries: int = 2
     refine_budget: int | None = None
     fault_plan: object | None = field(default=None, repr=False)
-    batch_size: int = 256
 
     def __post_init__(self) -> None:
-        if int(self.batch_size) < 1:
-            raise ValueError(
-                f"batch_size must be >= 1, got {self.batch_size}"
-            )
-        object.__setattr__(self, "batch_size", int(self.batch_size))
         object.__setattr__(self, "jobs", max(1, int(self.jobs)))
         if self.cache_dir is not None:
             object.__setattr__(self, "cache_dir", Path(self.cache_dir))
@@ -330,18 +321,13 @@ class AnalysisSession:
         the CLI and server boundaries
         (:func:`~repro.scenarios.spec.read_batch`).  The design is
         compiled once (:meth:`compile` — cached), every member streams
-        through the kernel's delay-override hooks in
-        ``options.batch_size`` chunks, and the aggregated
+        through the kernel's delay-override hooks in chunks of
+        :data:`~repro.kernel.execute.CHUNK`, and the aggregated
         :class:`~repro.scenarios.FamilyResult` comes back.
         """
         from repro.scenarios import analyze_family
 
-        return analyze_family(
-            self.compile(),
-            family,
-            batch_size=self.options.batch_size,
-            tracer=self.tracer,
-        )
+        return analyze_family(self.compile(), family, tracer=self.tracer)
 
     def analyze_batch(
         self,

@@ -98,6 +98,37 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(2)
 
 
+def _int_in(low: int, high: int | None = None):
+    """An argparse ``type``: an integer in ``[low, high]``, checked where
+    the flag is parsed (one ``error:`` line, exit 2)."""
+
+    bound = f">= {low}" if high is None else f"between {low} and {high}"
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(
+                f"must be {bound}, got {value}"
+            )
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in its messages
+    return parse
+
+
+def _sample_rate(text: str) -> float:
+    """``--sample-hz``: 0 (off) or a finite positive rate."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = float("nan")
+    if value != 0.0 and not 0.0 < value < float("inf"):
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (off) or a finite positive rate, got {text!r}"
+        )
+    return value
+
+
 def load_circuit(path: str) -> Network:
     """Load a flat netlist by extension (.bench, .blif, or .v).
 
@@ -258,7 +289,6 @@ def make_options(args: argparse.Namespace, tracer=None):
         plan = FaultPlan([parse_fault_spec(s) for s in specs])
     try:
         return AnalysisOptions(
-            batch_size=getattr(args, "batch_size", 256),
             jobs=getattr(args, "jobs", 1),
             cache_dir=getattr(args, "cache_dir", None),
             tracer=tracer,
@@ -451,49 +481,33 @@ def preload_design(registry, spec: str):
     return registry.register_file(spec)
 
 
+#: Seconds ``serve`` waits for in-flight requests after SIGTERM/SIGINT
+#: before it closes anyway.
+DRAIN_SECONDS = 10.0
+
+
 def cmd_serve(args: argparse.Namespace) -> int:
     import signal
     import threading
 
     from repro.obs.profiler import SamplingProfiler
     from repro.obs.slo import parse_slo_spec
-    from repro.resilience.breaker import BreakerConfig
-    from repro.server import CoalesceConfig, TimingHTTPServer, TimingServerApp
+    from repro.server import TimingHTTPServer, TimingServerApp
 
     try:
-        coalesce = CoalesceConfig(
-            max_batch=args.max_batch,
-            max_wait=args.max_wait_ms / 1e3,
-            quiet_wait=args.quiet_wait_ms / 1e3,
-        )
-        breaker = BreakerConfig(
-            failure_threshold=args.breaker_failures,
-            reset_timeout=args.breaker_reset_ms / 1e3,
-        )
         slo = tuple(
             parse_slo_spec(spec, target=args.slo_target)
             for spec in args.slo
         )
         profiler = (
-            SamplingProfiler(hz=args.sample_hz)
-            if args.sample_hz > 0
-            else None
+            SamplingProfiler(hz=args.sample_hz) if args.sample_hz else None
         )
-    except ValueError as exc:
-        raise ReproError(str(exc)) from None
-    options = make_options(args)
-    try:
         app = TimingServerApp(
-            options=options,
-            coalesce=coalesce,
-            default_deadline=args.request_deadline,
-            max_scenarios=args.max_scenarios,
+            options=make_options(args),
+            max_batch=args.max_batch,
             max_inflight=args.max_inflight,
             max_queue=args.max_queue,
-            max_body_bytes=args.max_body_bytes,
-            breaker=breaker,
             flight_capacity=args.flight_capacity,
-            slow_threshold=args.slow_ms / 1e3,
             slo=slo,
             profiler=profiler,
         )
@@ -514,7 +528,11 @@ def cmd_serve(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     server = TimingHTTPServer(
-        app, args.host, args.port, verbose=args.verbose
+        app,
+        args.host,
+        args.port,
+        verbose=args.verbose,
+        max_body_bytes=args.max_body_bytes,
     )
     # Signal-driven graceful drain.  The accept loop runs on a
     # background thread so the main thread is free to field SIGTERM /
@@ -554,16 +572,17 @@ def cmd_serve(args: argparse.Namespace) -> int:
             # handler install failed (embedded use): honor Ctrl-C anyway
             received.setdefault("signum", signal.SIGINT)
         signum = received.get("signum", signal.SIGTERM)
+        drain = DRAIN_SECONDS
         print(
             f"{signal.Signals(signum).name} received: draining "
-            f"(deadline {args.drain_deadline:g}s)",
+            f"(deadline {drain:g}s)",
             file=sys.stderr,
         )
         # Drain order matters: readiness goes false and gated routes
         # start shedding *while the socket still answers* (health
         # checks, in-flight responses); only once admitted work has
         # cleared does the accept loop stop.
-        clean = app.drain(args.drain_deadline)
+        clean = app.drain(drain)
         if profiler is not None:
             profiler.stop()
         if not clean:
@@ -687,14 +706,6 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_batch_opts(p: argparse.ArgumentParser) -> None:
-        p.add_argument(
-            "--batch-size",
-            type=int,
-            default=256,
-            metavar="N",
-            help="scenario chunk size for the compiled kernel "
-            "(default 256)",
-        )
         p.add_argument(
             "--scenarios",
             default=None,
@@ -840,7 +851,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--port",
-        type=int,
+        type=_int_in(0, 65535),
         default=8421,
         metavar="N",
         help="bind port; 0 picks an ephemeral port (default %(default)s)",
@@ -862,39 +873,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(default %(default)s)",
     )
     serve.add_argument(
-        "--max-wait-ms",
-        type=float,
-        default=10.0,
-        metavar="MS",
-        help="max queue latency before a batch is flushed "
-        "(default %(default)s)",
-    )
-    serve.add_argument(
-        "--quiet-wait-ms",
-        type=float,
-        default=2.0,
-        metavar="MS",
-        help="flush once no new request arrived for this long "
-        "(default %(default)s)",
-    )
-    serve.add_argument(
-        "--max-scenarios",
-        type=int,
-        default=4096,
-        metavar="N",
-        help="reject /batch requests (and family expansions) larger "
-        "than N scenarios with a 413 error (default %(default)s)",
-    )
-    serve.add_argument(
-        "--request-deadline",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="default per-request deadline; requests queued or "
-        "evaluated past it get a 504 with a degradation record "
-        "(requests may override with their own 'deadline' field)",
-    )
-    serve.add_argument(
         "--max-inflight",
         type=int,
         default=None,
@@ -913,37 +891,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--max-body-bytes",
-        type=int,
+        type=_int_in(1),
         default=16 * 1024 * 1024,
         metavar="N",
         help="largest accepted request body; bigger gets a 413 "
         "'body-too-large' before any bytes are buffered "
         "(default %(default)s)",
-    )
-    serve.add_argument(
-        "--drain-deadline",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="on SIGTERM/SIGINT, wait this long for in-flight "
-        "requests before closing (default %(default)s)",
-    )
-    serve.add_argument(
-        "--breaker-failures",
-        type=int,
-        default=5,
-        metavar="N",
-        help="consecutive kernel-evaluation failures that open a "
-        "design's circuit breaker; while open, requests get "
-        "conservative topological-bound answers (default %(default)s)",
-    )
-    serve.add_argument(
-        "--breaker-reset-ms",
-        type=float,
-        default=1000.0,
-        metavar="MS",
-        help="how long an open breaker waits before probing the "
-        "kernel path again (default %(default)s)",
     )
     serve.add_argument(
         "--inject",
@@ -955,14 +908,6 @@ def build_parser() -> argparse.ArgumentParser:
         "server.propagate, coalescer.flush); repeatable",
     )
     add_cache_opts(serve)
-    serve.add_argument(
-        "--batch-size",
-        type=int,
-        default=256,
-        metavar="N",
-        help="scenario chunk size for the compiled kernel "
-        "(default %(default)s)",
-    )
     serve.add_argument(
         "--slo",
         action="append",
@@ -990,21 +935,13 @@ def build_parser() -> argparse.ArgumentParser:
         "(default %(default)s)",
     )
     serve.add_argument(
-        "--slow-ms",
-        type=float,
-        default=100.0,
-        metavar="MS",
-        help="latency past which a request also enters the "
-        "GET /debug/slow ring (default %(default)s)",
-    )
-    serve.add_argument(
         "--sample-hz",
-        type=float,
+        type=_sample_rate,
         default=0.0,
         metavar="HZ",
-        help="run the sampling profiler at HZ samples/second; "
-        "flamegraph-ready collapsed stacks at GET /debug/profile "
-        "(default: off)",
+        help="run the sampling profiler at HZ samples/second (a finite "
+        "positive rate; 0 = off); flamegraph-ready collapsed stacks at "
+        "GET /debug/profile (default: off)",
     )
     serve.add_argument(
         "--verbose",

@@ -359,11 +359,7 @@ class HierarchicalAnalyzer:
                 design=design.name,
                 scenarios=len(scenarios),
             ):
-                rows = compiled.propagate(
-                    scenarios,
-                    batch_size=self.options.batch_size,
-                    tracer=self.tracer,
-                )
+                rows = compiled.propagate(scenarios, tracer=self.tracer)
         results = []
         for scenario, net_times in zip(scenarios, rows):
             output_times = {o: net_times[o] for o in design.outputs}

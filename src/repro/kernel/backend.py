@@ -27,13 +27,13 @@ def numpy_or_none():
     return _np
 
 
-def pick_backend(batch_size: int) -> str:
+def pick_backend(count: int) -> str:
     """The executor for a batch: ``"numpy"`` or ``"python"``.
 
     Numpy for batches of at least :data:`NUMPY_MIN_BATCH` scenarios when
     numpy is importable, the pure-python executor otherwise.  Both give
     bit-identical answers, so the choice only moves time.
     """
-    if HAVE_NUMPY and batch_size >= NUMPY_MIN_BATCH:
+    if HAVE_NUMPY and count >= NUMPY_MIN_BATCH:
         return "numpy"
     return "python"

@@ -90,14 +90,13 @@ class CompiledDesign:
     def propagate(
         self,
         scenarios: Sequence[Mapping[str, float]],
-        batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         nets: Sequence[str] | None = None,
         delays=None,
     ) -> list[dict[str, float]]:
         """Net stable times for each scenario, as name-keyed dicts.
 
-        ``batch_size``/``tracer``/``delays`` forward to
+        ``tracer``/``delays`` forward to
         :func:`~repro.kernel.execute.propagate_batch`.  ``nets`` limits
         each result dict to the named nets (e.g. ``handle.outputs``);
         building the full ~all-nets dict costs more per scenario than
@@ -107,7 +106,6 @@ class CompiledDesign:
         values = propagate_batch(
             self.plan,
             self.rows_from(scenarios),
-            batch_size=batch_size,
             cache=self._executors,
             tracer=tracer,
             delays=delays,
@@ -121,7 +119,6 @@ class CompiledDesign:
     def propagate_rows(
         self,
         scenarios: Sequence[Mapping[str, float]],
-        batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         nets: Sequence[str] | None = None,
         delays=None,
@@ -137,7 +134,6 @@ class CompiledDesign:
         values = propagate_batch(
             self.plan,
             self.rows_from(scenarios),
-            batch_size=batch_size,
             cache=self._executors,
             tracer=tracer,
             delays=delays,

@@ -29,6 +29,11 @@ from repro.obs.trace import NULL_TRACER, Tracer
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
+#: Scenarios per vectorized chunk: bounds the working-set matrix of one
+#: :func:`propagate_batch` call to ``CHUNK × nets`` floats.  Read at call
+#: time; chunking never changes an answer.
+CHUNK = 256
+
 
 def delay_form(delays) -> str:
     """Classify a ``delays`` override: ``none``, ``shared``, or ``rows``.
@@ -235,7 +240,6 @@ class NumpyExecutor:
 def propagate_batch(
     plan: CompiledGraph,
     rows: Sequence[Sequence[float]],
-    batch_size: int | None = None,
     cache: dict | None = None,
     tracer: Tracer = NULL_TRACER,
     delays=None,
@@ -245,9 +249,8 @@ def propagate_batch(
     The executor is :func:`~repro.kernel.backend.pick_backend` of the
     row count: numpy for batches of at least
     :data:`~repro.kernel.backend.NUMPY_MIN_BATCH` scenarios when
-    available, pure python otherwise.  ``batch_size`` caps the scenarios
-    evaluated per vectorized chunk, bounding the working-set matrix to
-    ``batch_size × nets`` floats.  ``cache`` (a dict owned by the
+    available, pure python otherwise.  Rows are evaluated in chunks of
+    :data:`CHUNK` scenarios.  ``cache`` (a dict owned by the
     caller, keyed by executor name) reuses executors across calls so
     repeated evaluation of one plan skips the per-node array setup.
     ``delays`` optionally overrides the plan's entry delays — one
@@ -279,12 +282,13 @@ def propagate_batch(
         if cache is not None:
             cache[chosen] = executor
     start_t = time.perf_counter() if tracer.enabled else 0.0
-    if batch_size is None or batch_size >= len(rows):
+    chunk = CHUNK
+    if chunk >= len(rows):
         out = executor.propagate(rows, delays=delays)
     else:
         out = []
-        for start in range(0, len(rows), batch_size):
-            end = start + batch_size
+        for start in range(0, len(rows), chunk):
+            end = start + chunk
             chunk_delays = (
                 delays[start:end] if form == "rows" else delays
             )

@@ -8,7 +8,7 @@ queue waits, the kernel batch that served it, and any degradations —
 in a set of in-memory ring buffers:
 
 * **recent** — the last N requests, every status;
-* **slow** — requests whose latency exceeded the slow threshold
+* **slow** — requests whose latency reached :data:`SLOW_SECONDS`
   (retained longer than they would survive in ``recent`` under load);
 * **errors** — non-2xx responses, again on their own clock.
 
@@ -28,6 +28,10 @@ from __future__ import annotations
 import threading
 from collections import deque
 from dataclasses import dataclass
+
+#: Latency (seconds) at which a request also lands in the slow ring.
+#: Read at call time.
+SLOW_SECONDS = 0.1
 
 
 @dataclass(slots=True)
@@ -101,44 +105,24 @@ class FlightRecorder:
     Parameters
     ----------
     capacity:
-        Records retained in the ``recent`` ring (also the default for
-        the slow and error rings).  ``0`` disables recording entirely
-        (every call is a cheap no-op), which is the obs-overhead
-        benchmark's "off" configuration.
-    slow_threshold:
-        Latency (seconds) past which a request also lands in the slow
-        ring.
-    slow_capacity / error_capacity:
-        Override the slow/error ring sizes (default: ``capacity``).
+        Records retained in each ring (recent, slow and errors).  ``0``
+        disables recording entirely (every call is a cheap no-op), which
+        is the obs-overhead benchmark's "off" configuration.
     """
 
-    def __init__(
-        self,
-        capacity: int = 512,
-        *,
-        slow_threshold: float = 0.1,
-        slow_capacity: int | None = None,
-        error_capacity: int | None = None,
-    ):
+    def __init__(self, capacity: int = 512):
         if capacity < 0:
             raise ValueError(f"capacity must be >= 0, got {capacity}")
-        if slow_threshold <= 0:
-            raise ValueError("slow_threshold must be > 0 seconds")
         self.capacity = int(capacity)
-        self.slow_threshold = float(slow_threshold)
         self.enabled = self.capacity > 0
         cap = max(1, self.capacity)
         self._lock = threading.Lock()
         self._recent: deque[FlightRecord] = deque(maxlen=cap)
-        self._slow: deque[FlightRecord] = deque(
-            maxlen=max(1, slow_capacity if slow_capacity else cap)
-        )
-        self._errors: deque[FlightRecord] = deque(
-            maxlen=max(1, error_capacity if error_capacity else cap)
-        )
+        self._slow: deque[FlightRecord] = deque(maxlen=cap)
+        self._errors: deque[FlightRecord] = deque(maxlen=cap)
         #: Total requests recorded (monotonic, includes evicted).
         self.recorded = 0
-        #: Requests that crossed the slow threshold.
+        #: Requests that reached :data:`SLOW_SECONDS`.
         self.slow_count = 0
         #: Non-2xx requests recorded.
         self.error_count = 0
@@ -151,7 +135,7 @@ class FlightRecorder:
         with self._lock:
             self.recorded += 1
             self._recent.append(record)
-            if record.latency_seconds >= self.slow_threshold:
+            if record.latency_seconds >= SLOW_SECONDS:
                 self.slow_count += 1
                 self._slow.append(record)
             if not record.ok:
@@ -198,7 +182,7 @@ class FlightRecorder:
             return {
                 "enabled": self.enabled,
                 "capacity": self.capacity,
-                "slow_threshold_ms": round(self.slow_threshold * 1e3, 3),
+                "slow_threshold_ms": round(SLOW_SECONDS * 1e3, 3),
                 "recorded": self.recorded,
                 "slow": self.slow_count,
                 "errors": self.error_count,

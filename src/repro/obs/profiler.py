@@ -70,15 +70,17 @@ class SamplingProfiler:
     Parameters
     ----------
     hz:
-        Samples per second.  Must be positive; rates above ~1000 are
-        clamped by the sleep granularity of the host.
+        Samples per second.  Must be positive and finite; rates above
+        ~1000 are clamped by the sleep granularity of the host.
     clock:
         Monotonic time source for the duty-cycle accounting.
     """
 
     def __init__(self, hz: float = DEFAULT_HZ, clock=time.perf_counter):
-        if hz <= 0:
-            raise ValueError(f"sampling rate must be > 0 Hz, got {hz}")
+        if not 0 < hz < float("inf"):  # NaN fails every comparison
+            raise ValueError(
+                f"sampling rate must be a finite rate > 0 Hz, got {hz}"
+            )
         self.hz = float(hz)
         self.interval = 1.0 / self.hz
         self._clock = clock

@@ -48,14 +48,18 @@ class SloObjective:
     """One route's objective: latency bound and success-rate target."""
 
     route: str
-    #: Latency objective in seconds; slower (or 5xx) requests are bad.
+    #: Latency objective in seconds; slower (or 5xx) requests are bad
+    #: (``inf`` = no latency bound, only 5xx responses are bad).
     latency_objective: float
     #: Target fraction of good requests (0 < target < 1).
     target: float = 0.999
 
     def __post_init__(self):
-        if self.latency_objective <= 0:
-            raise ValueError("latency_objective must be > 0 seconds")
+        if not self.latency_objective > 0:  # NaN fails every comparison
+            raise ValueError(
+                f"latency_objective must be > 0 seconds, got "
+                f"{self.latency_objective}"
+            )
         if not 0.0 < self.target < 1.0:
             raise ValueError(
                 f"target must be in (0, 1), got {self.target}"

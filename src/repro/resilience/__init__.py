@@ -41,11 +41,7 @@ Typical use::
         print(d)
 """
 
-from repro.resilience.breaker import (
-    BreakerConfig,
-    BreakerOpen,
-    CircuitBreaker,
-)
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.degradation import Degradation, DegradationLog
 from repro.resilience.executor import TaskOutcome, run_resilient
 from repro.resilience.faultinject import (
@@ -59,8 +55,6 @@ from repro.resilience.locking import HAVE_FCNTL, FileLock
 from repro.resilience.policy import Deadline, DeadlineExceeded
 
 __all__ = [
-    "BreakerConfig",
-    "BreakerOpen",
     "CircuitBreaker",
     "Deadline",
     "DeadlineExceeded",

@@ -15,22 +15,20 @@ decision, shaped for the server's evaluation paths:
 ``closed``
     Normal operation.  Calls flow to the protected path; consecutive
     failures are counted and any success resets the count.  After
-    ``failure_threshold`` consecutive failures the breaker *opens*.
+    :data:`FAILURE_THRESHOLD` consecutive failures the breaker *opens*.
 ``open``
     The protected path is presumed down.  :meth:`allow` answers False
     and callers serve the conservative fallback immediately — no
-    latency spent on a doomed call.  After ``reset_timeout`` seconds
-    the breaker moves to ``half-open``.
+    latency spent on a doomed call.  After :data:`RESET_TIMEOUT`
+    seconds the breaker moves to ``half-open``.
 ``half-open``
-    Up to ``probe_limit`` concurrent trial calls are let through.
-    ``probe_successes`` successful probes close the breaker; any probe
-    failure re-opens it (and restarts the reset clock).
+    One trial call is let through.  Its success closes the breaker;
+    its failure re-opens it (and restarts the reset clock).
 
 The breaker is deliberately *advisory*: it never raises into the
-caller's path by itself (:exc:`BreakerOpen` exists for callers that
-prefer exceptions via :meth:`call`).  The server's registry asks
-:meth:`allow` and routes to the topological-bound path on False — shed
-precision, never availability.
+caller's path.  The server's registry asks :meth:`allow` and routes to
+the topological-bound path on False — shed precision, never
+availability.
 
 Thread-safe; every transition is traced (``resilience.breaker.*``
 counters plus a ``breaker-transition`` event) so an open breaker is
@@ -42,9 +40,7 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass
 
-from repro.errors import ReproError
 from repro.obs.trace import Tracer, ensure_tracer
 
 #: The three states, as wire-friendly strings (shown on ``/healthz``).
@@ -55,35 +51,12 @@ HALF_OPEN = "half-open"
 #: Numeric encoding for the state gauge (``closed=0 open=1 half-open=2``).
 STATE_CODES = {CLOSED: 0, OPEN: 1, HALF_OPEN: 2}
 
-
-class BreakerOpen(ReproError):
-    """Raised by :meth:`CircuitBreaker.call` when the breaker is open."""
-
-
-@dataclass(frozen=True)
-class BreakerConfig:
-    """Tuning for one :class:`CircuitBreaker`."""
-
-    #: Consecutive failures (closed state) before the breaker opens.
-    failure_threshold: int = 5
-    #: Seconds an open breaker waits before probing (half-open).
-    reset_timeout: float = 1.0
-    #: Concurrent trial calls allowed while half-open.
-    probe_limit: int = 1
-    #: Successful probes required to close again.
-    probe_successes: int = 1
-
-    def __post_init__(self) -> None:
-        if int(self.failure_threshold) < 1:
-            raise ValueError(
-                f"failure_threshold must be >= 1, got {self.failure_threshold}"
-            )
-        if not self.reset_timeout >= 0:  # NaN fails every comparison
-            raise ValueError("reset_timeout must be >= 0")
-        if int(self.probe_limit) < 1:
-            raise ValueError("probe_limit must be >= 1")
-        if int(self.probe_successes) < 1:
-            raise ValueError("probe_successes must be >= 1")
+#: Consecutive failures (closed state) before a breaker opens.  Read at
+#: call time.
+FAILURE_THRESHOLD = 5
+#: Seconds an open breaker waits before letting one probe through
+#: (half-open).  Read at call time.
+RESET_TIMEOUT = 1.0
 
 
 class CircuitBreaker:
@@ -101,29 +74,23 @@ class CircuitBreaker:
                 breaker.record_success()
         else:
             value = fallback()
-
-    or use :meth:`call`, which raises :exc:`BreakerOpen` instead of
-    falling back.
     """
 
     def __init__(
         self,
         name: str = "",
-        config: BreakerConfig | None = None,
         *,
         tracer: Tracer | None = None,
         clock=time.monotonic,
     ):
         self.name = name
-        self.config = config or BreakerConfig()
         self.tracer = ensure_tracer(tracer)
         self._clock = clock
         self._lock = threading.Lock()
         self._state = CLOSED
         self._failures = 0  # consecutive, closed state only
         self._opened_at = 0.0
-        self._probes_inflight = 0
-        self._probe_successes = 0
+        self._probing = False  # the half-open state's one trial call
         #: Transition count by ``"from>to"`` (diagnostics, /healthz).
         self.transitions: dict[str, int] = {}
         #: Calls rejected while open (served from the fallback path).
@@ -141,18 +108,17 @@ class CircuitBreaker:
     def allow(self) -> bool:
         """True when the caller should attempt the protected path.
 
-        In half-open state a True answer *claims a probe slot*; the
+        In half-open state a True answer *claims the one probe*; the
         caller must follow up with :meth:`record_success` or
-        :meth:`record_failure` to release it.
+        :meth:`record_failure` to settle it.
         """
         with self._lock:
             self._maybe_half_open()
             if self._state == CLOSED:
                 return True
-            if self._state == HALF_OPEN:
-                if self._probes_inflight < self.config.probe_limit:
-                    self._probes_inflight += 1
-                    return True
+            if self._state == HALF_OPEN and not self._probing:
+                self._probing = True
+                return True
             self.rejections += 1
             if self.tracer.enabled:
                 self.tracer.count("resilience.breaker.rejections")
@@ -174,10 +140,7 @@ class CircuitBreaker:
         """Note one successful protected call."""
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probes_inflight = max(0, self._probes_inflight - 1)
-                self._probe_successes += 1
-                if self._probe_successes >= self.config.probe_successes:
-                    self._transition(CLOSED)
+                self._transition(CLOSED)
             elif self._state == CLOSED:
                 self._failures = 0
 
@@ -185,36 +148,20 @@ class CircuitBreaker:
         """Note one failed protected call."""
         with self._lock:
             if self._state == HALF_OPEN:
-                self._probes_inflight = max(0, self._probes_inflight - 1)
                 self._transition(OPEN)
             elif self._state == CLOSED:
                 self._failures += 1
-                if self._failures >= self.config.failure_threshold:
+                if self._failures >= FAILURE_THRESHOLD:
                     self._transition(OPEN)
             else:  # already open (e.g. concurrent failures racing the trip)
                 self._opened_at = self._clock()
-
-    def call(self, fn, *args, **kwargs):
-        """Run ``fn`` under the breaker; raise :exc:`BreakerOpen` when
-        the fast path is not worth attempting."""
-        if not self.allow():
-            raise BreakerOpen(
-                f"circuit breaker {self.name or 'breaker'!r} is open"
-            )
-        try:
-            value = fn(*args, **kwargs)
-        except Exception:
-            self.record_failure()
-            raise
-        self.record_success()
-        return value
 
     # --------------------------------------------------------------- internal
     def _maybe_half_open(self) -> None:
         """Open → half-open once the reset timeout elapses (lock held)."""
         if (
             self._state == OPEN
-            and self._clock() - self._opened_at >= self.config.reset_timeout
+            and self._clock() - self._opened_at >= RESET_TIMEOUT
         ):
             self._transition(HALF_OPEN)
 
@@ -225,8 +172,7 @@ class CircuitBreaker:
             return
         self._state = to
         self._failures = 0
-        self._probes_inflight = 0
-        self._probe_successes = 0
+        self._probing = False
         if to == OPEN:
             self._opened_at = self._clock()
         key = f"{frm}>{to}"
@@ -253,7 +199,5 @@ __all__ = [
     "CLOSED",
     "HALF_OPEN",
     "OPEN",
-    "BreakerConfig",
-    "BreakerOpen",
     "CircuitBreaker",
 ]

@@ -3,8 +3,9 @@
 :func:`analyze_family` is the one evaluation path every family takes:
 
 1. validate the family's arrival vector against the compiled design;
-2. for each chunk of at most ``batch_size`` members, lower the chunk
-   to per-member delay vectors (:meth:`ScenarioFamily.delay_rows`, drawn
+2. for each chunk of at most :data:`~repro.kernel.execute.CHUNK`
+   members (the kernel's own chunk size), lower the chunk to
+   per-member delay vectors (:meth:`ScenarioFamily.delay_rows`, drawn
    with numpy whenever it is installed) and evaluate it via
    :meth:`~repro.kernel.design.CompiledDesign.propagate_rows` with the
    ``delays=`` override — the kernel picks the executor per chunk, and
@@ -20,6 +21,7 @@ import time
 from typing import TYPE_CHECKING
 
 from repro.errors import AnalysisError
+from repro.kernel import execute
 from repro.kernel.backend import numpy_or_none, pick_backend
 from repro.obs.trace import NULL_TRACER, Tracer
 from repro.scenarios.families import ScenarioFamily
@@ -39,24 +41,21 @@ def analyze_family(
     handle: "CompiledDesign",
     family: ScenarioFamily,
     *,
-    batch_size: int = 256,
     tracer: Tracer = NULL_TRACER,
 ) -> FamilyResult:
     """Evaluate every member of ``family`` against a compiled design.
 
-    ``batch_size`` bounds the scenarios — and the sampled delay matrix —
-    held in memory at once; it never changes an answer.  Returns the
-    aggregated :class:`~repro.scenarios.result.FamilyResult`.
+    Members are drawn and evaluated in chunks of
+    :data:`~repro.kernel.execute.CHUNK`, which bounds the scenarios — and
+    the sampled delay matrix — held in memory at once; the chunk size
+    never changes an answer.  Returns the aggregated
+    :class:`~repro.scenarios.result.FamilyResult`.
     """
     if not isinstance(family, ScenarioFamily):
         raise AnalysisError(
             "analyze_family needs a ScenarioFamily "
             f"(CornerSweep/ParametricSweep/MonteCarlo), "
             f"got {type(family).__name__}"
-        )
-    if batch_size < 1:
-        raise AnalysisError(
-            f"batch_size must be >= 1, got {batch_size}"
         )
     plan = handle.plan
     unknown = sorted(set(family.arrival) - set(handle.inputs))
@@ -70,7 +69,8 @@ def analyze_family(
     # The sampler depends only on whether numpy is installed, so every
     # member's samples depend only on (seed, index), never on chunking.
     np = numpy_or_none()
-    chosen = pick_backend(min(batch_size, count))
+    chunk = execute.CHUNK
+    chosen = pick_backend(min(chunk, count))
     outputs = handle.outputs
     n_out = len(outputs)
     detail = count <= DETAIL_LIMIT
@@ -79,8 +79,8 @@ def analyze_family(
     results: list[MemberResult] = []
     arrival = dict(family.arrival)
     t0 = time.perf_counter()
-    for lo in range(0, count, batch_size):
-        hi = min(lo + batch_size, count)
+    for lo in range(0, count, chunk):
+        hi = min(lo + chunk, count)
         delays = family.delay_rows(plan, lo, hi, np)
         rows = handle.propagate_rows(
             [arrival] * (hi - lo),

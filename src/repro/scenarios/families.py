@@ -25,7 +25,7 @@ Determinism: every Monte-Carlo member ``m`` draws from its own child
 seed derived from ``(seed, m)``, with ``numpy.random`` whenever numpy
 is installed and with :mod:`random` otherwise.  A member's samples
 therefore depend only on ``(seed, m)`` and on whether numpy is
-installed: never on the member count, ``batch_size`` chunking or the
+installed: never on the member count, the kernel's chunking or the
 executor that evaluates them.  The two generators draw different
 samples; zero-variance families are bit-identical everywhere because
 ``mean + 0.0·z == mean`` in IEEE float64.

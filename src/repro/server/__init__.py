@@ -43,11 +43,7 @@ Start one from the CLI (``repro-sta serve --preload design.v``), with
 """
 
 from repro.server.app import AdmissionGate, RequestError, TimingServerApp
-from repro.server.coalescer import (
-    CoalesceConfig,
-    Outcome,
-    RequestCoalescer,
-)
+from repro.server.coalescer import Outcome, RequestCoalescer
 from repro.server.http import (
     DEFAULT_HOST,
     DEFAULT_PORT,
@@ -64,7 +60,6 @@ from repro.server.registry import (
 
 __all__ = [
     "AdmissionGate",
-    "CoalesceConfig",
     "DEFAULT_HOST",
     "DEFAULT_PORT",
     "DegradedRow",

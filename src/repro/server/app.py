@@ -77,7 +77,7 @@ from repro.obs.slo import SloObjective, SloTracker
 from repro.obs.trace import Tracer
 from repro.resilience.degradation import DegradationLog
 from repro.scenarios.spec import clean_arrival, read_batch
-from repro.server.coalescer import CoalesceConfig, Outcome
+from repro.server.coalescer import Outcome
 from repro.server.registry import (
     DegradedRow,
     DesignRegistry,
@@ -87,13 +87,20 @@ from repro.server.registry import (
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.obs.profiler import SamplingProfiler
-    from repro.resilience.breaker import BreakerConfig
 
 JSON = "application/json"
 PROM = "text/plain; version=0.0.4; charset=utf-8"
 
 #: Fields a request may ask to ``include`` in its response.
 INCLUDABLE = ("outputs", "nets")
+
+#: Upper bound on one ``/batch`` request's scenario count — explicit
+#: lists and family expansions alike; larger requests get a 413
+#: ``too-many-scenarios`` before any evaluation.  Read at call time.
+MAX_SCENARIOS = 4096
+
+#: Ring-buffer size backing ``GET /trace``.
+TRACE_CAPACITY = 4096
 
 #: Routes that carry analysis work and therefore pass the admission
 #: gate; health, metrics, and trace reads must stay answerable even
@@ -230,38 +237,21 @@ class TimingServerApp:
     Parameters
     ----------
     registry:
-        The design cache; one is created from ``options``/``coalesce``
+        The design cache; one is created from ``options``/``max_batch``
         when not given.
     options:
         Analysis options for designs registered through the app; its
         ``fault_plan`` (``serve --inject``) arms the registry's and the
         coalescers' fault points.
-    coalesce:
-        Flush policy for per-design request coalescers.
-    default_deadline:
-        Per-request deadline (seconds) applied when a request does not
-        carry its own ``deadline`` field (``None`` = unlimited).
-    trace_capacity:
-        Ring-buffer size backing ``GET /trace``.
-    max_scenarios:
-        Upper bound on one ``/batch`` request's scenario count —
-        explicit lists and family expansions alike; larger requests are
-        rejected up front with a 413 ``too-many-scenarios`` error
-        instead of evaluating unbounded batches.
+    max_batch:
+        Scenarios per kernel call of each design's request coalescer
+        (1 disables coalescing; ignored when ``registry`` is given).
     max_inflight / max_queue / queue_timeout:
         Admission control (see :class:`AdmissionGate`).  ``None``
         in-flight bound keeps the app ungated.
-    max_body_bytes:
-        Largest request body the app will parse; larger bodies get a
-        413 ``body-too-large`` before any JSON decoding.  ``None``
-        disables the app-level check (the HTTP shell has its own).
-    breaker:
-        Per-design circuit-breaker tuning forwarded to the registry
-        (ignored when an explicit ``registry`` is passed).
-    flight_capacity / slow_threshold:
-        Flight-recorder sizing: records retained per ring and the
-        latency (seconds) past which a request lands in the slow ring.
-        ``flight_capacity=0`` disables per-request recording.
+    flight_capacity:
+        Flight-recorder records retained per ring; ``0`` disables
+        per-request recording.
     slo:
         :class:`~repro.obs.slo.SloObjective` list to track (empty =
         SLO tracking off; ``/healthz/slo`` reports ``untracked``).
@@ -277,55 +267,27 @@ class TimingServerApp:
         registry: DesignRegistry | None = None,
         *,
         options: AnalysisOptions | None = None,
-        coalesce: CoalesceConfig | None = None,
-        default_deadline: float | None = None,
-        trace_capacity: int = 4096,
-        max_scenarios: int = 4096,
+        max_batch: int = 64,
         max_inflight: int | None = None,
         max_queue: int = 64,
         queue_timeout: float = 5.0,
-        max_body_bytes: int | None = None,
-        breaker: "BreakerConfig | None" = None,
         flight_capacity: int = 512,
-        slow_threshold: float = 0.1,
         slo: "Sequence[SloObjective]" = (),
         profiler: "SamplingProfiler | None" = None,
     ):
+        self.trace_sink = RingBufferSink(capacity=TRACE_CAPACITY)
         if registry is None:
-            self.trace_sink = RingBufferSink(capacity=trace_capacity)
             tracer = Tracer(sinks=[self.trace_sink])
             registry = DesignRegistry(
-                options,
-                coalesce=coalesce,
-                tracer=tracer,
-                breaker=breaker,
+                options, max_batch=max_batch, tracer=tracer
             )
-        else:
-            self.trace_sink = RingBufferSink(capacity=trace_capacity)
-            if registry.tracer.enabled:
-                registry.tracer.add_sink(self.trace_sink)
+        elif registry.tracer.enabled:
+            registry.tracer.add_sink(self.trace_sink)
         self.registry = registry
         self.tracer = registry.tracer
-        self.flight = FlightRecorder(
-            capacity=flight_capacity, slow_threshold=slow_threshold
-        )
+        self.flight = FlightRecorder(capacity=flight_capacity)
         self.slo = SloTracker(tuple(slo))
         self.profiler = profiler
-        if default_deadline is not None and not default_deadline > 0:
-            raise ValueError("default_deadline must be > 0")
-        self.default_deadline = default_deadline
-        if int(max_scenarios) < 1:
-            raise ValueError(
-                f"max_scenarios must be >= 1, got {max_scenarios}"
-            )
-        self.max_scenarios = int(max_scenarios)
-        if max_body_bytes is not None and int(max_body_bytes) < 1:
-            raise ValueError(
-                f"max_body_bytes must be >= 1 or None, got {max_body_bytes}"
-            )
-        self.max_body_bytes = (
-            None if max_body_bytes is None else int(max_body_bytes)
-        )
         self.admission = AdmissionGate(
             max_inflight=max_inflight,
             max_queue=max_queue,
@@ -392,19 +354,9 @@ class TimingServerApp:
             # Bind the trace id for the whole dispatch: every span or
             # event the handler thread emits names this request.
             with self.tracer.context(trace_id):
-                # Cheap rejections first: oversized bodies and shed load
-                # are answered before a single byte of JSON is parsed.
-                if (
-                    self.max_body_bytes is not None
-                    and len(body) > self.max_body_bytes
-                ):
-                    raise RequestError(
-                        f"request body of {len(body)} bytes exceeds this "
-                        f"server's max_body_bytes limit of "
-                        f"{self.max_body_bytes}",
-                        status=413,
-                        code="body-too-large",
-                    )
+                # Cheap rejections first: shed load is answered before a
+                # single byte of JSON is parsed (the HTTP shell refuses
+                # oversized bodies before reading them).
                 if gated:
                     if self._draining.is_set():
                         raise RequestError(
@@ -778,7 +730,6 @@ class TimingServerApp:
                 entry.breaker.record_failure()
                 value = entry.degraded_rows(
                     [arrival],
-                    batch_size=self.registry.options.batch_size,
                     tracer=self.tracer,
                     kind="evaluation-error",
                     detail=outcome.detail,
@@ -877,12 +828,7 @@ class TimingServerApp:
         with self.tracer.span(
             "server-family", phase="analysis", design=entry.name
         ):
-            result = analyze_family(
-                entry.handle,
-                family,
-                batch_size=self.registry.options.batch_size,
-                tracer=self.tracer,
-            )
+            result = analyze_family(entry.handle, family, tracer=self.tracer)
         elapsed = time.perf_counter() - t0
         if deadline is not None and deadline.expired():
             return self._outcome_error(
@@ -935,17 +881,18 @@ class TimingServerApp:
         breaker-guarded with the topological fallback."""
         return entry.evaluate_rows(
             scenarios,
-            batch_size=self.registry.options.batch_size,
             tracer=self.tracer,
             fault_plan=self.registry.options.fault_plan,
             nets=nets,
         )
 
-    def _check_scenario_limit(self, count: int) -> None:
-        if count > self.max_scenarios:
+    @staticmethod
+    def _check_scenario_limit(count: int) -> None:
+        limit = MAX_SCENARIOS
+        if count > limit:
             raise RequestError(
                 f"batch of {count} scenarios exceeds this server's "
-                f"max_scenarios limit of {self.max_scenarios}",
+                f"max_scenarios limit of {limit}",
                 status=413,
                 code="too-many-scenarios",
             )
@@ -1008,10 +955,11 @@ class TimingServerApp:
                 )
         return tuple(include)
 
-    def _deadline_of(self, payload):
+    @staticmethod
+    def _deadline_of(payload):
         from repro.resilience.policy import Deadline
 
-        seconds = payload.get("deadline", self.default_deadline)
+        seconds = payload.get("deadline")
         if seconds is None:
             return None
         try:

@@ -8,15 +8,15 @@ in-flight scenarios and evaluates them as **one**
 :func:`~repro.kernel.execute.propagate_batch` call, then wakes every
 waiter with its own row.
 
-Flush policy (:class:`CoalesceConfig`): a batch closes when
+Flush policy: a batch closes when
 
 * ``max_batch`` scenarios are pending, or
-* the collection window has been open ``max_wait`` seconds, or
-* no new request has arrived for ``quiet_wait`` seconds (the debounce
-  that lets a closed-loop burst of clients fill a batch without every
-  batch paying the full ``max_wait``).
+* the collection window has been open :data:`MAX_WAIT` seconds, or
+* no new request has arrived for :data:`QUIET_WAIT` seconds (the
+  debounce that lets a closed-loop burst of clients fill a batch
+  without every batch paying the full :data:`MAX_WAIT`).
 
-``max_wait`` bounds the *window*, not a request's total queue age: a
+:data:`MAX_WAIT` bounds the *window*, not a request's total queue age: a
 request that arrived while the previous batch was evaluating has
 already waited, but restarting its clock when the flusher becomes free
 is what lets the other half of the fleet (whose replies are still being
@@ -25,7 +25,7 @@ settles into alternating half-full batches and never fills one.
 
 The debounce is *adaptive*: it only applies while the previous batch
 actually coalesced (``> 1`` scenarios).  A solo client's requests flush
-immediately — making it wait ``quiet_wait`` for batch-mates that never
+immediately — making it wait :data:`QUIET_WAIT` for batch-mates that never
 come would tax the idle case to help the busy one — and the first
 request of a burst bootstraps batching for free, because its batch-mates
 queue up while it evaluates.
@@ -68,29 +68,19 @@ from repro.resilience.degradation import Degradation, DegradationLog
 from repro.resilience.policy import Deadline
 
 
-@dataclass(frozen=True)
-class CoalesceConfig:
-    """Flush policy for one :class:`RequestCoalescer`."""
-
-    #: Scenarios per kernel call; 1 disables coalescing entirely.
-    max_batch: int = 64
-    #: Ceiling on the collection window: flush once the flusher has
-    #: been gathering this batch for this long (seconds).
-    max_wait: float = 0.010
-    #: Debounce: flush once no new request has arrived for this long
-    #: (seconds); keeps bursts together without paying ``max_wait``.
-    #: Only applied while the previous batch coalesced (see module
-    #: docstring) so a solo client never waits for phantom batch-mates.
-    quiet_wait: float = 0.002
-
-    def __post_init__(self) -> None:
-        if int(self.max_batch) < 1:
-            raise ValueError(
-                f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        object.__setattr__(self, "max_batch", int(self.max_batch))
-        if not (self.max_wait >= 0 and self.quiet_wait >= 0):  # or NaN
-            raise ValueError("max_wait and quiet_wait must be >= 0")
+#: Ceiling on the collection window: flush once the flusher has been
+#: gathering a batch for this long (seconds).  Read at call time.
+MAX_WAIT = 0.010
+#: Debounce: flush once no new request has arrived for this long
+#: (seconds); keeps bursts together without paying :data:`MAX_WAIT`.
+#: Only applied while the previous batch coalesced (see the module
+#: docstring), so a solo client never waits for phantom batch-mates.
+#: Read at call time.
+QUIET_WAIT = 0.002
+#: Liveness bound on one :meth:`RequestCoalescer.submit` wait (seconds):
+#: a stuck flusher yields a ``server-stalled`` outcome rather than a hung
+#: connection.  Read at call time.
+STALL_WAIT = 60.0
 
 
 @dataclass
@@ -143,8 +133,8 @@ class RequestCoalescer:
         ``evaluate(scenarios) -> results`` — one result per scenario,
         called from the flusher thread only (so ``max_batch=1`` also
         serializes evaluation, the honest no-coalescing baseline).
-    config:
-        The flush policy (see :class:`CoalesceConfig`).
+    max_batch:
+        Scenarios per kernel call; 1 disables coalescing entirely.
     tracer:
         Receives ``server.coalescer.*`` counters and histograms.
     name:
@@ -159,14 +149,16 @@ class RequestCoalescer:
         self,
         evaluate: Callable[[list], Sequence],
         *,
-        config: CoalesceConfig | None = None,
+        max_batch: int = 64,
         tracer: Tracer | None = None,
         name: str = "",
         clock=time.monotonic,
         fault_plan=None,
     ):
+        if int(max_batch) < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.evaluate = evaluate
-        self.config = config or CoalesceConfig()
+        self.max_batch = int(max_batch)
         self.tracer = ensure_tracer(tracer)
         self.name = name
         self.fault_plan = fault_plan
@@ -200,14 +192,12 @@ class RequestCoalescer:
         scenario,
         deadline: Deadline | float | None = None,
         label: str = "",
-        wait_timeout: float | None = 60.0,
     ) -> Outcome:
         """Enqueue one scenario and block until its batch completes.
 
         ``deadline`` is a started :class:`Deadline` or a budget in
-        seconds (started here).  ``wait_timeout`` bounds the absolute
-        wait for liveness (a stuck flusher yields a ``server-stalled``
-        outcome rather than a hung connection).
+        seconds (started here).  The wait is bounded by
+        :data:`STALL_WAIT` for liveness.
         """
         if isinstance(deadline, (int, float)):
             deadline = Deadline(float(deadline), clock=self._clock)
@@ -226,13 +216,13 @@ class RequestCoalescer:
                 )
                 self._thread.start()
             self._cond.notify_all()
-        if not pending.done.wait(wait_timeout):
+        stall = STALL_WAIT
+        if not pending.done.wait(stall):
             return Outcome(
                 ok=False,
                 error="server-stalled",
                 detail=(
-                    f"request waited {wait_timeout:g}s without being "
-                    "dispatched"
+                    f"request waited {stall:g}s without being dispatched"
                 ),
                 queue_seconds=self._clock() - pending.enqueued,
             )
@@ -241,7 +231,7 @@ class RequestCoalescer:
 
     # ------------------------------------------------------------ flusher side
     def _run(self) -> None:
-        cfg = self.config
+        max_batch = self.max_batch
         while True:
             with self._cond:
                 while not self._pending and not self._closed:
@@ -255,7 +245,7 @@ class RequestCoalescer:
                 # coalesce — waiting would buy nothing).
                 window_start = self._clock()
                 while not self._closed and self._last_batch > 1:
-                    if len(self._pending) >= cfg.max_batch:
+                    if len(self._pending) >= max_batch:
                         break
                     now = self._clock()
                     # the quiet clock starts no earlier than the window:
@@ -263,13 +253,13 @@ class RequestCoalescer:
                     # stale, but their batch-mates' replies are still in
                     # flight and resends are about to land
                     flush_at = min(
-                        window_start + cfg.max_wait,
-                        max(self._newest, window_start) + cfg.quiet_wait,
+                        window_start + MAX_WAIT,
+                        max(self._newest, window_start) + QUIET_WAIT,
                     )
                     if flush_at <= now:
                         break
                     self._cond.wait(flush_at - now)
-                batch = self._pending[: cfg.max_batch]
+                batch = self._pending[:max_batch]
                 del self._pending[: len(batch)]
                 self._last_batch = len(batch)
             self._flush(batch)
@@ -421,4 +411,4 @@ class RequestCoalescer:
             thread.join(timeout)
 
 
-__all__ = ["CoalesceConfig", "Outcome", "RequestCoalescer"]
+__all__ = ["Outcome", "RequestCoalescer"]

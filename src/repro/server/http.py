@@ -85,11 +85,14 @@ class _Handler(socketserver.BaseRequestHandler):
                         try:
                             length = int(value)
                         except ValueError:
+                            length = -1
+                        if length < 0:
                             sock.sendall(
                                 _error_response(
                                     400,
                                     "bad-content-length",
-                                    "Content-Length is not an integer",
+                                    "Content-Length is not a "
+                                    "non-negative integer",
                                 )
                             )
                             return
@@ -100,9 +103,9 @@ class _Handler(socketserver.BaseRequestHandler):
                         elif token == b"keep-alive":
                             keep_alive = True
                 max_body = self.server.max_body_bytes
-                if length < 0 or length > max_body:
-                    # refuse from the header alone — never buffer a
-                    # body the app would reject anyway
+                if length > max_body:
+                    # refuse from the header alone — never buffer an
+                    # oversized body
                     sock.sendall(
                         _error_response(
                             413,
@@ -184,18 +187,10 @@ class TimingHTTPServer(socketserver.ThreadingTCPServer):
         port: int = DEFAULT_PORT,
         *,
         verbose: bool = False,
-        max_body_bytes: int | None = None,
+        max_body_bytes: int = MAX_REQUEST_BYTES,
     ):
         self.app = app
         self.verbose = verbose
-        if max_body_bytes is None:
-            # follow the app's cap when it has one, so the shell never
-            # buffers a body the app is going to 413 anyway
-            max_body_bytes = (
-                app.max_body_bytes
-                if app.max_body_bytes is not None
-                else MAX_REQUEST_BYTES
-            )
         if max_body_bytes < 1:
             raise ValueError(
                 f"max_body_bytes must be >= 1, got {max_body_bytes}"
@@ -224,7 +219,7 @@ def start_server(
     port: int = 0,
     *,
     verbose: bool = False,
-    max_body_bytes: int | None = None,
+    max_body_bytes: int = MAX_REQUEST_BYTES,
 ) -> tuple[TimingHTTPServer, threading.Thread]:
     """Bind and serve on a background thread (tests, benchmarks).
 

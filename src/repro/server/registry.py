@@ -20,8 +20,8 @@ handle.  :class:`DesignRegistry` owns that cache:
   crashing kernel call — or an open breaker — degrades to a sound 200
   with :class:`~repro.resilience.degradation.Degradation` records
   instead of becoming a 500;
-* lookups touch an LRU clock; past ``max_designs`` the least recently
-  used entry is evicted and its coalescer drained (outside the
+* lookups touch an LRU clock; past :data:`MAX_DESIGNS` the least
+  recently used entry is evicted and its coalescer drained (outside the
   registry lock, so a slow drain cannot stall registrations).
 
 Registration and eviction hold the registry lock; per-design
@@ -43,13 +43,18 @@ from repro.api import AnalysisOptions, AnalysisSession
 from repro.errors import AnalysisError, ParseError, ReproError
 from repro.netlist.hierarchy import HierDesign
 from repro.obs.trace import NULL_TRACER, Tracer, ensure_tracer
-from repro.resilience.breaker import BreakerConfig, CircuitBreaker
+from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.degradation import Degradation, DegradationLog
-from repro.server.coalescer import CoalesceConfig, RequestCoalescer
+from repro.server.coalescer import RequestCoalescer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.kernel.design import CompiledDesign
     from repro.resilience.faultinject import FaultPlan
+
+#: LRU capacity of a :class:`DesignRegistry`: registering past it evicts
+#: the least recently used entry (and drains its coalescer).  Read at
+#: call time.
+MAX_DESIGNS = 32
 
 
 @dataclass(frozen=True)
@@ -159,7 +164,6 @@ class RegisteredDesign:
         self,
         scenarios: Sequence,
         *,
-        batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         fault_plan: "FaultPlan | None" = None,
         nets: Sequence[str] | None = None,
@@ -180,7 +184,6 @@ class RegisteredDesign:
         if not self.breaker.allow():
             return self.degraded_rows(
                 scenarios,
-                batch_size=batch_size,
                 tracer=tracer,
                 nets=nets,
                 kind="breaker-open",
@@ -193,7 +196,7 @@ class RegisteredDesign:
             if fault_plan is not None:
                 fault_plan.fire("server.propagate", design=self.name)
             rows = self.handle.propagate_rows(
-                scenarios, batch_size=batch_size, tracer=tracer, nets=nets
+                scenarios, tracer=tracer, nets=nets
             )
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -201,7 +204,6 @@ class RegisteredDesign:
             self.breaker.record_failure()
             return self.degraded_rows(
                 scenarios,
-                batch_size=batch_size,
                 tracer=tracer,
                 nets=nets,
                 kind="evaluation-error",
@@ -214,7 +216,6 @@ class RegisteredDesign:
         self,
         scenarios: Sequence,
         *,
-        batch_size: int | None = None,
         tracer: Tracer = NULL_TRACER,
         nets: Sequence[str] | None = None,
         kind: str = "breaker-open",
@@ -226,7 +227,6 @@ class RegisteredDesign:
             self._topo = topological_handle(self.design)
         values = self._topo.propagate_rows(
             scenarios,
-            batch_size=batch_size,
             tracer=tracer,
             nets=self.handle.outputs if nets is None else nets,
         )
@@ -256,17 +256,12 @@ class DesignRegistry:
         Analysis options every registered design compiles under (jobs,
         cache_dir, deadline...).  The registry forces nothing; the model
         library configured here is shared by every design.
-    coalesce:
-        Flush policy handed to each design's
-        :class:`~repro.server.coalescer.RequestCoalescer`.
-    max_designs:
-        LRU capacity; registering past it evicts the least recently
-        used entry (and drains its coalescer).
+    max_batch:
+        Scenarios per kernel call of each design's
+        :class:`~repro.server.coalescer.RequestCoalescer` (1 disables
+        coalescing).
     tracer:
         Server-lifetime tracer; counters/histograms back ``/metrics``.
-    breaker:
-        Tuning for each design's evaluation-path
-        :class:`~repro.resilience.breaker.CircuitBreaker`.
 
     ``options.fault_plan`` (``serve --inject``) is the deterministic
     chaos plan: consulted at the ``server.compile`` and
@@ -278,21 +273,17 @@ class DesignRegistry:
         self,
         options: AnalysisOptions | None = None,
         *,
-        coalesce: CoalesceConfig | None = None,
-        max_designs: int = 32,
+        max_batch: int = 64,
         tracer: Tracer | None = None,
-        breaker: BreakerConfig | None = None,
     ):
-        if max_designs < 1:
-            raise ValueError(f"max_designs must be >= 1, got {max_designs}")
+        if int(max_batch) < 1:
+            raise ValueError(f"max_batch must be >= 1, got {max_batch}")
         self.tracer = ensure_tracer(tracer)
         base = options or AnalysisOptions()
         if base.tracer is None and self.tracer is not NULL_TRACER:
             base = base.with_changes(tracer=self.tracer)
         self.options = base
-        self.coalesce = coalesce or CoalesceConfig()
-        self.max_designs = max_designs
-        self.breaker_config = breaker or BreakerConfig()
+        self.max_batch = int(max_batch)
         self._lock = threading.RLock()
         self._entries: dict[str, RegisteredDesign] = {}
         self._by_name: dict[str, str] = {}
@@ -418,11 +409,7 @@ class DesignRegistry:
             handle=handle,
             coalescer=None,  # wired below; needs the entry itself
             compile_seconds=compile_seconds,
-            breaker=CircuitBreaker(
-                name=circuit.name,
-                config=self.breaker_config,
-                tracer=self.tracer,
-            ),
+            breaker=CircuitBreaker(circuit.name, tracer=self.tracer),
         )
         entry.coalescer = self._make_coalescer(entry)
         return entry
@@ -467,14 +454,13 @@ class DesignRegistry:
         def evaluate(scenarios: list[dict]) -> list:
             return entry.evaluate_rows(
                 scenarios,
-                batch_size=self.options.batch_size,
                 tracer=self.tracer,
                 fault_plan=self.options.fault_plan,
             )
 
         return RequestCoalescer(
             evaluate,
-            config=self.coalesce,
+            max_batch=self.max_batch,
             tracer=self.tracer,
             name=entry.name,
             fault_plan=self.options.fault_plan,
@@ -524,7 +510,7 @@ class DesignRegistry:
         """Unlink LRU entries past capacity; caller drains them
         (coalescer close) after releasing the registry lock."""
         victims: list[RegisteredDesign] = []
-        while len(self._entries) > self.max_designs:
+        while len(self._entries) > MAX_DESIGNS:
             victim = min(
                 self._entries.values(), key=lambda e: e.last_used
             )

@@ -45,14 +45,12 @@ def arrival_times(
 def arrival_times_batch(
     network: Network,
     scenarios,
-    batch_size: int | None = None,
 ) -> list[dict[str, float]]:
     """Topological arrival times for a batch of PI-arrival scenarios.
 
     Compiles the network once (:func:`repro.kernel.plan.compile_network`)
     and evaluates every scenario in one batched kernel pass —
     bit-identical to calling :func:`arrival_times` per scenario.
-    ``batch_size`` chunks the evaluation.
     """
     from repro.kernel.execute import propagate_batch
     from repro.kernel.plan import compile_network
@@ -65,7 +63,7 @@ def arrival_times_batch(
     rows = [
         [float((s or {}).get(x, 0.0)) for x in inputs] for s in scenarios
     ]
-    values = propagate_batch(plan, rows, batch_size=batch_size)
+    values = propagate_batch(plan, rows)
     return [dict(zip(plan.nets, row)) for row in values]
 
 

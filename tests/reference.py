@@ -8,16 +8,20 @@ comparison is exact.  :class:`OneShotStabilityAnalyzer` decides each
 XBD0 stability check on a fresh CNF and a fresh solver, the reference
 for the per-cone incremental SAT sessions; :func:`brute_force_witness`
 enumerates input vectors, the reference for witnesses and care sets.
+:class:`LiteralDemandAnalyzer` is the Section-5 check exactly as the
+paper states it, kept to show why production deviates from it.
 """
 
 from __future__ import annotations
 
+from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.xbd0 import StabilityAnalyzer
 from repro.sim.timed import vector_output_delay
 from repro.sim.vectors import all_vectors
 from repro.sat.cnf import CNF
 from repro.sat.solver import Solver, SolveResult
 from repro.sat.tseitin import NetworkEncoder, encode_equal
+from repro.sta.paths import distinct_path_lengths
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -133,6 +137,30 @@ def reference_demand(analyzer, arrival):
         "refined_weights": refined,
         "refinement_checks": analyzer._checks,
     }
+
+
+class LiteralDemandAnalyzer(DemandDrivenAnalyzer):
+    """Section 5 with the paper's literal refinement check: the other
+    cone inputs sit at their topological offsets ``-l_i`` (``l_i`` the
+    longest path from input ``i`` to the output) instead of at minus
+    their current weights.
+
+    Unsound: each accepted check validates one arrival vector, but two
+    refined inputs of one output combine into a vector no check saw, so
+    the estimate can drop below the flat delay (EXPERIMENTS.md,
+    "Soundness finding").
+    """
+
+    def _check_arrival(self, key, candidate):
+        module_name, inp, out = key
+        cone = self._cone(module_name, out)
+        arrival = {}
+        for x in cone.inputs:
+            if x == inp:
+                arrival[x] = POS_INF if candidate == NEG_INF else -candidate
+            else:
+                arrival[x] = -distinct_path_lengths(cone, x, out)[0]
+        return arrival
 
 
 class OneShotStabilityAnalyzer(StabilityAnalyzer):

@@ -57,7 +57,7 @@ class TestAnalysisOptions:
         "kwargs",
         [
             {"deadline": float("nan")},
-            {"batch_size": 0},
+            {"deadline": -1.0},
             {"retries": -1},
             {"module_timeout": 0.0},
             {"refine_budget": -2},

@@ -23,6 +23,7 @@ from repro.core.result import AnalysisResult
 from repro.core.subflat import SubcircuitFlatAnalyzer
 from repro.errors import AnalysisError, ReproError
 from repro.kernel import CompiledDesign
+from repro.kernel.execute import CHUNK
 from repro.parsers.verilog import dumps_verilog
 from repro.scenarios import ScenarioSet
 
@@ -38,18 +39,16 @@ def design():
 
 class TestOptions:
     def test_defaults(self):
-        opts = AnalysisOptions()
-        assert opts.batch_size == 256
+        # batches chunk at the kernel's constant, not at an option
+        names = [f.name for f in dataclasses.fields(AnalysisOptions)]
+        assert "batch_size" not in names
+        assert CHUNK == 256
 
     def test_one_engine_option(self):
         # Propagation always runs on the compiled kernel and the code
         # picks the tautology engine: no option names an engine.
         names = [f.name for f in dataclasses.fields(AnalysisOptions)]
         assert [n for n in names if "engine" in n] == []
-
-    def test_batch_size_validated(self):
-        with pytest.raises(ValueError, match="batch_size"):
-            AnalysisOptions(batch_size=0)
 
 
 class TestSession:

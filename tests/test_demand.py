@@ -12,6 +12,7 @@ from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
 from repro.core.hier import HierarchicalAnalyzer
 from repro.core.xbd0 import functional_delays
 from repro.sta.topological import arrival_times
+from tests.reference import LiteralDemandAnalyzer
 
 
 class TestCascades:
@@ -92,6 +93,34 @@ class TestOverestimation:
         result = DemandDrivenAnalyzer(design).analyze()
         flat_delay, _, _ = flat_functional_delay(design)
         assert result.delay == flat_delay
+
+
+class TestSoundnessDeviation:
+    """EXPERIMENTS.md, "Soundness finding": the paper's literal Section-5
+    check (other cone inputs at their topological offsets) validates
+    each refined input alone, and two refinements of one output combine
+    into an arrival vector no check saw.  On these bipartitions the
+    literal procedure reports less than the flat delay; production,
+    which places the other inputs at minus their current weights, stays
+    sound.  Fails if production ever adopts the literal check."""
+
+    @pytest.mark.parametrize(
+        ("inputs", "gates", "seed", "outputs", "cut"),
+        [(8, 40, 1, 2, 0.7), (6, 30, 25, 3, 0.5)],
+        ids=["rn8x40-s1-cut0.7", "rn6x30-s25-cut0.5"],
+    )
+    def test_literal_check_is_optimistic(
+        self, inputs, gates, seed, outputs, cut
+    ):
+        net = random_network(inputs, gates, seed=seed, num_outputs=outputs)
+        design = cascade_bipartition(net, cut_fraction=cut)
+        literal = LiteralDemandAnalyzer(design).analyze().delay
+        flat, _, _ = flat_functional_delay(design)
+        production = DemandDrivenAnalyzer(design).analyze()
+        # literal 1.0 < flat 5.0 = production 5.0 (topological 8.0);
+        # literal 8.0 < flat 9.0 = production 9.0 (topological 10.0)
+        assert literal < flat <= production.delay
+        assert production.delay <= production.topological_delay
 
 
 class TestGroupedCascade:

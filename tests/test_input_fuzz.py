@@ -1,25 +1,38 @@
-"""Malformed input never crashes: request bodies and batch documents.
+"""Malformed input never crashes: request bodies, batch documents and
+netlists.
 
 Generated JSON goes to the server's analysis routes and to the batch
-readers.  The server must answer every body with a structured status
-below 500, and the readers must return a result or raise
-:class:`~repro.errors.ReproError`, never anything else.  The
+readers, and mutated Verilog, BLIF and ``.bench`` dumps go to the
+netlist readers, to the analyses of whatever parses, and to
+``POST /designs``.  The server must answer every body with a structured
+status below 500, and the readers and analyses must return a result or
+raise :class:`~repro.errors.ReproError`, never anything else.  The
 ``@example`` rows are bodies and documents that once crashed.
 """
 
 import json
+import re
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
 from repro.cli import main
 from repro.errors import ReproError
+from repro.netlist.hierarchy import HierDesign
+from repro.parsers import (
+    dumps_bench,
+    dumps_blif,
+    loads_bench,
+    loads_blif,
+    loads_verilog,
+)
 from repro.parsers.verilog import dumps_verilog
 from repro.scenarios import family_from_json, spec_from_json
 from repro.scenarios.spec import read_batch
-from repro.server import CoalesceConfig, TimingServerApp
+from repro.server import TimingServerApp
 
 #: Keys of request bodies, batch documents, family and corner specs.
 KEYS = (
@@ -97,7 +110,7 @@ CRASHED = [
 
 @pytest.fixture(scope="module")
 def app():
-    app = TimingServerApp(coalesce=CoalesceConfig(max_batch=1))
+    app = TimingServerApp(max_batch=1)
     app.registry.register_design(cascade_adder(4, 2))
     yield app
     app.close()
@@ -157,3 +170,107 @@ def test_crashing_scenario_files_exit_2(scenarios, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------------ netlist readers
+def _tokens(text):
+    """Whitespace runs, words and single punctuation marks: joined
+    back together they give ``text`` again."""
+    return tuple(re.findall(r"\s+|\w+|\S", text))
+
+
+_CSA = cascade_adder(4, 2, name="csa4_2")
+
+#: Format -> (tokens of a valid dump of csa4.2, reader).  BLIF and
+#: ``.bench`` are flat formats, so they hold the flattened adder.
+NETLISTS = {
+    "verilog": (_tokens(dumps_verilog(_CSA)), loads_verilog),
+    "blif": (_tokens(dumps_blif(_CSA.flatten())), loads_blif),
+    "bench": (_tokens(dumps_bench(_CSA.flatten())), loads_bench),
+}
+
+#: Tokens an insert draws from: each format's punctuation and keywords,
+#: names the dumps use, and numbers that broke other readers.
+NETLIST_TOKENS = (
+    "(", ")", ",", ";", "=", ".", "#", "\n", " ", "-", "0", "1", "2",
+    "module", "endmodule", "input", "output", "wire", "assign", "and",
+    "INPUT", "OUTPUT", "AND", "OR", "NOT", "XOR", "BUFF", "names",
+    "model", "inputs", "outputs", "end", "subckt", "csa4_2", "a0", "c_in",
+    "s0", "1e400", "nan", "-1",
+)
+
+#: One edit: ``(kind, i, j, token)``; positions wrap modulo the length.
+EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(("delete", "insert", "swap", "splice")),
+        st.integers(0, 10**6),
+        st.integers(0, 10**6),
+        st.sampled_from(NETLIST_TOKENS),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def mutate(tokens, edits):
+    """Token deletes, inserts, swaps and splices (a copied run of up to
+    eight tokens), applied in order."""
+    tokens = list(tokens)
+    for kind, i, j, token in edits:
+        if not tokens:
+            tokens.append(token)
+            continue
+        i, j = i % len(tokens), j % len(tokens)
+        if kind == "delete":
+            del tokens[i]
+        elif kind == "insert":
+            tokens.insert(i, token)
+        elif kind == "swap":
+            tokens[i], tokens[j] = tokens[j], tokens[i]
+        else:
+            tokens[j:j] = tokens[i:i + 8]
+    return "".join(tokens)
+
+
+def analyze(circuit):
+    """Every analysis a parsed circuit supports on the command line:
+    hierarchical and demand-driven for a design, flat delays and the
+    report for a network."""
+    session = AnalysisSession(circuit)
+    if isinstance(circuit, HierDesign):
+        session.hierarchical()
+        session.demand_driven()
+    else:
+        session.functional_delays()
+        session.report()
+
+
+@pytest.mark.parametrize("fmt", sorted(NETLISTS))
+@settings(max_examples=100, deadline=None)
+@given(edits=EDITS)
+def test_mutated_netlists_read_and_analyze_or_raise_repro_error(fmt, edits):
+    tokens, read = NETLISTS[fmt]
+    text = mutate(tokens, edits)
+    try:
+        analyze(read(text))
+    except ReproError:
+        pass
+
+
+@pytest.fixture(scope="module")
+def designs_app():
+    app = TimingServerApp(max_batch=1)
+    yield app
+    app.close()
+
+
+@settings(max_examples=60, deadline=None)
+@given(edits=EDITS)
+def test_mutated_verilog_registration_never_500(designs_app, edits):
+    source = mutate(NETLISTS["verilog"][0], edits)
+    body = json.dumps({"source": source}).encode()
+    status, _ctype, out = designs_app.handle("POST", "/designs", body)
+    doc = json.loads(out)
+    assert status < 500, (source, doc)
+    if status >= 400:
+        assert doc["error"]["code"], doc

@@ -149,10 +149,11 @@ class TestExecute:
         assert py == np_
 
     @needs_numpy
-    def test_chunking_preserves_results(self):
+    def test_chunking_preserves_results(self, monkeypatch):
         plan, rows = self._plan_and_rows(11)
         whole = propagate_batch(plan, rows)
-        chunked = propagate_batch(plan, rows, batch_size=3)
+        monkeypatch.setattr("repro.kernel.execute.CHUNK", 3)
+        chunked = propagate_batch(plan, rows)
         assert whole == chunked
 
     def test_empty_batch(self):

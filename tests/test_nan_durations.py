@@ -2,10 +2,11 @@
 
 ``x <= 0`` is false for NaN, so a NaN deadline or timeout used to pass
 every check: a run without a limit, every worker task counted as timed
-out, a coalescer window that never closed.  Each constructor raises
+out, an SLO that counted every request bad.  Each constructor raises
 ``ValueError``, the CLI exits 2 and the server answers 400
 ``bad-request``; ``inf`` still means "unlimited", and in
-``AnalysisOptions`` it becomes ``None``.
+``AnalysisOptions`` it becomes ``None``.  A sampling rate is the one
+value that must be finite: an infinite rate is a busy loop.
 """
 
 import json
@@ -17,9 +18,10 @@ from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.cli import main
 from repro.errors import ReproError
+from repro.obs.profiler import SamplingProfiler
+from repro.obs.slo import SloObjective, SloTracker
 from repro.parsers.verilog import dumps_verilog
-from repro.resilience.breaker import BreakerConfig
-from repro.server import CoalesceConfig, TimingServerApp
+from repro.server import TimingServerApp
 from repro.server.app import AdmissionGate
 
 NAN = float("nan")
@@ -29,12 +31,9 @@ CONSTRUCTORS = {
     "AnalysisOptions-deadline": lambda v: AnalysisOptions(deadline=v),
     "AnalysisOptions-module_timeout":
         lambda v: AnalysisOptions(module_timeout=v),
-    "TimingServerApp-default_deadline":
-        lambda v: TimingServerApp(default_deadline=v).close(),
-    "CoalesceConfig-max_wait": lambda v: CoalesceConfig(max_wait=v),
-    "CoalesceConfig-quiet_wait": lambda v: CoalesceConfig(quiet_wait=v),
-    "BreakerConfig-reset_timeout": lambda v: BreakerConfig(reset_timeout=v),
     "AdmissionGate-queue_timeout": lambda v: AdmissionGate(queue_timeout=v),
+    "SloObjective-latency_objective":
+        lambda v: SloObjective("/analyze", latency_objective=v),
 }
 
 
@@ -69,10 +68,7 @@ def _no_server(*_args, **_kwargs):
         (["hier-report", "{file}", "--deadline", "nan"], "deadline"),
         (["characterize", "{file}", "--jobs", "2", "--module-timeout",
           "nan"], "module_timeout"),
-        (["serve", "--request-deadline", "nan"], "default_deadline"),
-        (["serve", "--max-wait-ms", "nan"], "max_wait"),
-        (["serve", "--quiet-wait-ms", "nan"], "quiet_wait"),
-        (["serve", "--breaker-reset-ms", "nan"], "reset_timeout"),
+        (["serve", "--slo", "/analyze=nan"], "latency_objective"),
     ],
     ids=lambda v: v if isinstance(v, str) else " ".join(v[-2:]),
 )
@@ -100,3 +96,29 @@ def test_request_deadline_nan_is_bad_request(deadline):
     assert status == 400
     assert doc["error"]["code"] == "bad-request"
     assert "deadline" in doc["error"]["message"]
+
+
+def test_infinite_slo_latency_is_no_latency_bound():
+    tracker = SloTracker([SloObjective("/analyze", latency_objective=INF)])
+    for _ in range(20):
+        tracker.observe("/analyze", 200, 30.0)
+    tracker.observe("/analyze", 503, 0.001)  # a 5xx is still bad
+    rates = tracker.burn_rates("/analyze")
+    assert (rates["short_total"], rates["short_bad"]) == (21, 1)
+
+
+@pytest.mark.parametrize("hz", [NAN, INF])
+def test_sampling_profiler_needs_a_finite_positive_rate(hz):
+    with pytest.raises(ValueError, match="sampling rate"):
+        SamplingProfiler(hz=hz)
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "-1", "1e400"])
+def test_cli_sample_hz_must_be_off_or_finite(rate, capsys, monkeypatch):
+    monkeypatch.setattr(repro.server, "TimingHTTPServer", _no_server)
+    with pytest.raises(SystemExit) as exc:
+        main(["serve", "--sample-hz", rate])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: argument --sample-hz: must be 0 (off)")
+    assert err.count("\n") == 1

@@ -28,8 +28,8 @@ from repro.obs import (
     render_prometheus,
 )
 from repro.obs.sinks import JsonlSink
-from repro.resilience import BreakerConfig, FaultPlan
-from repro.server import CoalesceConfig, TimingServerApp
+from repro.resilience import FaultPlan
+from repro.server import TimingServerApp
 
 
 def call(app, method, path, payload=None):
@@ -41,7 +41,7 @@ def call(app, method, path, payload=None):
 
 
 def make_app(**kw):
-    kw.setdefault("coalesce", CoalesceConfig(max_batch=8))
+    kw.setdefault("max_batch", 8)
     app = TimingServerApp(**kw)
     app.registry.register_design(cascade_adder(4, 2))
     return app
@@ -304,7 +304,7 @@ class TestFlightRecorder:
         assert flight.snapshot()["retained"] == 3
 
     def test_slow_ring_threshold(self):
-        flight = FlightRecorder(capacity=8, slow_threshold=0.05)
+        flight = FlightRecorder(capacity=8)  # slow at SLOW_SECONDS = 0.1
         flight.record(record(1, latency_seconds=0.01))
         flight.record(record(2, latency_seconds=0.20))
         assert [r.trace_id for r in flight.slow()] == ["req-00000002"]
@@ -320,7 +320,7 @@ class TestFlightRecorder:
         assert errors[1].error == "unknown-design"
 
     def test_find_searches_every_ring(self):
-        flight = FlightRecorder(capacity=2, slow_threshold=0.05)
+        flight = FlightRecorder(capacity=2)
         flight.record(record(1, latency_seconds=0.2))  # recent + slow
         flight.record(record(2))
         flight.record(record(3))  # evicts 1 from recent
@@ -349,8 +349,6 @@ class TestFlightRecorder:
     def test_validation(self):
         with pytest.raises(ValueError):
             FlightRecorder(capacity=-1)
-        with pytest.raises(ValueError):
-            FlightRecorder(capacity=4, slow_threshold=0.0)
 
 
 # ------------------------------------------------------------------ SLO math
@@ -605,12 +603,13 @@ class TestServerAttribution:
             co.evaluate = inner
             app.close()
 
-    def test_degraded_and_breaker_paths_reach_flight_recorder(self):
+    def test_degraded_and_breaker_paths_reach_flight_recorder(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr("repro.resilience.breaker.FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr("repro.resilience.breaker.RESET_TIMEOUT", 60.0)
         plan = FaultPlan()
-        app = make_app(
-            options=AnalysisOptions(fault_plan=plan),
-            breaker=BreakerConfig(failure_threshold=1, reset_timeout=60.0),
-        )
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
         try:
             req = {"design": "csa4_2", "arrival": {}}
             plan.add("server.propagate", kind="exception", times=1)
@@ -679,8 +678,9 @@ class TestServerAttribution:
 
 
 class TestServerDebugRoutes:
-    def test_slow_ring_route(self):
-        app = make_app(slow_threshold=1e-9)  # everything is "slow"
+    def test_slow_ring_route(self, monkeypatch):
+        monkeypatch.setattr("repro.obs.flight.SLOW_SECONDS", 1e-9)
+        app = make_app()  # everything is "slow"
         try:
             call(app, "POST", "/analyze", {"design": "csa4_2", "arrival": {}})
             status, got = call(app, "GET", "/debug/slow?limit=5")

@@ -24,11 +24,10 @@ from hypothesis import strategies as st
 
 from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
-from repro.resilience import BreakerConfig, CircuitBreaker, FaultPlan
-from repro.resilience.breaker import CLOSED, HALF_OPEN, OPEN, BreakerOpen
+from repro.resilience import CircuitBreaker, FaultPlan
+from repro.resilience.breaker import CLOSED, FAILURE_THRESHOLD, HALF_OPEN, OPEN
 from repro.server import (
     AdmissionGate,
-    CoalesceConfig,
     DegradedRow,
     DesignRegistry,
     TimingServerApp,
@@ -77,7 +76,7 @@ def call(app, method, path, payload=None, raw=None):
 
 
 def make_app(**kw):
-    kw.setdefault("coalesce", CoalesceConfig(max_batch=8))
+    kw.setdefault("max_batch", 8)
     app = TimingServerApp(**kw)
     app.registry.register_design(cascade_adder(4, 2))
     return app
@@ -85,17 +84,23 @@ def make_app(**kw):
 
 # ------------------------------------------------------------- circuit breaker
 class TestCircuitBreaker:
-    def make(self, failures=3, reset=5.0, **kw):
+    """The breaker at its constants: :data:`FAILURE_THRESHOLD` (5)
+    consecutive failures open it, :data:`RESET_TIMEOUT` (1.0 s) later it
+    half-opens, lets one probe through, and that probe settles it."""
+
+    def make(self):
         clock = FakeClock()
-        config = BreakerConfig(
-            failure_threshold=failures, reset_timeout=reset, **kw
-        )
-        return CircuitBreaker("dut", config, clock=clock), clock
+        return CircuitBreaker("dut", clock=clock), clock
+
+    def trip(self, breaker):
+        for _ in range(FAILURE_THRESHOLD):
+            breaker.record_failure()
+        assert breaker.state == OPEN
 
     def test_opens_after_consecutive_failures(self):
-        breaker, _ = self.make(failures=3)
-        breaker.record_failure()
-        breaker.record_failure()
+        breaker, _ = self.make()
+        for _ in range(4):
+            breaker.record_failure()
         assert breaker.state == CLOSED
         assert breaker.allow()
         breaker.record_failure()
@@ -103,40 +108,48 @@ class TestCircuitBreaker:
         assert not breaker.allow()
 
     def test_success_resets_failure_count(self):
-        breaker, _ = self.make(failures=2)
-        breaker.record_failure()
+        breaker, _ = self.make()
+        for _ in range(4):
+            breaker.record_failure()
         breaker.record_success()
-        breaker.record_failure()
+        for _ in range(4):
+            breaker.record_failure()
         assert breaker.state == CLOSED
 
     def test_half_open_after_reset_timeout(self):
-        breaker, clock = self.make(failures=1, reset=5.0)
-        breaker.record_failure()
+        breaker, clock = self.make()
+        self.trip(breaker)
+        clock.advance(0.5)
         assert breaker.state == OPEN
-        clock.advance(4.9)
+        clock.advance(0.25)
         assert breaker.state == OPEN
-        clock.advance(0.2)
+        clock.advance(0.25)  # 1.0 s after opening
         assert breaker.state == HALF_OPEN
 
     def test_half_open_limits_probes(self):
-        breaker, clock = self.make(failures=1, reset=1.0)
-        breaker.record_failure()
+        breaker, clock = self.make()
+        self.trip(breaker)
         clock.advance(1.0)
         assert breaker.allow()  # claims the single probe slot
         assert not breaker.allow()  # concurrent second caller: fallback
 
     def test_probe_success_closes(self):
-        breaker, clock = self.make(failures=1, reset=1.0)
-        breaker.record_failure()
+        breaker, clock = self.make()
+        self.trip(breaker)
         clock.advance(1.0)
         assert breaker.allow()
-        breaker.record_success()
+        breaker.record_success()  # one successful probe is enough
         assert breaker.state == CLOSED
         assert breaker.allow()
+        assert breaker.snapshot()["transitions"] == {
+            "closed>open": 1,
+            "open>half-open": 1,
+            "half-open>closed": 1,
+        }
 
     def test_probe_failure_reopens_and_restarts_clock(self):
-        breaker, clock = self.make(failures=1, reset=1.0)
-        breaker.record_failure()
+        breaker, clock = self.make()
+        self.trip(breaker)
         clock.advance(1.0)
         assert breaker.allow()
         breaker.record_failure()
@@ -146,31 +159,25 @@ class TestCircuitBreaker:
         clock.advance(0.5)
         assert breaker.state == HALF_OPEN
 
-    def test_call_raises_breaker_open(self):
-        breaker, _ = self.make(failures=1)
-        with pytest.raises(RuntimeError, match="boom"):
-            breaker.call(self._boom)
-        with pytest.raises(BreakerOpen):
-            breaker.call(self._boom)
-
-    @staticmethod
-    def _boom():
-        raise RuntimeError("boom")
+    def test_constants_read_at_call_time(self, monkeypatch):
+        breaker, clock = self.make()
+        monkeypatch.setattr("repro.resilience.breaker.FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr("repro.resilience.breaker.RESET_TIMEOUT", 5.0)
+        breaker.record_failure()
+        assert breaker.state == OPEN
+        clock.advance(4.9)
+        assert breaker.state == OPEN
+        clock.advance(0.2)
+        assert breaker.state == HALF_OPEN
 
     def test_snapshot_counts_transitions_and_rejections(self):
-        breaker, _ = self.make(failures=1)
-        breaker.record_failure()
+        breaker, _ = self.make()
+        self.trip(breaker)
         breaker.allow()
         snap = breaker.snapshot()
         assert snap["state"] == OPEN
         assert snap["rejections"] == 1
         assert snap["transitions"] == {"closed>open": 1}
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            BreakerConfig(failure_threshold=0)
-        with pytest.raises(ValueError):
-            BreakerConfig(probe_limit=0)
 
 
 # -------------------------------------------------------------- admission gate
@@ -298,15 +305,6 @@ class TestAppOverload:
         finally:
             app.close()
 
-    def test_oversized_body_is_structured_413(self):
-        app = make_app(max_body_bytes=64)
-        try:
-            status, doc = call(app, "POST", "/analyze", raw=b"x" * 65)
-            assert status == 413
-            assert doc["error"]["code"] == "body-too-large"
-        finally:
-            app.close()
-
     def test_healthz_reports_admission_and_breakers(self):
         app = make_app(max_inflight=3, max_queue=5)
         try:
@@ -355,12 +353,11 @@ class TestDrain:
 
 # ------------------------------------------------------- breaker + degradation
 class TestDegradedServing:
-    def test_kernel_fault_degrades_then_breaker_opens(self):
+    def test_kernel_fault_degrades_then_breaker_opens(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.breaker.FAILURE_THRESHOLD", 2)
+        monkeypatch.setattr("repro.resilience.breaker.RESET_TIMEOUT", 60.0)
         plan = FaultPlan()
-        app = make_app(
-            options=AnalysisOptions(fault_plan=plan),
-            breaker=BreakerConfig(failure_threshold=2, reset_timeout=60.0),
-        )
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
         try:
             req = {"design": "csa4_2", "arrival": {}}
             status, doc = call(app, "POST", "/analyze", req)
@@ -387,12 +384,11 @@ class TestDegradedServing:
         finally:
             app.close()
 
-    def test_breaker_recovers_after_reset(self):
+    def test_breaker_recovers_after_reset(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.breaker.FAILURE_THRESHOLD", 1)
+        monkeypatch.setattr("repro.resilience.breaker.RESET_TIMEOUT", 0.05)
         plan = FaultPlan()
-        app = make_app(
-            options=AnalysisOptions(fault_plan=plan),
-            breaker=BreakerConfig(failure_threshold=1, reset_timeout=0.05),
-        )
+        app = make_app(options=AnalysisOptions(fault_plan=plan))
         try:
             req = {"design": "csa4_2", "arrival": {}}
             plan.add("server.propagate", kind="exception", times=1)
@@ -441,8 +437,7 @@ class TestDegradedServing:
     def test_compile_fault_registers_topological_handle(self):
         plan = FaultPlan().add("server.compile", kind="exception", times=1)
         app = TimingServerApp(
-            coalesce=CoalesceConfig(max_batch=4),
-            options=AnalysisOptions(fault_plan=plan),
+            max_batch=4, options=AnalysisOptions(fault_plan=plan)
         )
         try:
             app.registry.register_design(cascade_adder(4, 2))
@@ -518,7 +513,7 @@ class TestConservativeness:
 
     @pytest.fixture(scope="class")
     def entry(self):
-        registry = DesignRegistry(coalesce=CoalesceConfig(max_batch=4))
+        registry = DesignRegistry(max_batch=4)
         yield registry.register_design(cascade_adder(4, 2))
         registry.close()
 
@@ -546,15 +541,12 @@ class TestConservativeness:
 
 # ------------------------------------------------------- eviction vs in-flight
 class TestEvictionRace:
-    def test_eviction_races_inflight_work(self):
+    def test_eviction_races_inflight_work(self, monkeypatch):
         """LRU eviction must not lose or corrupt in-flight responses:
         every submit gets either a real row or a clean server-closed."""
-        reg = DesignRegistry(
-            max_designs=1,
-            coalesce=CoalesceConfig(
-                max_batch=4, max_wait=0.005, quiet_wait=0.002
-            ),
-        )
+        monkeypatch.setattr("repro.server.registry.MAX_DESIGNS", 1)
+        monkeypatch.setattr("repro.server.coalescer.MAX_WAIT", 0.005)
+        reg = DesignRegistry(max_batch=4)
         first = reg.register_design(cascade_adder(4, 2))
         n_outputs = len(first.handle.outputs)
         outcomes = []
@@ -593,8 +585,8 @@ class TestEvictionRace:
 # ------------------------------------------------------------- HTTP shell edge
 class TestHTTPShell:
     def test_oversized_content_length_rejected_before_buffering(self):
-        app = make_app(max_body_bytes=1024)
-        server, thread = start_server(app, port=0)
+        app = make_app()
+        server, thread = start_server(app, port=0, max_body_bytes=1024)
         try:
             with socket.create_connection(
                 ("127.0.0.1", server.port), timeout=5
@@ -645,6 +637,26 @@ class TestHTTPShell:
             server.shutdown()
             thread.join(timeout=5)
 
+    def test_negative_content_length_is_structured_400(self):
+        """A negative length is as malformed as a non-numeric one: 400
+        ``bad-content-length``, not a 413 that calls it too large."""
+        app = make_app()
+        server, thread = start_server(app, port=0)
+        try:
+            with socket.create_connection(
+                ("127.0.0.1", server.port), timeout=5
+            ) as sock:
+                sock.sendall(
+                    b"POST /analyze HTTP/1.1\r\nContent-Length: -1\r\n\r\n"
+                )
+                raw = _read_all(sock)
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert b"400" in head.split(b"\r\n")[0]
+            assert json.loads(body)["error"]["code"] == "bad-content-length"
+        finally:
+            server.shutdown()
+            thread.join(timeout=5)
+
 
 def _read_all(sock):
     chunks = []
@@ -666,7 +678,9 @@ class TestChaosSoak:
     CLIENTS = 8
     REQUESTS = 6
 
-    def test_soak_never_hangs_never_500(self):
+    def test_soak_never_hangs_never_500(self, monkeypatch):
+        monkeypatch.setattr("repro.resilience.breaker.FAILURE_THRESHOLD", 3)
+        monkeypatch.setattr("repro.resilience.breaker.RESET_TIMEOUT", 0.05)
         plan = (
             FaultPlan()
             .add("server.propagate", kind="exception", times=4)
@@ -674,12 +688,11 @@ class TestChaosSoak:
             .add("server.propagate", kind="timeout", times=2, seconds=0.01)
         )
         app = TimingServerApp(
-            coalesce=CoalesceConfig(max_batch=8),
+            max_batch=8,
             max_inflight=2,
             max_queue=2,
             queue_timeout=0.5,
             options=AnalysisOptions(fault_plan=plan),
-            breaker=BreakerConfig(failure_threshold=3, reset_timeout=0.05),
         )
         entry = app.registry.register_design(cascade_adder(8, 2))
         exact_delay = max(
@@ -750,8 +763,7 @@ class TestServeSignals:
         src = str(Path(__file__).resolve().parents[1] / "src")
         env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
         proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.server", "--port", "0",
-             "--drain-deadline", "3", *extra],
+            [sys.executable, "-m", "repro.server", "--port", "0", *extra],
             stdout=subprocess.PIPE,
             stderr=subprocess.STDOUT,
             text=True,

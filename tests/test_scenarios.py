@@ -302,11 +302,6 @@ class TestEngine:
         with pytest.raises(AnalysisError, match="needs a ScenarioFamily"):
             analyze_family(handle, ScenarioSet([{"a0": 1.0}]))
 
-    def test_batch_size_validated(self, handle):
-        fam = CornerSweep([Corner("typ")])
-        with pytest.raises(AnalysisError, match="batch_size"):
-            analyze_family(handle, fam, batch_size=0)
-
     def test_unknown_arrival_input(self, handle):
         fam = CornerSweep([Corner("typ")], arrival={"zz_top": 1.0})
         with pytest.raises(AnalysisError, match="unknown input 'zz_top'"):
@@ -367,21 +362,25 @@ class TestEngine:
         # per-member child seeds: chunk boundaries must be invisible
         fam = MonteCarlo(10, seed=5, sigma=0.15)
         pin_executor(monkeypatch, backend)
-        big = analyze_family(handle, fam, batch_size=64)
-        small = analyze_family(handle, fam, batch_size=3)
+        big = analyze_family(handle, fam)
+        monkeypatch.setattr("repro.kernel.execute.CHUNK", 3)
+        small = analyze_family(handle, fam)
         assert big.backend == small.backend == backend
         assert big.delays() == small.delays()
 
-    def test_mc_samples_depend_only_on_seed_and_index(self, handle):
+    def test_mc_samples_depend_only_on_seed_and_index(
+        self, handle, monkeypatch
+    ):
         # The kernel's own executor choice: the 4-member family and the
         # chunks of 4 run on python, the 16-member family on numpy when
         # it is installed.  The samples and the answers stay the same.
-        def run(samples, **kwargs):
+        def run(samples):
             fam = MonteCarlo(samples, seed=7, sigma_rel=0.1)
-            return analyze_family(handle, fam, **kwargs)
+            return analyze_family(handle, fam)
 
         four, sixteen = run(4), run(16)
-        chunked = run(16, batch_size=4)
+        monkeypatch.setattr("repro.kernel.execute.CHUNK", 4)
+        chunked = run(16)
         assert four.delays() == sixteen.delays()[:4]
         assert chunked.delays() == sixteen.delays()
         for result in (four, sixteen, chunked):
@@ -579,7 +578,7 @@ class TestReadBatch:
 # ------------------------------------------------------------------ the server
 @pytest.fixture(scope="module")
 def app():
-    app = TimingServerApp(max_scenarios=50)
+    app = TimingServerApp()
     app.registry.register_design(cascade_adder(4, 2))
     yield app
     app.close()
@@ -630,27 +629,45 @@ class TestServerFamilies:
         assert status == 200
         assert doc["family"] == "corner"
 
-    def test_oversized_family_is_413(self, app):
+    def test_oversized_family_is_413(self, app, monkeypatch):
+        def expand(_family):
+            raise AssertionError("an oversized family was expanded")
+
+        monkeypatch.setattr(MonteCarlo, "expand", expand)
         status, doc = call(
             app,
             "/batch",
             {
                 "design": "csa4_2",
-                "scenarios": {"family": "mc", "samples": 51},
+                "scenarios": {"family": "mc", "samples": 5000},
             },
         )
         assert status == 413
         assert doc["error"]["code"] == "too-many-scenarios"
-        assert "max_scenarios limit of 50" in doc["error"]["message"]
+        assert "max_scenarios limit of 4096" in doc["error"]["message"]
 
     def test_oversized_list_is_413(self, app):
         status, doc = call(
             app,
             "/batch",
-            {"design": "csa4_2", "scenarios": [{}] * 51},
+            {"design": "csa4_2", "scenarios": [{}] * 4097},
         )
         assert status == 413
         assert doc["error"]["code"] == "too-many-scenarios"
+        status, doc = call(
+            app,
+            "/batch",
+            {"design": "csa4_2", "scenarios": [{}] * 4096},
+        )
+        assert status == 200 and doc["count"] == 4096
+
+    def test_scenario_limit_read_at_call_time(self, app, monkeypatch):
+        monkeypatch.setattr("repro.server.app.MAX_SCENARIOS", 50)
+        status, doc = call(
+            app, "/batch", {"design": "csa4_2", "scenarios": [{}] * 51}
+        )
+        assert status == 413
+        assert "max_scenarios limit of 50" in doc["error"]["message"]
 
     def test_family_and_scenarios_together_is_400(self, app):
         status, doc = call(
@@ -673,10 +690,6 @@ class TestServerFamilies:
         assert status == 400
         assert doc["error"]["code"] == "bad-request"
         assert "a family goes under 'scenarios'" in doc["error"]["message"]
-
-    def test_max_scenarios_validated(self):
-        with pytest.raises(ValueError, match="max_scenarios"):
-            TimingServerApp(max_scenarios=0)
 
 
 # --------------------------------------------------------------------- the CLI

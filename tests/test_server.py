@@ -7,12 +7,16 @@ import time
 
 import pytest
 
+from repro.api import AnalysisOptions
 from repro.circuits.adders import cascade_adder
 from repro.errors import ReproError
+from repro.kernel.execute import propagate_batch
+from repro.obs.flight import FlightRecorder
 from repro.parsers.verilog import dumps_verilog
+from repro.resilience import CircuitBreaker
 from repro.resilience.policy import Deadline
+from repro.scenarios import MonteCarlo, analyze_family
 from repro.server import (
-    CoalesceConfig,
     DesignRegistry,
     RequestCoalescer,
     TimingServerApp,
@@ -20,6 +24,7 @@ from repro.server import (
     content_id,
     start_server,
 )
+from repro.sta.topological import arrival_times_batch
 
 
 # --------------------------------------------------------------------- helpers
@@ -41,7 +46,7 @@ def call(app, method, path, payload=None):
 @pytest.fixture(scope="module")
 def app():
     """One served design (csa4.2, registered as ``csa4_2``)."""
-    app = TimingServerApp(coalesce=CoalesceConfig(max_batch=8))
+    app = TimingServerApp(max_batch=8)
     app.registry.register_design(cascade_adder(4, 2))
     yield app
     app.close()
@@ -81,8 +86,9 @@ class TestRegistry:
         with pytest.raises(UnknownDesign):
             reg.get("nope")
 
-    def test_lru_eviction(self):
-        reg = DesignRegistry(max_designs=1)
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.server.registry.MAX_DESIGNS", 1)
+        reg = DesignRegistry()
         first = reg.register_design(cascade_adder(4, 2))
         second = reg.register_design(cascade_adder(8, 2))
         assert len(reg) == 1
@@ -154,7 +160,7 @@ class TestCoalescer:
                 assert release.wait(10)
             return [s["v"] for s in scenarios]
 
-        co = RequestCoalescer(evaluate, config=CoalesceConfig(max_batch=8))
+        co = RequestCoalescer(evaluate, max_batch=8)
         outcomes = {}
 
         def client(i):
@@ -183,9 +189,7 @@ class TestCoalescer:
         co.close()
 
     def test_max_batch_one_never_coalesces(self):
-        co = RequestCoalescer(
-            lambda s: [0.0] * len(s), config=CoalesceConfig(max_batch=1)
-        )
+        co = RequestCoalescer(lambda s: [0.0] * len(s), max_batch=1)
         threads = [
             threading.Thread(target=co.submit, args=({},))
             for _ in range(6)
@@ -268,10 +272,10 @@ class TestCoalescer:
         assert not outcome.ok and outcome.error == "server-closed"
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            CoalesceConfig(max_batch=0)
-        with pytest.raises(ValueError):
-            CoalesceConfig(max_wait=-1.0)
+        with pytest.raises(ValueError, match="max_batch"):
+            RequestCoalescer(lambda s: s, max_batch=0)
+        with pytest.raises(ValueError, match="max_batch"):
+            DesignRegistry(max_batch=0)
 
 
 # ------------------------------------------------------------------ app routes
@@ -582,7 +586,7 @@ class TestDeadline504:
 def http_app():
     """A private app per HTTP test: ``server.shutdown()`` closes its
     app (drains the registry), so these cannot share the module app."""
-    app = TimingServerApp(coalesce=CoalesceConfig(max_batch=8))
+    app = TimingServerApp(max_batch=8)
     app.registry.register_design(cascade_adder(4, 2))
     yield app
     app.close()
@@ -691,3 +695,129 @@ class TestHTTPServer:
         # read the counter off the held entry: shutdown() has already
         # drained the registry by the time we get here
         assert entry.coalescer.coalesced > before
+
+
+# ---------------------------------------------------- settings are constants
+def _removed_setting_cases():
+    """``(id, exception, message, check(app))`` per removed setting: a
+    flag is an unknown argument, a keyword a ``TypeError``, a class an
+    ``AttributeError``."""
+    from repro.cli import main
+
+    def flag(command, name, value="1"):
+        circuit = [] if command == "serve" else ["design.v"]
+        return lambda _app: main([command, *circuit, name, value])
+
+    def keyword(make):
+        return lambda app: make(app, app.registry.get("csa4_2"))
+
+    def name_gone(module, name):
+        import importlib
+
+        return lambda _app: getattr(importlib.import_module(module), name)
+
+    serve_flags = (
+        "--max-wait-ms", "--quiet-wait-ms", "--max-scenarios",
+        "--request-deadline", "--drain-deadline", "--breaker-failures",
+        "--breaker-reset-ms", "--slow-ms", "--batch-size",
+    )
+    app_keywords = (
+        "coalesce", "default_deadline", "trace_capacity", "max_scenarios",
+        "max_body_bytes", "breaker", "slow_threshold",
+    )
+    keywords = {
+        **{f"TimingServerApp-{k}": (
+            lambda k: lambda app, entry: TimingServerApp(**{k: None})
+        )(k) for k in app_keywords},
+        **{f"DesignRegistry-{k}": (
+            lambda k: lambda app, entry: DesignRegistry(**{k: None})
+        )(k) for k in ("coalesce", "breaker", "max_designs")},
+        "RequestCoalescer-config":
+            lambda app, entry: RequestCoalescer(list, config=None),
+        "RequestCoalescer.submit-wait_timeout":
+            lambda app, entry: entry.coalescer.submit({}, wait_timeout=1.0),
+        "CircuitBreaker-config":
+            lambda app, entry: CircuitBreaker("x", config=None),
+        **{f"FlightRecorder-{k}": (
+            lambda k: lambda app, entry: FlightRecorder(**{k: 1})
+        )(k) for k in ("slow_threshold", "slow_capacity", "error_capacity")},
+        "AnalysisOptions-batch_size":
+            lambda app, entry: AnalysisOptions(batch_size=4),
+        "propagate_batch-batch_size": lambda app, entry: propagate_batch(
+            entry.handle.plan, [[0.0] * len(entry.handle.inputs)],
+            batch_size=4,
+        ),
+        "CompiledDesign.propagate-batch_size":
+            lambda app, entry: entry.handle.propagate([{}], batch_size=4),
+        "CompiledDesign.propagate_rows-batch_size":
+            lambda app, entry: entry.handle.propagate_rows(
+                [{}], batch_size=4
+            ),
+        "RegisteredDesign.evaluate_rows-batch_size":
+            lambda app, entry: entry.evaluate_rows([{}], batch_size=4),
+        "RegisteredDesign.degraded_rows-batch_size":
+            lambda app, entry: entry.degraded_rows([{}], batch_size=4),
+        "analyze_family-batch_size": lambda app, entry: analyze_family(
+            entry.handle, MonteCarlo(2), batch_size=4
+        ),
+        "arrival_times_batch-batch_size":
+            lambda app, entry: arrival_times_batch(
+                entry.design.flatten(), [{}], batch_size=4
+            ),
+    }
+    names = (
+        ("repro.server", "CoalesceConfig"),
+        ("repro.server.coalescer", "CoalesceConfig"),
+        ("repro.resilience", "BreakerConfig"),
+        ("repro.resilience", "BreakerOpen"),
+        ("repro.resilience.breaker", "BreakerConfig"),
+        ("repro.resilience.breaker", "BreakerOpen"),
+    )
+    return [
+        *[(f"serve {f}", SystemExit, "2", flag("serve", f))
+          for f in serve_flags],
+        *[(f"{c} --batch-size", SystemExit, "2", flag(c, "--batch-size"))
+          for c in ("hier-report", "demand")],
+        *[(name, TypeError, name.rsplit("-", 1)[1], keyword(make))
+          for name, make in keywords.items()],
+        *[(f"{m}.{n}", AttributeError, n, name_gone(m, n)) for m, n in names],
+        ("CircuitBreaker.call", AttributeError, "call",
+         lambda _app: CircuitBreaker("x").call),
+    ]
+
+
+REMOVED_SETTINGS = _removed_setting_cases()
+
+
+class TestSettingsAreConstants:
+    """Settings with one value in use are module constants: each removed
+    flag, keyword and class fails loudly instead of being ignored."""
+
+    @pytest.mark.parametrize(
+        ("expected", "message", "check"),
+        [case[1:] for case in REMOVED_SETTINGS],
+        ids=[case[0] for case in REMOVED_SETTINGS],
+    )
+    def test_removed_setting_fails_loudly(
+        self, app, capsys, expected, message, check
+    ):
+        with pytest.raises(expected, match=message) as exc:
+            check(app)
+        if expected is SystemExit:
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: unrecognized arguments: --")
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("port", ["70000", "65536", "-1"])
+    def test_serve_port_out_of_range_is_one_error_line(self, port, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["serve", "--port", port])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err == (
+            f"error: argument --port: must be between 0 and 65535, "
+            f"got {port}\n"
+        )

@@ -59,7 +59,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from repro.cli import preload_design  # noqa: E402
-from repro.server import CoalesceConfig, TimingServerApp, start_server  # noqa: E402
+from repro.server import TimingServerApp, start_server  # noqa: E402
 
 DEFAULT_DESIGN = "gen:csa2048.8"
 DEFAULT_LEVELS = "1,8,32,64"
@@ -183,18 +183,13 @@ def run_level(
 
 def run_mode(
     design: str,
-    coalesce: CoalesceConfig,
+    max_batch: int,
     levels: list[int],
     duration: float,
     warmup: float,
-    batch_size: int,
 ) -> tuple[dict, list[dict]]:
     """One server lifetime: sweep every concurrency level against it."""
-    from repro.api import AnalysisOptions
-
-    app = TimingServerApp(
-        options=AnalysisOptions(batch_size=batch_size), coalesce=coalesce
-    )
+    app = TimingServerApp(max_batch=max_batch)
     entry = preload_design(app.registry, design)
     server, thread = start_server(app, port=0)
     body = json.dumps({"design": entry.name, "arrival": {}}).encode()
@@ -284,7 +279,6 @@ def run_overload(
     overload_clients: int,
     duration: float,
     warmup: float,
-    batch_size: int,
 ) -> dict:
     """Capacity run, then an overload run against the same gate.
 
@@ -292,11 +286,8 @@ def run_overload(
     (nothing sheds); overload = ``overload_clients`` against the same
     server.  Goodput is the accepted-rate ratio between the two.
     """
-    from repro.api import AnalysisOptions
-
     app = TimingServerApp(
-        options=AnalysisOptions(batch_size=batch_size),
-        coalesce=CoalesceConfig(max_batch=64),
+        max_batch=64,
         max_inflight=max_inflight,
         max_queue=max_queue,
         queue_timeout=0.2,
@@ -376,9 +367,6 @@ def main(argv: list[str] | None = None) -> int:
         help="unmeasured seconds per level (default %(default)s)",
     )
     parser.add_argument("--max-batch", type=int, default=64)
-    parser.add_argument("--max-wait-ms", type=float, default=10.0)
-    parser.add_argument("--quiet-wait-ms", type=float, default=2.0)
-    parser.add_argument("--batch-size", type=int, default=256)
     parser.add_argument(
         "--phase",
         choices=("all", "throughput", "overload"),
@@ -431,7 +419,6 @@ def main(argv: list[str] | None = None) -> int:
             args.overload_clients,
             args.duration,
             args.warmup,
-            args.batch_size,
         )
         cap, over = doc["capacity"], doc["overload"]
         print(
@@ -456,21 +443,10 @@ def main(argv: list[str] | None = None) -> int:
             return 0
 
     levels = sorted({int(c) for c in args.concurrency.split(",")})
-    coalesced_cfg = CoalesceConfig(
-        max_batch=args.max_batch,
-        max_wait=args.max_wait_ms / 1e3,
-        quiet_wait=args.quiet_wait_ms / 1e3,
-    )
-    serial_cfg = CoalesceConfig(
-        max_batch=1,
-        max_wait=args.max_wait_ms / 1e3,
-        quiet_wait=args.quiet_wait_ms / 1e3,
-    )
 
     print(f"bench_server: {args.design}, levels {levels}", flush=True)
     stats, coalesced = run_mode(
-        args.design, coalesced_cfg, levels, args.duration, args.warmup,
-        args.batch_size,
+        args.design, args.max_batch, levels, args.duration, args.warmup
     )
     print(
         f"  coalesced (max_batch={args.max_batch}, "
@@ -483,8 +459,7 @@ def main(argv: list[str] | None = None) -> int:
             f"p50 {row['p50_ms']:.1f}ms  p99 {row['p99_ms']:.1f}ms"
         )
     _, serial = run_mode(
-        args.design, serial_cfg, levels, args.duration, args.warmup,
-        args.batch_size,
+        args.design, 1, levels, args.duration, args.warmup
     )
     print("  serial (max_batch=1):")
     for row in serial:
