@@ -18,7 +18,7 @@ The public API re-exports the main types; subpackages hold the substrates:
 * :mod:`repro.sat`      — CDCL solver, incremental sessions + Tseitin
   encoding
 * :mod:`repro.bdd`      — ROBDD package
-* :mod:`repro.sim`      — logic & timed (XBD0 oracle) simulation
+* :mod:`repro.sim`      — timed (XBD0 oracle) and waveform simulation
 * :mod:`repro.sta`      — topological STA + path-length machinery
 * :mod:`repro.core`     — XBD0 engine, required times, hierarchical and
   demand-driven analysis
@@ -49,7 +49,6 @@ from repro.core.timing_model import TimingModel
 from repro.core.xbd0 import StabilityAnalyzer, circuit_delay, functional_delays
 from repro.kernel.design import CompiledDesign
 from repro.library.store import ModelLibrary
-from repro.netlist.aig import equivalent
 from repro.netlist.hierarchy import HierDesign, Instance, Module
 from repro.netlist.network import Gate, GateType, Network
 from repro.obs import Metrics, Tracer
@@ -69,7 +68,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.19.0"
+__version__ = "1.20.0"
 
 __all__ = [
     "AnalysisOptions",
@@ -112,7 +111,6 @@ __all__ = [
     "characterize_network",
     "characterize_output",
     "circuit_delay",
-    "equivalent",
     "flat_functional_delay",
     "functional_delays",
     "input_budgets",

@@ -10,7 +10,7 @@ class NetlistError(ReproError):
 
 
 class ParseError(ReproError):
-    """Malformed input file (BENCH / BLIF / DIMACS)."""
+    """Malformed input file (BENCH / BLIF / Verilog)."""
 
     def __init__(self, message: str, line: int | None = None):
         if line is not None:

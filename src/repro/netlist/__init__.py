@@ -1,6 +1,5 @@
 """Netlist substrate: gates, flat networks, and depth-1 hierarchies."""
 
-from repro.netlist.aig import AIG, equivalent, network_to_aig
 from repro.netlist.gates import (
     GateType,
     Prime,
@@ -20,7 +19,6 @@ from repro.netlist.transform import (
 )
 
 __all__ = [
-    "AIG",
     "Gate",
     "GateType",
     "HierDesign",
@@ -33,11 +31,9 @@ __all__ = [
     "collapse_buffers",
     "decompose_complex",
     "depth",
-    "equivalent",
     "evaluate",
     "gate_primes",
     "levelize",
-    "network_to_aig",
     "propagate_constants",
     "satisfied_primes",
     "stats",

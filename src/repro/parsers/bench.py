@@ -11,7 +11,7 @@ The classic ISCAS-85/89 textual netlist format::
 Supported gate keywords: AND, OR, NAND, NOR, XOR, XNOR, NOT, BUF/BUFF,
 MUX, CONST0/CONST1.  Gate delays are not part of the format; a delay policy
 (default 1.0 per gate, 0 for BUF) is applied on read and can be overridden
-afterwards with :mod:`repro.sta.delays` helpers.
+afterwards with :meth:`~repro.netlist.network.Network.with_delays`.
 """
 
 from __future__ import annotations

@@ -1,4 +1,4 @@
-"""SAT substrate: incremental sessions, CDCL solver, Tseitin, DIMACS I/O.
+"""SAT substrate: incremental sessions, CDCL solver, Tseitin encoding.
 
 :class:`IncrementalSolver` is the blessed entry point — a persistent
 session with assumption-based queries and push/pop frames.  The one-shot
@@ -7,7 +7,6 @@ for single-query callers.
 """
 
 from repro.sat.cnf import CNF, Clause, Literal
-from repro.sat.dimacs import dumps_dimacs, loads_dimacs, read_dimacs, write_dimacs
 from repro.sat.incremental import IncrementalSolver
 from repro.sat.solver import Solver, SolveResult, luby, solve_cnf
 from repro.sat.tseitin import (
@@ -28,16 +27,12 @@ __all__ = [
     "NetworkEncoder",
     "SolveResult",
     "Solver",
-    "dumps_dimacs",
     "encode_and",
     "encode_equal",
     "encode_mux",
     "encode_or",
     "encode_xor2",
-    "loads_dimacs",
     "luby",
     "miter_cnf",
-    "read_dimacs",
     "solve_cnf",
-    "write_dimacs",
 ]

@@ -196,12 +196,16 @@ class FamilyResult:
         }
 
     def render(self, indent: str = "  ") -> str:
-        """Human-readable family summary."""
+        """Human-readable family summary.
+
+        Prints no wall-clock time and no executor name, so one family
+        on one design renders the same bytes on every run; both stay in
+        :meth:`to_dict`.
+        """
         lines = [
             f"Scenario family {self.kind!r}"
             + (f" ({self.name})" if self.name else "")
-            + f" on {self.design}: {self.count} members"
-            f" via {self.backend} backend in {self.seconds:.3f}s",
+            + f" on {self.design}: {self.count} members",
             f"{indent}family delay (worst member): {_fmt(self.delay)}",
         ]
         for s in self.corner_stats():

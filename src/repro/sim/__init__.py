@@ -1,7 +1,5 @@
-"""Simulation substrate: logic, timed (XBD0 oracle), waveform, compiled."""
+"""Simulation substrate: timed (XBD0 oracle) and waveform simulation."""
 
-from repro.sim.compiled import compile_network, fast_equivalence_sample
-from repro.sim.logic import Ternary, simulate, ternary_gate, ternary_simulate
 from repro.sim.timed import (
     brute_force_delay,
     brute_force_stable_at,
@@ -18,22 +16,16 @@ from repro.sim.waveform import (
 )
 
 __all__ = [
-    "Ternary",
     "Waveform",
     "all_vectors",
-    "compile_network",
     "brute_force_delay",
     "brute_force_stable_at",
     "corner_vectors",
-    "fast_equivalence_sample",
     "last_output_event",
     "last_transition_bound",
     "random_vectors",
-    "simulate",
     "simulate_transition",
     "stable_times",
-    "ternary_gate",
-    "ternary_simulate",
     "transition_pairs",
     "vector_output_delay",
 ]

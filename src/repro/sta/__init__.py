@@ -1,11 +1,5 @@
 """Topological STA substrate: arrival/required/slack and path lengths."""
 
-from repro.sta.delays import (
-    PAPER_EXAMPLE_DELAYS,
-    mapped_delays,
-    paper_example_delays,
-    unit_delays,
-)
 from repro.sta.known_false import (
     KnownFalseAnalyzer,
     annotations_from_models,
@@ -30,7 +24,6 @@ from repro.sta.topological import (
 )
 
 __all__ = [
-    "PAPER_EXAMPLE_DELAYS",
     "CriticalPath",
     "KnownFalseAnalyzer",
     "all_pin_path_lengths",
@@ -42,13 +35,10 @@ __all__ = [
     "event_time_candidates",
     "functional_timing_report",
     "k_worst_paths",
-    "mapped_delays",
-    "paper_example_delays",
     "pin_to_pin_delay",
     "pin_to_pin_delays",
     "required_times",
     "slacks",
     "timing_report",
     "topological_delay",
-    "unit_delays",
 ]

@@ -10,6 +10,8 @@ for the per-cone incremental SAT sessions; :func:`brute_force_witness`
 enumerates input vectors, the reference for witnesses and care sets.
 :class:`LiteralDemandAnalyzer` is the Section-5 check exactly as the
 paper states it, kept to show why production deviates from it.
+:func:`equivalent` proves two networks compute the same function, the
+reference for transforms, parsers and flattening.
 """
 
 from __future__ import annotations
@@ -19,8 +21,8 @@ from repro.core.xbd0 import StabilityAnalyzer
 from repro.sim.timed import vector_output_delay
 from repro.sim.vectors import all_vectors
 from repro.sat.cnf import CNF
-from repro.sat.solver import Solver, SolveResult
-from repro.sat.tseitin import NetworkEncoder, encode_equal
+from repro.sat.solver import Solver, SolveResult, solve_cnf
+from repro.sat.tseitin import NetworkEncoder, encode_equal, miter_cnf
 from repro.sta.paths import distinct_path_lengths
 
 NEG_INF = float("-inf")
@@ -241,3 +243,16 @@ def brute_force_witness(network, output, time, arrival=None, care=None):
             if vector_output_delay(network, vector, output, arrival) > time:
                 return vector
     return None
+
+
+def equivalent(left, right):
+    """Whether two networks compute the same function on every input vector.
+
+    Solves the SAT miter of :func:`~repro.sat.tseitin.miter_cnf`: it is
+    unsatisfiable exactly when no input vector makes an output differ.
+    Both networks must name the same inputs and outputs
+    (:class:`~repro.errors.SolverError` otherwise).
+    """
+    cnf, _ = miter_cnf(left, right)
+    result, _ = solve_cnf(cnf)
+    return result is SolveResult.UNSAT

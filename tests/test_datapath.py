@@ -118,8 +118,7 @@ class TestWallaceMultiplier:
 
     def test_equivalent_to_array(self):
         from repro.circuits.datapath import wallace_multiplier
-        from repro.netlist.aig import equivalent
-        from repro.netlist.network import Network
+        from tests.reference import equivalent
 
         wal = wallace_multiplier(3, 3)
         arr = array_multiplier(3, 3)

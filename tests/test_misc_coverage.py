@@ -1,6 +1,4 @@
-"""Remaining-path coverage: CLI regenerators, file I/O, stub edges."""
-
-import io
+"""Remaining-path coverage: CLI regenerators, stub edges."""
 
 import pytest
 
@@ -8,8 +6,6 @@ from repro.circuits.adders import carry_skip_block
 from repro.cli import main
 from repro.core.ipblock import stub_network
 from repro.core.timing_model import NEG_INF, TimingModel
-from repro.sat.cnf import CNF
-from repro.sat.dimacs import read_dimacs, write_dimacs
 
 
 class TestCLIRegenerators:
@@ -24,26 +20,6 @@ class TestCLIRegenerators:
             main(["--help"])
         assert exc.value.code == 0
         assert "repro-sta" in capsys.readouterr().out
-
-
-class TestDimacsFileIO:
-    def test_stream_roundtrip(self, tmp_path):
-        cnf = CNF(4)
-        cnf.add_clause((1, -2, 3))
-        cnf.add_clause((-4,))
-        path = tmp_path / "f.cnf"
-        with path.open("w") as fp:
-            write_dimacs(cnf, fp)
-        with path.open() as fp:
-            again = read_dimacs(fp)
-        assert list(again) == list(cnf)
-        assert again.num_vars == 4
-
-    def test_percent_terminated_file(self):
-        # some generators end files with '%' lines; tolerated
-        text = "p cnf 2 1\n1 2 0\n%\n0\n"
-        cnf = read_dimacs(io.StringIO(text))
-        assert (1, 2) in cnf.clauses
 
 
 class TestStubEdges:

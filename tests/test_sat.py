@@ -15,7 +15,6 @@ from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.xbd0 import StabilityAnalyzer, StabilityContext
 from repro.errors import SolverError
 from repro.sat.cnf import CNF
-from repro.sat.dimacs import dumps_dimacs, loads_dimacs
 from repro.sat.solver import Solver, SolveResult, luby, solve_cnf
 
 
@@ -49,28 +48,6 @@ class TestCNF:
         cp.add_clause((-1,))
         assert len(cnf) == 1
         assert len(cp) == 2
-
-
-class TestDimacs:
-    def test_roundtrip(self):
-        cnf = CNF(3)
-        cnf.add_clause((1, -2))
-        cnf.add_clause((2, 3))
-        again = loads_dimacs(dumps_dimacs(cnf))
-        assert again.num_vars == 3
-        assert list(again) == list(cnf)
-
-    def test_comments_ignored(self):
-        cnf = loads_dimacs("c hi\np cnf 2 1\n1 -2 0\n")
-        assert cnf.clauses == [(1, -2)]
-
-    def test_clause_before_header_rejected(self):
-        with pytest.raises(Exception):
-            loads_dimacs("1 0\np cnf 1 1\n")
-
-    def test_multiline_clause(self):
-        cnf = loads_dimacs("p cnf 3 1\n1 2\n3 0\n")
-        assert cnf.clauses == [(1, 2, 3)]
 
 
 class TestLuby:

@@ -11,6 +11,7 @@ a plain single-scenario analysis, so the tests demand bit identity, not
 tolerances.
 """
 
+import dataclasses
 import json
 import re
 import sys
@@ -450,6 +451,14 @@ class TestEngine:
         assert "corner slow" in text
         assert "histogram:" in text
 
+    def test_render_omits_time_and_executor(self, handle):
+        # the report repeats byte for byte; to_dict keeps both fields
+        result = analyze_family(handle, MonteCarlo(4, seed=2, sigma=0.1))
+        other = dataclasses.replace(result, seconds=99.0, backend="other")
+        assert other.render() == result.render()
+        assert other.to_dict()["seconds"] == 99.0
+        assert other.to_dict()["backend"] == "other"
+
 
 # ----------------------------------------------------- hypothesis properties
 class TestExactnessProperties:
@@ -737,6 +746,17 @@ class TestFamilyCLI:
             main(["demand", verilog_file, "--scenarios", family_file]) == 0
         )
         assert "Scenario family" in capsys.readouterr().out
+
+    def test_family_report_repeats(self, verilog_file, tmp_path, capsys):
+        f = tmp_path / "mc.json"
+        f.write_text(json.dumps(
+            {"family": "monte-carlo", "samples": 600, "seed": 7, "sigma": 0.1}
+        ))
+        argv = ["demand", verilog_file, "--scenarios", str(f)]
+        assert main(argv) == 0
+        first = capsys.readouterr().out
+        assert main(argv) == 0
+        assert capsys.readouterr().out == first
 
     def test_both_flags_exit_2(
         self, verilog_file, family_file, tmp_path, capsys

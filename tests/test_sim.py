@@ -1,4 +1,4 @@
-"""Tests for logic simulation and the per-vector XBD0 oracle."""
+"""Tests for input vectors and the per-vector XBD0 oracle."""
 
 import pytest
 from hypothesis import given, settings
@@ -6,9 +6,7 @@ from hypothesis import strategies as st
 
 from repro.circuits.adders import carry_skip_block
 from repro.circuits.random_logic import random_network
-from repro.netlist.gates import GateType
 from repro.netlist.network import Network
-from repro.sim.logic import ternary_gate, ternary_simulate
 from repro.sim.timed import (
     NEG_INF,
     brute_force_delay,
@@ -18,39 +16,6 @@ from repro.sim.timed import (
 )
 from repro.sim.vectors import all_vectors, corner_vectors, random_vectors
 from repro.sta.topological import arrival_times
-
-
-class TestTernary:
-    def test_and_controlling_beats_x(self):
-        assert ternary_gate(GateType.AND, [False, None]) is False
-        assert ternary_gate(GateType.AND, [True, None]) is None
-        assert ternary_gate(GateType.AND, [True, True]) is True
-
-    def test_or_controlling_beats_x(self):
-        assert ternary_gate(GateType.OR, [True, None]) is True
-        assert ternary_gate(GateType.OR, [False, None]) is None
-
-    def test_xor_x_poisons(self):
-        assert ternary_gate(GateType.XOR, [True, None]) is None
-
-    def test_mux_consensus(self):
-        # unknown select but agreeing data -> known output
-        assert ternary_gate(GateType.MUX, [None, True, True]) is True
-        assert ternary_gate(GateType.MUX, [None, True, False]) is None
-        assert ternary_gate(GateType.MUX, [True, None, False]) is False
-
-    def test_not_buf(self):
-        assert ternary_gate(GateType.NOT, [None]) is None
-        assert ternary_gate(GateType.BUF, [False]) is False
-
-    def test_simulate_defaults_to_x(self):
-        net = Network()
-        net.add_inputs(["a", "b"])
-        net.add_gate("z", "AND", ["a", "b"])
-        values = ternary_simulate(net, {"a": False})
-        assert values["z"] is False
-        values = ternary_simulate(net, {"a": True})
-        assert values["z"] is None
 
 
 class TestVectors:

@@ -10,12 +10,6 @@ from repro.circuits.adders import carry_skip_block
 from repro.circuits.random_logic import random_network
 from repro.errors import AnalysisError
 from repro.netlist.network import Network
-from repro.sta.delays import (
-    PAPER_EXAMPLE_DELAYS,
-    mapped_delays,
-    paper_example_delays,
-    unit_delays,
-)
 from repro.sta.paths import (
     all_pin_path_lengths,
     distinct_path_lengths,
@@ -210,21 +204,3 @@ class TestEventCandidates:
         net = chain([1.0, 1.0])
         cands = event_time_candidates(net, {"x": 3.0})
         assert cands["g1"] == (5.0,)
-
-
-class TestDelayPolicies:
-    def test_unit_delays(self, csa_block2):
-        unit = unit_delays(csa_block2)
-        assert unit.gate("p0").delay == 1.0
-        assert unit.gate("c_out").delay == 1.0
-
-    def test_mapped_delays_with_default(self, csa_block2):
-        doubled = mapped_delays(csa_block2, {}, default=3.0)
-        assert doubled.gate("skip").delay == 3.0
-
-    def test_paper_example_delays_roundtrip(self, csa_block2):
-        again = paper_example_delays(unit_delays(csa_block2))
-        assert again.gate("p0").delay == PAPER_EXAMPLE_DELAYS[
-            again.gate("p0").gtype
-        ]
-        assert arrival_times(again)["c_out"] == 8.0

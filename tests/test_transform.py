@@ -17,6 +17,7 @@ from repro.netlist.transform import (
 )
 from repro.sim.vectors import all_vectors, random_vectors
 from repro.sta.topological import arrival_times, pin_to_pin_delay
+from tests.reference import equivalent
 
 
 class TestDecompose:
@@ -81,6 +82,22 @@ class TestDecompose:
         assert networks_equivalent_on(
             net, dec, random_vectors(net.inputs, 24, seed=seed)
         )
+
+
+class TestProvenEquivalence:
+    """Transforms proven function-preserving by the SAT miter of
+    :func:`tests.reference.equivalent`, not only on sampled vectors."""
+
+    def test_transform_equivalence(self):
+        net = carry_skip_block(2)
+        assert equivalent(net, decompose_complex(net))
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.integers(0, 10_000))
+    def test_random_transform_chain(self, seed):
+        net = random_network(5, 16, seed=seed, num_outputs=2)
+        rewritten = propagate_constants(decompose_complex(net))
+        assert equivalent(net, rewritten)
 
 
 class TestConstants:

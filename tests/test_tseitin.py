@@ -1,14 +1,18 @@
-"""Tests for Tseitin encoding of networks and miter construction."""
+"""Tests for Tseitin encoding of networks, miter construction and the
+miter-backed equivalence oracle of ``tests/reference.py``."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.adders import carry_skip_block, ripple_adder
+from repro.circuits.adders import carry_skip_block, cascade_adder, ripple_adder
 from repro.circuits.random_logic import random_network
+from repro.errors import SolverError
 from repro.netlist.network import Network
 from repro.sat.solver import Solver, SolveResult, solve_cnf
 from repro.sat.tseitin import NetworkEncoder, miter_cnf
 from repro.sim.vectors import random_vectors
+from tests.reference import equivalent
 
 
 def test_encoding_consistent_with_simulation():
@@ -85,3 +89,29 @@ def test_miter_random_network_self_equivalence(seed):
     cnf, _ = miter_cnf(net, net.copy())
     result, _ = solve_cnf(cnf)
     assert result is SolveResult.UNSAT
+
+
+def test_flatten_equivalence():
+    design = cascade_adder(6, 2)
+    assert equivalent(design.flatten(), design.flatten(name="again"))
+
+
+def test_skip_adder_equals_ripple_adder():
+    """Two different adder implementations proven functionally identical."""
+    skip = cascade_adder(4, 2).flatten(name="skip")
+    ripple = ripple_adder(4, name="ripple")
+    assert set(skip.outputs) == set(ripple.outputs)
+    assert equivalent(skip, ripple)
+
+
+def test_interface_mismatch_rejected():
+    left = Network("l")
+    left.add_input("a")
+    left.add_gate("z", "BUF", ["a"])
+    left.set_outputs(["z"])
+    right = Network("r")
+    right.add_inputs(["a", "b"])
+    right.add_gate("z", "BUF", ["a"])
+    right.set_outputs(["z"])
+    with pytest.raises(SolverError):
+        equivalent(left, right)

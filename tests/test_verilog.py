@@ -8,7 +8,8 @@ from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
 from repro.netlist.ops import networks_equivalent_on
 from repro.parsers.verilog import dumps_verilog, loads_verilog
-from repro.sim.vectors import all_vectors, random_vectors
+from repro.sim.vectors import all_vectors
+from tests.reference import equivalent
 
 FLAT_EXAMPLE = """
 // a full adder
@@ -158,10 +159,7 @@ class TestWriter:
 
     def test_mux_decomposition_preserves_function(self):
         block = carry_skip_block(2)
-        again = loads_verilog(dumps_verilog(block))
-        assert networks_equivalent_on(
-            block, again, random_vectors(block.inputs, 32, seed=3)
-        )
+        assert equivalent(block, loads_verilog(dumps_verilog(block)))
 
     def test_hier_roundtrip(self):
         design = loads_verilog(HIER_EXAMPLE)
