@@ -5,8 +5,8 @@ The acceptance workload of the scenario-family subsystem: a 3-corner x
 evaluated three ways:
 
 * ``analyze_family`` — the family engine: one backend pick, delay rows
-  lowered per chunk, one ``propagate_rows`` call per chunk against the
-  handle's cached executors;
+  lowered per chunk, one output-filtered ``propagate`` call per chunk
+  against the handle's cached executors;
 * a *naive loop* — what a caller would write without the engine: for
   each member, sample/scale its delay vector and run one
   single-scenario ``propagate`` call (single rows auto-select the

@@ -18,8 +18,6 @@ import json
 import time
 from pathlib import Path
 
-import pytest
-
 from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer

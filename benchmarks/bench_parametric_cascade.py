@@ -13,7 +13,6 @@ import pytest
 
 from repro.circuits.adders import cascade_adder
 from repro.core.hier import HierarchicalAnalyzer
-from repro.core.required import characterize_network
 from repro.core.xbd0 import functional_delays
 
 SWEEP = list(range(1, 11))

@@ -16,7 +16,6 @@ Run:  python examples/incremental_analysis.py
 import time
 
 from repro import IncrementalAnalyzer, cascade_adder
-from repro.circuits.adders import ripple_adder
 from repro.core.demand import flat_functional_delay
 from repro.netlist.network import Network
 

@@ -41,7 +41,6 @@ from repro.netlist.network import Network
 from repro.obs.trace import NULL_TRACER, Tracer, ensure_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.core.batch import BatchResult
     from repro.core.conditional import ConditionalResult
     from repro.core.demand import DemandDrivenResult, PinPairExplanation
     from repro.core.hier import HierResult

@@ -14,12 +14,36 @@ shared across the whole batch.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator
+from typing import Iterator, Mapping
 
 from repro.core.result import AnalysisResultMixin
+from repro.kernel.design import RowView
 from repro.resilience.degradation import Degradation
 
 NEG_INF = float("-inf")
+POS_INF = float("inf")
+
+
+class SlackView(RowView):
+    """Slack per primary output, derived on read from a view of the
+    output times and the scenario's delay: ``delay - t``, or ``+inf``
+    when the delay or ``t`` is ``-inf``."""
+
+    __slots__ = ("_delay",)
+
+    def __init__(self, times: RowView, delay: float):
+        super().__init__(times._keys, times._row)
+        self._delay = delay
+
+    def __getitem__(self, name: str) -> float:
+        return self._slack(super().__getitem__(name))
+
+    def _floats(self) -> list[float]:
+        return [self._slack(t) for t in super()._floats()]
+
+    def _slack(self, t: float) -> float:
+        delay = self._delay
+        return POS_INF if delay == NEG_INF or t == NEG_INF else delay - t
 
 
 @dataclass
@@ -29,15 +53,16 @@ class ScenarioResult(AnalysisResultMixin):
     #: The arrival-time scenario that was analyzed (inputs not listed
     #: defaulted to 0.0).
     arrival: dict[str, float]
-    #: Stable-time estimate per top-level net.
-    net_times: dict[str, float]
+    #: Stable-time estimate per top-level net (the hierarchical
+    #: analyzer's is a read-only view over the kernel's result row).
+    net_times: Mapping[str, float]
     #: Stable time per primary output.
-    output_times: dict[str, float]
+    output_times: Mapping[str, float]
     #: max over primary outputs.
     delay: float
     #: Slack per primary output (required − arrival under this
     #: scenario's own deadline, the latest primary-output arrival).
-    slacks: dict[str, float] = field(default_factory=dict)
+    slacks: Mapping[str, float] = field(default_factory=dict)
 
     def _to_dict_extra(self) -> dict:
         return {
@@ -52,6 +77,8 @@ class BatchResult:
 
     Per-scenario numbers live in :attr:`scenarios`; everything shared
     across the batch (degradations, aggregate counters) lives here once.
+    A hierarchical batch keeps the kernel's one result matrix: each
+    scenario's times are views over its row.
     """
 
     #: One result per input scenario, in input order.

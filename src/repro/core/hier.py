@@ -65,10 +65,11 @@ def topological_models(network: Network) -> dict[str, TimingModel]:
 class HierResult(AnalysisResultMixin):
     """Outcome of a hierarchical analysis run."""
 
-    #: Stable time of every top-level net (PIs at their arrival times).
-    net_times: dict[str, float]
-    #: Stable time per primary output.
-    output_times: dict[str, float]
+    #: Stable time of every top-level net (PIs at their arrival times),
+    #: a read-only view over the kernel's result row.
+    net_times: Mapping[str, float]
+    #: Stable time per primary output (a view over the same row).
+    output_times: Mapping[str, float]
     #: max over primary outputs.
     delay: float
     #: Modules characterized during this run (empty on a warm cache).
@@ -317,15 +318,14 @@ class HierarchicalAnalyzer:
         with self.tracer.span(
             "propagate", phase="propagation", design=design.name
         ):
-            net_times = compiled.propagate(
-                [arrival], tracer=self.tracer
-            )[0]
-        output_times = {o: net_times[o] for o in design.outputs}
+            (net_times,) = compiled.propagate([arrival], tracer=self.tracer)
+        output_times = net_times.select(compiled.output_keys)
+        delay = max(output_times.values(), default=NEG_INF)
         t2 = time.perf_counter()
         return HierResult(
             net_times=net_times,
             output_times=output_times,
-            delay=max(output_times.values()) if output_times else NEG_INF,
+            delay=delay,
             characterized_modules=fresh,
             characterization_seconds=t1 - t0,
             propagation_seconds=t2 - t1,
@@ -341,7 +341,7 @@ class HierarchicalAnalyzer:
         deadline (its latest primary-output arrival), the Section-5
         convention.
         """
-        from repro.core.batch import BatchResult, ScenarioResult
+        from repro.core.batch import BatchResult, ScenarioResult, SlackView
 
         design = self.design
         scenarios = [dict(s or {}) for s in scenarios]
@@ -350,7 +350,7 @@ class HierarchicalAnalyzer:
         t0 = time.perf_counter()
         mark = len(self.dlog)
         fresh = self._ensure_models()
-        rows: list[dict[str, float]] = []
+        results = []
         if scenarios:
             compiled = self.compile()
             with self.tracer.span(
@@ -360,25 +360,19 @@ class HierarchicalAnalyzer:
                 scenarios=len(scenarios),
             ):
                 rows = compiled.propagate(scenarios, tracer=self.tracer)
-        results = []
-        for scenario, net_times in zip(scenarios, rows):
-            output_times = {o: net_times[o] for o in design.outputs}
-            delay = max(output_times.values()) if output_times else NEG_INF
-            slacks = {
-                o: POS_INF
-                if delay == NEG_INF or t == NEG_INF
-                else delay - t
-                for o, t in output_times.items()
-            }
-            results.append(
-                ScenarioResult(
-                    arrival=scenario,
-                    net_times=net_times,
-                    output_times=output_times,
-                    delay=delay,
-                    slacks=slacks,
+            keys = compiled.output_keys
+            for scenario, net_times in zip(scenarios, rows):
+                output_times = net_times.select(keys)
+                delay = max(output_times.values(), default=NEG_INF)
+                results.append(
+                    ScenarioResult(
+                        arrival=scenario,
+                        net_times=net_times,
+                        output_times=output_times,
+                        delay=delay,
+                        slacks=SlackView(output_times, delay),
+                    )
                 )
-            )
         return BatchResult(
             scenarios=tuple(results),
             delay=max((r.delay for r in results), default=NEG_INF),

@@ -25,7 +25,7 @@ migration hint, via :func:`removed_alias`.
 
 from __future__ import annotations
 
-from typing import Protocol, runtime_checkable
+from typing import Mapping, Protocol, runtime_checkable
 
 NEG_INF = float("-inf")
 
@@ -57,7 +57,7 @@ class AnalysisResult(Protocol):
     """Structural type of every analyzer result object."""
 
     @property
-    def arrival_times(self) -> dict[str, float]:
+    def arrival_times(self) -> Mapping[str, float]:
         """Stable time per primary output."""
         ...
 
@@ -84,7 +84,7 @@ class AnalysisResultMixin:
     """
 
     @property
-    def arrival_times(self) -> dict[str, float]:
+    def arrival_times(self) -> Mapping[str, float]:
         """Stable time per primary output (the protocol's spelling)."""
         return self.output_times  # type: ignore[attr-defined]
 

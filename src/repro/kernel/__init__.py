@@ -13,7 +13,9 @@ the demand-driven timing graph):
   with mutable edge weights and incremental (dirty-cone) re-propagation
   after each refinement;
 * :mod:`~repro.kernel.design` wraps a plan in the reusable
-  :class:`CompiledDesign` handle the batch API hands out.
+  :class:`CompiledDesign` handle the batch API hands out; its results
+  are :class:`RowView` s, read-only name -> time mappings over the rows
+  of the executor's result matrix.
 
 Every analysis propagates through this kernel.  Its results are
 bit-identical to the plain per-node walks they replace (Step-2 min-max
@@ -28,7 +30,7 @@ from repro.kernel.backend import (
     numpy_or_none,
     pick_backend,
 )
-from repro.kernel.design import CompiledDesign
+from repro.kernel.design import CompiledDesign, RowView
 from repro.kernel.execute import NumpyExecutor, PythonExecutor, propagate_batch
 from repro.kernel.graph import CompiledTimingGraph, GraphState
 from repro.kernel.plan import CompiledGraph, compile_design, compile_network
@@ -43,6 +45,7 @@ __all__ = sorted(
         "NUMPY_MIN_BATCH",
         "NumpyExecutor",
         "PythonExecutor",
+        "RowView",
         "compile_design",
         "compile_network",
         "numpy_or_none",

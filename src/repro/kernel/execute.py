@@ -177,8 +177,11 @@ class NumpyExecutor:
         self,
         rows: Sequence[Sequence[float]],
         delays=None,
-    ) -> list[list[float]]:
-        """Net values per scenario (same contract as the python path).
+    ):
+        """Net values per scenario, as one float64 array.
+
+        The array is ``(scenarios, nets)``; otherwise the contract is the
+        python path's.
 
         ``delays`` mirrors :meth:`PythonExecutor.propagate`: ``None``
         uses the plan's cached per-node arrays; a 1-D ``(n_entries,)``
@@ -234,7 +237,7 @@ class NumpyExecutor:
                 values[:, idx] = np.maximum.reduceat(
                     terms, bounds, axis=1
                 ).min(axis=1)
-        return values.tolist()
+        return values
 
 
 def propagate_batch(
@@ -243,7 +246,8 @@ def propagate_batch(
     cache: dict | None = None,
     tracer: Tracer = NULL_TRACER,
     delays=None,
-) -> list[list[float]]:
+    columns: Sequence[int] | None = None,
+):
     """Evaluate arrival rows against a plan, picking an executor.
 
     The executor is :func:`~repro.kernel.backend.pick_backend` of the
@@ -257,6 +261,12 @@ def propagate_batch(
     ``(n_entries,)`` vector shared by the whole batch (a corner), or
     one vector per scenario (parametric/Monte-Carlo families); per-row
     delays are chunked in lockstep with ``rows``.
+
+    Returns the executor's matrix, one row per scenario aligned with
+    ``plan.nets``: a numpy float64 array, or the python executor's
+    list of lists of floats (``[]`` for no rows).  ``columns`` (net
+    positions) keeps only those columns, in that order, of each chunk,
+    so a large batch never holds every net of every row at once.
 
     With tracing on, each call emits one ``kernel-propagate`` event
     (chosen backend, scenario count, scenarios/second) and feeds the
@@ -283,20 +293,26 @@ def propagate_batch(
             cache[chosen] = executor
     start_t = time.perf_counter() if tracer.enabled else 0.0
     chunk = CHUNK
-    if chunk >= len(rows):
-        out = executor.propagate(rows, delays=delays)
+    parts = []
+    for start in range(0, len(rows), chunk):
+        end = start + chunk
+        part = executor.propagate(
+            rows[start:end],
+            delays=delays[start:end] if form == "rows" else delays,
+        )
+        if columns is not None:
+            part = (
+                part[:, columns]
+                if chosen == "numpy"
+                else [[row[i] for i in columns] for row in part]
+            )
+        parts.append(part)
+    if len(parts) == 1:
+        out = parts[0]
+    elif chosen == "numpy":
+        out = numpy_or_none().concatenate(parts)
     else:
-        out = []
-        for start in range(0, len(rows), chunk):
-            end = start + chunk
-            chunk_delays = (
-                delays[start:end] if form == "rows" else delays
-            )
-            out.extend(
-                executor.propagate(
-                    rows[start:end], delays=chunk_delays
-                )
-            )
+        out = [row for part in parts for row in part]
     if tracer.enabled:
         seconds = time.perf_counter() - start_t
         tracer.event(

@@ -31,7 +31,7 @@ import json
 import os
 import re
 from pathlib import Path
-from typing import Iterable, TextIO
+from typing import TextIO
 
 from repro.obs.metrics import NEG_INF, POS_INF, Metrics
 from repro.obs.trace import TraceRecord

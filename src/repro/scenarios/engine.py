@@ -7,7 +7,7 @@
    members (the kernel's own chunk size), lower the chunk to
    per-member delay vectors (:meth:`ScenarioFamily.delay_rows`, drawn
    with numpy whenever it is installed) and evaluate it via
-   :meth:`~repro.kernel.design.CompiledDesign.propagate_rows` with the
+   :meth:`~repro.kernel.design.CompiledDesign.propagate` with the
    ``delays=`` override — the kernel picks the executor per chunk, and
    the handle's executor cache is reused across every chunk, so the
    per-node array setup is paid once per family;
@@ -71,7 +71,8 @@ def analyze_family(
     np = numpy_or_none()
     chunk = execute.CHUNK
     chosen = pick_backend(min(chunk, count))
-    outputs = handle.outputs
+    # A view holds a repeated output net once.
+    outputs = tuple(dict.fromkeys(handle.outputs))
     n_out = len(outputs)
     detail = count <= DETAIL_LIMIT
     worst = [NEG_INF] * n_out
@@ -82,13 +83,14 @@ def analyze_family(
     for lo in range(0, count, chunk):
         hi = min(lo + chunk, count)
         delays = family.delay_rows(plan, lo, hi, np)
-        rows = handle.propagate_rows(
+        views = handle.propagate(
             [arrival] * (hi - lo),
             tracer=tracer,
             nets=outputs,
             delays=delays,
         )
-        for member, row in zip(members[lo:hi], rows):
+        for member, view in zip(members[lo:hi], views):
+            row = list(view.values())
             best = 0
             for j in range(1, n_out):
                 if row[j] > row[best]:

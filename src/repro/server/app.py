@@ -65,7 +65,7 @@ import itertools
 import json
 import threading
 import time
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 from urllib.parse import parse_qsl
 
 from repro.api import AnalysisOptions
@@ -973,10 +973,10 @@ class TimingServerApp:
     @staticmethod
     def _row_doc(
         entry: RegisteredDesign,
-        row: "Sequence[float] | DegradedRow",
+        row: "Mapping[str, float] | DegradedRow",
         include: tuple[str, ...],
     ) -> dict:
-        """Response body from a raw row: output times (the hot path),
+        """Response body from a row view: output times (the hot path),
         or with ``include: ["nets"]`` the times of every net of the
         plan."""
         doc: dict = {}
@@ -985,11 +985,11 @@ class TimingServerApp:
             row = row.row
         nets = None
         if "nets" in include:
-            nets = dict(zip(entry.handle.plan.nets, row))
-            row = [nets[o] for o in entry.handle.outputs]
-        doc["delay"] = max(row) if row else None
+            nets = dict(row.items())
+            row = {o: nets[o] for o in entry.handle.outputs}
+        doc["delay"] = max(row.values()) if row else None
         if "outputs" in include:
-            doc["outputs"] = dict(zip(entry.handle.outputs, row))
+            doc["outputs"] = dict(row.items())
         if nets is not None:
             doc["nets"] = nets
         return doc

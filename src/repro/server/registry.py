@@ -37,10 +37,10 @@ import threading
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Sequence
+from typing import TYPE_CHECKING, Mapping, Sequence
 
 from repro.api import AnalysisOptions, AnalysisSession
-from repro.errors import AnalysisError, ParseError, ReproError
+from repro.errors import ParseError, ReproError
 from repro.netlist.hierarchy import HierDesign
 from repro.obs.trace import NULL_TRACER, Tracer, ensure_tracer
 from repro.resilience.breaker import CircuitBreaker
@@ -66,8 +66,8 @@ class DegradedRow:
     ``degradations`` says why the exact path was not used.
     """
 
-    #: Output stable times, aligned with ``handle.outputs``.
-    row: list
+    #: Output stable times, keyed like the exact row it replaces.
+    row: Mapping[str, float]
     #: Why this scenario was answered conservatively.
     degradations: tuple[Degradation, ...] = ()
 
@@ -170,7 +170,8 @@ class RegisteredDesign:
     ) -> list:
         """Stable-time rows for ``scenarios``, degrading instead of raising.
 
-        Each row aligns with ``nets`` (default: ``handle.outputs``).
+        Each row is a read-only view keyed by ``nets`` (default:
+        ``handle.outputs``).
         The hot path: one batched kernel call against :attr:`handle`,
         guarded by :attr:`breaker`.  When the breaker is open the
         kernel is not attempted at all; when it is closed but the call
@@ -195,7 +196,7 @@ class RegisteredDesign:
         try:
             if fault_plan is not None:
                 fault_plan.fire("server.propagate", design=self.name)
-            rows = self.handle.propagate_rows(
+            rows = self.handle.propagate(
                 scenarios, tracer=tracer, nets=nets
             )
         except (KeyboardInterrupt, SystemExit):
@@ -221,11 +222,11 @@ class RegisteredDesign:
         kind: str = "breaker-open",
         detail: str = "",
     ) -> list[DegradedRow]:
-        """Conservative rows from the topological-bound handle, aligned
-        with ``nets`` (default: ``handle.outputs``)."""
+        """Conservative rows from the topological-bound handle, keyed
+        by ``nets`` (default: ``handle.outputs``)."""
         if self._topo is None:
             self._topo = topological_handle(self.design)
-        values = self._topo.propagate_rows(
+        values = self._topo.propagate(
             scenarios,
             tracer=tracer,
             nets=self.handle.outputs if nets is None else nets,
@@ -444,10 +445,9 @@ class DesignRegistry:
         )
 
     def _make_coalescer(self, entry: RegisteredDesign) -> RequestCoalescer:
-        # raw output-time rows, aligned with handle.outputs: name-keyed
-        # dicts cost more per scenario than the batched kernel on large
-        # designs, and the coalesced path only ever reads primary
-        # outputs (requests that want every net bypass the coalescer).
+        # output-time views over the kernel's matrix: the coalesced path
+        # only ever reads primary outputs (requests that want every net
+        # bypass the coalescer).
         # evaluate_rows never raises on kernel faults — it degrades to
         # the topological-bound path, so a bad batch becomes a batch of
         # conservative answers rather than a batch of 500s.

@@ -45,26 +45,24 @@ def arrival_times(
 def arrival_times_batch(
     network: Network,
     scenarios,
-) -> list[dict[str, float]]:
+) -> list[Mapping[str, float]]:
     """Topological arrival times for a batch of PI-arrival scenarios.
 
     Compiles the network once (:func:`repro.kernel.plan.compile_network`)
-    and evaluates every scenario in one batched kernel pass —
-    bit-identical to calling :func:`arrival_times` per scenario.
+    and evaluates every scenario in one batched kernel pass through
+    :meth:`~repro.kernel.design.CompiledDesign.propagate`: each
+    scenario's times are a read-only view equal to (and bit-identical
+    with) :func:`arrival_times` of that scenario.  A NaN arrival raises
+    :class:`~repro.errors.AnalysisError` naming the input.
     """
-    from repro.kernel.execute import propagate_batch
+    from repro.kernel.design import CompiledDesign
     from repro.kernel.plan import compile_network
 
-    scenarios = list(scenarios)
+    scenarios = [s or {} for s in scenarios]
     if not scenarios:
         return []
-    plan = compile_network(network)
-    inputs = plan.nets[: plan.n_inputs]
-    rows = [
-        [float((s or {}).get(x, 0.0)) for x in inputs] for s in scenarios
-    ]
-    values = propagate_batch(plan, rows)
-    return [dict(zip(plan.nets, row)) for row in values]
+    handle = CompiledDesign(compile_network(network), tuple(network.outputs))
+    return handle.propagate(scenarios)
 
 
 def topological_delay(

@@ -527,8 +527,6 @@ def _knob_calls(design):
         ),
         "CompiledDesign.propagate":
             lambda kw: session.compile().propagate([{}], **kw),
-        "CompiledDesign.propagate_rows":
-            lambda kw: session.compile().propagate_rows([{}], **kw),
         "HierarchicalAnalyzer.analyze_batch":
             lambda kw: HierarchicalAnalyzer(design).analyze_batch([{}], **kw),
         "AnalysisSession.analyze_family":
@@ -552,7 +550,6 @@ def _removed_knob_cases():
     )
     backend = (
         "pick_backend", "propagate_batch", "CompiledDesign.propagate",
-        "CompiledDesign.propagate_rows",
         "HierarchicalAnalyzer.analyze_batch",
         "AnalysisSession.analyze_family", "analyze_family",
         "arrival_times_batch",

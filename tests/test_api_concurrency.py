@@ -9,12 +9,14 @@ concurrent result must be bit-identical to the single-threaded
 reference (floats compared with ``==``, not a tolerance).
 """
 
+import sys
 import threading
 
 import pytest
 
 from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
+from repro.scenarios import ScenarioSet
 
 N_THREADS = 8
 ROUNDS = 12
@@ -52,6 +54,7 @@ def _hammer(worker, n_threads=N_THREADS):
         t.start()
     for t in threads:
         t.join(60)
+    assert not any(t.is_alive() for t in threads), "a worker hung"
     if errors:
         raise errors[0]
 
@@ -61,7 +64,7 @@ class TestCompiledHandleThreadSafety:
         self, session, scenarios
     ):
         handle = session.compile()
-        reference = handle.propagate_rows(scenarios)
+        reference = handle.propagate(scenarios)
 
         def worker(i):
             # vary the row count per thread: small batches run on the
@@ -70,7 +73,7 @@ class TestCompiledHandleThreadSafety:
             # against the other threads
             count = [1, 2, 3, len(scenarios)][i % 4]
             for _ in range(ROUNDS):
-                rows = handle.propagate_rows(scenarios[:count])
+                rows = handle.propagate(scenarios[:count])
                 assert rows == reference[:count]
 
         _hammer(worker)
@@ -92,25 +95,52 @@ class TestCompiledHandleThreadSafety:
 
         _hammer(worker)
 
+    def test_cold_row_key_caches_race(self, scenarios):
+        # one fresh handle: every thread races its empty row-key cache
+        # (every net, an output filter, the output keys a batch reads)
+        # while the interpreter switches threads as often as it can
+        design = cascade_adder(8, 2)
+        batch_in = ScenarioSet.of(*scenarios * 2)
+        reference = AnalysisSession(design)
+        full = reference.compile().propagate(scenarios * 2)
+        expected = reference.analyze_batch(batch_in)
+        session = AnalysisSession(design)
+        handle = session.compile()
+
+        def worker(i):
+            if i % 3 == 0:
+                assert handle.propagate(scenarios * 2) == full
+            elif i % 3 == 1:
+                got = handle.propagate(scenarios * 2, nets=handle.outputs)
+                assert got == [r.output_times for r in expected]
+            else:
+                got = session.analyze_batch(batch_in).to_dict()
+                assert got["scenarios"] == expected.to_dict()["scenarios"]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _hammer(worker, n_threads=12)
+        finally:
+            sys.setswitchinterval(interval)
+
     def test_concurrent_compile_calls_agree(self):
         # cold sessions compiled from many threads at once: every handle
         # must produce the same answers as a serially-compiled one
         design = cascade_adder(4, 2)
-        reference = AnalysisSession(design).compile().propagate_rows([{}])
+        reference = AnalysisSession(design).compile().propagate([{}])
         session = AnalysisSession(design)
 
         def worker(_i):
             handle = session.compile()
-            assert handle.propagate_rows([{}]) == reference
+            assert handle.propagate([{}]) == reference
 
         _hammer(worker)
 
     def test_analyze_batch_matches_handle(self, session, scenarios):
-        from repro.scenarios import ScenarioSet
-
         result = session.analyze_batch(ScenarioSet.of(*scenarios))
         handle = session.compile()
-        rows = handle.propagate_rows(scenarios, nets=handle.outputs)
+        rows = handle.propagate(scenarios, nets=handle.outputs)
         assert len(result) == len(rows)
         for per_scenario, row in zip(result, rows):
-            assert per_scenario.delay == max(row)
+            assert per_scenario.delay == max(row.values())

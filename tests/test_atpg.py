@@ -20,7 +20,7 @@ from repro.circuits.adders import carry_skip_block, ripple_adder
 from repro.circuits.random_logic import random_network
 from repro.errors import NetlistError
 from repro.netlist.network import Network
-from repro.sim.vectors import all_vectors, random_vectors
+from repro.sim.vectors import all_vectors
 
 
 def redundant_circuit() -> Network:

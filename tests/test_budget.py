@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.circuits.adders import carry_skip_block
 from repro.core.budget import input_budgets
 from repro.core.timing_model import POS_INF
 from repro.core.xbd0 import StabilityAnalyzer

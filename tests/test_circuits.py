@@ -1,8 +1,6 @@
 """Functional-correctness tests for every circuit generator."""
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.circuits.adders import (
     carry_select_adder,

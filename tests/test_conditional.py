@@ -11,7 +11,7 @@ from repro.core.conditional import ConditionalAnalyzer
 from repro.core.demand import flat_functional_delay
 from repro.errors import AnalysisError
 from repro.sim.timed import stable_times
-from repro.sim.vectors import all_vectors, random_vectors
+from repro.sim.vectors import random_vectors
 
 
 class TestPerVectorExactness:

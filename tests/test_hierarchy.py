@@ -6,7 +6,6 @@ from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.errors import NetlistError
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
-from repro.netlist.ops import networks_equivalent_on
 from repro.sim.vectors import all_vectors, random_vectors
 
 

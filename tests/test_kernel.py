@@ -145,15 +145,15 @@ class TestExecute:
     def test_backends_bit_identical(self):
         plan, rows = self._plan_and_rows(13)
         py = PythonExecutor(plan).propagate(rows)
-        np_ = NumpyExecutor(plan).propagate(rows)
+        np_ = NumpyExecutor(plan).propagate(rows).tolist()
         assert py == np_
 
     @needs_numpy
     def test_chunking_preserves_results(self, monkeypatch):
         plan, rows = self._plan_and_rows(11)
-        whole = propagate_batch(plan, rows)
+        whole = propagate_batch(plan, rows).tolist()
         monkeypatch.setattr("repro.kernel.execute.CHUNK", 3)
-        chunked = propagate_batch(plan, rows)
+        chunked = propagate_batch(plan, rows).tolist()
         assert whole == chunked
 
     def test_empty_batch(self):
@@ -319,6 +319,10 @@ class TestGoldenEquivalence:
         scenarios = [{}, {net.inputs[0]: 4.0}, {net.inputs[1]: -2.0}]
         batch = arrival_times_batch(net, scenarios)
         assert batch == [arrival_times(net, s) for s in scenarios]
+        many = scenarios * 3  # on the numpy executor when installed
+        for view, scenario in zip(arrival_times_batch(net, many), many):
+            expected = arrival_times(net, scenario)
+            assert expected == view and list(view) == list(expected)
 
     def test_compile_handle_cached_and_forced(self, design):
         analyzer = HierarchicalAnalyzer(design)

@@ -186,7 +186,7 @@ class TestExecutorEquivalence:
         ]
         assert (
             PythonExecutor(plan).propagate(rows)
-            == NumpyExecutor(plan).propagate(rows)
+            == NumpyExecutor(plan).propagate(rows).tolist()
         )
 
 

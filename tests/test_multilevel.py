@@ -11,7 +11,6 @@ from repro.core.multilevel import (
 )
 from repro.core.timing_model import NEG_INF
 from repro.netlist.hierarchy import HierDesign
-from repro.sim.vectors import random_vectors
 
 
 class TestComposition:

@@ -49,8 +49,6 @@ class RaisingHandle:
     def propagate(self, *args, **kwargs):
         raise RuntimeError("kernel unavailable")
 
-    propagate_rows = propagate
-
 
 class FakeClock:
     """Deterministic monotonic clock for breaker/gate state machines."""
@@ -529,13 +527,13 @@ class TestConservativeness:
             )
         )
         scenario = dict(zip(inputs, times))
-        exact = entry.handle.propagate_rows(
+        exact = entry.handle.propagate(
             [scenario], nets=entry.handle.outputs
         )[0]
         degraded = entry.degraded_rows([scenario])[0]
         assert isinstance(degraded, DegradedRow)
         assert degraded.degradations
-        for bound, truth in zip(degraded.row, exact):
+        for bound, truth in zip(degraded.row.values(), exact.values()):
             assert bound >= truth - 1e-9
 
 
@@ -576,7 +574,7 @@ class TestEvictionRace:
             if o.ok:
                 row = o.value.row if isinstance(o.value, DegradedRow) else o.value
                 assert len(row) == n_outputs
-                assert all(isinstance(v, float) for v in row)
+                assert all(isinstance(v, float) for v in row.values())
             else:
                 assert o.error == "server-closed"
         reg.close()
@@ -696,7 +694,7 @@ class TestChaosSoak:
         )
         entry = app.registry.register_design(cascade_adder(8, 2))
         exact_delay = max(
-            entry.handle.propagate_rows([{}], nets=entry.handle.outputs)[0]
+            entry.handle.propagate([{}], nets=entry.handle.outputs)[0].values()
         )
         server, thread = start_server(app, port=0)
         responses = []

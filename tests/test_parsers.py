@@ -3,7 +3,7 @@
 import pytest
 
 from repro.circuits.adders import carry_skip_block
-from repro.circuits.iscaslike import C17_BENCH, c17
+from repro.circuits.iscaslike import c17
 from repro.errors import ParseError
 from repro.netlist.ops import networks_equivalent_on
 from repro.parsers.bench import dumps_bench, loads_bench

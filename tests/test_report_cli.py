@@ -15,7 +15,7 @@ from repro.parsers.blif import dumps_blif
 from repro.parsers.verilog import dumps_verilog
 from repro.sta.paths import k_worst_paths
 from repro.sta.report import functional_timing_report, timing_report
-from repro.sta.topological import arrival_times, pin_to_pin_delay
+from repro.sta.topological import arrival_times
 
 
 class TestKWorstPaths:

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.adders import carry_skip_block
 from repro.circuits.random_logic import random_network
 from repro.core.required import (
     NEG_INF,

@@ -37,7 +37,6 @@ from repro.scenarios import (
     Scenario,
     ScenarioFamily,
     ScenarioSet,
-    ScenarioSpec,
     analyze_family,
     family_from_json,
     spec_from_json,

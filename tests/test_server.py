@@ -314,14 +314,14 @@ class TestAppRoutes:
     def test_analyze_matches_direct_propagation(self, app):
         arrival = {"a0": 2.0, "b1": 1.5}
         entry = app.registry.get("csa4_2")
-        (row,) = entry.handle.propagate_rows(
+        (row,) = entry.handle.propagate(
             [arrival], nets=entry.handle.outputs
         )
         status, doc = call(
             app, "POST", "/analyze", {"design": "csa4_2", "arrival": arrival}
         )
         assert status == 200
-        assert doc["delay"] == max(row)
+        assert doc["delay"] == max(row.values())
         assert doc["design"] == entry.design_id
         assert doc["batch_size"] >= 1
 
@@ -749,10 +749,6 @@ def _removed_setting_cases():
         ),
         "CompiledDesign.propagate-batch_size":
             lambda app, entry: entry.handle.propagate([{}], batch_size=4),
-        "CompiledDesign.propagate_rows-batch_size":
-            lambda app, entry: entry.handle.propagate_rows(
-                [{}], batch_size=4
-            ),
         "RegisteredDesign.evaluate_rows-batch_size":
             lambda app, entry: entry.evaluate_rows([{}], batch_size=4),
         "RegisteredDesign.degraded_rows-batch_size":

@@ -1,10 +1,8 @@
 """Tests for input vectors and the per-vector XBD0 oracle."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.circuits.adders import carry_skip_block
 from repro.circuits.random_logic import random_network
 from repro.netlist.network import Network
 from repro.sim.timed import (

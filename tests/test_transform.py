@@ -1,6 +1,5 @@
 """Tests for netlist transformations."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

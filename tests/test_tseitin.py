@@ -91,11 +91,6 @@ def test_miter_random_network_self_equivalence(seed):
     assert result is SolveResult.UNSAT
 
 
-def test_flatten_equivalence():
-    design = cascade_adder(6, 2)
-    assert equivalent(design.flatten(), design.flatten(name="again"))
-
-
 def test_skip_adder_equals_ripple_adder():
     """Two different adder implementations proven functionally identical."""
     skip = cascade_adder(4, 2).flatten(name="skip")

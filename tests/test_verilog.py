@@ -4,7 +4,7 @@ import pytest
 
 from repro.circuits.adders import carry_skip_block
 from repro.errors import ParseError
-from repro.netlist.hierarchy import HierDesign, Module
+from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.netlist.ops import networks_equivalent_on
 from repro.parsers.verilog import dumps_verilog, loads_verilog

@@ -22,7 +22,7 @@ from repro.errors import AnalysisError, ReproError
 from repro.netlist.network import Network
 from repro.obs import Tracer
 from repro.sim.timed import brute_force_delay, brute_force_stable_at
-from repro.sta.topological import arrival_times
+from repro.sta.topological import arrival_times, arrival_times_batch
 
 #: The two tautology engines, and ``brute``: the vector-enumeration
 #: oracle of :mod:`repro.sim.timed` that both engines must agree with.
@@ -289,9 +289,11 @@ class TestNaNRejected:
 
 
 class TestNaNRejectedOnLibraryPaths:
-    """The hierarchical and demand-driven entry points reject a NaN
-    arrival before any work, naming the input; the kernel would
-    otherwise carry it into ``net_times`` (or into the answer)."""
+    """The hierarchical and demand-driven entry points, the compiled
+    handle and the batched topological STA reject a NaN arrival before
+    any work, naming the input; the kernel would otherwise carry it
+    into ``net_times`` (or into the answer), and its python executor
+    would drop it, an optimistic answer at a batch of one."""
 
     @pytest.fixture(scope="class")
     def design(self):
@@ -305,6 +307,10 @@ class TestNaNRejectedOnLibraryPaths:
             lambda d, a: AnalysisSession(d).hierarchical(a),
             lambda d, a: DemandDrivenAnalyzer(d).analyze(a),
             lambda d, a: DemandDrivenAnalyzer(d).analyze_batch([{}, a]),
+            lambda d, a: AnalysisSession(d).compile().propagate([a]),
+            lambda d, a: AnalysisSession(d).compile().propagate([a] * 8),
+            lambda d, a: arrival_times_batch(d.flatten(), [a]),
+            lambda d, a: arrival_times_batch(d.flatten(), [a] * 8),
         ],
         ids=[
             "hier-analyze",
@@ -312,11 +318,21 @@ class TestNaNRejectedOnLibraryPaths:
             "session-hierarchical",
             "demand-analyze",
             "demand-batch",
+            "compiled-propagate-1",
+            "compiled-propagate-8",
+            "arrival-times-batch-1",
+            "arrival-times-batch-8",
         ],
     )
     def test_nan_arrival_rejected(self, design, run):
         with pytest.raises(AnalysisError, match="'c_in'"):
             run(design, {"a0": 1.0, "c_in": float("nan")})
+
+    @pytest.mark.parametrize("rows", [1, 8])
+    def test_row_builder_checks_the_converted_value(self, design, rows):
+        handle = AnalysisSession(design).compile()
+        with pytest.raises(AnalysisError, match="'c_in'"):
+            handle.propagate([{"a0": 1.0, "c_in": "nan"}] * rows)
 
     def test_infinite_arrivals_keep_their_meaning(self, design):
         for analyzer in (
