@@ -73,9 +73,15 @@ def _require_time(t: float) -> None:
 
 def reject_nan_arrivals(arrival: Mapping[str, float]) -> None:
     """Raise :class:`~repro.errors.AnalysisError` naming the first input
-    whose arrival time is NaN.  ``-inf`` ("always there") and ``+inf``
-    ("never arrives") keep their meanings."""
+    whose arrival time ``float()`` reads as NaN (``"nan"`` included).
+    ``-inf`` ("always there") and ``+inf`` ("never arrives") keep their
+    meanings; a value ``float()`` cannot read is left to the caller's
+    own conversion, which reports it."""
     for x, at in arrival.items():
+        try:
+            at = float(at)
+        except (TypeError, ValueError):
+            continue
         if at != at:
             raise AnalysisError(f"arrival time for {x!r} is NaN")
 

@@ -26,7 +26,7 @@ float64 additions, maxima, and minima on the same values.
 
 from repro.kernel.backend import (
     HAVE_NUMPY,
-    NUMPY_MIN_BATCH,
+    NUMPY_MIN_LEVEL_TUPLES,
     numpy_or_none,
     pick_backend,
 )
@@ -42,7 +42,7 @@ __all__ = sorted(
         "CompiledTimingGraph",
         "GraphState",
         "HAVE_NUMPY",
-        "NUMPY_MIN_BATCH",
+        "NUMPY_MIN_LEVEL_TUPLES",
         "NumpyExecutor",
         "PythonExecutor",
         "RowView",

@@ -15,6 +15,7 @@ costs one row reference per scenario instead of a dict per scenario.
 
 from __future__ import annotations
 
+from array import array
 from collections.abc import ItemsView, Mapping, ValuesView
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator, Sequence
@@ -26,6 +27,9 @@ from repro.obs.trace import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.resilience.degradation import Degradation
+
+#: One 0.0 double: ``_ZERO * n`` is an arrival row of ``n`` zeros.
+_ZERO = array("d", [0.0])
 
 
 class RowKeys:
@@ -133,7 +137,7 @@ class CompiledDesign:
     #: Wall-clock seconds spent characterizing + planning.
     compile_seconds: float = 0.0
     #: Per-executor cache: repeated :meth:`propagate` calls
-    #: against one handle skip the per-node array setup.
+    #: against one handle skip the per-level array setup.
     _executors: dict = field(
         default_factory=dict, repr=False, compare=False
     )
@@ -153,17 +157,20 @@ class CompiledDesign:
 
     def rows_from(
         self, scenarios: Sequence[Mapping[str, float]]
-    ) -> list[list[float]]:
-        """Arrival rows (aligned with :attr:`inputs`) from scenario
-        mappings; missing inputs default to 0.0, names that are not
-        primary inputs are ignored, and an arrival that ``float()``
-        makes NaN raises :class:`~repro.errors.AnalysisError` naming the
-        input.
+    ) -> list[array]:
+        """Arrival rows (``array("d")``, aligned with :attr:`inputs`).
+
+        One row per scenario mapping: missing inputs default to 0.0,
+        names that are not primary inputs are ignored, and an arrival
+        that ``float()`` makes NaN raises
+        :class:`~repro.errors.AnalysisError` naming the input.
 
         Scattered into a zero row rather than built by scanning every
         input: scenarios are usually sparse (a handful of constrained
         arrivals on a design with thousands of inputs), and the scan
-        costs more per scenario than the batched kernel itself.
+        costs more per scenario than the batched kernel itself.  A row
+        of machine doubles reaches numpy as one copy, where a list of
+        Python floats is read one object at a time.
         """
         from repro.core.xbd0 import reject_nan_arrivals
 
@@ -171,7 +178,7 @@ class CompiledDesign:
         n = self.plan.n_inputs
         rows = []
         for scenario in scenarios:
-            row = [0.0] * n
+            row = _ZERO * n
             for name, value in scenario.items():
                 i = index.get(name)
                 if i is not None and i < n:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import TYPE_CHECKING, Callable, Mapping
 
 from repro.errors import AnalysisError
@@ -57,6 +58,10 @@ class CompiledGraph:
     finite delays.  A node with *zero* tuples is constant ``-inf``: the
     compiler collapses any model containing an all-``-inf`` tuple (which
     certifies stability unconditionally) to that form.
+
+    ``node_level[k]`` is node ``k``'s topological level: one more than
+    its deepest source's, where inputs and constant nodes are level 0.
+    The nodes of one level read only earlier levels.
     """
 
     name: str
@@ -67,6 +72,7 @@ class CompiledGraph:
     ent_src: tuple[int, ...]
     ent_delay: tuple[float, ...]
     net_index: Mapping[str, int] = field(repr=False)
+    node_level: tuple[int, ...] = field(repr=False)
     #: Optional delay-group labels (module names for a compiled design,
     #: gate types for a flat network); empty when the compiler recorded
     #: no grouping.  Scenario families use them for per-model scaling.
@@ -89,6 +95,12 @@ class CompiledGraph:
     def n_entries(self) -> int:
         """Total finite-delay entry count across all tuples."""
         return len(self.ent_src)
+
+    @cached_property
+    def n_levels(self) -> int:
+        """Topological levels holding a computed node (0 when every
+        node is constant)."""
+        return max(self.node_level, default=0)
 
     def group_factors(
         self,
@@ -135,6 +147,8 @@ class CompiledGraph:
             not (0 <= gi < len(self.groups)) for gi in self.ent_group
         ):
             raise AnalysisError("ent_group indexes past groups")
+        if len(self.node_level) != self.n_nodes:
+            raise AnalysisError("node_level length mismatch")
         if self.tup_start[0] != 0 or self.ent_start[0] != 0:
             raise AnalysisError("CSR arrays must start at 0")
         if list(self.tup_start) != sorted(self.tup_start):
@@ -145,8 +159,10 @@ class CompiledGraph:
             raise AnalysisError("tup_start does not cover all tuples")
         if self.ent_start[-1] != self.n_entries:
             raise AnalysisError("ent_start does not cover all entries")
+        level = [0] * self.n_inputs + list(self.node_level)
         for k in range(self.n_nodes):
             node_net = self.n_inputs + k
+            top = -1
             for t in range(self.tup_start[k], self.tup_start[k + 1]):
                 lo, hi = self.ent_start[t], self.ent_start[t + 1]
                 if lo == hi:
@@ -161,6 +177,12 @@ class CompiledGraph:
                             f"{self.ent_src[e]}, not strictly earlier "
                             f"than {node_net}"
                         )
+                    top = max(top, level[self.ent_src[e]])
+            if level[node_net] != top + 1:
+                raise AnalysisError(
+                    f"node {k} is at level {level[node_net]}, "
+                    f"expected {top + 1}"
+                )
 
 
 class _GraphBuilder:
@@ -179,6 +201,8 @@ class _GraphBuilder:
         self.ent_start: list[int] = [0]
         self.ent_src: list[int] = []
         self.ent_delay: list[float] = []
+        #: Topological level per net (inputs are level 0).
+        self.level: list[int] = [0] * self.n_inputs
         self.groups: list[str] = []
         self.group_index: dict[str, int] = {}
         self.ent_group: list[int] = []
@@ -209,6 +233,8 @@ class _GraphBuilder:
         if gi is None:
             gi = self.group_index[group] = len(self.groups)
             self.groups.append(group)
+        level = self.level
+        top = -1
         for entries in tuples:
             for src, delay in entries:
                 if delay != delay or delay == POS_INF:
@@ -218,8 +244,11 @@ class _GraphBuilder:
                 self.ent_src.append(src)
                 self.ent_delay.append(float(delay))
                 self.ent_group.append(gi)
+                if level[src] > top:
+                    top = level[src]
             self.ent_start.append(len(self.ent_src))
         self.tup_start.append(len(self.ent_start) - 1)
+        level.append(top + 1)
         self.net_index[net] = len(self.nets)
         self.nets.append(net)
 
@@ -234,6 +263,7 @@ class _GraphBuilder:
             ent_src=tuple(self.ent_src),
             ent_delay=tuple(self.ent_delay),
             net_index=self.net_index,
+            node_level=tuple(self.level[self.n_inputs:]),
             groups=tuple(self.groups),
             ent_group=tuple(self.ent_group),
         )

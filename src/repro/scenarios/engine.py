@@ -10,7 +10,7 @@
    :meth:`~repro.kernel.design.CompiledDesign.propagate` with the
    ``delays=`` override — the kernel picks the executor per chunk, and
    the handle's executor cache is reused across every chunk, so the
-   per-node array setup is paid once per family;
+   per-level array setup is paid once per family;
 3. fold each chunk into O(members + outputs) aggregates and drop it,
    keeping memory bounded regardless of sample count.
 """
@@ -70,7 +70,7 @@ def analyze_family(
     # member's samples depend only on (seed, index), never on chunking.
     np = numpy_or_none()
     chunk = execute.CHUNK
-    chosen = pick_backend(min(chunk, count))
+    chosen = pick_backend(plan.n_tuples, plan.n_levels, min(chunk, count))
     # A view holds a repeated output net once.
     outputs = tuple(dict.fromkeys(handle.outputs))
     n_out = len(outputs)
@@ -91,14 +91,10 @@ def analyze_family(
         )
         for member, view in zip(members[lo:hi], views):
             row = list(view.values())
-            best = 0
-            for j in range(1, n_out):
-                if row[j] > row[best]:
-                    best = j
+            # The first output holding the largest time.
+            best = row.index(max(row)) if n_out else 0
             critical_counts[best] += 1
-            for j in range(n_out):
-                if row[j] > worst[j]:
-                    worst[j] = row[j]
+            worst = [t if t > w else w for w, t in zip(worst, row)]
             results.append(
                 MemberResult(
                     index=member.index,

@@ -414,9 +414,10 @@ class MonteCarlo(ScenarioFamily):
             if cached is None:
                 factors = self.corners[ci].factors(plan)
                 if np is not None:
-                    cached = np.asarray(
+                    mean = np.asarray(
                         base, dtype=np.float64
                     ) * np.asarray(factors, dtype=np.float64)
+                    cached = mean, self.sigma + self.sigma_rel * np.abs(mean)
                 else:
                     cached = [a * f for a, f in zip(base, factors)]
                 means[ci] = cached
@@ -425,12 +426,14 @@ class MonteCarlo(ScenarioFamily):
         if np is not None:
             rows = np.empty((hi - lo, len(base)), dtype=np.float64)
             for r, m in enumerate(range(lo, hi)):
-                mean = mean_for(m // self.samples)
+                mean, spread = mean_for(m // self.samples)
                 rng = np.random.default_rng(child_seed(self.seed, m))
-                z = rng.standard_normal(len(base))
-                rows[r] = mean + (
-                    self.sigma + self.sigma_rel * np.abs(mean)
-                ) * z
+                # mean + spread * z, written in place: the same two
+                # float64 operations per entry.
+                row = rows[r]
+                rng.standard_normal(out=row)
+                row *= spread
+                row += mean
             return rows
         rows_py: list[list[float]] = []
         for m in range(lo, hi):

@@ -95,7 +95,8 @@ class FamilyResult:
     #: Members evaluated.
     count: int
     #: Executor of the first chunk and of every full one (a last chunk
-    #: below ``NUMPY_MIN_BATCH`` members runs on python).
+    #: with fewer than ``NUMPY_MIN_LEVEL_TUPLES`` tuple evaluations per
+    #: plan level runs on python).
     backend: str
     #: Wall-clock seconds of the propagation loop.
     seconds: float

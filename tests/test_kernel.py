@@ -7,6 +7,7 @@ the compiled engines and the reference walks of ``tests/reference.py``
 on the benchmark designs.
 """
 
+import dataclasses
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from repro.core.timing_model import TimingModel
 from repro.errors import AnalysisError
 from repro.kernel import (
     HAVE_NUMPY,
-    NUMPY_MIN_BATCH,
+    NUMPY_MIN_LEVEL_TUPLES,
     CompiledTimingGraph,
     GraphState,
     NumpyExecutor,
@@ -73,7 +74,12 @@ class TestPlan:
         assert plan.n_nodes == 2
         assert plan.n_tuples == 2
         assert plan.n_entries == 4
-        row = propagate_batch(plan, [[0.0, 0.0]])[0]
+        # n1 reads the inputs, n2 reads n1.
+        assert plan.node_level == (1, 2)
+        assert plan.n_levels == 2
+        with pytest.raises(AnalysisError, match="level"):
+            dataclasses.replace(plan, node_level=(1, 1)).validate()
+        row = list(propagate_batch(plan, [[0.0, 0.0]])[0])
         # n1 = max(0+1, 0+2) = 2; n2 = max(2+1, 0+2) = 3
         assert row == [0.0, 0.0, 2.0, 3.0]
 
@@ -83,7 +89,9 @@ class TestPlan:
         plan = compile_design(design, models_from_tuples(((NEG_INF, 4.0),)))
         plan.validate()
         assert plan.n_entries == 2
-        row = propagate_batch(plan, [[100.0, 1.0]])[0]
+        # n2 no longer reads n1, so both nodes sit on level 1.
+        assert plan.node_level == (1, 1)
+        row = list(propagate_batch(plan, [[100.0, 1.0]])[0])
         # n1 = x2 + 4 = 5; n2 = x2 + 4 = 5 (a-side unconstrained)
         assert row[2:] == [5.0, 5.0]
 
@@ -97,7 +105,9 @@ class TestPlan:
         )
         plan.validate()
         assert plan.n_tuples == 0
-        row = propagate_batch(plan, [[3.0, 7.0]])[0]
+        assert plan.node_level == (0, 0)
+        assert plan.n_levels == 0
+        row = list(propagate_batch(plan, [[3.0, 7.0]])[0])
         assert row[2:] == [NEG_INF, NEG_INF]
 
     def test_min_over_tuples(self):
@@ -105,7 +115,7 @@ class TestPlan:
         plan = compile_design(
             design, models_from_tuples(((5.0, NEG_INF), (NEG_INF, 1.0)))
         )
-        row = propagate_batch(plan, [[0.0, 0.0]])[0]
+        row = list(propagate_batch(plan, [[0.0, 0.0]])[0])
         # n1 = min(max(0+5), max(0+1)) = 1; n2 = min(1+5, 0+1) = 1
         assert row[2:] == [1.0, 1.0]
 
@@ -151,6 +161,7 @@ class TestExecute:
     @needs_numpy
     def test_chunking_preserves_results(self, monkeypatch):
         plan, rows = self._plan_and_rows(11)
+        monkeypatch.setattr("repro.kernel.backend.NUMPY_MIN_LEVEL_TUPLES", 0)
         whole = propagate_batch(plan, rows).tolist()
         monkeypatch.setattr("repro.kernel.execute.CHUNK", 3)
         chunked = propagate_batch(plan, rows).tolist()
@@ -172,10 +183,21 @@ class TestExecute:
             NumpyExecutor(plan).propagate([[0.0]])
 
     def test_pick_backend_auto(self):
-        assert pick_backend(1) == "python"
-        if HAVE_NUMPY:
-            assert pick_backend(NUMPY_MIN_BATCH) == "numpy"
-        assert pick_backend(NUMPY_MIN_BATCH - 1) == "python"
+        # Tuples × rows per topological level: one row of csa2048.8
+        # (2,304 tuples, 256 levels) and three of csa8.2 (12, 4) run on
+        # numpy; one row of csa32.4 (40, 8), one of csa64.2 (96, 32) and
+        # two of csa8.2 stay on python, and so does an all-constant plan.
+        work = NUMPY_MIN_LEVEL_TUPLES
+        numpy = "numpy" if HAVE_NUMPY else "python"
+        assert pick_backend(1, 1, 1) == "python"
+        assert pick_backend(work * 3 - 1, 3, 1) == "python"
+        assert pick_backend(work * 3, 3, 1) == numpy
+        assert pick_backend(work, 4, 3) == "python"
+        assert pick_backend(work, 4, 4) == numpy
+        assert pick_backend(0, 0, 10_000) == "python"
+        assert pick_backend(40, 8, 1) == pick_backend(96, 32, 1) == "python"
+        assert pick_backend(12, 4, 2) == "python"
+        assert pick_backend(2304, 256, 1) == pick_backend(12, 4, 3) == numpy
 
 
 def small_graph():

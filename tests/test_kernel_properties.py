@@ -19,6 +19,7 @@ from repro.circuits.partition import cascade_bipartition
 from repro.circuits.random_logic import random_network
 from repro.core.demand import DemandDrivenAnalyzer, flat_functional_delay
 from repro.core.hier import HierarchicalAnalyzer
+from repro.core.timing_model import TimingModel
 from repro.core.xbd0 import StabilityAnalyzer
 from repro.kernel import (
     HAVE_NUMPY,
@@ -26,7 +27,9 @@ from repro.kernel import (
     GraphState,
     NumpyExecutor,
     PythonExecutor,
+    compile_design,
     compile_network,
+    propagate_batch,
 )
 from tests.reference import graph_sta, hier_net_times, reference_demand
 
@@ -172,22 +175,92 @@ class TestDemandEquivalence:
             }
 
 
+def drawn_plan(seed, kind):
+    """A plan of one ``kind``, or None when the bipartition fails.
+
+    ``network``: a flat gate network (one tuple per node).
+    ``hierarchy``: a random hierarchy's compiled design (some nodes
+    carry several tuples).  ``edited``: the same design with every
+    third output model given an extra all-``-inf`` tuple (its node
+    collapses to constant ``-inf``) and every third its first tuple
+    reversed as a second one (several tuples per node).
+    """
+    if kind == "network":
+        return compile_network(
+            random_network(4, 16, seed=seed, num_outputs=2)
+        )
+    design = random_hierarchy(seed)
+    if design is None:
+        return None
+    analyzer = HierarchicalAnalyzer(design)
+    if kind == "hierarchy":
+        return analyzer.compile().plan
+    order = {inst: i for i, inst in enumerate(design.instance_order())}
+    extras = (
+        lambda m: ((NEG_INF,) * len(m.inputs),),
+        lambda m: (m.tuples[0][::-1],),
+        lambda m: (),
+    )
+
+    def models(inst):
+        found = analyzer._models_of_instance(inst).items()
+        return {
+            port: TimingModel(
+                m.output,
+                m.inputs,
+                m.tuples + extras[(order[inst] + j) % 3](m),
+            )
+            for j, (port, m) in enumerate(found)
+        }
+
+    return compile_design(design, models)
+
+
 class TestExecutorEquivalence:
     @needs_numpy
-    @settings(max_examples=10, deadline=None)
-    @given(st.integers(0, 10_000), st.integers(1, 24))
-    def test_numpy_matches_python(self, seed, count):
-        net = random_network(4, 16, seed=seed, num_outputs=2)
-        plan = compile_network(net)
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(["network", "hierarchy", "edited"]),
+        st.sampled_from([1, 2, 3, 7]),
+        st.sampled_from(["none", "shared", "rows"]),
+    )
+    def test_numpy_matches_python(self, seed, kind, count, form):
+        plan = drawn_plan(seed, kind)
+        if plan is None:
+            return
+        plan.validate()  # node levels included
         rng = random.Random(seed + 5)
+
+        def arrival():
+            u = rng.random()
+            return (
+                NEG_INF if u < 0.1
+                else POS_INF if u < 0.2
+                else rng.uniform(-5.0, 12.0)
+            )
+
+        def scaled():
+            return [d * rng.uniform(0.5, 2.0) for d in plan.ent_delay]
+
         rows = [
-            [rng.uniform(-5.0, 12.0) for _ in range(plan.n_inputs)]
-            for _ in range(count)
+            [arrival() for _ in range(plan.n_inputs)] for _ in range(count)
         ]
-        assert (
-            PythonExecutor(plan).propagate(rows)
-            == NumpyExecutor(plan).propagate(rows).tolist()
-        )
+        delays = {
+            "none": lambda: None,
+            "shared": scaled,
+            "rows": lambda: [scaled() for _ in range(count)],
+        }[form]()
+        expected = PythonExecutor(plan).propagate(rows, delays=delays)
+        got = NumpyExecutor(plan).propagate(rows, delays=delays)
+        assert got.tolist() == expected
+        # Counts of 3 and 7 cross the chunk boundary; per-row delays are
+        # chunked in lockstep with the rows.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("repro.kernel.execute.CHUNK", 2)
+            patch.setattr("repro.kernel.backend.NUMPY_MIN_LEVEL_TUPLES", 0)
+            chunked = propagate_batch(plan, rows, delays=delays)
+        assert chunked.tolist() == expected
 
 
 def random_dag(rng):

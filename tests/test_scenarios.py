@@ -54,8 +54,8 @@ BACKENDS = ["python", pytest.param("numpy", marks=needs_numpy)]
 def pin_executor(monkeypatch, name):
     """Make the kernel's own rule pick executor ``name`` for every
     chunk, by moving its numpy threshold."""
-    threshold = 1 if name == "numpy" else sys.maxsize
-    monkeypatch.setattr(kernel_backend, "NUMPY_MIN_BATCH", threshold)
+    threshold = 0 if name == "numpy" else sys.maxsize
+    monkeypatch.setattr(kernel_backend, "NUMPY_MIN_LEVEL_TUPLES", threshold)
 
 
 @pytest.fixture(scope="module")
@@ -371,16 +371,18 @@ class TestEngine:
     def test_mc_samples_depend_only_on_seed_and_index(
         self, handle, monkeypatch
     ):
-        # The kernel's own executor choice: the 4-member family and the
-        # chunks of 4 run on python, the 16-member family on numpy when
-        # it is installed.  The samples and the answers stay the same.
-        def run(samples):
+        # The 4-member family and the chunks of 4 run on python, the
+        # 16-member family on numpy when it is installed.  The samples
+        # and the answers stay the same.
+        def run(samples, executor):
+            pin_executor(monkeypatch, executor)
             fam = MonteCarlo(samples, seed=7, sigma_rel=0.1)
             return analyze_family(handle, fam)
 
-        four, sixteen = run(4), run(16)
+        four, sixteen = run(4, "python"), run(16, "numpy")
         monkeypatch.setattr("repro.kernel.execute.CHUNK", 4)
-        chunked = run(16)
+        chunked = run(16, "python")
+        assert four.backend == chunked.backend == "python"
         assert four.delays() == sixteen.delays()[:4]
         assert chunked.delays() == sixteen.delays()
         for result in (four, sixteen, chunked):

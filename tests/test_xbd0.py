@@ -19,6 +19,7 @@ from repro.core.xbd0 import (
     topological_upper_bound,
 )
 from repro.errors import AnalysisError, ReproError
+from repro.kernel import HAVE_NUMPY, compile_network, pick_backend
 from repro.netlist.network import Network
 from repro.obs import Tracer
 from repro.sim.timed import brute_force_delay, brute_force_stable_at
@@ -325,12 +326,22 @@ class TestNaNRejectedOnLibraryPaths:
         ],
     )
     def test_nan_arrival_rejected(self, design, run):
-        with pytest.raises(AnalysisError, match="'c_in'"):
-            run(design, {"a0": 1.0, "c_in": float("nan")})
+        for nan in (float("nan"), "nan"):
+            with pytest.raises(AnalysisError, match="'c_in'"):
+                run(design, {"a0": 1.0, "c_in": nan})
 
     @pytest.mark.parametrize("rows", [1, 8])
     def test_row_builder_checks_the_converted_value(self, design, rows):
         handle = AnalysisSession(design).compile()
+        # The ``compiled-propagate-1``/``-8`` and
+        # ``arrival-times-batch-1``/``-8`` cases above run where the
+        # kernel's rule puts 1 and 8 rows of these plans: python, and
+        # numpy when installed.
+        numpy = HAVE_NUMPY and rows == 8
+        for plan in (handle.plan, compile_network(design.flatten())):
+            assert pick_backend(plan.n_tuples, plan.n_levels, rows) == (
+                "numpy" if numpy else "python"
+            )
         with pytest.raises(AnalysisError, match="'c_in'"):
             handle.propagate([{"a0": 1.0, "c_in": "nan"}] * rows)
 
