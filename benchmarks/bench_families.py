@@ -9,8 +9,9 @@ evaluated three ways:
   against the handle's cached executors;
 * a *naive loop* — what a caller would write without the engine: for
   each member, sample/scale its delay vector and run one
-  single-scenario ``propagate`` call (on csa256.8 a single row runs
-  on the numpy executor, and nothing amortizes across members);
+  single-scenario ``propagate`` call (a single row with a delay
+  override runs the numpy executor's level loop, and nothing
+  amortizes across members);
 * the same loop for a corner sweep and a parametric sweep, sized to
   the family's member count.
 

@@ -1,10 +1,10 @@
-"""Numpy detection and the executor rule for the compiled kernel.
+"""Numpy detection and the executor rules for the compiled kernel.
 
-The kernel's batched executor vectorizes with numpy when it is
-importable and the batch is large enough to pay for it; every code path
-has a pure-python fallback so the package stays dependency-free
-(``pyproject.toml`` declares none).  All gating goes through this module
-(:func:`pick_backend`) so tests can assert both paths exist.
+The kernel's batched executor vectorizes with numpy whenever it is
+importable; every code path has a pure-python fallback so the package
+stays dependency-free (``pyproject.toml`` declares none).  All gating
+goes through this module (:func:`pick_backend`, :func:`pick_mode`) so
+tests can assert both paths exist.
 """
 
 from __future__ import annotations
@@ -17,21 +17,20 @@ except ImportError:  # pragma: no cover - exercised by the no-numpy CI job
     _np = None
     HAVE_NUMPY = False
 
-#: The fewest timing-tuple evaluations per topological level (plan
-#: tuples × rows ÷ levels) a batch needs before numpy pays.  The python
-#: executor's cost per row is mostly per tuple (about 0.9 µs each, plus
-#: 0.09 µs per entry); the numpy one pays a fixed cost per level (a
-#: gather, an add, a reduction and a store, 7-12 µs at one row) that
-#: the level's work has to outweigh.  So what decides is the tuples per
-#: level, not the plan's size: a wide plan runs on numpy from a single
-#: query, and a plan of long chains stays on python for a few rows.
-#: Read off the grid in DESIGN.md, "Choosing the executor" (``python
-#: tools/bench_kernel.py``): csa W.2 plans (3 tuples per level) and
-#: flattened cascades (2.8) ran on python about as fast as on numpy or
-#: faster up to two rows and slower from three or four, csa W.8 plans
-#: (9) ran faster on numpy from one row, and csa W.4 plans (5) came out
-#: within 30% either way at one row.
-NUMPY_MIN_LEVEL_TUPLES = 8
+#: The fewest spine-tuple evaluations per topological level (spine
+#: tuples × rows ÷ levels) for which the numpy executor runs its level
+#: loop instead of its walk.  The walk evaluates the spine (the nodes
+#: some entry reads) per row in scalar Python, about 0.2 µs per spine
+#: tuple, and everything else in two numpy passes per batch; the level
+#: loop pays a fixed cost per level (a gather, an add, a reduction and
+#: a store, about 5 µs at one row) whatever the rows.  A plan without a
+#: spine always walks.  Read off the grid in DESIGN.md, "Choosing the
+#: executor" (``python tools/bench_kernel.py``): 8 sent flattened plans
+#: (about 2.4 spine tuples per level) to the level loop at 4 rows,
+#: where the walk measured about 2x faster; 12 came out within the
+#: host's noise of 10 (picks 2.5% and 2.6% slower than the faster mode
+#: on average over the grid).
+NUMPY_MIN_LEVEL_TUPLES = 10
 
 
 def numpy_or_none():
@@ -39,16 +38,25 @@ def numpy_or_none():
     return _np
 
 
-def pick_backend(tuples: int, levels: int, rows: int) -> str:
-    """The executor for a batch: ``"numpy"`` or ``"python"``.
+def pick_backend() -> str:
+    """The executor for a batch: ``"numpy"`` whenever it is installed.
 
-    Numpy when it is importable and the batch puts at least
-    :data:`NUMPY_MIN_LEVEL_TUPLES` tuple evaluations on each of the
-    plan's topological levels (``tuples * rows >= NUMPY_MIN_LEVEL_TUPLES
-    * levels``; a plan without levels counts one), the pure-python
-    executor otherwise.  Both give bit-identical answers, so the choice
-    only moves time.
+    ``"python"`` (the pure-python executor) otherwise.  Both give
+    bit-identical answers, so the choice only moves time.
     """
-    if HAVE_NUMPY and tuples * rows >= NUMPY_MIN_LEVEL_TUPLES * (levels or 1):
-        return "numpy"
-    return "python"
+    return "numpy" if HAVE_NUMPY else "python"
+
+
+def pick_mode(spine_tuples: int, levels: int, rows: int) -> str:
+    """How the numpy executor evaluates a batch without a delay
+    override: ``"walk"`` or ``"levels"``.
+
+    The level loop once the batch puts at least
+    :data:`NUMPY_MIN_LEVEL_TUPLES` spine-tuple evaluations on each of
+    the plan's topological levels (``spine_tuples * rows >=
+    NUMPY_MIN_LEVEL_TUPLES * levels``; a plan without levels counts
+    one), the walk otherwise.  Both give bit-identical answers.
+    """
+    if spine_tuples * rows >= NUMPY_MIN_LEVEL_TUPLES * (levels or 1):
+        return "levels"
+    return "walk"

@@ -70,7 +70,7 @@ def analyze_family(
     # member's samples depend only on (seed, index), never on chunking.
     np = numpy_or_none()
     chunk = execute.CHUNK
-    chosen = pick_backend(plan.n_tuples, plan.n_levels, min(chunk, count))
+    chosen = pick_backend()
     # A view holds a repeated output net once.
     outputs = tuple(dict.fromkeys(handle.outputs))
     n_out = len(outputs)

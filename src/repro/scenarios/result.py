@@ -94,9 +94,7 @@ class FamilyResult:
     name: str
     #: Members evaluated.
     count: int
-    #: Executor of the first chunk and of every full one (a last chunk
-    #: with fewer than ``NUMPY_MIN_LEVEL_TUPLES`` tuple evaluations per
-    #: plan level runs on python).
+    #: Executor of every chunk: numpy whenever it is installed.
     backend: str
     #: Wall-clock seconds of the propagation loop.
     seconds: float

@@ -521,7 +521,7 @@ def _knob_calls(design):
             lambda kw: characterize_network(network, **kw),
         "module_signature": lambda kw: module_signature(network, **kw),
         "AnalysisOptions": lambda kw: AnalysisOptions(**kw),
-        "pick_backend": lambda kw: pick_backend(1, 1, 1, **kw),
+        "pick_backend": lambda kw: pick_backend(**kw),
         "propagate_batch": lambda kw: propagate_batch(
             session.compile().plan, [[0.0] * len(design.inputs)], **kw
         ),

@@ -9,6 +9,7 @@ concurrent result must be bit-identical to the single-threaded
 reference (floats compared with ``==``, not a tolerance).
 """
 
+import random
 import sys
 import threading
 
@@ -16,6 +17,7 @@ import pytest
 
 from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
+from repro.kernel import CompiledDesign, PythonExecutor
 from repro.scenarios import ScenarioSet
 
 N_THREADS = 8
@@ -67,10 +69,8 @@ class TestCompiledHandleThreadSafety:
         reference = handle.propagate(scenarios)
 
         def worker(i):
-            # vary the row count per thread: small batches run on the
-            # python executor and the full one on numpy (when installed),
-            # so the first call per executor races the cache fill
-            # against the other threads
+            # vary the row count per thread, so the first call races
+            # the executor cache fill against the other threads
             count = [1, 2, 3, len(scenarios)][i % 4]
             for _ in range(ROUNDS):
                 rows = handle.propagate(scenarios[:count])
@@ -123,6 +123,46 @@ class TestCompiledHandleThreadSafety:
             _hammer(worker, n_threads=12)
         finally:
             sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("warm", [1, 64])
+    def test_cold_mode_arrays_race(self, warm):
+        # fresh handles: 1-row calls walk, 64-row calls take the level
+        # loop; each mode's arrays are built by its first call, and the
+        # warm-up call builds only one mode's, so the first call of the
+        # other races its build against threads that run the mode
+        # already built or start the same one on the same executor;
+        # every row must equal the python executor's
+        design = cascade_adder(256, 2)
+        rng = random.Random(3)
+        scenarios = [
+            {x: rng.uniform(0.0, 9.0) for x in rng.sample(design.inputs, 6)}
+            for _ in range(64)
+        ]
+        session = AnalysisSession(design)
+        plan = session.compile().plan
+        expected = PythonExecutor(plan).propagate(
+            session.compile().rows_from(scenarios)
+        )
+        for _ in range(20):
+            # One executor for every thread, one mode's arrays unbuilt.
+            handle = CompiledDesign(plan, session.compile().outputs)
+            handle.propagate(scenarios[:warm])
+            start = threading.Barrier(12)
+
+            def worker(i):
+                start.wait(30)
+                for r in range(3):
+                    count = 64 if (i + r) % 2 else 1
+                    views = handle.propagate(scenarios[:count])
+                    got = [list(v.values()) for v in views]
+                    assert got == expected[:count]
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                _hammer(worker, n_threads=12)
+            finally:
+                sys.setswitchinterval(interval)
 
     def test_concurrent_compile_calls_agree(self):
         # cold sessions compiled from many threads at once: every handle

@@ -30,6 +30,7 @@ from repro.kernel import (
     pick_backend,
     propagate_batch,
 )
+from repro.kernel.backend import pick_mode
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
 from repro.sta.topological import arrival_times, arrival_times_batch
@@ -37,6 +38,7 @@ from tests.reference import hier_net_times, reference_demand
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+NAN = float("nan")
 
 needs_numpy = pytest.mark.skipif(not HAVE_NUMPY, reason="numpy not installed")
 
@@ -182,22 +184,81 @@ class TestExecute:
         with pytest.raises(ValueError):
             NumpyExecutor(plan).propagate([[0.0]])
 
-    def test_pick_backend_auto(self):
-        # Tuples × rows per topological level: one row of csa2048.8
-        # (2,304 tuples, 256 levels) and three of csa8.2 (12, 4) run on
-        # numpy; one row of csa32.4 (40, 8), one of csa64.2 (96, 32) and
-        # two of csa8.2 stay on python, and so does an all-constant plan.
+    @pytest.mark.parametrize("rows", [1, 256])
+    @pytest.mark.parametrize("executor", ["numpy", "python"])
+    def test_nan_arrival_refused(self, executor, rows, monkeypatch):
+        # propagate_batch takes rows that never went through
+        # CompiledDesign.rows_from: every executor (the walk at one
+        # row, the level loop at 256) refuses a NaN arrival naming the
+        # input, and ±inf keep their meaning.
+        if executor == "numpy" and not HAVE_NUMPY:
+            pytest.skip("numpy not installed")
+        monkeypatch.setattr(
+            "repro.kernel.backend.HAVE_NUMPY", executor == "numpy"
+        )
+        plan = HierarchicalAnalyzer(cascade_adder(256, 8)).compile().plan
+        late = plan.net_index["c_in"]
+        row = [0.0] * plan.n_inputs
+        batch = [row] * (rows - 1) + [row[:late] + [NAN] + row[late + 1:]]
+        with pytest.raises(AnalysisError, match="arrival time for 'c_in'"):
+            propagate_batch(plan, batch)
+        row[0], row[late] = POS_INF, NEG_INF
+        got = propagate_batch(plan, [row] * rows)
+        assert [list(r) for r in got] == PythonExecutor(plan).propagate(
+            [row] * rows
+        )
+
+    def test_pick_backend_auto(self, monkeypatch):
+        # Numpy whenever it is installed.  Its mode is spine tuples ×
+        # rows per topological level: one row of csa2048.8 (255 spine
+        # tuples, 256 levels) walks and so do one row of csa32.4 (7, 8),
+        # one of csa64.2 (31, 32), two of csa8.2 (3, 4) and a plan
+        # without a spine; 32 rows of csa2048.8 and 14 of csa8.2 take
+        # the level loop.
         work = NUMPY_MIN_LEVEL_TUPLES
         numpy = "numpy" if HAVE_NUMPY else "python"
-        assert pick_backend(1, 1, 1) == "python"
-        assert pick_backend(work * 3 - 1, 3, 1) == "python"
-        assert pick_backend(work * 3, 3, 1) == numpy
-        assert pick_backend(work, 4, 3) == "python"
-        assert pick_backend(work, 4, 4) == numpy
-        assert pick_backend(0, 0, 10_000) == "python"
-        assert pick_backend(40, 8, 1) == pick_backend(96, 32, 1) == "python"
-        assert pick_backend(12, 4, 2) == "python"
-        assert pick_backend(2304, 256, 1) == pick_backend(12, 4, 3) == numpy
+        assert pick_backend() == numpy
+        assert pick_mode(1, 1, 1) == "walk"
+        assert pick_mode(work * 3 - 1, 3, 1) == "walk"
+        assert pick_mode(work * 3, 3, 1) == "levels"
+        assert pick_mode(work, 4, 3) == "walk"
+        assert pick_mode(work, 4, 4) == "levels"
+        assert pick_mode(0, 0, 10_000) == pick_mode(0, 1, 10_000) == "walk"
+        assert pick_mode(7, 8, 1) == pick_mode(31, 32, 1) == "walk"
+        assert pick_mode(3, 4, 2) == "walk"
+        assert pick_mode(255, 256, 1) == "walk"
+        assert pick_mode(255, 256, 32) == pick_mode(3, 4, 14) == "levels"
+        monkeypatch.setattr("repro.kernel.backend.HAVE_NUMPY", False)
+        assert pick_backend() == "python"
+
+    @needs_numpy
+    def test_spine_tuples(self):
+        # The spine is the set of nodes some entry reads: the carries
+        # of csa W.B but the last (W / B - 1), most of a flattened
+        # network, none of one block.
+        def spine(design):
+            plan = HierarchicalAnalyzer(design).compile().plan
+            return NumpyExecutor(plan).spine_tuples
+
+        assert spine(cascade_adder(8, 2)) == 3
+        assert spine(cascade_adder(32, 4)) == 7
+        assert spine(cascade_adder(4, 4)) == 0
+        flat = compile_network(cascade_adder(8, 4).flatten())
+        assert NumpyExecutor(flat).spine_tuples == 45
+
+    @needs_numpy
+    def test_each_mode_built_by_its_first_batch(self):
+        # A handle holds only the modes it ran: one row of csa32.4
+        # walks, 32 rows and every delay override take the level loop.
+        plan = HierarchicalAnalyzer(cascade_adder(32, 4)).compile().plan
+        rows = [[1.0] * plan.n_inputs] * 32
+        queries, batches = NumpyExecutor(plan), NumpyExecutor(plan)
+        assert queries._walk is queries._levels is None
+        queries.propagate(rows[:1])
+        assert queries._walk is not None and queries._levels is None
+        batches.propagate(rows)
+        batches.propagate(rows[:1], delays=plan.ent_delay)
+        assert batches._walk is None and batches._levels is not None
 
 
 def small_graph():

@@ -10,6 +10,7 @@ same hierarchies check Theorem 1 on the one remaining path:
 """
 
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +32,7 @@ from repro.kernel import (
     compile_network,
     propagate_batch,
 )
+from repro.kernel.plan import _GraphBuilder
 from tests.reference import graph_sta, hier_net_times, reference_demand
 
 NEG_INF = float("-inf")
@@ -216,7 +218,95 @@ def drawn_plan(seed, kind):
     return compile_design(design, models)
 
 
+def built_plan(seed, p_node):
+    """A random plan built node by node.
+
+    Each node has zero tuples (a constant ``-inf`` node), one or
+    several; each entry reads an earlier node with chance ``p_node``
+    and a primary input otherwise.  ``p_node = 0`` gives one level of
+    nodes and no spine (no node is read); near 1 most tuples read no
+    input, and constants are read as well as left unread.
+    """
+    rng = random.Random(seed)
+    n_in = rng.randint(1, 5)
+    builder = _GraphBuilder(
+        f"built{seed}", tuple(f"x{i}" for i in range(n_in))
+    )
+    for k in range(rng.randint(1, 14)):
+        nets = len(builder.nets)
+        tuples = []
+        for _ in range(rng.choice([0, 1, 1, 2, 3])):
+            entries = []
+            for _ in range(rng.randint(1, 4)):
+                node = nets > n_in and rng.random() < p_node
+                entries.append((
+                    rng.randrange(n_in, nets) if node else rng.randrange(n_in),
+                    rng.choice([0.0, 1.0, rng.uniform(-2.0, 6.0)]),
+                ))
+            tuples.append(entries)
+        builder.add_node(f"n{k}", tuples)
+    return builder.build()
+
+
+def shaped_plan():
+    """One plan with every shape the walk splits differently: constant
+    nodes read (``c0``, on the spine) and unread (``c1``, a sink);
+    several tuples per node on the spine (``n0``, ``n2``) and among the
+    sinks (``n3``); tuples with no input-fed entry (``n2``'s first,
+    ``n3``'s first) and with no node-fed entry (``n0``'s, ``n3``'s
+    second, ``n4``'s)."""
+    builder = _GraphBuilder("shaped", ("a", "b"))
+    a, b, c0, c1, n0, n1, n2 = range(7)
+    builder.add_node("c0", [])
+    builder.add_node("c1", [])
+    builder.add_node("n0", [[(a, 1.0), (b, 2.0)], [(a, 3.0)]])
+    builder.add_node("n1", [[(a, 0.5)]])
+    builder.add_node("n2", [[(n0, 1.0), (c0, 2.0)], [(n0, 0.5), (b, 4.0)]])
+    builder.add_node(
+        "n3", [[(n2, 1.0), (n1, 1.0)], [(a, 7.0)], [(n2, 2.0), (b, 1.0)]]
+    )
+    builder.add_node("n4", [[(a, 2.0), (b, 0.0)]])
+    return builder.build()
+
+
+def arrival_rows(rng, plan, count):
+    """``count`` rows of finite, ``-inf`` and ``+inf`` arrivals."""
+
+    def arrival():
+        u = rng.random()
+        return (
+            NEG_INF if u < 0.1
+            else POS_INF if u < 0.2
+            else rng.uniform(-5.0, 12.0)
+        )
+
+    return [[arrival() for _ in range(plan.n_inputs)] for _ in range(count)]
+
+
+#: The threshold that pins each numpy mode.
+MODES = {"walk": sys.maxsize, "levels": 0}
+
+
 class TestExecutorEquivalence:
+    def _check_modes(self, plan, rows, delays=None):
+        """The walk (without an override) and the level loop, each
+        pinned through the threshold, on a fresh executor and through
+        :func:`propagate_batch` at ``CHUNK = 2``, ``==`` the python
+        executor."""
+        expected = PythonExecutor(plan).propagate(rows, delays=delays)
+        for mode in ("walk", "levels") if delays is None else ("levels",):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(
+                    "repro.kernel.backend.NUMPY_MIN_LEVEL_TUPLES", MODES[mode]
+                )
+                got = NumpyExecutor(plan).propagate(rows, delays=delays)
+                assert got.tolist() == expected, mode
+                # Counts of 3 and 7 cross the chunk boundary; per-row
+                # delays are chunked in lockstep with the rows.
+                patch.setattr("repro.kernel.execute.CHUNK", 2)
+                chunked = propagate_batch(plan, rows, delays=delays)
+                assert chunked.tolist() == expected, mode
+
     @needs_numpy
     @settings(max_examples=30, deadline=None)
     @given(
@@ -232,35 +322,41 @@ class TestExecutorEquivalence:
         plan.validate()  # node levels included
         rng = random.Random(seed + 5)
 
-        def arrival():
-            u = rng.random()
-            return (
-                NEG_INF if u < 0.1
-                else POS_INF if u < 0.2
-                else rng.uniform(-5.0, 12.0)
-            )
-
         def scaled():
             return [d * rng.uniform(0.5, 2.0) for d in plan.ent_delay]
 
-        rows = [
-            [arrival() for _ in range(plan.n_inputs)] for _ in range(count)
-        ]
+        rows = arrival_rows(rng, plan, count)
         delays = {
             "none": lambda: None,
             "shared": scaled,
             "rows": lambda: [scaled() for _ in range(count)],
         }[form]()
-        expected = PythonExecutor(plan).propagate(rows, delays=delays)
-        got = NumpyExecutor(plan).propagate(rows, delays=delays)
-        assert got.tolist() == expected
-        # Counts of 3 and 7 cross the chunk boundary; per-row delays are
-        # chunked in lockstep with the rows.
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("repro.kernel.execute.CHUNK", 2)
-            patch.setattr("repro.kernel.backend.NUMPY_MIN_LEVEL_TUPLES", 0)
-            chunked = propagate_batch(plan, rows, delays=delays)
-        assert chunked.tolist() == expected
+        self._check_modes(plan, rows, delays)
+
+    @needs_numpy
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([0.0, 0.5, 0.9]),
+        st.sampled_from([1, 2, 3, 7]),
+    )
+    def test_walk_splits_match_python(self, seed, p_node, count):
+        plan = built_plan(seed, p_node)
+        plan.validate()
+        self._check_modes(plan, arrival_rows(random.Random(seed), plan, count))
+
+    @needs_numpy
+    @pytest.mark.parametrize("count", [1, 2, 3, 7])
+    def test_every_walk_shape_matches_python(self, count):
+        plan = shaped_plan()
+        plan.validate()
+        executor = NumpyExecutor(plan)
+        assert executor.spine_tuples == 6  # c0, n0 (2), n1, n2 (2)
+        rng = random.Random(count)
+        rows = arrival_rows(rng, plan, count) + [
+            [NEG_INF, POS_INF], [POS_INF, NEG_INF], [NEG_INF, NEG_INF],
+        ]
+        self._check_modes(plan, rows)
 
 
 def random_dag(rng):

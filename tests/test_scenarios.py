@@ -14,7 +14,6 @@ tolerances.
 import dataclasses
 import json
 import re
-import sys
 import warnings
 
 import pytest
@@ -53,9 +52,13 @@ BACKENDS = ["python", pytest.param("numpy", marks=needs_numpy)]
 
 def pin_executor(monkeypatch, name):
     """Make the kernel's own rule pick executor ``name`` for every
-    chunk, by moving its numpy threshold."""
-    threshold = 0 if name == "numpy" else sys.maxsize
-    monkeypatch.setattr(kernel_backend, "NUMPY_MIN_LEVEL_TUPLES", threshold)
+    chunk: numpy (when installed) or python, by showing or hiding
+    numpy."""
+    monkeypatch.setattr(
+        kernel_backend,
+        "HAVE_NUMPY",
+        name == "numpy" and kernel_backend.numpy_or_none() is not None,
+    )
 
 
 @pytest.fixture(scope="module")
@@ -372,8 +375,9 @@ class TestEngine:
         self, handle, monkeypatch
     ):
         # The 4-member family and the chunks of 4 run on python, the
-        # 16-member family on numpy when it is installed.  The samples
-        # and the answers stay the same.
+        # 16-member family on numpy (the sampler draws with numpy
+        # either way when it is installed).  The samples and the
+        # answers stay the same.
         def run(samples, executor):
             pin_executor(monkeypatch, executor)
             fam = MonteCarlo(samples, seed=7, sigma_rel=0.1)
@@ -383,6 +387,7 @@ class TestEngine:
         monkeypatch.setattr("repro.kernel.execute.CHUNK", 4)
         chunked = run(16, "python")
         assert four.backend == chunked.backend == "python"
+        assert sixteen.backend == ("numpy" if HAVE_NUMPY else "python")
         assert four.delays() == sixteen.delays()[:4]
         assert chunked.delays() == sixteen.delays()
         for result in (four, sixteen, chunked):

@@ -19,7 +19,13 @@ from repro.core.xbd0 import (
     topological_upper_bound,
 )
 from repro.errors import AnalysisError, ReproError
-from repro.kernel import HAVE_NUMPY, compile_network, pick_backend
+from repro.kernel import (
+    HAVE_NUMPY,
+    NumpyExecutor,
+    compile_network,
+    pick_backend,
+)
+from repro.kernel.backend import pick_mode
 from repro.netlist.network import Network
 from repro.obs import Tracer
 from repro.sim.timed import brute_force_delay, brute_force_stable_at
@@ -331,19 +337,33 @@ class TestNaNRejectedOnLibraryPaths:
                 run(design, {"a0": 1.0, "c_in": nan})
 
     @pytest.mark.parametrize("rows", [1, 8])
-    def test_row_builder_checks_the_converted_value(self, design, rows):
+    def test_row_builder_checks_the_converted_value(
+        self, design, rows, monkeypatch
+    ):
         handle = AnalysisSession(design).compile()
         # The ``compiled-propagate-1``/``-8`` and
-        # ``arrival-times-batch-1``/``-8`` cases above run where the
-        # kernel's rule puts 1 and 8 rows of these plans: python, and
-        # numpy when installed.
-        numpy = HAVE_NUMPY and rows == 8
-        for plan in (handle.plan, compile_network(design.flatten())):
-            assert pick_backend(plan.n_tuples, plan.n_levels, rows) == (
-                "numpy" if numpy else "python"
+        # ``arrival-times-batch-1``/``-8`` cases above run on numpy when
+        # it is installed: one row walks, and 8 rows of the flattened
+        # plan (45 spine tuples, 21 levels) take the level loop.  Here
+        # the row builder also answers with python pinned.
+        executors = ["numpy", "python"] if HAVE_NUMPY else ["python"]
+        for executor in executors:
+            monkeypatch.setattr(
+                "repro.kernel.backend.HAVE_NUMPY", executor == "numpy"
             )
-        with pytest.raises(AnalysisError, match="'c_in'"):
-            handle.propagate([{"a0": 1.0, "c_in": "nan"}] * rows)
+            assert pick_backend() == executor
+            if executor == "numpy":
+                for plan, mode in (
+                    (handle.plan, "walk"),
+                    (
+                        compile_network(design.flatten()),
+                        "walk" if rows == 1 else "levels",
+                    ),
+                ):
+                    spine = NumpyExecutor(plan).spine_tuples
+                    assert pick_mode(spine, plan.n_levels, rows) == mode
+            with pytest.raises(AnalysisError, match="'c_in'"):
+                handle.propagate([{"a0": 1.0, "c_in": "nan"}] * rows)
 
     def test_infinite_arrivals_keep_their_meaning(self, design):
         for analyzer in (
