@@ -21,7 +21,7 @@ from pathlib import Path
 from repro.api import AnalysisOptions
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
-from repro.library import ModelLibrary, module_signature
+from repro.library import ModelLibrary, module_signature, store
 from repro.netlist.hierarchy import HierDesign, Module
 
 
@@ -33,12 +33,13 @@ def eco_block():
     )
 
 
-def test_cold_analysis(benchmark):
+def test_cold_analysis(benchmark, clear_memo):
     def run():
         return HierarchicalAnalyzer(cascade_adder(32, 2)).analyze()
 
-    result = benchmark(run)
+    result = benchmark.pedantic(run, setup=clear_memo, rounds=5)
     assert result.characterized_modules == ("csa_block2",)
+    assert store.PROCESS_LIBRARY.stats.characterizations == 1
 
 
 def test_warm_reanalysis(benchmark):
@@ -53,20 +54,21 @@ def test_warm_reanalysis(benchmark):
     assert result.delay >= base
 
 
-def test_post_eco_reanalysis(benchmark):
+def test_post_eco_reanalysis(benchmark, clear_memo):
     analyzer = IncrementalAnalyzer(cascade_adder(32, 2))
     analyzer.analyze()
     replacement = eco_block()
 
     def setup():
         analyzer.replace_module("csa_block2", replacement)
-        return (), {}
+        clear_memo()
 
     def run():
         return analyzer.analyze()
 
     result = benchmark.pedantic(run, setup=setup, rounds=3)
     assert result.characterized_modules == ("csa_block2",)
+    assert store.PROCESS_LIBRARY.stats.characterizations == 1
 
 
 def mixed_cascade(blocks_of_2: int = 6, blocks_of_3: int = 4) -> HierDesign:
@@ -171,7 +173,7 @@ def test_library_cached_vs_cold(benchmark, tmp_path):
     out.write_text(json.dumps(payload, indent=2) + "\n")
 
 
-def test_traced_overhead_guard(tmp_path):
+def test_traced_overhead_guard(tmp_path, clear_memo):
     """Tracing must stay cheap: traced run < 5% over untraced.
 
     Two paired min-of-N measurements on csa32.2, alternating untraced
@@ -196,6 +198,7 @@ def test_traced_overhead_guard(tmp_path):
     rounds = 5
 
     def run_hier(tracer):
+        clear_memo()
         t0 = time.perf_counter()
         HierarchicalAnalyzer(
             design, options=AnalysisOptions(tracer=tracer)

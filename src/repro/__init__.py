@@ -68,7 +68,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "AnalysisOptions",

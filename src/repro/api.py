@@ -69,7 +69,8 @@ class AnalysisOptions:
     jobs:
         Worker processes for parallel characterization (clamped ≥ 1).
     cache_dir:
-        Persistent model-library directory (``None`` = no disk cache).
+        Persistent model-library directory (``None`` = no disk cache;
+        a process still characterizes each module structure once).
     tracer:
         :class:`~repro.obs.trace.Tracer` receiving the run's spans,
         events, and counters (``None`` = tracing off, zero overhead).
@@ -245,14 +246,17 @@ class AnalysisSession:
 
     @property
     def library(self) -> "ModelLibrary | None":
-        """The shared model library (created once from ``cache_dir``)."""
+        """The shared model library (created once from ``cache_dir``).
+
+        ``None`` without ``cache_dir``: Step 1 then uses the process's
+        memory-only :data:`~repro.library.store.PROCESS_LIBRARY`, and
+        reports print no model-library block.
+        """
         if self._library is None and self.options.cache_dir is not None:
             from repro.library.store import ModelLibrary
 
             self._library = ModelLibrary(
-                self.options.cache_dir,
-                tracer=self.tracer,
-                fault_plan=self.options.fault_plan,
+                self.options.cache_dir, fault_plan=self.options.fault_plan
             )
         return self._library
 

@@ -121,7 +121,10 @@ class HierarchicalAnalyzer:
     library:
         Optional :class:`~repro.library.store.ModelLibrary` (overrides
         ``options.cache_dir``).  Cached models short-circuit Step 1;
-        fresh characterizations are stored back.  Only consulted for
+        fresh characterizations are stored back, and cache events go
+        to ``options.tracer``.  Without either, Step 1 uses the
+        process-wide :data:`~repro.library.store.PROCESS_LIBRARY`
+        (:attr:`library` stays ``None``).  Only consulted for
         functional models (topological ones are cheaper than a lookup).
     """
 
@@ -145,19 +148,9 @@ class HierarchicalAnalyzer:
             from repro.library.store import ModelLibrary
 
             library = ModelLibrary(
-                options.cache_dir,
-                tracer=self.tracer,
-                fault_plan=options.fault_plan,
+                options.cache_dir, fault_plan=options.fault_plan
             )
         self.library = library
-        if (
-            self.library is not None
-            and self.tracer.enabled
-            and not self.library.tracer.enabled
-        ):
-            # Adopt the analyzer's tracer so cache hit/miss events from a
-            # caller-supplied library land in the same trace.
-            self.library.tracer = self.tracer
         self._models: dict[str, dict[str, TimingModel]] = {}
         self._compiled: "CompiledDesign | None" = None
 
@@ -205,9 +198,10 @@ class HierarchicalAnalyzer:
         """Characterize every module not yet cached; returns their names.
 
         Functional models always come from the library scheduler
-        (:func:`~repro.library.scheduler.characterize_modules`), with or
-        without a :attr:`library`: ``options.jobs`` worker processes, or
-        in-process at 1, with structural twins characterized once.
+        (:func:`~repro.library.scheduler.characterize_modules`), through
+        :attr:`library` or the process-wide one: ``options.jobs`` worker
+        processes, or in-process at 1, with structural twins
+        characterized once.
         Results are identical for any job count.  ``functional=False``
         installs topological models.
 
@@ -469,10 +463,11 @@ class IncrementalAnalyzer(HierarchicalAnalyzer):
     def replace_module(self, module_name: str, new_network: Network) -> None:
         """Swap a module's implementation; only its models are invalidated.
 
-        The new network must keep the same port interface.  With a
-        model library, replacing a module *back* to a structure seen
-        before is free: the next analysis hits the library instead of
-        re-characterizing (Section 3.3's incremental claim, persisted).
+        The new network must keep the same port interface.  Replacing
+        a module *back* to a structure seen before is free: the next
+        analysis hits the model library (the process-wide one, or a
+        persistent one) instead of re-characterizing (Section 3.3's
+        incremental claim).
         """
         try:
             self.design.replace_module(module_name, new_network)

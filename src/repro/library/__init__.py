@@ -8,7 +8,10 @@ This subsystem turns that into infrastructure:
   structural hash of a module (stable under signal/instance renaming)
   combined with the characterization parameters;
 * :mod:`repro.library.store` — :class:`ModelLibrary`, an on-disk JSON
-  store with atomic writes, corruption fallback, and an in-memory LRU;
+  store with atomic writes, corruption fallback, and a thread-safe
+  in-memory LRU; ``store.PROCESS_LIBRARY`` is the memory-only one that
+  Step 1 uses when its caller passes none, so a process characterizes
+  each module structure once;
 * :mod:`repro.library.scheduler` — Step 1 of every hierarchical
   analysis: one resilient runner over output cones, in-process or over
   worker processes, with deterministic merging, under the module layer

@@ -24,7 +24,8 @@ and over worker processes above it:
 The callers: :func:`characterize_modules` (modules of a
 :class:`~repro.core.hier.HierarchicalAnalyzer`, and the flat network of
 ``AnalysisSession.characterize`` as one module) adds signatures, the
-model library and twin re-keying;
+model library (the caller's, or the process-wide
+:data:`~repro.library.store.PROCESS_LIBRARY`) and twin re-keying;
 :class:`~repro.core.instance_models.PerInstanceAnalyzer` sends SDC-aware
 cones owned by its instances, without a library.
 """
@@ -39,6 +40,7 @@ from repro.core import required
 from repro.core.hier import topological_models
 from repro.core.required import expand_model_to_inputs
 from repro.core.timing_model import TimingModel
+from repro.library import store
 from repro.library.signature import module_signature
 from repro.library.store import ModelLibrary
 from repro.netlist.hierarchy import Module
@@ -184,18 +186,22 @@ def characterize_modules(
     """Characterize every module, consulting/filling ``library``.
 
     Returns ``{module name: {output port: model}}`` with models aligned
-    to each module's own input order.  Modules found in ``library`` are
-    never re-characterized; structural twins are characterized once and
-    re-keyed.  The cones of the rest go through one
-    :func:`characterize_cones` call under ``options``, so ``jobs``
+    to each module's own input order.  ``library=None`` means the
+    process-wide :data:`~repro.library.store.PROCESS_LIBRARY`, so a
+    process characterizes each module structure once.  Modules found
+    in the library are never re-characterized; structural twins are
+    characterized once and re-keyed.  The cones of the rest go through
+    one :func:`characterize_cones` call under ``options``, so ``jobs``
     workers share them even for a single module, and the run deadline
     (``options.deadline``) starts here.  A module with a degraded cone
-    is not stored.
+    is not stored.  Lookups and stores report to ``options.tracer``.
     """
     if options is None:
         from repro.api import AnalysisOptions
 
         options = AnalysisOptions()
+    if library is None:
+        library = store.PROCESS_LIBRARY
     signatures = {
         name: module_signature(module) for name, module in modules.items()
     }
@@ -204,12 +210,13 @@ def characterize_modules(
     pending: list[str] = []
     for name, module in modules.items():
         sig = signatures[name]
-        if library is not None:
-            cached = library.lookup(sig, module.inputs, module.outputs)
-            if cached is not None:
-                results[name] = cached
-                representative.setdefault(sig, name)
-                continue
+        cached = library.lookup(
+            sig, module.inputs, module.outputs, options.tracer
+        )
+        if cached is not None:
+            results[name] = cached
+            representative.setdefault(sig, name)
+            continue
         if sig not in representative:
             representative[sig] = name
             pending.append(name)
@@ -224,12 +231,13 @@ def characterize_modules(
     for name in pending:
         models, seconds = characterized.get(name, ({}, 0.0))
         results[name] = models
-        if library is not None and seconds is not None:
+        if seconds is not None:
             module = modules[name]
             library.store(
-                signatures[name], module.inputs, module.outputs, models
+                signatures[name], module.inputs, module.outputs, models,
+                options.tracer,
             )
-            library.stats.record_characterization(name, seconds)
+            library.stats.record_characterization(seconds)
     for name, module in modules.items():
         if name in results:
             continue

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import hashlib
 
-from repro.core.xbd0 import CONE_ENGINE
+from repro.core import xbd0
 from repro.netlist.hierarchy import Module
 from repro.netlist.network import Network
 
@@ -78,19 +78,19 @@ def network_signature(network: Network) -> str:
 def module_signature(module: Module | Network) -> str:
     """Cache key: structural hash combined with characterization knobs.
 
-    The per-cone engine (:data:`~repro.core.xbd0.CONE_ENGINE`, text
-    ``engine=sat``) participates because tautology engines may differ
-    in cost, never in result — but an engine-qualified key keeps a
-    library written under another engine apart.  The relaxation
-    budgets are fixed (``max_orders=4``, ``max_tuples=8``) but stay in
-    the hashed text, so keys written before they were fixed still
-    match.
+    The per-cone engine (:data:`~repro.core.xbd0.CONE_ENGINE`, read at
+    call time; text ``engine=sat``) participates because tautology
+    engines may differ in cost, never in result — but an
+    engine-qualified key keeps a library written under another engine
+    apart.  The relaxation budgets are fixed (``max_orders=4``,
+    ``max_tuples=8``) but stay in the hashed text, so keys written
+    before they were fixed still match.
     """
     network = module.network if isinstance(module, Module) else module
     payload = "\n".join(
         [
             network_signature(network),
-            f"engine={CONE_ENGINE}",
+            f"engine={xbd0.CONE_ENGINE}",
             "max_orders=4",
             "max_tuples=8",
         ]

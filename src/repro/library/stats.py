@@ -7,8 +7,9 @@ surfaces the rendered block so cache effectiveness is visible per run.
 
 The counters are backed by a :class:`~repro.obs.metrics.Metrics`
 registry (one ``library.*`` instrument per counter), so a tracer that
-shares the registry sees the same numbers; the attribute surface
-(``stats.hits += 1`` and friends) is unchanged.
+shares the registry sees the same numbers.  Updates go through
+:meth:`LibraryStats.inc`, atomic because threads may share a library;
+the counters also read and write as attributes (``stats.hits``).
 """
 
 from __future__ import annotations
@@ -56,8 +57,6 @@ class LibraryStats:
 
     def __init__(self, metrics: Metrics | None = None):
         self.metrics = metrics if metrics is not None else Metrics()
-        #: Module names characterized, in completion order.
-        self.characterized_modules: list[str] = []
         for name in _COUNTER_FIELDS:
             self.metrics.counter(f"library.{name}")
         self.metrics.histogram("library.characterization_seconds")
@@ -90,13 +89,16 @@ class LibraryStats:
             "library.characterization_seconds"
         ).total
 
-    def record_characterization(self, name: str, seconds: float) -> None:
-        """Count one from-netlist characterization of ``name``."""
-        self.characterizations += 1
+    def inc(self, name: str) -> None:
+        """Add one to counter ``name`` (atomic across threads)."""
+        self.metrics.counter(f"library.{name}").inc()
+
+    def record_characterization(self, seconds: float) -> None:
+        """Count one from-netlist characterization that took ``seconds``."""
+        self.inc("characterizations")
         self.metrics.histogram(
             "library.characterization_seconds"
         ).observe(seconds)
-        self.characterized_modules.append(name)
 
     def as_dict(self) -> dict:
         """JSON-serializable snapshot (for benchmarks and tooling)."""

@@ -5,9 +5,15 @@ and stored *positionally* — input ports by index, one model per output
 index — so a cached entry serves any module with the same structure
 regardless of port names.  Two layers:
 
-* an in-memory LRU (``max_memory_entries``) holding decoded tuples, and
+* an in-memory LRU (``max_memory_entries``) holding decoded tuples,
+  safe to share between threads, and
 * an optional on-disk JSON directory (one file per signature) written
   atomically via ``os.replace`` so readers never observe a torn entry.
+
+:data:`PROCESS_LIBRARY` is the memory-only library that Step 1 uses
+when its caller passes none, so a process characterizes each module
+structure once (Sections 3.1 and 3.3: a leaf's model does not depend
+on its environment).
 
 Robustness: any unreadable, malformed, or schema-mismatched disk entry
 is counted, moved aside into ``<cache-dir>/quarantine/`` for post-mortem
@@ -24,6 +30,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+import threading
 import time
 from collections import OrderedDict
 from pathlib import Path
@@ -56,10 +63,6 @@ class ModelLibrary:
         keeps the library memory-only.
     max_memory_entries:
         LRU capacity of the in-memory layer (≥ 1).
-    tracer:
-        Optional :class:`~repro.obs.trace.Tracer`; when enabled the
-        library emits timed ``cache-hit`` / ``cache-miss`` /
-        ``cache-store`` events (phase ``"cache"``) per lookup and store.
     locking:
         Take an inter-process :class:`FileLock` around disk reads and
         writes (shared/exclusive).  Default on; a no-op on platforms
@@ -79,7 +82,6 @@ class ModelLibrary:
         self,
         cache_dir: str | os.PathLike | None = None,
         max_memory_entries: int = 256,
-        tracer: Tracer | None = None,
         locking: bool = True,
         durable: bool = True,
         fault_plan=None,
@@ -89,7 +91,8 @@ class ModelLibrary:
             self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.max_memory_entries = max(1, int(max_memory_entries))
         self._memory: OrderedDict[str, _Entry] = OrderedDict()
-        self.tracer = ensure_tracer(tracer)
+        #: Guards ``_memory``; :attr:`stats` counters lock themselves.
+        self._mutex = threading.Lock()
         self.stats = LibraryStats()
         self.durable = bool(durable)
         self.fault_plan = fault_plan
@@ -114,55 +117,76 @@ class ModelLibrary:
         signature: str,
         inputs: Sequence[str],
         outputs: Sequence[str],
+        tracer: Tracer | None = None,
     ) -> dict[str, TimingModel] | None:
         """Models re-keyed to ``inputs``/``outputs``, or ``None`` on miss.
 
         The positional payload must match the requested port arity; an
         arity mismatch means the signature collided with a different
-        interface and is treated as corrupt.
+        interface and is treated as corrupt.  ``tracer`` (the caller's
+        run) receives a timed ``cache-hit`` or ``cache-miss`` event
+        (phase ``"cache"``).
         """
-        t0 = time.perf_counter() if self.tracer.enabled else 0.0
-        entry = self._memory.get(signature)
+        tracer = ensure_tracer(tracer)
+        t0 = time.perf_counter() if tracer.enabled else 0.0
+        entry = self._recall(signature, len(inputs), len(outputs))
         if entry is not None:
-            self._memory.move_to_end(signature)
-            if len(entry) == len(outputs) and all(
-                len(t) == len(inputs) for tuples in entry for t in tuples
-            ):
-                self.stats.hits += 1
-                self.stats.memory_hits += 1
-                self._trace_lookup("cache-hit", signature, t0, "memory")
-                return self._rekey(entry, inputs, outputs)
-            self._memory.pop(signature, None)
-            self.stats.corrupt_entries += 1
-        entry = self._read_disk(signature, len(inputs), len(outputs))
-        if entry is not None:
-            self._remember(signature, entry)
-            self.stats.hits += 1
-            self.stats.disk_hits += 1
-            self._trace_lookup("cache-hit", signature, t0, "disk")
+            self.stats.inc("hits")
+            self.stats.inc("memory_hits")
+            self._trace_lookup(tracer, "cache-hit", signature, t0, "memory")
             return self._rekey(entry, inputs, outputs)
-        self.stats.misses += 1
-        self._trace_lookup("cache-miss", signature, t0, None)
+        entry = self._read_disk(signature, len(inputs), len(outputs), tracer)
+        if entry is not None:
+            with self._mutex:
+                self._remember(signature, entry)
+            self.stats.inc("hits")
+            self.stats.inc("disk_hits")
+            self._trace_lookup(tracer, "cache-hit", signature, t0, "disk")
+            return self._rekey(entry, inputs, outputs)
+        self.stats.inc("misses")
+        self._trace_lookup(tracer, "cache-miss", signature, t0, None)
         return None
 
+    @staticmethod
     def _trace_lookup(
-        self, kind: str, signature: str, t0: float, layer: str | None
+        tracer: Tracer, kind: str, signature: str, t0: float, layer: str | None
     ) -> None:
-        if not self.tracer.enabled:
+        if not tracer.enabled:
             return
-        self.tracer.count(f"library.{'hits' if layer else 'misses'}")
+        tracer.count(f"library.{'hits' if layer else 'misses'}")
         attrs = {"signature": signature[:16]}
         if layer is not None:
             attrs["layer"] = layer
-        self.tracer.event(
+        tracer.event(
             kind,
             phase="cache",
             seconds=time.perf_counter() - t0,
             **attrs,
         )
 
-    def _read_disk(
+    def _recall(
         self, signature: str, num_inputs: int, num_outputs: int
+    ) -> _Entry | None:
+        """The memory layer's entry for ``signature`` (now most recent)."""
+        with self._mutex:
+            entry = self._memory.get(signature)
+            if entry is None:
+                return None
+            if len(entry) == num_outputs and all(
+                len(t) == num_inputs for tuples in entry for t in tuples
+            ):
+                self._memory.move_to_end(signature)
+                return entry
+            del self._memory[signature]
+        self.stats.inc("corrupt_entries")
+        return None
+
+    def _read_disk(
+        self,
+        signature: str,
+        num_inputs: int,
+        num_outputs: int,
+        tracer: Tracer,
     ) -> _Entry | None:
         path = self.path_for(signature)
         if path is None:
@@ -179,23 +203,23 @@ class ModelLibrary:
         try:
             document = json.loads(raw)
         except (ValueError, RecursionError):
-            return self._reject(path, "corrupt")
+            return self._reject(path, "corrupt", tracer)
         if not isinstance(document, dict):
-            return self._reject(path, "corrupt")
+            return self._reject(path, "corrupt", tracer)
         if (
             document.get("format") != FORMAT_NAME
             or document.get("version") != FORMAT_VERSION
         ):
-            return self._reject(path, "schema")
+            return self._reject(path, "schema", tracer)
         try:
             if (
                 document["signature"] != signature
                 or int(document["num_inputs"]) != num_inputs
             ):
-                return self._reject(path, "corrupt")
+                return self._reject(path, "corrupt", tracer)
             models = document["models"]
             if len(models) != num_outputs:
-                return self._reject(path, "corrupt")
+                return self._reject(path, "corrupt", tracer)
             entry = tuple(
                 tuple(
                     tuple(float(v) for v in tup) for tup in model["tuples"]
@@ -203,21 +227,20 @@ class ModelLibrary:
                 for model in models
             )
         except (KeyError, TypeError, ValueError):
-            return self._reject(path, "corrupt")
+            return self._reject(path, "corrupt", tracer)
         if any(
             not tuples or any(len(t) != num_inputs for t in tuples)
             for tuples in entry
         ):
-            return self._reject(path, "corrupt")
+            return self._reject(path, "corrupt", tracer)
         return entry
 
-    def _reject(self, path: Path, reason: str) -> None:
+    def _reject(self, path: Path, reason: str, tracer: Tracer) -> None:
         """Count a bad on-disk entry and move it into quarantine."""
-        if reason == "schema":
-            self.stats.schema_mismatches += 1
-        else:
-            self.stats.corrupt_entries += 1
-        self.stats.quarantined += 1
+        self.stats.inc(
+            "schema_mismatches" if reason == "schema" else "corrupt_entries"
+        )
+        self.stats.inc("quarantined")
         qdir = self.cache_dir / QUARANTINE_DIR
         try:
             with self._lock.exclusive():
@@ -228,9 +251,9 @@ class ModelLibrary:
                 os.unlink(path)
             except OSError:
                 pass
-        if self.tracer.enabled:
-            self.tracer.count("library.quarantined")
-            self.tracer.event(
+        if tracer.enabled:
+            tracer.count("library.quarantined")
+            tracer.event(
                 "cache-quarantine",
                 phase="cache",
                 entry=path.name,
@@ -254,19 +277,23 @@ class ModelLibrary:
         inputs: Sequence[str],
         outputs: Sequence[str],
         models: Mapping[str, TimingModel],
+        tracer: Tracer | None = None,
     ) -> None:
         """Persist one module's models under ``signature``.
 
         ``models`` must hold one model per output, aligned with
         ``inputs`` (the shape produced by ``characterize_network``).
+        ``tracer`` (the caller's run) receives a ``cache-store`` event.
         """
-        t0 = time.perf_counter() if self.tracer.enabled else 0.0
+        tracer = ensure_tracer(tracer)
+        t0 = time.perf_counter() if tracer.enabled else 0.0
         entry: _Entry = tuple(models[out].tuples for out in outputs)
-        self._remember(signature, entry)
-        self.stats.stores += 1
+        with self._mutex:
+            self._remember(signature, entry)
+        self.stats.inc("stores")
         path = self.path_for(signature)
         if path is None:
-            self._trace_store(signature, t0, persisted=False)
+            self._trace_store(tracer, signature, t0, persisted=False)
             return
         document = {
             "format": FORMAT_NAME,
@@ -300,16 +327,18 @@ class ModelLibrary:
                 # Data fault: garble the persisted entry and forget the
                 # in-memory copy so the next lookup must decode the file.
                 path.write_text(rule.message)
-                self._memory.pop(signature, None)
-        self._trace_store(signature, t0, persisted=True)
+                with self._mutex:
+                    self._memory.pop(signature, None)
+        self._trace_store(tracer, signature, t0, persisted=True)
 
+    @staticmethod
     def _trace_store(
-        self, signature: str, t0: float, persisted: bool
+        tracer: Tracer, signature: str, t0: float, persisted: bool
     ) -> None:
-        if not self.tracer.enabled:
+        if not tracer.enabled:
             return
-        self.tracer.count("library.stores")
-        self.tracer.event(
+        tracer.count("library.stores")
+        tracer.event(
             "cache-store",
             phase="cache",
             seconds=time.perf_counter() - t0,
@@ -318,11 +347,12 @@ class ModelLibrary:
         )
 
     def _remember(self, signature: str, entry: _Entry) -> None:
+        """Insert ``entry`` as most recent (the caller holds ``_mutex``)."""
         self._memory[signature] = entry
         self._memory.move_to_end(signature)
         while len(self._memory) > self.max_memory_entries:
             self._memory.popitem(last=False)
-            self.stats.evictions += 1
+            self.stats.inc("evictions")
 
     # ------------------------------------------------------------------ misc
     def __len__(self) -> int:
@@ -332,3 +362,10 @@ class ModelLibrary:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         where = str(self.cache_dir) if self.cache_dir else "memory-only"
         return f"ModelLibrary({where!r}, entries={len(self._memory)})"
+
+
+#: The memory-only library Step 1 consults and fills when its caller
+#: passes none (:func:`~repro.library.scheduler.characterize_modules`),
+#: shared by every analyzer, session and server registration of the
+#: process.  Read at call time: a test swaps in a fresh one.
+PROCESS_LIBRARY = ModelLibrary()

@@ -255,8 +255,11 @@ class DesignRegistry:
     ----------
     options:
         Analysis options every registered design compiles under (jobs,
-        cache_dir, deadline...).  The registry forces nothing; the model
-        library configured here is shared by every design.
+        cache_dir, deadline...).  The registry forces nothing.  Without
+        ``cache_dir`` every design's Step 1 goes through the process-wide
+        model library, so a module structure is characterized once per
+        process; with it, every design reads and fills that directory,
+        shared by every process that names it.
     max_batch:
         Scenarios per kernel call of each design's
         :class:`~repro.server.coalescer.RequestCoalescer` (1 disables

@@ -5,7 +5,43 @@ from __future__ import annotations
 import pytest
 
 from repro.circuits.adders import carry_skip_block, cascade_adder
+from repro.library import store
 from repro.netlist.network import Network
+
+
+def reset_process_library() -> None:
+    """Swap in an empty :data:`~repro.library.store.PROCESS_LIBRARY`.
+
+    The next analysis of any module structure then characterizes it.
+    The autouse fixture puts the original back when the test ends.
+    """
+    store.PROCESS_LIBRARY = store.ModelLibrary()
+
+
+@pytest.fixture(autouse=True)
+def fresh_process_library():
+    """Every test starts with an empty process-wide model library.
+
+    That is a fresh process's state: the first analysis of a module
+    structure characterizes it.  A test that needs a cold Step 1 again
+    later calls :func:`reset_process_library`; so does a hypothesis
+    test per example, since this fixture runs once per test.
+    """
+    original = store.PROCESS_LIBRARY
+    reset_process_library()
+    yield
+    store.PROCESS_LIBRARY = original
+
+
+def assert_characterized_at(sink, jobs: int) -> None:
+    """The traced run behind ``sink`` ran Step 1 itself, at ``jobs``.
+
+    No module came from a library (no ``cache-hit``), and at least one
+    ``characterize-module`` event was recorded, each at ``jobs``.
+    """
+    assert "cache-hit" not in sink.names()
+    characterized = sink.by_name("characterize-module")
+    assert {record.attrs["jobs"] for record in characterized} == {jobs}
 
 
 @pytest.fixture(scope="session")

@@ -19,6 +19,7 @@ from repro.errors import AnalysisError, ReproError
 from repro.netlist.hierarchy import HierDesign
 from repro.netlist.network import Network
 from repro.obs import NULL_TRACER, RingBufferSink, Tracer
+from tests.conftest import reset_process_library
 
 
 @pytest.fixture()
@@ -680,6 +681,7 @@ class TestCliTrace:
 
         assert main(["hier-report", csa8_file]) == 0
         untraced = capsys.readouterr().out
+        reset_process_library()  # the traced run characterizes again
         assert main(["hier-report", csa8_file, "--trace"]) == 0
         traced = capsys.readouterr().out
         # report body is byte-identical; the summary is appended

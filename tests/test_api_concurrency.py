@@ -19,6 +19,7 @@ from repro.api import AnalysisSession
 from repro.circuits.adders import cascade_adder
 from repro.kernel import CompiledDesign, PythonExecutor
 from repro.scenarios import ScenarioSet
+from tests.conftest import reset_process_library
 
 N_THREADS = 8
 ROUNDS = 12
@@ -169,6 +170,7 @@ class TestCompiledHandleThreadSafety:
         # must produce the same answers as a serially-compiled one
         design = cascade_adder(4, 2)
         reference = AnalysisSession(design).compile().propagate([{}])
+        reset_process_library()  # the threads' Step 1 is cold too
         session = AnalysisSession(design)
 
         def worker(_i):

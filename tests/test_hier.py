@@ -17,6 +17,7 @@ from repro.core.hier import (
 from repro.core.xbd0 import functional_delays
 from repro.errors import AnalysisError
 from repro.sta.topological import arrival_times
+from tests.conftest import reset_process_library
 
 
 class TestTopologicalModels:
@@ -192,6 +193,7 @@ class TestIncremental:
         replacement = carry_skip_block(4)
         analyzer.replace_module("csa_block4", replacement)
         incremental = analyzer.analyze().delay
+        reset_process_library()  # a fresh analysis runs Step 1 itself
         fresh = HierarchicalAnalyzer(cascade_adder(8, 4)).analyze().delay
         assert incremental == fresh
 

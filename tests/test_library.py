@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import random
+import sys
+import threading
 
 import pytest
 
@@ -9,7 +12,9 @@ from repro.api import AnalysisOptions, AnalysisSession
 from repro.circuits.adders import carry_skip_block, cascade_adder
 from repro.cli import main
 from repro.core.hier import HierarchicalAnalyzer, IncrementalAnalyzer
+from repro.core.instance_models import PerInstanceAnalyzer
 from repro.core.required import characterize_network
+from repro.core.timing_model import TimingModel
 from repro.library import (
     FORMAT_NAME,
     FORMAT_VERSION,
@@ -17,12 +22,19 @@ from repro.library import (
     characterize_modules,
     module_signature,
     network_signature,
+    store,
 )
 from repro.netlist.hierarchy import HierDesign, Module
 from repro.netlist.network import Network
+from repro.obs import RingBufferSink, Tracer
 from repro.parsers.verilog import dumps_verilog
+from repro.resilience import FaultPlan
 
-from tests.conftest import make_false_path_circuit
+from tests.conftest import (
+    assert_characterized_at,
+    make_false_path_circuit,
+    reset_process_library,
+)
 
 
 def renamed_copy(net: Network, prefix: str = "r") -> Network:
@@ -109,14 +121,17 @@ class TestSignature:
         assert network_signature(padded) == network_signature(csa_block2)
 
     def test_parameters_change_key(self, csa_block2, monkeypatch):
-        from repro.library import signature
+        from repro.core import xbd0
 
         mod = Module("m", csa_block2)
         base = module_signature(mod)
         assert module_signature(mod) == base  # deterministic
-        # the per-cone engine is part of the key
-        monkeypatch.setattr(signature, "CONE_ENGINE", "bdd")
+        # the per-cone engine in use is part of the key: patching the
+        # constant that drills it changes the key too
+        monkeypatch.setattr(xbd0, "CONE_ENGINE", "bdd")
         assert module_signature(mod) != base
+        monkeypatch.setattr(xbd0, "CONE_ENGINE", "sat")
+        assert module_signature(mod) == base
 
     def test_key_is_pinned(self, csa_block2):
         # The key of every library written before the relaxation
@@ -262,12 +277,16 @@ class TestScheduler:
     def test_parallel_determinism(self):
         design = multi_module_design()
         serial = characterize_modules(design.modules)
+        reset_process_library()  # else the parallel run reads the memo
+        sink = RingBufferSink()
         parallel = characterize_modules(
-            design.modules, AnalysisOptions(jobs=4)
+            design.modules,
+            AnalysisOptions(jobs=4, tracer=Tracer(sinks=[sink])),
         )
         assert {n: model_tuples(m) for n, m in serial.items()} == {
             n: model_tuples(m) for n, m in parallel.items()
         }
+        assert_characterized_at(sink, 4)
 
     def test_twins_characterized_once(self):
         design = multi_module_design()
@@ -348,11 +367,15 @@ class TestAnalyzerIntegration:
     def test_parallel_jobs_same_result(self):
         design = multi_module_design()
         serial = HierarchicalAnalyzer(design).analyze()
+        reset_process_library()  # else the parallel run reads the memo
+        sink = RingBufferSink()
         parallel = HierarchicalAnalyzer(
-            multi_module_design(), options=AnalysisOptions(jobs=4)
+            multi_module_design(),
+            options=AnalysisOptions(jobs=4, tracer=Tracer(sinks=[sink])),
         ).analyze()
         assert parallel.net_times == serial.net_times
         assert set(parallel.characterized_modules) == set(serial.characterized_modules)
+        assert_characterized_at(sink, 4)
 
     def test_topological_mode_skips_library(self, tmp_path):
         lib = ModelLibrary(tmp_path / "cache")
@@ -432,8 +455,11 @@ class TestCLI:
         bytes at any job count, with the two-step answer per output."""
         assert main(["hier-report", verilog_file]) == 0
         serial = capsys.readouterr().out
+        reset_process_library()  # else the --jobs 2 run reads the memo
         assert main(["hier-report", verilog_file, "--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial
+        memo = store.PROCESS_LIBRARY.stats
+        assert (memo.hits, memo.characterizations) == (0, 1)
         rows = dict(
             line.split()
             for line in serial.splitlines()
@@ -525,3 +551,168 @@ class TestCharacterizeExportPinned:
         assert "0 hits, 1 characterizations" in capsys.readouterr().err
         assert self.export(csb8, "--cache-dir", cache) == CSB8_EXPORT
         assert "1 hits, 0 characterizations" in capsys.readouterr().err
+
+
+def record_names(sink: RingBufferSink) -> list[str]:
+    return [record.name for record in sink.records()]
+
+
+class TestSharedLibrary:
+    """One library serving many runs: the process-wide memo of Step 1
+    (:data:`repro.library.store.PROCESS_LIBRARY`), and any library that
+    several analyzers or threads share."""
+
+    def test_memory_layer_is_thread_safe(self):
+        # 8 threads look up and store 9 signatures through a 4-entry
+        # LRU, so hits, stores and evictions interleave.
+        library = ModelLibrary(max_memory_entries=4)
+        inputs, outputs = ("a", "b"), ("z",)
+        stored = {
+            f"sig{i}": {"z": TimingModel("z", inputs, ((float(i), 1.0),))}
+            for i in range(9)
+        }
+        signatures = sorted(stored)
+        rounds = 2000
+        start = threading.Barrier(8)
+        errors: list[Exception] = []
+        wrong: list[str] = []
+
+        def worker(k: int) -> None:
+            pick = random.Random(k).choice
+            try:
+                start.wait(timeout=60)
+                for _ in range(rounds):
+                    sig = pick(signatures)
+                    got = library.lookup(sig, inputs, outputs)
+                    if got is not None and (
+                        got["z"].tuples != stored[sig]["z"].tuples
+                    ):
+                        wrong.append(sig)
+                    library.store(sig, inputs, outputs, stored[sig])
+            except Exception as exc:  # collected, asserted below
+                errors.append(exc)
+
+        threads = [
+            threading.Thread(target=worker, args=(k,)) for k in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert wrong == []
+        stats = library.stats
+        assert stats.hits > 0
+        assert stats.hits + stats.misses == stats.stores == 8 * rounds
+        assert len(library) == 4
+
+    def test_cache_events_reach_each_runs_tracer(self):
+        library = ModelLibrary()
+        sinks = [RingBufferSink(), RingBufferSink()]
+        for sink in sinks:
+            HierarchicalAnalyzer(
+                cascade_adder(4, 2),
+                library=library,
+                options=AnalysisOptions(tracer=Tracer(sinks=[sink])),
+            ).analyze()
+        first, second = (record_names(sink) for sink in sinks)
+        assert first.count("cache-miss") == 1
+        assert "cache-hit" not in first
+        assert second.count("cache-hit") == 1
+        assert "cache-miss" not in second
+
+    def test_sessions_share_a_module(self):
+        AnalysisSession(cascade_adder(8, 2)).hierarchical()
+        sink = RingBufferSink()
+        session = AnalysisSession(
+            cascade_adder(12, 2),
+            options=AnalysisOptions(tracer=Tracer(sinks=[sink])),
+        )
+        warm = session.hierarchical()
+        names = record_names(sink)
+        assert "characterize-module" not in names
+        assert names.count("cache-hit") == 1
+        assert session.library is None
+        reset_process_library()
+        cold = AnalysisSession(cascade_adder(12, 2)).hierarchical()
+        assert warm.net_times == cold.net_times
+        assert warm.delay == cold.delay
+
+    def test_hit_returns_the_cold_models(self):
+        cold = HierarchicalAnalyzer(cascade_adder(4, 2)).models_for(
+            "csa_block2"
+        )
+        hit = HierarchicalAnalyzer(cascade_adder(8, 2)).models_for(
+            "csa_block2"
+        )
+        memo = store.PROCESS_LIBRARY
+        assert (len(memo), memo.stats.hits, memo.stats.misses) == (1, 1, 1)
+        assert memo.stats.characterizations == 1
+        assert repr(hit) == repr(cold)
+
+    def test_registrations_share_a_module(self):
+        from repro.server.registry import DesignRegistry
+
+        sink = RingBufferSink()
+        registry = DesignRegistry(tracer=Tracer(sinks=[sink]))
+        try:
+            registry.register_design(cascade_adder(8, 2))
+            registry.register_design(cascade_adder(12, 2))
+        finally:
+            registry.close()
+        names = record_names(sink)
+        assert names.count("characterize-module") == 1
+        assert names.count("cache-hit") == 1
+
+    @pytest.mark.parametrize(
+        "options",
+        [
+            lambda: AnalysisOptions(deadline=1e-9),
+            lambda: AnalysisOptions(
+                fault_plan=FaultPlan().add(
+                    "scheduler.serial", "exception", times=-1
+                )
+            ),
+        ],
+        ids=["deadline", "fault"],
+    )
+    def test_degraded_module_is_not_memoized(self, options):
+        degraded = HierarchicalAnalyzer(
+            cascade_adder(4, 2), options=options()
+        ).analyze()
+        assert degraded.degradations
+        assert len(store.PROCESS_LIBRARY) == 0
+        sink = RingBufferSink()
+        analyzer = HierarchicalAnalyzer(
+            cascade_adder(4, 2),
+            options=AnalysisOptions(tracer=Tracer(sinks=[sink])),
+        )
+        clean = analyzer.analyze()
+        assert clean.degradations == ()
+        assert "characterize-module" in record_names(sink)
+        assert model_tuples(analyzer.models_for("csa_block2")) == (
+            model_tuples(characterize_network(carry_skip_block(2)))
+        )
+
+    def test_memo_hit_skips_a_late_step1(self):
+        exact = HierarchicalAnalyzer(cascade_adder(4, 2)).analyze()
+        late = HierarchicalAnalyzer(
+            cascade_adder(4, 2), options=AnalysisOptions(deadline=1e-9)
+        ).analyze()
+        assert late.degradations == ()
+        assert late.net_times == exact.net_times
+
+    def test_topological_and_per_instance_models_skip_the_memo(self):
+        HierarchicalAnalyzer(
+            cascade_adder(4, 2), options=AnalysisOptions(functional=False)
+        ).analyze()
+        PerInstanceAnalyzer(cascade_adder(4, 2)).analyze()
+        memo = store.PROCESS_LIBRARY
+        assert len(memo) == 0
+        assert memo.stats.hits == memo.stats.misses == 0

@@ -316,7 +316,6 @@ class TestAnalyzerWiring:
         HierarchicalAnalyzer(
             design, library=library, options=AnalysisOptions(tracer=tracer)
         ).analyze()
-        assert library.tracer is tracer
         assert "cache-miss" in sink.names()
 
     def test_stats_metrics_backed(self, tmp_path):
@@ -326,7 +325,7 @@ class TestAnalyzerWiring:
         stats.misses += 1
         assert stats.hits == 2 and stats.misses == 1
         assert stats.metrics.counter("library.hits").value == 2
-        stats.record_characterization("m", 0.5)
+        stats.record_characterization(0.5)
         assert stats.characterizations == 1
         assert stats.characterization_seconds == 0.5
         snapshot = stats.as_dict()

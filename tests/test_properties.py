@@ -16,6 +16,7 @@ from repro.resilience import FaultPlan
 from repro.sim.timed import brute_force_stable_at, stable_times
 from repro.sim.vectors import random_vectors
 from repro.sta.topological import arrival_times
+from tests.conftest import reset_process_library
 from tests.reference import equivalent
 
 
@@ -138,6 +139,10 @@ class TestDegradedStepOneBounds:
 
     @staticmethod
     def assert_bounded(design, hier_options, inst_options):
+        # Each example starts from a fresh process's memo: an earlier
+        # example's clean run of the same structure would answer this
+        # one's faulted Step 1.
+        reset_process_library()
         flat = AnalysisSession(design).functional_delays()
         topological = AnalysisSession(
             design, functional=False

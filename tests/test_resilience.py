@@ -22,6 +22,7 @@ from repro.core.hier import HierarchicalAnalyzer, topological_models
 from repro.errors import ReproError
 from repro.library.scheduler import characterize_modules
 from repro.library.store import ModelLibrary
+from repro.obs import RingBufferSink, Tracer
 from repro.parsers.verilog import dumps_verilog
 from repro.resilience import (
     HAVE_FCNTL,
@@ -38,6 +39,7 @@ from repro.resilience import (
 )
 from repro.resilience import faultinject
 from repro.resilience.policy import backoff_delays
+from tests.conftest import assert_characterized_at, reset_process_library
 
 EXAMPLE = "examples/csa8_2.v"
 
@@ -335,6 +337,7 @@ class TestConeRunner:
         assert plan.rules[0].times == 0  # a worker took the rule
         assert [d.kind for d in dlog] == ["task-error"]
         assert dlog.snapshot()[0].subject.startswith("csa_block2:")
+        reset_process_library()  # else the serial run reads the memo
         serial = characterize_modules(design.modules)
         assert self.tuples(parallel) == self.tuples(serial)
 
@@ -349,10 +352,14 @@ class TestConeRunner:
             cascade_bipartition(random_network(6, 24, seed=5, num_outputs=3)),
         ):
             serial = characterize_modules(design.modules)
+            reset_process_library()  # else the parallel run reads the memo
+            sink = RingBufferSink()
             parallel = characterize_modules(
-                design.modules, AnalysisOptions(jobs=jobs)
+                design.modules,
+                AnalysisOptions(jobs=jobs, tracer=Tracer(sinks=[sink])),
             )
             assert self.tuples(parallel) == self.tuples(serial)
+            assert_characterized_at(sink, jobs)
 
     def test_one_cone_fault_degrades_only_that_output(self, csa4_design):
         from repro.core.required import characterize_network
@@ -506,6 +513,7 @@ class TestFileLock:
 class TestAnalyzerDegradation:
     def test_hier_deadline_degrades_to_topological(self, csa4_design):
         exact = HierarchicalAnalyzer(csa4_design).analyze()
+        reset_process_library()  # else the memo answers, exactly
         degraded = HierarchicalAnalyzer(
             csa4_design, options=AnalysisOptions(deadline=1e-9)
         ).analyze()
@@ -726,6 +734,7 @@ class TestCLIFailSafe:
 
         clean_out, clean = delays(["hier-report", EXAMPLE, "--jobs", "2"])
         assert "degradations" not in clean_out
+        reset_process_library()  # the faulted run characterizes again
         # Every worker attempt fails, then so does the first in-process
         # fallback: that cone keeps its topological model.
         fault_out, faulted = delays([

@@ -27,6 +27,7 @@ from repro.core.demand import DemandDrivenAnalyzer
 from repro.core.hier import HierarchicalAnalyzer
 from repro.library.store import ModelLibrary
 from repro.resilience import FaultPlan
+from tests.conftest import reset_process_library
 
 
 def _hammer(cache_dir: str, bits: int) -> None:
@@ -104,6 +105,7 @@ def test_demand_faults_stay_conservative(seed, num_gates, faults):
 def test_characterization_faults_stay_conservative(seed, num_gates):
     """Poisoned characterization degrades to topological, never below."""
     exact = HierarchicalAnalyzer(_bipartition(seed, num_gates)).analyze()
+    reset_process_library()  # the poisoned run characterizes again
     plan = FaultPlan().add("scheduler.serial", "exception", times=-1)
     degraded = HierarchicalAnalyzer(
         _bipartition(seed, num_gates),
