@@ -135,7 +135,6 @@ class AdmissionGate:
         max_inflight: int | None = None,
         max_queue: int = 0,
         queue_timeout: float = 5.0,
-        clock=time.monotonic,
     ):
         if max_inflight is not None and int(max_inflight) < 1:
             raise ValueError(
@@ -148,7 +147,6 @@ class AdmissionGate:
         self.max_inflight = None if max_inflight is None else int(max_inflight)
         self.max_queue = int(max_queue)
         self.queue_timeout = float(queue_timeout)
-        self._clock = clock
         self._cond = threading.Condition()
         #: Requests currently holding the gate.
         self.inflight = 0
@@ -172,18 +170,18 @@ class AdmissionGate:
             if self.queued >= self.max_queue:
                 self.shed += 1
                 return False, 0.0
-            t0 = self._clock()
+            t0 = time.monotonic()
             deadline = t0 + self.queue_timeout
             self.queued += 1
             try:
                 while self.inflight >= self.max_inflight:
-                    remaining = deadline - self._clock()
+                    remaining = deadline - time.monotonic()
                     if remaining <= 0:
                         self.shed += 1
-                        return False, self._clock() - t0
+                        return False, time.monotonic() - t0
                     self._cond.wait(remaining)
                 self.inflight += 1
-                return True, self._clock() - t0
+                return True, time.monotonic() - t0
             finally:
                 self.queued -= 1
                 self._cond.notify()
@@ -199,10 +197,10 @@ class AdmissionGate:
 
         Returns True when the gate emptied within ``timeout``.
         """
-        deadline = self._clock() + max(0.0, timeout)
+        deadline = time.monotonic() + max(0.0, timeout)
         with self._cond:
             while self.inflight > 0 or self.queued > 0:
-                remaining = deadline - self._clock()
+                remaining = deadline - time.monotonic()
                 if remaining <= 0:
                     return False
                 # cap the wait: queued waiters that give up time out

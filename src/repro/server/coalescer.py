@@ -1,12 +1,11 @@
 """Request coalescing: concurrency in, kernel batches out.
 
-The compiled kernel is ~8x faster per scenario at batch 256 than at
-batch 1, but an HTTP request carries one scenario.  The coalescer is
-the adapter between those shapes: request threads :meth:`submit` one
-scenario each and block; a per-design flusher thread collects the
-in-flight scenarios and evaluates them as **one**
-:func:`~repro.kernel.execute.propagate_batch` call, then wakes every
-waiter with its own row.
+An HTTP request carries one scenario, but the compiled kernel takes a
+batch.  The coalescer is the adapter between those shapes: request
+threads :meth:`submit` one scenario each and block; a per-design
+flusher thread collects the in-flight scenarios and evaluates them as
+**one** :func:`~repro.kernel.execute.propagate_batch` call, then wakes
+every waiter with its own row.
 
 Flush policy: a batch closes when
 
@@ -152,7 +151,6 @@ class RequestCoalescer:
         max_batch: int = 64,
         tracer: Tracer | None = None,
         name: str = "",
-        clock=time.monotonic,
         fault_plan=None,
     ):
         if int(max_batch) < 1:
@@ -162,7 +160,6 @@ class RequestCoalescer:
         self.tracer = ensure_tracer(tracer)
         self.name = name
         self.fault_plan = fault_plan
-        self._clock = clock
         self._cond = threading.Condition()
         self._pending: list[_Pending] = []
         self._newest: float = 0.0
@@ -180,12 +177,6 @@ class RequestCoalescer:
         #: regime, where the quiet-wait debounce is worth paying.
         self._last_batch = 0
 
-    @property
-    def depth(self) -> int:
-        """Requests currently queued, not yet dispatched (approximate —
-        read without the lock; feeds the ``/metrics`` queue gauge)."""
-        return len(self._pending)
-
     # ------------------------------------------------------------- client side
     def submit(
         self,
@@ -200,11 +191,11 @@ class RequestCoalescer:
         :data:`STALL_WAIT` for liveness.
         """
         if isinstance(deadline, (int, float)):
-            deadline = Deadline(float(deadline), clock=self._clock)
-        pending = _Pending(scenario, deadline, self._clock(), label)
+            deadline = Deadline(float(deadline))
+        pending = _Pending(scenario, deadline, time.monotonic(), label)
         with self._cond:
             if self._closed:
-                return self._closed_outcome(pending)
+                return self._closed_outcome()
             self._pending.append(pending)
             self._newest = pending.enqueued
             self.submitted += 1
@@ -224,7 +215,7 @@ class RequestCoalescer:
                 detail=(
                     f"request waited {stall:g}s without being dispatched"
                 ),
-                queue_seconds=self._clock() - pending.enqueued,
+                queue_seconds=time.monotonic() - pending.enqueued,
             )
         assert pending.outcome is not None
         return pending.outcome
@@ -243,11 +234,11 @@ class RequestCoalescer:
                 # coalescer flushes whatever is pending immediately, as
                 # does a solo-client regime (last batch did not
                 # coalesce — waiting would buy nothing).
-                window_start = self._clock()
+                window_start = time.monotonic()
                 while not self._closed and self._last_batch > 1:
                     if len(self._pending) >= max_batch:
                         break
-                    now = self._clock()
+                    now = time.monotonic()
                     # the quiet clock starts no earlier than the window:
                     # arrivals queued during the previous evaluation look
                     # stale, but their batch-mates' replies are still in
@@ -265,7 +256,7 @@ class RequestCoalescer:
             self._flush(batch)
 
     def _flush(self, batch: list[_Pending]) -> None:
-        now = self._clock()
+        now = time.monotonic()
         live: list[_Pending] = []
         for pending in batch:
             queue_seconds = now - pending.enqueued
@@ -310,7 +301,7 @@ class RequestCoalescer:
                 pending.done.set()
             self._count("server.coalescer.errors")
             return
-        done_at = self._clock()
+        done_at = time.monotonic()
         if len(values) != len(live):  # defensive: evaluate broke contract
             for pending in live:
                 pending.outcome = Outcome(
@@ -387,7 +378,7 @@ class RequestCoalescer:
         if self.tracer.enabled:
             self.tracer.count(name)
 
-    def _closed_outcome(self, pending: _Pending) -> Outcome:
+    def _closed_outcome(self) -> Outcome:
         return Outcome(
             ok=False,
             error="server-closed",

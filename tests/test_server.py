@@ -17,6 +17,7 @@ from repro.resilience import CircuitBreaker
 from repro.resilience.policy import Deadline
 from repro.scenarios import MonteCarlo, analyze_family
 from repro.server import (
+    AdmissionGate,
     DesignRegistry,
     RequestCoalescer,
     TimingServerApp,
@@ -734,6 +735,9 @@ def _removed_setting_cases():
         )(k) for k in ("coalesce", "breaker", "max_designs")},
         "RequestCoalescer-config":
             lambda app, entry: RequestCoalescer(list, config=None),
+        "RequestCoalescer-clock":
+            lambda app, entry: RequestCoalescer(list, clock=None),
+        "AdmissionGate-clock": lambda app, entry: AdmissionGate(clock=None),
         "RequestCoalescer.submit-wait_timeout":
             lambda app, entry: entry.coalescer.submit({}, wait_timeout=1.0),
         "CircuitBreaker-config":
