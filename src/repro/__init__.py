@@ -68,7 +68,7 @@ from repro.scenarios import (
 )
 from repro.seq.circuit import Flop, SequentialCircuit
 
-__version__ = "1.25.0"
+__version__ = "1.26.0"
 
 __all__ = [
     "AnalysisOptions",

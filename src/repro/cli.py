@@ -592,7 +592,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
         server.shutdown()
-        server.server_close()
         accept.join(timeout=5.0)
         return 130 if signum == signal.SIGINT else 0
     finally:

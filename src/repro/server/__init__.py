@@ -12,7 +12,8 @@ concurrency into kernel batch throughput.  This package is that daemon:
 * :class:`~repro.server.coalescer.RequestCoalescer` — in-flight
   single-scenario requests for one design merged into single
   :func:`~repro.kernel.execute.propagate_batch` calls (flush on
-  max-batch / max-wait / quiet-period), with per-request
+  max-batch / the last batch's clients back / max-wait /
+  quiet-period), with per-request
   :class:`~repro.resilience.policy.Deadline` enforcement and
   504-with-:class:`~repro.resilience.degradation.Degradation` rejects;
 * :class:`~repro.server.app.TimingServerApp` — the JSON-over-HTTP

@@ -10,10 +10,22 @@ every waiter with its own row.
 Flush policy: a batch closes when
 
 * ``max_batch`` scenarios are pending, or
+* every client of the last batch has submitted its next request, or
 * the collection window has been open :data:`MAX_WAIT` seconds, or
 * no new request has arrived for :data:`QUIET_WAIT` seconds (the
   debounce that lets a closed-loop burst of clients fill a batch
   without every batch paying the full :data:`MAX_WAIT`).
+
+A client is its submitting thread: the HTTP shell serves each
+keep-alive connection on one handler thread, and a batch's clients
+stay blocked until they are answered, so the threads of the last batch
+are exactly the clients that can come back with a next request.  Once
+all of them have, waiting longer only buys requests from clients that
+were not in the last batch, so a closed loop of N clients runs batches
+of N back to back instead of paying :data:`QUIET_WAIT` on each.  A
+client that does not come back (its connection closed, or it thinks
+between requests) still costs at most one :data:`QUIET_WAIT`, and a
+thread id reused by a new connection can only close a window early.
 
 :data:`MAX_WAIT` bounds the *window*, not a request's total queue age: a
 request that arrived while the previous batch was evaluating has
@@ -112,6 +124,7 @@ class Outcome:
 class _Pending:
     __slots__ = (
         "scenario", "deadline", "enqueued", "done", "outcome", "label",
+        "client",
     )
 
     def __init__(self, scenario, deadline, enqueued, label):
@@ -121,6 +134,8 @@ class _Pending:
         self.done = threading.Event()
         self.outcome: Outcome | None = None
         self.label = label
+        #: The submitting thread: one client of a closed loop.
+        self.client = threading.get_ident()
 
 
 class RequestCoalescer:
@@ -176,6 +191,9 @@ class RequestCoalescer:
         #: Size of the last flushed batch: > 1 means a concurrent
         #: regime, where the quiet-wait debounce is worth paying.
         self._last_batch = 0
+        #: Clients of the last batch that have not submitted since; the
+        #: collecting window closes once it is empty.
+        self._awaited: set[int] = set()
 
     # ------------------------------------------------------------- client side
     def submit(
@@ -198,6 +216,7 @@ class RequestCoalescer:
                 return self._closed_outcome()
             self._pending.append(pending)
             self._newest = pending.enqueued
+            self._awaited.discard(pending.client)
             self.submitted += 1
             if self._thread is None:
                 self._thread = threading.Thread(
@@ -229,14 +248,15 @@ class RequestCoalescer:
                     self._cond.wait()
                 if not self._pending and self._closed:
                     return
-                # Collecting window: wait for max-batch, window-age, or
-                # quiet-period flush, whichever comes first.  A closed
-                # coalescer flushes whatever is pending immediately, as
-                # does a solo-client regime (last batch did not
-                # coalesce — waiting would buy nothing).
+                # Collecting window: wait for max-batch, the last
+                # batch's clients all back, window-age, or quiet-period
+                # flush, whichever comes first.  A closed coalescer
+                # flushes whatever is pending immediately, as does a
+                # solo-client regime (last batch did not coalesce —
+                # waiting would buy nothing).
                 window_start = time.monotonic()
                 while not self._closed and self._last_batch > 1:
-                    if len(self._pending) >= max_batch:
+                    if len(self._pending) >= max_batch or not self._awaited:
                         break
                     now = time.monotonic()
                     # the quiet clock starts no earlier than the window:
@@ -253,6 +273,7 @@ class RequestCoalescer:
                 batch = self._pending[:max_batch]
                 del self._pending[: len(batch)]
                 self._last_batch = len(batch)
+                self._awaited = {p.client for p in batch}
             self._flush(batch)
 
     def _flush(self, batch: list[_Pending]) -> None:

@@ -189,6 +189,72 @@ class TestCoalescer:
         assert co.coalesced == 3
         co.close()
 
+    @staticmethod
+    def _run_pair(rounds):
+        """Closed-loop clients ``a`` and ``b`` (``rounds[name]`` requests
+        each) whose first requests queue behind a stuck solo batch, so
+        they flush together.  Returns the batch sizes and each client's
+        outcomes."""
+        entered = threading.Event()
+        release = threading.Event()
+        batches = []
+
+        def evaluate(scenarios):
+            batches.append(len(scenarios))
+            if len(batches) == 1:
+                entered.set()
+                assert release.wait(10)
+            return [s["v"] for s in scenarios]
+
+        co = RequestCoalescer(evaluate, max_batch=8)
+        outcomes = {name: [] for name in rounds}
+
+        def client(name):
+            for _ in range(rounds[name]):
+                outcomes[name].append(co.submit({"v": name}))
+
+        primer = threading.Thread(target=co.submit, args=({"v": "p"},))
+        primer.start()
+        assert entered.wait(10)
+        pair = [threading.Thread(target=client, args=(n,)) for n in rounds]
+        for t in pair:
+            t.start()
+        while co.submitted < 1 + len(pair):
+            time.sleep(0.001)
+        release.set()
+        primer.join(10)
+        for t in pair:
+            t.join(30)
+        co.close()
+        return batches, outcomes
+
+    def test_batch_closes_once_its_clients_are_back(self, monkeypatch):
+        """A closed loop of two threads: once both clients of a batch
+        have resubmitted, the window closes without waiting out the
+        quiet period."""
+        monkeypatch.setattr("repro.server.coalescer.QUIET_WAIT", 0.5)
+        monkeypatch.setattr("repro.server.coalescer.MAX_WAIT", 1.0)
+        batches, outcomes = self._run_pair({"a": 11, "b": 11})
+        assert batches == [1] + [2] * 11
+        for name, served in outcomes.items():
+            assert [o.value for o in served] == [name] * 11
+            assert {o.batch_size for o in served} == {2}
+            assert all(o.queue_seconds < 0.5 for o in served)
+
+    def test_client_that_does_not_come_back_costs_one_quiet_wait(
+        self, monkeypatch
+    ):
+        """After a batch ``{a, b}`` only ``a`` resubmits: its request
+        waits out the quiet period, not the whole window, as before the
+        early close existed."""
+        monkeypatch.setattr("repro.server.coalescer.QUIET_WAIT", 0.05)
+        monkeypatch.setattr("repro.server.coalescer.MAX_WAIT", 1.0)
+        batches, outcomes = self._run_pair({"a": 2, "b": 1})
+        assert batches == [1, 2, 1]
+        again = outcomes["a"][1]
+        assert again.ok and again.batch_size == 1
+        assert 0.05 <= again.queue_seconds < 1.0
+
     def test_max_batch_one_never_coalesces(self):
         co = RequestCoalescer(lambda s: [0.0] * len(s), max_batch=1)
         threads = [
@@ -628,9 +694,46 @@ class TestHTTPServer:
         finally:
             conn.close()
             server.shutdown()
-            server.server_close()
             thread.join(timeout=10)
         assert not thread.is_alive()
+
+    def test_keep_alive_connection_submits_from_one_thread(
+        self, http_app, monkeypatch
+    ):
+        """The coalescer tells clients apart by their submitting thread;
+        that holds because the shell serves one keep-alive connection on
+        one handler thread."""
+        submitters = []
+        submit = RequestCoalescer.submit
+
+        def recording_submit(self, *args, **kwargs):
+            submitters.append(threading.get_ident())
+            return submit(self, *args, **kwargs)
+
+        monkeypatch.setattr(RequestCoalescer, "submit", recording_submit)
+        server, thread = start_server(http_app, port=0)
+        conn = http.client.HTTPConnection("127.0.0.1", server.port, timeout=10)
+        body = json.dumps({"design": "csa4_2", "arrival": {}})
+        try:
+            for _ in range(5):
+                conn.request("POST", "/analyze", body=body)
+                resp = conn.getresponse()
+                assert resp.status == 200
+                resp.read()
+        finally:
+            conn.close()
+            server.shutdown()
+            thread.join(timeout=10)
+        assert len(submitters) == 5
+        assert len(set(submitters)) == 1
+        assert submitters[0] != threading.get_ident()
+
+    def test_shutdown_closes_the_listening_socket(self, http_app):
+        server, thread = start_server(http_app, port=0)
+        server.shutdown()
+        thread.join(timeout=10)
+        assert server.socket.fileno() == -1
+        server.server_close()  # still harmless
 
     def test_garbage_request_line_gets_400(self, http_app):
         import socket
@@ -645,7 +748,6 @@ class TestHTTPServer:
             assert head.startswith(b"HTTP/1.1 400")
         finally:
             server.shutdown()
-            server.server_close()
             thread.join(timeout=10)
 
     @pytest.mark.slow
@@ -688,7 +790,6 @@ class TestHTTPServer:
                 t.join(60)
         finally:
             server.shutdown()
-            server.server_close()
             thread.join(timeout=10)
         assert not errors
         assert len(delays) == 8 * 25

@@ -15,9 +15,10 @@ dilutes the measured ratio.
 
 Output JSON (``benchmarks/results/server_throughput.json`` by default)
 records the ratio at every level and, as ``coalescing_speedup``, at the
-highest one.  No CI step gates it: CI runs a smoke size that fails only
-on a non-200 response.  Absolute rates and percentiles are
-machine-dependent.
+highest one.  Each level's row carries that level's ``mean_batch``
+(requests per kernel call) beside the run-wide one.  No CI step gates
+it: CI runs a smoke size that fails only on a non-200 response.
+Absolute rates and percentiles are machine-dependent.
 
 The **overload phase** (``--phase overload`` or part of ``all``)
 measures admission control instead of raw speed: the server runs with
@@ -198,22 +199,30 @@ def run_mode(
         f"Content-Type: application/json\r\n"
         f"Content-Length: {len(body)}\r\n\r\n"
     ).encode() + body
+    coalescer = entry.coalescer
     results = []
     try:
         for concurrency in levels:
-            results.append(
-                run_level(
-                    "127.0.0.1",
-                    server.port,
-                    request,
-                    concurrency,
-                    duration,
-                    warmup,
-                )
+            submitted, batches = coalescer.submitted, coalescer.batches
+            row = run_level(
+                "127.0.0.1",
+                server.port,
+                request,
+                concurrency,
+                duration,
+                warmup,
             )
+            # this level's batch width, warm-up included: the run-wide
+            # mean is dominated by whichever level served the most
+            served = coalescer.batches - batches
+            row["mean_batch"] = (
+                round((coalescer.submitted - submitted) / served, 1)
+                if served
+                else 0.0
+            )
+            results.append(row)
     finally:
         server.shutdown()
-        server.server_close()
         thread.join(timeout=10)
     hist = app.tracer.metrics.histograms.get("server.coalescer.batch_size")
     stats = {
@@ -314,7 +323,6 @@ def run_overload(
         )
     finally:
         server.shutdown()
-        server.server_close()
         thread.join(timeout=10)
     goodput = (
         overload["accepted_per_second"] / capacity["accepted_per_second"]
@@ -456,7 +464,8 @@ def main(argv: list[str] | None = None) -> int:
         print(
             f"    c={row['concurrency']:3d}: "
             f"{row['requests_per_second']:8.1f} req/s  "
-            f"p50 {row['p50_ms']:.1f}ms  p99 {row['p99_ms']:.1f}ms"
+            f"p50 {row['p50_ms']:.1f}ms  p99 {row['p99_ms']:.1f}ms  "
+            f"batch {row['mean_batch']}"
         )
     _, serial = run_mode(
         args.design, 1, levels, args.duration, args.warmup
